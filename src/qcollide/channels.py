@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from .ops import (
     DEFAULT_TOL,
     Operator,
     Superoperator,
+    apply_on_factor,
     kraus_superop,
     max_abs,
 )
@@ -31,11 +33,13 @@ class DensityMatrix:
     """Operator constrained to be a valid quantum state.
 
     `atol` loosens the Hermiticity/trace/positivity checks, e.g. for states
-    produced by numerical integration.
+    produced by numerical integration.  This is the only state check; the
+    minimum eigenvalue it computes is kept for the trajectory record.
     """
 
     op: Operator
     atol: float = STATE_TOL
+    min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
         op = self.op
@@ -47,6 +51,7 @@ class DensityMatrix:
         min_eig = float(np.linalg.eigvalsh(op.entries)[0])
         if min_eig < -self.atol:
             raise ValueError(f"minimum eigenvalue {min_eig} below -{self.atol}")
+        object.__setattr__(self, "min_eigenvalue", min_eig)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -99,6 +104,8 @@ class KrausChannel:
 
     Construction only checks shapes; completeness is reported by
     `validate_cpt` so that broken channels can still be inspected.
+    Every application goes through the superoperator matrix, which is
+    computed once per channel.
     `description` optionally records how the channel was built, for
     JSON round-tripping.
     """
@@ -123,25 +130,26 @@ class KrausChannel:
     def dims(self) -> tuple[int, ...]:
         return self.kraus[0].dims
 
+    @cached_property
+    def superop_matrix(self) -> np.ndarray:
+        """Read-only column-stacked matrix of X -> sum_k K_k X K_k^dag."""
+        return kraus_superop(self.kraus).matrix
+
     def apply(self, x: Operator) -> Operator:
         """sum_k K_k x K_k^dag; x need not be a state."""
         if x.side != self.side:
             raise ValueError(f"operator side {x.side} does not match channel side {self.side}")
-        out = np.zeros_like(x.entries)
-        for k in self.kraus:
-            out = out + k.entries @ x.entries @ k.entries.conj().T
-        return Operator(x.dims, out)
+        return Operator(x.dims, self.apply_on_factor(x.entries, (self.side,), 0))
 
     __call__ = apply
 
-    def apply_raw(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for k in self.kraus:
-            out = out + k.entries @ x @ k.entries.conj().T
-        return out
+    def apply_on_factor(self, x: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
+        """Apply the channel to factor `pos` of x, a matrix or a stack
+        shaped (..., D, D) on the tensor space `dims`."""
+        return apply_on_factor(self.superop_matrix, x, dims, pos)
 
     def superoperator(self) -> Superoperator:
-        return kraus_superop(self.kraus)
+        return Superoperator(self.dims, self.dims, self.superop_matrix)
 
     def to_dict(self) -> dict:
         if self.description is not None:
@@ -174,8 +182,7 @@ def power(c: KrausChannel, m: int) -> Superoperator:
         raise ValueError("channel power must be nonnegative")
     if m == 0:
         return Superoperator.identity(c.dims)
-    base = c.superoperator()
-    return Superoperator(c.dims, c.dims, np.linalg.matrix_power(base.matrix, m))
+    return Superoperator(c.dims, c.dims, np.linalg.matrix_power(c.superop_matrix, m))
 
 
 def lossy_bosonic_channel(d: int, kappa: float) -> KrausChannel:

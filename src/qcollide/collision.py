@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel
+from .channels import DensityMatrix, KrausChannel, power
 from .ops import (
     DEFAULT_TOL,
     Operator,
@@ -28,7 +28,7 @@ from .ops import (
     kron,
     partial_trace,
 )
-from .trajectory import Trajectory, build_trajectory
+from .trajectory import Trajectory, build_trajectory, sample_state
 
 ROW_PATH_MAX_SIDE = 256
 
@@ -287,23 +287,18 @@ def check_assumption(cfg: CollisionConfig, m_max: int, tol: float = DEFAULT_TOL)
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    entries = []
     uniform = cfg.couplings.env_shared
-    sigma = cfg.eta.op
-    if uniform:
-        b_ops = cfg.couplings.b_ops(1)
-        for power in range(m_max + 1):
-            for l, b in enumerate(b_ops):
-                value = abs(np.einsum("ij,ji->", b.entries, sigma.entries))
-                entries.append((power, l, float(value)))
-            sigma = cfg.channel.apply(sigma)
+    if uniform:  # (label, channel power, operators)
+        points = [(k, k, cfg.couplings.b_ops(1)) for k in range(m_max + 1)]
     else:
-        for m in range(1, min(m_max, cfg.n_carriers) + 1):
-            b_ops = cfg.couplings.b_ops(m)
-            for l, b in enumerate(b_ops):
-                value = abs(np.einsum("ij,ji->", b.entries, sigma.entries))
-                entries.append((m, l, float(value)))
-            sigma = cfg.channel.apply(sigma)
+        m_top = min(m_max, cfg.n_carriers)
+        points = [(m, m - 1, cfg.couplings.b_ops(m)) for m in range(1, m_top + 1)]
+    entries = []
+    for label, k, b_ops in points:
+        sigma = power(cfg.channel, k).apply(cfg.eta.op).entries
+        for l, b in enumerate(b_ops):
+            value = abs(np.einsum("ij,ji->", b.entries, sigma))
+            entries.append((label, l, float(value)))
     max_violation = max(v for (_, _, v) in entries)
     return AssumptionReport(
         entries=tuple(entries),
@@ -317,22 +312,11 @@ def check_assumption(cfg: CollisionConfig, m_max: int, tol: float = DEFAULT_TOL)
 # --- column path -----------------------------------------------------------
 
 
-def _apply_channel_env(arr: np.ndarray, cfg: CollisionConfig) -> np.ndarray:
-    """Apply the relaxation channel to the trailing environment factor."""
-    de = cfg.env_dim
-    ds = arr.shape[0] // de
-    x4 = arr.reshape(ds, de, ds, de)
-    out = np.zeros_like(x4)
-    for k in cfg.channel.kraus:
-        ke = k.entries
-        out += np.einsum("pa,iajb,qb->ipjq", ke, x4, ke.conj())
-    return out.reshape(arr.shape)
-
-
-def _trace_env(arr: np.ndarray, cfg: CollisionConfig) -> np.ndarray:
-    de = cfg.env_dim
-    ds = arr.shape[0] // de
-    return np.einsum("iaja->ij", arr.reshape(ds, de, ds, de))
+def _trace_env(x: np.ndarray, de: int) -> np.ndarray:
+    """Trace out the trailing environment factor (side de) of a matrix or a
+    stack shaped (..., D, D)."""
+    ds = x.shape[-1] // de
+    return np.einsum("...iaja->...ij", x.reshape(x.shape[:-2] + (ds, de, ds, de)))
 
 
 def _embedded_unitary(cfg: CollisionConfig, m: int, n: int) -> np.ndarray:
@@ -358,8 +342,8 @@ def _column_step_raw(
     for m in range(1, cfg.n_carriers + 1):
         u = provider(m, n)
         arr = u @ arr @ u.conj().T
-        arr = _apply_channel_env(arr, cfg)
-    return _trace_env(arr, cfg)
+        arr = cfg.channel.apply_on_factor(arr, cfg.joint_dims, cfg.n_carriers)
+    return _trace_env(arr, cfg.env_dim)
 
 
 def evolve_column_step(
@@ -403,7 +387,8 @@ def simulate(
 
     Local free evolution, when configured, is applied to the carriers over
     [tau_(n-1), tau_n] before collision n.  Samples are recorded at step 0,
-    every `record_stride` collisions, and at the final collision.
+    every `record_stride` collisions, and at the final collision; each is
+    validated when recorded, so an invalid state aborts the run.
     """
     if rho0.dims != cfg.carrier_dims:
         raise ValueError(f"initial state dims {rho0.dims} do not match carriers {cfg.carrier_dims}")
@@ -423,7 +408,7 @@ def simulate(
     eta = cfg.eta.entries
     arr = np.array(rho0.entries, dtype=complex)
 
-    steps, times, raws = [0], [0.0], [arr.copy()]
+    steps, times, states = [0], [0.0], [rho0]
     for n in range(1, cfg.n_collisions + 1):
         v = _free_evolution_unitary(cfg, cfg.tau(n - 1), cfg.tau(n))
         if v is not None:
@@ -433,7 +418,7 @@ def simulate(
         if n % record_stride == 0 or n == cfg.n_collisions:
             steps.append(n)
             times.append(cfg.tau(n))
-            raws.append(arr.copy())
+            states.append(sample_state(arr, cfg.carrier_dims, n, cfg.tau(n)))
 
     metadata = {
         "engine": "collision",
@@ -443,25 +428,10 @@ def simulate(
         "n_collisions": cfg.n_collisions,
         "record_stride": record_stride,
     }
-    return build_trajectory(steps, times, raws, cfg.carrier_dims, obs, names, metadata)
+    return build_trajectory(steps, times, states, obs, names, metadata)
 
 
 # --- row path (correctness oracle) ----------------------------------------
-
-
-def _apply_channel_at(arr: np.ndarray, dims: tuple[int, ...], pos: int, channel: KrausChannel) -> np.ndarray:
-    n = len(dims)
-    tensor = arr.reshape(dims + dims)
-    in_labels = list(range(2 * n))
-    out_labels = list(range(2 * n))
-    out_labels[pos] = 2 * n
-    out_labels[n + pos] = 2 * n + 1
-    out = np.zeros(dims + dims, dtype=complex)
-    for k in channel.kraus:
-        ke = k.entries
-        out += np.einsum(ke, [2 * n, pos], tensor, in_labels, ke.conj(), [2 * n + 1, n + pos], out_labels)
-    side = arr.shape[0]
-    return out.reshape(side, side)
 
 
 def evolve_row(cfg: CollisionConfig, rho0: DensityMatrix, n_sites: int) -> DensityMatrix:
@@ -489,7 +459,7 @@ def evolve_row(cfg: CollisionConfig, rho0: DensityMatrix, n_sites: int) -> Densi
             u = embed(collision_unitary(cfg, m, j), dims, (m - 1, n_carr - 1 + j)).entries
             arr = u @ arr @ u.conj().T
         for j in range(1, n_sites + 1):
-            arr = _apply_channel_at(arr, dims, n_carr - 1 + j, cfg.channel)
+            arr = cfg.channel.apply_on_factor(arr, dims, n_carr - 1 + j)
     reduced = partial_trace(Operator(dims, arr), keep=range(n_carr))
     return DensityMatrix(reduced, atol=1e-8)
 
@@ -538,13 +508,4 @@ def frame_propagator(cfg: CollisionConfig, n: int) -> np.ndarray:
     """Joint free-evolution unitary V(tau_n, 0) over all carriers."""
     if cfg.local_hamiltonians is None:
         raise ValueError("no local Hamiltonian schedules configured")
-    blocks = []
-    for m, sched in enumerate(cfg.local_hamiltonians):
-        if sched is None:
-            blocks.append(np.eye(cfg.carrier_dims[m], dtype=complex))
-        else:
-            blocks.append(sched.propagator(0.0, cfg.tau(n)))
-    full = blocks[0]
-    for b in blocks[1:]:
-        full = np.kron(full, b)
-    return full
+    return _free_evolution_unitary(cfg, 0.0, cfg.tau(n))

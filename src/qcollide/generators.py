@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel, fixed_point_distance
+from .channels import DensityMatrix, KrausChannel, fixed_point_distance, power
 from .collision import CouplingSpec
 from .jsonio import complex_matrix_to_json
 from .ops import (
@@ -40,13 +40,6 @@ def _expect(op: np.ndarray, state: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", op, state))
 
 
-def _orbit_state(eta: DensityMatrix, channel: KrausChannel, steps: int) -> np.ndarray:
-    sigma = eta.entries
-    for _ in range(steps):
-        sigma = channel.apply_raw(sigma)
-    return sigma
-
-
 def _warn_if_nonzero_mean(b_ops: Sequence[Operator], sigma: np.ndarray, tol: float = DEFAULT_TOL):
     worst = max(abs(_expect(b.entries, sigma)) for b in b_ops)
     if worst > tol:
@@ -55,6 +48,34 @@ def _warn_if_nonzero_mean(b_ops: Sequence[Operator], sigma: np.ndarray, tol: flo
             "the weak-coupling rates are not meaningful",
             RuntimeWarning,
         )
+
+
+def _two_point_rates(b_ops: Sequence[Operator], sigma: np.ndarray, gamma: float) -> np.ndarray:
+    """gamma * tr(B_l B_l' sigma) for every pair (l, l')."""
+    n = len(b_ops)
+    rates = np.empty((n, n), dtype=complex)
+    for l, bl in enumerate(b_ops):
+        for lp, blp in enumerate(b_ops):
+            rates[l, lp] = gamma * _expect(bl.entries @ blp.entries, sigma)
+    return rates
+
+
+def _propagated_rates(
+    b_from: Sequence[Operator],
+    b_to: Sequence[Operator],
+    sigma: np.ndarray,
+    channel: KrausChannel,
+    distance: int,
+    gamma: float,
+) -> np.ndarray:
+    """gamma * tr(B'_l' M^distance(B_l sigma)) for every pair (l, l')."""
+    orbit = power(channel, distance)
+    rates = np.empty((len(b_from), len(b_to)), dtype=complex)
+    for l, bl in enumerate(b_from):
+        propagated = orbit.apply(Operator(bl.dims, bl.entries @ sigma)).entries
+        for lp, blp in enumerate(b_to):
+            rates[l, lp] = gamma * _expect(blp.entries, propagated)
+    return rates
 
 
 def local_rates(
@@ -70,13 +91,9 @@ def local_rates(
     b_ops = spec.b_ops(m)
     if b_ops[0].side != eta.side:
         raise ValueError("environment operator side does not match eta")
-    sigma = _orbit_state(eta, channel, m - 1)
+    sigma = power(channel, m - 1).apply(eta.op).entries
     _warn_if_nonzero_mean(b_ops, sigma)
-    n = len(b_ops)
-    rates = np.empty((n, n), dtype=complex)
-    for l, bl in enumerate(b_ops):
-        for lp, blp in enumerate(b_ops):
-            rates[l, lp] = gamma * _expect(bl.entries @ blp.entries, sigma)
+    rates = _two_point_rates(b_ops, sigma, gamma)
     if max_abs(rates - rates.conj().T) > PSD_TOL:
         raise RuntimeError("local rate matrix is not Hermitian; this indicates a bug")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rates + rates.conj().T))[0])
@@ -104,18 +121,8 @@ def cross_rates(
         raise ValueError("cross rates are directional: need m' > m")
     if not 1 <= m <= spec.n_carriers or not 1 <= m_prime <= spec.n_carriers:
         raise ValueError("carrier index out of range")
-    b_m = spec.b_ops(m)
-    b_mp = spec.b_ops(m_prime)
-    sigma = _orbit_state(eta, channel, m - 1)
-    distance = m_prime - m
-    rates = np.empty((len(b_m), len(b_mp)), dtype=complex)
-    for l, bl in enumerate(b_m):
-        propagated = bl.entries @ sigma
-        for _ in range(distance):
-            propagated = channel.apply_raw(propagated)
-        for lp, blp in enumerate(b_mp):
-            rates[l, lp] = gamma * _expect(blp.entries, propagated)
-    return rates
+    sigma = power(channel, m - 1).apply(eta.op).entries
+    return _propagated_rates(spec.b_ops(m), spec.b_ops(m_prime), sigma, channel, m_prime - m, gamma)
 
 
 def stationary_rates(
@@ -141,29 +148,15 @@ def stationary_rates(
             "stationary rates are only approximate",
             RuntimeWarning,
         )
-    b_ops = spec.b_ops(1)
     b_ops_far = spec.b_ops(min(1 + distance, spec.n_carriers))
-    rates = np.empty((len(b_ops), len(b_ops_far)), dtype=complex)
-    for l, bl in enumerate(b_ops):
-        propagated = bl.entries @ eta0.entries
-        for _ in range(distance):
-            propagated = channel.apply_raw(propagated)
-        for lp, blp in enumerate(b_ops_far):
-            rates[l, lp] = gamma * _expect(blp.entries, propagated)
-    return rates
+    return _propagated_rates(spec.b_ops(1), b_ops_far, eta0.entries, channel, distance, gamma)
 
 
 def stationary_local_rates(
     spec: CouplingSpec, eta0: DensityMatrix, gamma: float
 ) -> np.ndarray:
     """Carrier-independent local rate matrix evaluated on the stationary state."""
-    b_ops = spec.b_ops(1)
-    n = len(b_ops)
-    rates = np.empty((n, n), dtype=complex)
-    for l, bl in enumerate(b_ops):
-        for lp, blp in enumerate(b_ops):
-            rates[l, lp] = gamma * _expect(bl.entries @ blp.entries, eta0.entries)
-    return rates
+    return _two_point_rates(spec.b_ops(1), eta0.entries, gamma)
 
 
 # --- dissipators ------------------------------------------------------------

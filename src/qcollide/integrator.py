@@ -2,8 +2,9 @@
 
 Deterministic classical RK4 on the vectorized state, no adaptivity: clean
 convergence-order measurements matter more than efficiency at these sizes.
-Hermiticity is re-symmetrized every step; positivity is monitored but never
-enforced, so a broken generator shows up instead of being masked.
+Hermiticity is re-symmetrized every step; trace and positivity are checked
+on every recorded sample but never enforced, so a broken generator shows up
+instead of being masked.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ import numpy as np
 
 from .channels import DensityMatrix
 from .ops import Operator, Superoperator, hermitize, unvec, vec
-from .trajectory import Trajectory, build_trajectory
-
-ABORT_TOL = 1e-6
-SAMPLE_ATOL = 1e-8
+from .trajectory import Trajectory, build_trajectory, sample_state
 
 GeneratorLike = Superoperator | Sequence[tuple[float, Superoperator]]
 
@@ -53,8 +51,9 @@ def integrate(
     observable_names: Sequence[str] | None = None,
 ) -> Trajectory:
     """Integrate rho over [0, t_end] with fixed step dt (final time within dt
-    of t_end).  Aborts with a diagnostic when trace or positivity drift past
-    1e-6: that signals a broken generator, not an integration problem.
+    of t_end).  Aborts with a RuntimeError when a recorded sample fails the
+    state check (trace or positivity off by more than 1e-8): that signals a
+    broken generator, not an integration problem.
     """
     if dt <= 0 or dt > t_end:
         raise ValueError("need 0 < dt <= t_end")
@@ -75,7 +74,7 @@ def integrate(
 
     n_steps = max(int(round(t_end / dt)), 1)
     v = vec(np.array(rho0.entries, dtype=complex))
-    steps, times, raws = [0], [0.0], [rho0.entries.copy()]
+    steps, times, states = [0], [0.0], [rho0]
     for k in range(1, n_steps + 1):
         t = (k - 1) * dt
         # one lookup per step, at the midpoint: schedules are piecewise
@@ -90,21 +89,12 @@ def integrate(
         rho = hermitize(unvec(v, side))
         v = vec(rho)
         if k % record_stride == 0 or k == n_steps:
-            drift = abs(np.real(np.trace(rho)) - 1.0)
-            min_eig = float(np.linalg.eigvalsh(rho)[0])
-            if drift > ABORT_TOL or min_eig < -ABORT_TOL:
-                raise RuntimeError(
-                    f"state invariants violated at t={k * dt:.6g}: "
-                    f"|trace-1|={drift:.3e}, min eigenvalue={min_eig:.3e}"
-                )
             steps.append(k)
             times.append(k * dt)
-            raws.append(rho.copy())
+            states.append(sample_state(rho, dims, k, k * dt))
 
     metadata = {"engine": "me-rk4", "dt": dt, "t_end": n_steps * dt, "generator": desc}
-    return build_trajectory(
-        steps, times, raws, dims, obs, names, metadata, state_atol=SAMPLE_ATOL
-    )
+    return build_trajectory(steps, times, states, obs, names, metadata)
 
 
 def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
@@ -112,24 +102,13 @@ def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
     from .ops import partial_trace
 
     keep0 = sorted(int(m) - 1 for m in keep)
-    raws = []
-    dims = None
-    for state in traj.states:
+    states = []
+    for step, t, state in zip(traj.steps, traj.times, traj.states):
         reduced = partial_trace(state.op, keep0)
-        dims = reduced.dims
-        raws.append(reduced.entries)
+        states.append(sample_state(reduced.entries, reduced.dims, step, t))
     metadata = dict(traj.metadata)
     metadata["reduced_to"] = list(keep)
-    return build_trajectory(
-        traj.steps,
-        traj.times,
-        raws,
-        dims,
-        [],
-        [],
-        metadata,
-        state_atol=SAMPLE_ATOL,
-    )
+    return build_trajectory(traj.steps, traj.times, states, [], [], metadata)
 
 
 def trace_distance(a: DensityMatrix | Operator, b: DensityMatrix | Operator) -> float:

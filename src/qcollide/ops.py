@@ -273,14 +273,6 @@ def sandwich_superop(a: Operator, b: Operator) -> Superoperator:
     return Superoperator(a.dims, a.dims, np.kron(b.entries.T, a.entries))
 
 
-def left_mult_superop(a: Operator) -> Superoperator:
-    return Superoperator(a.dims, a.dims, np.kron(np.eye(a.side), a.entries))
-
-
-def right_mult_superop(b: Operator) -> Superoperator:
-    return Superoperator(b.dims, b.dims, np.kron(b.entries.T, np.eye(b.side)))
-
-
 def commutator_superop(h: Operator) -> Superoperator:
     """Superoperator X -> [h, X]."""
     eye = np.eye(h.side)
@@ -305,6 +297,30 @@ def kraus_superop(kraus: Sequence[Operator]) -> Superoperator:
             raise ValueError("Kraus operators must share one side")
         mat += np.kron(k.entries.conj(), k.entries)
     return Superoperator(dims, dims, mat)
+
+
+def apply_on_factor(p: np.ndarray, x: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
+    """Apply the column-stacked superoperator matrix p (side d^2, d = dims[pos])
+    to factor `pos` of x, a matrix or a stack shaped (..., D, D) on `dims`.
+
+    The factor's (column, row) index pair is moved last so that the whole
+    contraction is one matrix product with p^T.
+    """
+    dims = tuple(dims)
+    d = dims[pos]
+    if p.shape != (d * d, d * d):
+        raise ValueError(f"superoperator shape {p.shape} does not match factor dimension {d}")
+    left = math.prod(dims[:pos])
+    right = math.prod(dims[pos + 1 :])
+    lead = x.shape[:-2]
+    k = len(lead)
+    keep = tuple(range(k))
+    # axes after the reshape: row (i, a, r), column (j, b, s); a, b on the factor
+    t = x.reshape(lead + (left, d, right, left, d, right))
+    t = t.transpose(keep + (k, k + 2, k + 3, k + 5, k + 4, k + 1))
+    y = t.reshape(lead + (-1, d * d)) @ p.T
+    y = y.reshape(lead + (left, right, left, right, d, d))
+    return y.transpose(keep + (k, k + 5, k + 1, k + 2, k + 4, k + 3)).reshape(x.shape)
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

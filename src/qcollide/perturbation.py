@@ -23,13 +23,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import DensityMatrix
-from .collision import CollisionConfig, collision_hamiltonian
+from .channels import DensityMatrix, power
+from .collision import CollisionConfig, _trace_env, collision_hamiltonian
 from .generators import GeneratorSet, full_generator
 from .ops import (
     Operator,
     Superoperator,
     anticommutator_superop,
+    apply_on_factor,
     commutator_superop,
     embed,
     expm_hermitian,
@@ -53,28 +54,12 @@ def _u_second(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return h @ x @ h - 0.5 * (h2 @ x + x @ h2)
 
 
-def _apply_env_superop(p: np.ndarray, x: np.ndarray, ds: int, de: int) -> np.ndarray:
-    """Apply a superoperator matrix p (column-stacked, side de^2) to the
-    trailing environment factor of a stack of joint matrices."""
-    lead = x.shape[:-2]
-    x5 = x.reshape(lead + (ds, de, ds, de))
-    p4 = p.reshape(de, de, de, de)  # p4[b', a', b, a] = p[a' + de b', a + de b]
-    y = np.einsum("qpba,...iajb->...ipjq", p4, x5)
-    return y.reshape(x.shape)
-
-
-def _trace_env_stack(x: np.ndarray, ds: int, de: int) -> np.ndarray:
-    lead = x.shape[:-2]
-    return np.einsum("...iaja->...ij", x.reshape(lead + (ds, de, ds, de)))
-
-
 class _ColumnExpansion:
     """Shared machinery: embedded collision Hamiltonians and channel powers."""
 
     def __init__(self, cfg: CollisionConfig, collision_index: int = 1):
         self.cfg = cfg
         self.n = collision_index
-        self.ds = math.prod(cfg.carrier_dims)
         self.de = cfg.env_dim
         self.dims = cfg.joint_dims
         m_count = cfg.n_carriers
@@ -86,15 +71,12 @@ class _ColumnExpansion:
             ).entries
             for m in range(1, m_count + 1)
         ]
-        base = cfg.channel.superoperator().matrix
-        self.powers = [np.eye(self.de * self.de, dtype=complex)]
-        for _ in range(m_count + 1):
-            self.powers.append(base @ self.powers[-1])
+        self.powers = [power(cfg.channel, k).matrix for k in range(m_count + 2)]
 
     def env_power(self, k: int, x: np.ndarray) -> np.ndarray:
         if k == 0:
             return x
-        return _apply_env_superop(self.powers[k], x, self.ds, self.de)
+        return apply_on_factor(self.powers[k], x, self.dims, self.cfg.n_carriers)
 
     def c_prime(self, x: np.ndarray) -> np.ndarray:
         m_count = self.cfg.n_carriers
@@ -196,7 +178,7 @@ def verify_first_order(
     environment trace (it is proportional to the coupling first moments)."""
     exp = _ColumnExpansion(cfg, collision_index)
     joint = np.kron(rho.entries, cfg.eta.entries)
-    traced = _trace_env_stack(exp.c_prime(joint), exp.ds, exp.de)
+    traced = _trace_env(exp.c_prime(joint), exp.de)
     residual = _frob(traced)
     return FirstOrderReport(residual=residual, tol=tol, passed=residual <= tol)
 
@@ -227,13 +209,13 @@ def verify_second_order(
     scale = 1.0 / gen.rates.gamma
     joint = np.kron(rho.entries, cfg.eta.entries)
 
-    traced_a = _trace_env_stack(exp.c_second_a(joint), exp.ds, exp.de)
+    traced_a = _trace_env(exp.c_second_a(joint), exp.de)
     local_sum = np.zeros_like(rho.entries)
     for term in gen.local_terms:
         local_sum = local_sum + term.apply(rho.op).entries
     residual_a = _frob(traced_a - scale * local_sum)
 
-    traced_b = _trace_env_stack(exp.c_second_b(joint), exp.ds, exp.de)
+    traced_b = _trace_env(exp.c_second_b(joint), exp.de)
     cross_sum = np.zeros_like(rho.entries)
     for term in gen.cross_terms.values():
         cross_sum = cross_sum + term.apply(rho.op).entries
@@ -277,7 +259,7 @@ def collision_step_defect(
     generator built at gamma = g^2 dt; O(g^3 dt^2)."""
     exp = _ColumnExpansion(cfg, collision_index)
     joint = np.kron(rho.entries, cfg.eta.entries)
-    stepped = _trace_env_stack(exp.exact_column(joint), exp.ds, exp.de)
+    stepped = _trace_env(exp.exact_column(joint), exp.de)
     diff = (stepped - rho.entries) / cfg.dt
     gen = full_generator(
         cfg.couplings,

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,7 +53,7 @@ from .perturbation import (
     verify_first_order,
     verify_second_order,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _fmt
 
 BUILTIN_NAMES = ("dephasing-1q", "ad-chain-2q", "rotating-env-2q", "bosonic-fiber", "replacer")
 
@@ -457,10 +456,6 @@ def _load_custom(data: dict) -> ScenarioConfig:
 # --- run drivers ---------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass(eq=False)
 class ConvergeReport:
     scenario: str
@@ -512,15 +507,12 @@ def run_converge(sc: ScenarioConfig, reference_dt: float | None = None) -> Conve
     reference = integrate(gen.total, sc.rho0, sc.t_end, reference_dt)
     ref_state = reference.final_state()
 
-    def one_entry(n: int) -> dict:
+    entries = []
+    for n in sorted(sc.sweep):
         cfg = collision_config(sc, n)
         traj = simulate(cfg, sc.rho0, record_stride=max(n, 1))
         err = trace_distance(traj.final_state(), ref_state)
-        return {"n": n, "dt": cfg.dt, "g": cfg.g, "error": err}
-
-    sweep = sorted(sc.sweep)
-    with ThreadPoolExecutor(max_workers=min(len(sweep), os.cpu_count() or 1)) as pool:
-        entries = list(pool.map(one_entry, sweep))
+        entries.append({"n": n, "dt": cfg.dt, "g": cfg.g, "error": err})
 
     errors = [e["error"] for e in entries]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))

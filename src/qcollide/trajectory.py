@@ -16,6 +16,8 @@ from .channels import DensityMatrix
 from .jsonio import complex_matrix_to_json
 from .ops import Operator
 
+SAMPLE_ATOL = 1e-8
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -95,34 +97,36 @@ class Trajectory:
             json.dump(payload, fh, indent=1)
 
 
+def sample_state(arr: np.ndarray, dims: tuple[int, ...], step: int, t: float) -> DensityMatrix:
+    """Validate one recorded sample; a violation aborts the run with a
+    RuntimeError naming the step, so the CLI reports a property failure."""
+    try:
+        return DensityMatrix(Operator(dims, arr), atol=SAMPLE_ATOL)
+    except ValueError as exc:
+        raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
+
+
 def build_trajectory(
     steps: Sequence[int],
     times: Sequence[float],
-    raw_states: Sequence[np.ndarray],
-    dims: tuple[int, ...],
+    raw_states: Sequence[DensityMatrix],
     observables: Sequence[np.ndarray],
     observable_names: Sequence[str],
     metadata: dict | None = None,
-    state_atol: float = 1e-8,
 ) -> Trajectory:
-    """Assemble a Trajectory from raw state matrices, validating each sample."""
-    states = []
-    traces = []
-    mins = []
+    """Assemble a Trajectory from the validated samples; trace and minimum
+    eigenvalue are read from the states, not recomputed."""
     values = np.zeros((len(raw_states), len(observables)), dtype=complex)
-    for i, arr in enumerate(raw_states):
-        traces.append(float(np.real(np.trace(arr))))
-        mins.append(float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0]))
-        states.append(DensityMatrix(Operator(dims, arr), atol=state_atol))
+    for i, state in enumerate(raw_states):
         for j, obs in enumerate(observables):
-            values[i, j] = np.einsum("ij,ji->", obs, arr)
+            values[i, j] = np.einsum("ij,ji->", obs, state.entries)
     return Trajectory(
         steps=np.asarray(steps),
         times=np.asarray(times),
-        states=tuple(states),
+        states=tuple(raw_states),
         observable_names=tuple(observable_names),
         observable_values=values,
-        traces=np.asarray(traces),
-        min_eigenvalues=np.asarray(mins),
+        traces=np.asarray([state.op.trace().real for state in raw_states]),
+        min_eigenvalues=np.asarray([state.min_eigenvalue for state in raw_states]),
         metadata=metadata or {},
     )

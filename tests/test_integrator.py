@@ -62,10 +62,12 @@ class TestIntegrate:
         traj = integrate(gen, random_state(rng, (2, 2)), t_end=1.0, dt=5e-3)
         assert traj.min_eigenvalues.min() >= -1e-8
 
-    def test_aborts_on_broken_generator(self):
-        # d rho/dt = rho inflates the trace; must abort with a diagnostic
-        grow = Superoperator((2,), (2,), np.eye(4))
-        with pytest.raises(RuntimeError, match="invariants"):
+    @pytest.mark.parametrize("rate", [1.0, 1e-7])
+    def test_aborts_on_broken_generator(self, rate):
+        # d rho/dt = rate * rho inflates the trace; must abort with a diagnostic,
+        # also when the drift stays below 1e-6 but exceeds the 1e-8 sample check
+        grow = Superoperator((2,), (2,), rate * np.eye(4))
+        with pytest.raises(RuntimeError, match="invariants violated at step"):
             integrate(grow, GROUND, t_end=1.0, dt=0.01)
 
     def test_rejects_bad_step(self):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_unitary
+from conftest import random_cpt_channel, random_hermitian, random_unitary
 from qcollide.ops import (
     Operator,
     Superoperator,
     anticommutator_superop,
+    apply_on_factor,
     bracket,
     commutator_superop,
     embed,
@@ -248,6 +249,38 @@ class TestEmbed:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             embed(identity((3,)), (2, 2), (0,))
+
+
+class TestApplyOnFactor:
+    """The one channel-on-factor kernel against the Kraus-sum oracle
+    sum_k embed(K_k) X embed(K_k)^dag; the column and row paths both use it."""
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (4, 4)], ids=["2x3x2", "4x4"])
+    @pytest.mark.parametrize("n_kraus", [1, 3])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["matrix", "stack"])
+    def test_matches_kraus_sum(self, rng, dims, n_kraus, lead):
+        side = math.prod(dims)
+        x = rng.normal(size=lead + (side, side)) + 1j * rng.normal(size=lead + (side, side))
+        for pos, d in enumerate(dims):
+            chan = random_cpt_channel(rng, d, n_kraus)
+            big = [embed(k, dims, (pos,)).entries for k in chan.kraus]
+            want = sum(k @ x @ k.conj().T for k in big)
+            got = apply_on_factor(chan.superop_matrix, x, dims, pos)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(chan.apply_on_factor(x, dims, pos) - want)) <= 1e-12
+
+    def test_cached_matrix_read_only(self, rng):
+        chan = random_cpt_channel(rng, 3)
+        mat = chan.superop_matrix
+        assert chan.superop_matrix is mat
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+
+    def test_rejects_mismatched_factor(self, rng):
+        chan = random_cpt_channel(rng, 2)
+        with pytest.raises(ValueError, match="factor dimension"):
+            apply_on_factor(chan.superop_matrix, np.eye(6), (2, 3), 1)
 
 
 class TestSuperoperator:

@@ -197,11 +197,12 @@ class TestVerifySecondOrder:
         report = verify_second_order(cfg, rho)
         assert report.passed
         # the traced pair term itself must vanish, not just match the (zero) cross rates
-        from qcollide.perturbation import _ColumnExpansion, _trace_env_stack
+        from qcollide.collision import _trace_env
+        from qcollide.perturbation import _ColumnExpansion
 
         exp = _ColumnExpansion(cfg)
         joint = np.kron(rho.entries, eta.entries)
-        traced = _trace_env_stack(exp.c_second_b(joint), exp.ds, exp.de)
+        traced = _trace_env(exp.c_second_b(joint), exp.de)
         assert np.max(np.abs(traced)) <= 1e-12
 
     def test_rate_rescaling_linearity(self, rng):

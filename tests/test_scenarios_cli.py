@@ -165,12 +165,17 @@ class TestRunSimulate:
         assert len(traj) == 1
         assert (tmp_path / "trajectory.csv").exists()
 
-    def test_csv_reruns_byte_identical(self, tmp_path):
-        sc = load_scenario({"scenario": "ad-chain-2q", "n_collisions": 20})
-        run_simulate(sc, out_dir=str(tmp_path / "a"))
-        run_simulate(sc, out_dir=str(tmp_path / "b"))
-        a = (tmp_path / "a" / "trajectory.csv").read_bytes()
-        b = (tmp_path / "b" / "trajectory.csv").read_bytes()
+    @pytest.mark.parametrize(
+        "command, filename",
+        [("simulate", "trajectory.csv"), ("converge", "convergence.csv"), ("generators", "rates.csv")],
+    )
+    def test_csv_reruns_byte_identical(self, tmp_path, command, filename):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "ad-chain-2q", "n_collisions": 20, "sweep": [25, 50]}))
+        for run in ("a", "b"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+        a = (tmp_path / "a" / filename).read_bytes()
+        b = (tmp_path / "b" / filename).read_bytes()
         assert a == b
 
     def test_json_format(self, tmp_path):
@@ -267,6 +272,26 @@ class TestCLI:
         code = main(["converge", "--config", str(cfg)])
         assert code == 2
         assert "assumption" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_invariant_violation_exit_two(self, tmp_path, capsys, command):
+        # the loader only warns about a non-trace-preserving channel; the run
+        # must then stop at the first invalid sample with exit code 2
+        leaky = {
+            "scenario": "custom",
+            "carrier_dims": [2],
+            "env_dim": 2,
+            "couplings": {"system": [["sx"]], "environment": ["sx"]},
+            "eta": "ground",
+            "channel": {"kind": "kraus", "operators": [[[[0.9, 0], [0, 0]], [[0, 0], [0.9, 0]]]]},
+            "sweep": [10, 20],
+        }
+        cfg = tmp_path / "leaky.json"
+        cfg.write_text(json.dumps(leaky))
+        with pytest.warns(RuntimeWarning, match="not trace preserving"):
+            code = main([command, "--config", str(cfg)])
+        assert code == 2
+        assert "property check failed: state invariants violated" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "c.json"
