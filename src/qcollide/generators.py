@@ -30,6 +30,7 @@ from .ops import (
     Superoperator,
     embed,
     max_abs,
+    multiplier_matrix,
     partial_trace,
 )
 
@@ -162,41 +163,31 @@ def stationary_local_rates(
 # --- dissipators ------------------------------------------------------------
 
 
+def _contract(rates: np.ndarray, ops: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """sum_l' rates[l, l'] ops[l'] for every l."""
+    return list(np.tensordot(rates, np.stack(ops), axes=1))
+
+
 def _lindblad_matrix(a_ops: Sequence[np.ndarray], rates: np.ndarray) -> np.ndarray:
-    """(1/2) sum_{l,l'} rates[l,l'] (2 A_l' X A_l - A_l A_l' X - X A_l A_l')."""
-    side = a_ops[0].shape[0]
-    eye = np.eye(side)
-    mat = np.zeros((side * side, side * side), dtype=complex)
-    for l, al in enumerate(a_ops):
-        for lp, alp in enumerate(a_ops):
-            r = rates[l, lp]
-            if r == 0:
-                continue
-            prod = al @ alp
-            mat += r * (
-                np.kron(al.T, alp) - 0.5 * np.kron(eye, prod) - 0.5 * np.kron(prod.T, eye)
-            )
-    return mat
+    """(1/2) sum_{l,l'} rates[l,l'] (2 A_l' X A_l - A_l A_l' X - X A_l A_l')
+    = sum_l B_l X A_l - (K X + X K)/2, B_l = sum_l' rates[l,l'] A_l', K = sum_l A_l B_l."""
+    b_ops = _contract(rates, a_ops)
+    k = -0.5 * sum(al @ bl for al, bl in zip(a_ops, b_ops))
+    return multiplier_matrix(list(zip(b_ops, a_ops)), k, k)
 
 
 def _cross_matrix(
     a_m: Sequence[np.ndarray], a_mp: Sequence[np.ndarray], rates: np.ndarray
 ) -> np.ndarray:
-    """sum_{l,l'} rates[l,l'] A^m_l [X, A^m'_l'] - conj(rates[l,l']) [X, A^m'_l'] A^m_l."""
-    side = a_m[0].shape[0]
-    eye = np.eye(side)
-    mat = np.zeros((side * side, side * side), dtype=complex)
-    for l, al in enumerate(a_m):
-        for lp, alp in enumerate(a_mp):
-            r = rates[l, lp]
-            if r == 0:
-                continue
-            # A_l X A_l' - A_l A_l' X
-            first = np.kron(alp.T, al) - np.kron(eye, al @ alp)
-            # X A_l' A_l - A_l' X A_l
-            second = np.kron((alp @ al).T, eye) - np.kron(al.T, alp)
-            mat += r * first - np.conj(r) * second
-    return mat
+    """sum_{l,l'} rates[l,l'] A^m_l [X, A^m'_l'] - conj(rates[l,l']) [X, A^m'_l'] A^m_l
+    = sum_l (A_l X C_l + C~_l X A_l) - (sum_l A_l C_l) X - X (sum_l C~_l A_l),
+    with C_l = sum_l' rates[l,l'] A^m'_l' and C~_l the same with conj(rates)."""
+    c_ops = _contract(rates, a_mp)
+    c_conj = _contract(rates.conj(), a_mp)
+    pairs = list(zip(a_m, c_ops)) + list(zip(c_conj, a_m))
+    left = -sum(al @ cl for al, cl in zip(a_m, c_ops))
+    right = -sum(cl @ al for al, cl in zip(a_m, c_conj))
+    return multiplier_matrix(pairs, left, right)
 
 
 def _embedded_a_ops(

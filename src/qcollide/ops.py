@@ -266,37 +266,61 @@ class Superoperator:
         return f"Superoperator(in_dims={self.in_dims}, out_dims={self.out_dims})"
 
 
+def multiplier_matrix(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    left: np.ndarray | None = None,
+    right: np.ndarray | None = None,
+) -> np.ndarray:
+    """Column-stacked matrix of X -> sum_k L_k X R_k + left X + X right.
+
+    `pairs` lists the (L_k, R_k) sandwiches; all matrices share one side D.
+    Since vec(L X R) = (R^T kron L) vec(X), the (D, D, D, D) view [j, i, l, k]
+    of the result holds sum_k R_k[l, j] L_k[i, k]: each term is one outer
+    product added into that view, in order, so a single term reproduces
+    np.kron bit for bit.  The one-sided pieces only touch the block
+    diagonals j = l (left) and i = k (right), at O(D^3) cost.
+    """
+    mats = [m for pair in pairs for m in pair] + [m for m in (left, right) if m is not None]
+    if not mats:
+        raise ValueError("need at least one multiplier")
+    side = mats[0].shape[0]
+    if any(m.shape != (side, side) for m in mats):
+        raise ValueError("multipliers must be square and share one side")
+    mat = np.zeros((side * side, side * side), dtype=complex)
+    t = mat.reshape(side, side, side, side)
+    if pairs:
+        view, term = t.transpose(0, 2, 1, 3), np.empty((side,) * 4, dtype=complex)
+        for l_k, r_k in pairs:
+            view += np.multiply.outer(r_k.T, l_k, out=term)
+    diag = np.arange(side)
+    if left is not None:
+        t[diag, :, diag, :] += left
+    if right is not None:
+        t[:, diag, :, diag] += right.T
+    return mat
+
+
 def sandwich_superop(a: Operator, b: Operator) -> Superoperator:
     """Superoperator X -> a X b."""
-    if a.side != b.side:
-        raise ValueError("side mismatch")
-    return Superoperator(a.dims, a.dims, np.kron(b.entries.T, a.entries))
+    return Superoperator(a.dims, a.dims, multiplier_matrix([(a.entries, b.entries)]))
 
 
 def commutator_superop(h: Operator) -> Superoperator:
     """Superoperator X -> [h, X]."""
-    eye = np.eye(h.side)
-    return Superoperator(h.dims, h.dims, np.kron(eye, h.entries) - np.kron(h.entries.T, eye))
+    return Superoperator(h.dims, h.dims, multiplier_matrix([], h.entries, -h.entries))
 
 
 def anticommutator_superop(h: Operator) -> Superoperator:
     """Superoperator X -> {h, X}."""
-    eye = np.eye(h.side)
-    return Superoperator(h.dims, h.dims, np.kron(eye, h.entries) + np.kron(h.entries.T, eye))
+    return Superoperator(h.dims, h.dims, multiplier_matrix([], h.entries, h.entries))
 
 
 def kraus_superop(kraus: Sequence[Operator]) -> Superoperator:
     """Superoperator X -> sum_k K_k X K_k^dag."""
     if not kraus:
         raise ValueError("need at least one Kraus operator")
-    dims = kraus[0].dims
-    side = kraus[0].side
-    mat = np.zeros((side * side, side * side), dtype=complex)
-    for k in kraus:
-        if k.side != side:
-            raise ValueError("Kraus operators must share one side")
-        mat += np.kron(k.entries.conj(), k.entries)
-    return Superoperator(dims, dims, mat)
+    pairs = [(k.entries, k.entries.conj().T) for k in kraus]
+    return Superoperator(kraus[0].dims, kraus[0].dims, multiplier_matrix(pairs))
 
 
 def apply_on_factor(p: np.ndarray, x: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:

@@ -90,6 +90,8 @@ class ScenarioConfig:
         self.sweep = tuple(int(n) for n in self.sweep)
         if self.n_collisions < 0:
             raise ConfigError("n_collisions must be nonnegative")
+        if self.record_stride < 1:
+            raise ConfigError("record_stride must be >= 1")
 
 
 def collision_config(sc: ScenarioConfig, n: int) -> CollisionConfig:
@@ -371,6 +373,8 @@ def load_scenario(source) -> ScenarioConfig:
     else:
         raise ConfigError("config source must be a path, builtin name, or dict")
 
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
@@ -378,41 +382,39 @@ def load_scenario(source) -> ScenarioConfig:
     if kind is None:
         raise ConfigError("config needs a 'scenario' key")
 
-    if kind == "custom":
-        sc = _load_custom(data)
-    else:
-        sc = builtin_scenario(kind, data.get("params"))
-        if "rho0" in data:
-            sc.rho0 = parse_state(data["rho0"], sc.carrier_dims)
-        if "observables" in data:
-            sc.observables = _parse_observables(data["observables"], sc.carrier_dims)
-    for key in ("gamma", "t_end"):
-        if key in data:
-            setattr(sc, key, float(data[key]))
-    if "sweep" in data:
-        sc.sweep = tuple(int(n) for n in data["sweep"])
-    if "n_collisions" in data:
-        sc.n_collisions = int(data["n_collisions"])
-    if "record_stride" in data:
-        sc.record_stride = int(data["record_stride"])
-    if "seed" in data:
-        sc.seed = int(data["seed"])
+    # outside input: whichever parser or factory trips over a value, it is a config error
+    try:
+        if kind == "custom":
+            sc = _load_custom(data)
+        else:
+            sc = builtin_scenario(kind, data.get("params"))
+            if "rho0" in data:
+                sc.rho0 = parse_state(data["rho0"], sc.carrier_dims)
+            if "observables" in data:
+                sc.observables = _parse_observables(data["observables"], sc.carrier_dims)
+        for key in ("gamma", "t_end"):
+            if key in data:
+                setattr(sc, key, float(data[key]))
+        if "sweep" in data:
+            sc.sweep = tuple(int(n) for n in data["sweep"])
+        for key in ("n_collisions", "record_stride", "seed"):
+            if key in data:
+                setattr(sc, key, int(data[key]))
+        sc.__post_init__()
+    except KeyError as exc:
+        raise ConfigError(f"config is missing key {exc}") from exc
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ConfigError(str(exc)) from exc
     sc.raw = dict(data)
-    sc.__post_init__()
     return sc
 
 
 def _load_custom(data: dict) -> ScenarioConfig:
-    try:
-        carrier_dims = tuple(int(d) for d in data["carrier_dims"])
-        env_dim = int(data["env_dim"])
-        coupling_block = data["couplings"]
-        eta = parse_state(data["eta"], (env_dim,))
-        channel = channel_from_dict(data["channel"])
-    except KeyError as exc:
-        raise ConfigError(f"custom scenario is missing key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    carrier_dims = tuple(int(d) for d in data["carrier_dims"])
+    env_dim = int(data["env_dim"])
+    coupling_block = data["couplings"]
+    eta = parse_state(data["eta"], (env_dim,))
+    channel = channel_from_dict(data["channel"])
     system = coupling_block.get("system")
     environment = coupling_block.get("environment")
     if system is None or environment is None:
@@ -438,19 +440,16 @@ def _load_custom(data: dict) -> ScenarioConfig:
         raise ConfigError("channel dimension does not match env_dim")
     rho0 = parse_state(data.get("rho0", "ground"), carrier_dims)
     observables = _parse_observables(data.get("observables", []), carrier_dims)
-    try:
-        return ScenarioConfig(
-            name="custom",
-            carrier_dims=carrier_dims,
-            env_dim=env_dim,
-            couplings=spec,
-            eta=eta,
-            channel=channel,
-            rho0=rho0,
-            observables=observables,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(
+        name="custom",
+        carrier_dims=carrier_dims,
+        env_dim=env_dim,
+        couplings=spec,
+        eta=eta,
+        channel=channel,
+        rho0=rho0,
+        observables=observables,
+    )
 
 
 # --- run drivers ---------------------------------------------------------------

@@ -26,7 +26,15 @@ from qcollide.generators import (
     stationary_rates,
 )
 from qcollide.integrator import integrate, reduced_trajectory, trace_distance
-from qcollide.ops import Operator, expm_hermitian, momentum_op, partial_trace, pauli, position_op
+from qcollide.ops import (
+    Operator,
+    embed,
+    expm_hermitian,
+    momentum_op,
+    partial_trace,
+    pauli,
+    position_op,
+)
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 GROUND = DensityMatrix.ground(2)
@@ -204,6 +212,70 @@ class TestLocalDissipator:
     def test_rejects_non_hermitian_rates(self):
         with pytest.raises(ValueError, match="Hermitian"):
             local_dissipator(spec_1q(), np.array([[1j]]), 1, (2,))
+
+
+def kron_lindblad(a_ops, rates):
+    """(1/2) sum rates[l,l'] (2 A_l' X A_l - A_l A_l' X - X A_l A_l'), term by term with np.kron."""
+    eye = np.eye(a_ops[0].shape[0])
+    mat = 0
+    for l, al in enumerate(a_ops):
+        for lp, alp in enumerate(a_ops):
+            prod = al @ alp
+            mat = mat + rates[l, lp] * (
+                np.kron(al.T, alp) - 0.5 * np.kron(eye, prod) - 0.5 * np.kron(prod.T, eye)
+            )
+    return mat
+
+
+def kron_cross(a_m, a_mp, rates):
+    """sum rates[l,l'] A_l [X, A'_l'] - conj(rates[l,l']) [X, A'_l'] A_l, term by term with np.kron."""
+    eye = np.eye(a_m[0].shape[0])
+    mat = 0
+    for l, al in enumerate(a_m):
+        for lp, alp in enumerate(a_mp):
+            r = rates[l, lp]
+            first = np.kron(alp.T, al) - np.kron(eye, al @ alp)
+            second = np.kron((alp @ al).T, eye) - np.kron(al.T, alp)
+            mat = mat + r * first - np.conj(r) * second
+    return mat
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3, 2)], ids=["2x3", "3x3x2"])
+@pytest.mark.parametrize("n_terms", [1, 3])
+class TestAssemblyAgainstKron:
+    """Dissipator matrices against the per-pair kron formulas, on random
+    couplings and random (cross: complex, non-Hermitian) rates with a zero entry."""
+
+    @staticmethod
+    def _spec(rng, dims, n_terms):
+        system = [[random_hermitian(rng, (d,)) for _ in range(n_terms)] for d in dims]
+        return CouplingSpec.uniform(system, [random_hermitian(rng, (2,)) for _ in range(n_terms)])
+
+    @staticmethod
+    def _rates(rng, n_terms):
+        r = rng.normal(size=(n_terms, n_terms)) + 1j * rng.normal(size=(n_terms, n_terms))
+        if n_terms > 1:
+            r[0, -1] = 0.0
+        return r
+
+    def test_local_dissipator(self, rng, dims, n_terms):
+        spec = self._spec(rng, dims, n_terms)
+        for m in range(1, len(dims) + 1):
+            r = self._rates(rng, n_terms)
+            r = r + r.conj().T
+            a_ops = [embed(a, dims, (m - 1,)).entries for a in spec.a_ops(m)]
+            got = local_dissipator(spec, r, m, dims).matrix
+            assert np.max(np.abs(got - kron_lindblad(a_ops, r))) <= 1e-12
+
+    def test_cross_dissipator(self, rng, dims, n_terms):
+        spec = self._spec(rng, dims, n_terms)
+        for m in range(1, len(dims) + 1):
+            for mp in range(m + 1, len(dims) + 1):
+                r = self._rates(rng, n_terms)
+                a_m = [embed(a, dims, (m - 1,)).entries for a in spec.a_ops(m)]
+                a_mp = [embed(a, dims, (mp - 1,)).entries for a in spec.a_ops(mp)]
+                got = cross_dissipator(spec, r, m, mp, dims).matrix
+                assert np.max(np.abs(got - kron_cross(a_m, a_mp, r))) <= 1e-12
 
 
 class TestCrossDissipator:

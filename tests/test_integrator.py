@@ -8,7 +8,7 @@ from qcollide.channels import DensityMatrix, identity_channel, lossy_bosonic_cha
 from qcollide.collision import CouplingSpec
 from qcollide.generators import full_generator
 from qcollide.integrator import integrate, reduced_trajectory, trace_distance
-from qcollide.ops import Operator, Superoperator, pauli, projector
+from qcollide.ops import Operator, Superoperator, hermitize, pauli, projector, unvec, vec
 
 SX = pauli("x")
 GROUND = DensityMatrix.ground(2)
@@ -86,6 +86,67 @@ class TestIntegrate:
         traj = integrate(schedule, GROUND, t_end=0.5, dt=1e-3)
         want = dephasing_exact(0.25)
         assert np.max(np.abs(traj.final_state().entries - want)) <= 1e-9
+
+
+def random_lindblad(rng, dims, n_jumps=2):
+    """-i[H, X] + sum_k (L_k X L_k^dag - {L_k^dag L_k, X}/2): trace preserving."""
+    side = math.prod(dims)
+    eye = np.eye(side)
+    h = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    h = 0.5 * (h + h.conj().T)
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for _ in range(n_jumps):
+        jump = 0.5 * (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+        jj = jump.conj().T @ jump
+        mat += np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
+    return Superoperator(dims, dims, mat)
+
+
+def staged_rk4(schedule, rho0, n_steps, dt):
+    """Classical RK4 with the four stages k1..k4, one generator lookup at each
+    step midpoint and Hermiticity restored after every step."""
+    starts = [t for t, _ in schedule]
+    side = rho0.side
+    v = vec(np.array(rho0.entries))
+    states = [rho0.entries]
+    for k in range(1, n_steps + 1):
+        idx = int(np.searchsorted(starts, (k - 1) * dt + 0.5 * dt, side="right")) - 1
+        g = schedule[max(idx, 0)][1].matrix
+        k1 = g @ v
+        k2 = g @ (v + 0.5 * dt * k1)
+        k3 = g @ (v + 0.5 * dt * k2)
+        k4 = g @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = hermitize(unvec(v, side))
+        v = vec(rho)
+        states.append(rho)
+    return states
+
+
+class TestPropagatorAgainstStagedRK4:
+    DIMS = (2, 3)
+    N_STEPS = 200
+    DT = 1e-3
+
+    def _check(self, generator, schedule, rng):
+        rho0 = random_state(rng, self.DIMS)
+        traj = integrate(generator, rho0, t_end=self.N_STEPS * self.DT, dt=self.DT)
+        want = staged_rk4(schedule, rho0, self.N_STEPS, self.DT)
+        assert len(traj) == self.N_STEPS + 1
+        assert traj.times[-1] == self.N_STEPS * self.DT
+        assert traj.metadata["engine"] == "me-rk4"
+        for state, ref in zip(traj.states, want):
+            assert np.max(np.abs(state.entries - ref)) <= 1e-12
+
+    def test_static_generator(self, rng):
+        gen = random_lindblad(rng, self.DIMS)
+        self._check(gen, [(0.0, gen)], rng)
+
+    def test_three_segment_schedule(self, rng):
+        schedule = [(0.0, random_lindblad(rng, self.DIMS)),
+                    (0.05, random_lindblad(rng, self.DIMS)),
+                    (0.12, random_lindblad(rng, self.DIMS))]
+        self._check(schedule, schedule, rng)
 
 
 class TestReducedTrajectory:

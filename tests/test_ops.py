@@ -16,6 +16,7 @@ from qcollide.ops import (
     identity,
     kron,
     kraus_superop,
+    multiplier_matrix,
     partial_trace,
     pauli,
     sandwich_superop,
@@ -281,6 +282,46 @@ class TestApplyOnFactor:
         chan = random_cpt_channel(rng, 2)
         with pytest.raises(ValueError, match="factor dimension"):
             apply_on_factor(chan.superop_matrix, np.eye(6), (2, 3), 1)
+
+
+class TestMultiplierMatrix:
+    """The one multipliers-to-matrix helper against the kron formula it
+    replaced and against applying the multipliers directly."""
+
+    @pytest.mark.parametrize("side", [1, 5, 6])
+    @pytest.mark.parametrize(
+        "n_pairs, one_sided",
+        [(1, "none"), (3, "none"), (0, "left"), (0, "right"), (0, "both"), (1, "both"),
+         (3, "left"), (3, "right")],
+    )
+    def test_matches_kron_and_direct(self, rng, side, n_pairs, one_sided):
+        def rand():
+            return rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+
+        pairs = [(rand(), rand()) for _ in range(n_pairs)]
+        left = rand() if one_sided in ("left", "both") else None
+        right = rand() if one_sided in ("right", "both") else None
+        eye = np.eye(side)
+        want = sum((np.kron(r.T, l) for l, r in pairs), np.zeros((side**2, side**2)))
+        if left is not None:
+            want = want + np.kron(eye, left)
+        if right is not None:
+            want = want + np.kron(right.T, eye)
+        got = multiplier_matrix(pairs, left, right)
+        assert got.shape == (side**2, side**2)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        x = rand()
+        direct = sum((l @ x @ r for l, r in pairs), np.zeros((side, side)))
+        direct = direct + (left @ x if left is not None else 0) + (x @ right if right is not None else 0)
+        assert np.max(np.abs(unvec(got @ vec(x), side) - direct)) <= 1e-12
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            multiplier_matrix([])
+
+    def test_rejects_mixed_sides(self):
+        with pytest.raises(ValueError, match="share one side"):
+            multiplier_matrix([(np.eye(2), np.eye(2))], np.eye(3))
 
 
 class TestSuperoperator:

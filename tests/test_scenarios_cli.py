@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +259,56 @@ class TestCLI:
         code = main(["simulate", "--config", str(tmp_path / "missing.json")])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"scenario": "bosonic-fiber", "params": {"kappa": 2}}, "transmissivity"),
+            ({"scenario": "dephasing-1q", "record_stride": 0}, "record_stride"),
+            ({"scenario": "dephasing-1q", "t_end": "abc"}, "could not convert"),
+            ({"scenario": "dephasing-1q", "rho0": {"kind": "ket"}}, "missing key 'amplitudes'"),
+            (
+                {"scenario": "dephasing-1q", "rho0": {"kind": "ket", "amplitudes": [[1], [0]]}},
+                "index out of range",
+            ),
+            (
+                {
+                    "scenario": "custom",
+                    "carrier_dims": [2],
+                    "env_dim": 2,
+                    "couplings": {"system": [["projx"]], "environment": ["sx"]},
+                    "eta": "ground",
+                    "channel": {"kind": "lossy", "dim": 2, "kappa": 0.5},
+                },
+                "invalid literal",
+            ),
+            ([1, 2], "must be a JSON object"),
+        ],
+        ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
+             "projx", "top-level-list"],
+    )
+    def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_module_entry_point(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcollide", "verify", "--config", "dephasing-1q"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("verify dephasing-1q:")
 
     def test_property_failure_exit_two(self, tmp_path, capsys):
         bad = {
