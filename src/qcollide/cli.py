@@ -8,10 +8,10 @@ expansion identity failures, or state-invariant blowups).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
+from .jsonio import write_json
 from .scenarios import (
     ConfigError,
     load_scenario,
@@ -82,8 +82,7 @@ def main(argv=None) -> int:
             if args.out is not None:
                 os.makedirs(args.out, exist_ok=True)
                 if args.fmt == "json":
-                    with open(os.path.join(args.out, "convergence.json"), "w") as fh:
-                        json.dump(report.to_dict(), fh, indent=1)
+                    write_json(os.path.join(args.out, "convergence.json"), report.to_dict())
                 else:
                     report.to_csv(os.path.join(args.out, "convergence.csv"))
             for e in report.entries:
@@ -106,8 +105,7 @@ def main(argv=None) -> int:
             report = run_verify(sc, seed=args.seed)
             if args.out is not None:
                 os.makedirs(args.out, exist_ok=True)
-                with open(os.path.join(args.out, "verify.json"), "w") as fh:
-                    json.dump(report.to_dict(), fh, indent=1)
+                write_json(os.path.join(args.out, "verify.json"), report.to_dict())
             worst_first = max(e["residual"] for e in report.first_order)
             worst_second = max(
                 max(e["residual_a"], e["residual_b"]) for e in report.second_order

@@ -23,7 +23,6 @@ import numpy as np
 
 from .channels import DensityMatrix, KrausChannel, fixed_point_distance, power
 from .collision import CouplingSpec
-from .jsonio import complex_matrix_to_json
 from .ops import (
     DEFAULT_TOL,
     Operator,
@@ -242,10 +241,9 @@ class CorrelationTensor:
     def to_dict(self) -> dict:
         return {
             "gamma": self.gamma,
-            "local": [complex_matrix_to_json(r) for r in self.local],
+            "local": list(self.local),
             "cross": [
-                {"m": m, "m_prime": mp, "rates": complex_matrix_to_json(r)}
-                for (m, mp), r in sorted(self.cross.items())
+                {"m": m, "m_prime": mp, "rates": r} for (m, mp), r in sorted(self.cross.items())
             ],
         }
 
@@ -282,12 +280,12 @@ class GeneratorSet:
         return {
             "carrier_dims": list(self.carrier_dims),
             "rates": self.rates.to_dict(),
-            "local": [complex_matrix_to_json(t.matrix) for t in self.local_terms],
+            "local": [t.matrix for t in self.local_terms],
             "cross": [
-                {"m": m, "m_prime": mp, "matrix": complex_matrix_to_json(t.matrix)}
+                {"m": m, "m_prime": mp, "matrix": t.matrix}
                 for (m, mp), t in sorted(self.cross_terms.items())
             ],
-            "total": complex_matrix_to_json(self.total.matrix),
+            "total": self.total.matrix,
         }
 
 
@@ -317,11 +315,10 @@ def full_generator(
             rates = cross_rates(spec, eta, channel, m, mp, gamma)
             cross_rate_map[(m, mp)] = rates
             cross_map[(m, mp)] = cross_dissipator(spec, rates, m, mp, dims, collision_index)
-    total = locals_list[0]
-    for term in locals_list[1:]:
-        total = total + term
-    for term in cross_map.values():
-        total = total + term
+    terms = locals_list + list(cross_map.values())
+    total = terms[0].matrix.copy()
+    for term in terms[1:]:
+        total += term.matrix
     tensor = CorrelationTensor(gamma=gamma, local=tuple(local_rate_list), cross=cross_rate_map)
     return GeneratorSet(
         carrier_dims=dims,
@@ -329,7 +326,7 @@ def full_generator(
         rates=tensor,
         local_terms=tuple(locals_list),
         cross_terms=cross_map,
-        total=total,
+        total=Superoperator(dims, dims, total),
     )
 
 

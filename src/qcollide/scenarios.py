@@ -35,7 +35,7 @@ from .collision import (
 )
 from .generators import GeneratorSet, full_generator
 from .integrator import integrate, trace_distance
-from .jsonio import complex_matrix_from_json
+from .jsonio import complex_matrix_from_json, write_json
 from .ops import (
     Operator,
     annihilation,
@@ -81,10 +81,10 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError("gamma must be positive and finite")
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError("t_end must be positive and finite")
         if any(int(n) < 1 for n in self.sweep):
             raise ConfigError("sweep entries must be positive collision counts")
         self.sweep = tuple(int(n) for n in self.sweep)
@@ -403,7 +403,7 @@ def load_scenario(source) -> ScenarioConfig:
         sc.__post_init__()
     except KeyError as exc:
         raise ConfigError(f"config is missing key {exc}") from exc
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     sc.raw = dict(data)
     return sc
@@ -558,16 +558,14 @@ def run_generators(sc: ScenarioConfig, out_dir: str | None = None, fmt: str = "c
         os.makedirs(out_dir, exist_ok=True)
         rows = gen.rates.rate_table_rows()
         if fmt == "json":
-            with open(os.path.join(out_dir, "rates.json"), "w") as fh:
-                json.dump(gen.rates.to_dict(), fh, indent=1)
+            write_json(os.path.join(out_dir, "rates.json"), gen.rates.to_dict())
         else:
             lines = ["m,m_prime,l,l_prime,re,im"]
             for (m, mp, l, lp, re, im) in rows:
                 lines.append(f"{m},{mp},{l},{lp},{_fmt(re)},{_fmt(im)}")
             with open(os.path.join(out_dir, "rates.csv"), "w") as fh:
                 fh.write("\n".join(lines) + "\n")
-        with open(os.path.join(out_dir, "generators.json"), "w") as fh:
-            json.dump(gen.to_dict(), fh, indent=1)
+        write_json(os.path.join(out_dir, "generators.json"), gen.to_dict())
     return gen
 
 

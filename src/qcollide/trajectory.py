@@ -6,14 +6,13 @@ trace, min_eigenvalue) so outputs can be diffed at the file level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .channels import DensityMatrix
-from .jsonio import complex_matrix_to_json
+from .jsonio import write_json
 from .ops import Operator
 
 SAMPLE_ATOL = 1e-8
@@ -92,9 +91,8 @@ class Trajectory:
         }
         if include_states:
             for i, sample in enumerate(payload["samples"]):
-                sample["state"] = complex_matrix_to_json(self.states[i].entries)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+                sample["state"] = self.states[i].entries
+        write_json(path, payload)
 
 
 def sample_state(arr: np.ndarray, dims: tuple[int, ...], step: int, t: float) -> DensityMatrix:

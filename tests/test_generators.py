@@ -368,6 +368,17 @@ class TestFullGenerator:
         want = l1.matrix + l2.matrix + d12.matrix
         assert np.max(np.abs(gen.total.matrix - want)) <= 1e-14
 
+    def test_total_is_ordered_sum_of_terms(self):
+        spec = CouplingSpec.uniform([[SX], [SZ], [SX]], [SX])
+        gen = full_generator(spec, GROUND, AD75, 1.0, (2, 2, 2))
+        terms = list(gen.local_terms) + list(gen.cross_terms.values())
+        assert list(gen.cross_terms) == [(1, 2), (1, 3), (2, 3)]
+        want = terms[0].matrix
+        for term in terms[1:]:
+            want = want + term.matrix
+        assert np.array_equal(gen.total.matrix, want)
+        assert not np.shares_memory(gen.total.matrix, terms[0].matrix)
+
     def test_trace_annihilating_and_hermiticity(self, rng):
         rot = unitary_channel(expm_hermitian(SZ, 0.6))
         spec = CouplingSpec(

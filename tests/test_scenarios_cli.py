@@ -283,9 +283,23 @@ class TestCLI:
                 "invalid literal",
             ),
             ([1, 2], "must be a JSON object"),
+            ({"scenario": "dephasing-1q", "seed": math.inf}, "cannot convert float infinity"),
+            (
+                {
+                    "scenario": "custom",
+                    "carrier_dims": [2],
+                    "env_dim": 2,
+                    "couplings": [1],
+                    "eta": "ground",
+                    "channel": {"kind": "lossy", "dim": 2, "kappa": 0.5},
+                },
+                "has no attribute 'get'",
+            ),
+            ({"scenario": "dephasing-1q", "gamma": math.nan}, "gamma must be positive and finite"),
+            ({"scenario": "dephasing-1q", "t_end": math.inf}, "t_end must be positive and finite"),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
-             "projx", "top-level-list"],
+             "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"
