@@ -28,7 +28,7 @@ from .ops import (
     kron,
     partial_trace,
 )
-from .trajectory import Trajectory, build_trajectory, sample_state
+from .trajectory import Trajectory, build_trajectory, observable_arrays, sample_state
 
 ROW_PATH_MAX_SIDE = 256
 
@@ -48,7 +48,8 @@ class CouplingSpec:
     """Hermitian coupling terms H = sum_l A_l (x) B_l for every carrier.
 
     `system_ops[m-1][l]` acts on carrier m, `env_ops[m-1][l]` on the
-    sub-environment (carriers may share one environment list).  For
+    sub-environment.  With `env_shared` (the default) every carrier must list
+    the same environment operators, so checking carrier 1's list covers all.  For
     non-uniform collisions, `collision_system_ops[n-1][m-1][l]` supplies the
     carrier operators used at collision n.
     """
@@ -71,6 +72,14 @@ class CouplingSpec:
                 raise ValueError(f"carrier {m}: coupling term counts differ or are empty")
             _check_coupling_list(a_list, a_list[0].side, f"carrier {m} system")
             _check_coupling_list(b_list, env_dim, f"carrier {m} environment")
+        if self.env_shared:
+            first = [b.entries for b in env_ops[0]]
+            for m, b_list in enumerate(env_ops[1:], start=2):
+                same = len(b_list) == len(first) and all(
+                    np.array_equal(b.entries, f) for b, f in zip(b_list, first)
+                )
+                if not same:
+                    raise ValueError(f"env_shared: carrier {m} environment operators differ from carrier 1's")
         if self.collision_system_ops is not None:
             frozen = tuple(tuple(tuple(ops) for ops in per_m) for per_m in self.collision_system_ops)
             for per_m in frozen:
@@ -165,8 +174,8 @@ class HamiltonianSchedule:
 class CollisionConfig:
     """Full description of one collision-model run.
 
-    The collision unitary is exp(-i g H dt); `collision_times` (default
-    n*dt) only matters when local free-evolution schedules are present.
+    The collision unitary is exp(-i g H dt); collision n happens at n*dt,
+    which only matters when local free-evolution schedules are present.
     """
 
     carrier_dims: tuple[int, ...]
@@ -178,7 +187,6 @@ class CollisionConfig:
     channel: KrausChannel
     couplings: CouplingSpec
     local_hamiltonians: tuple[HamiltonianSchedule | None, ...] | None = None
-    collision_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
         carrier_dims = tuple(int(d) for d in self.carrier_dims)
@@ -208,13 +216,6 @@ class CollisionConfig:
                 if sched is not None and sched.dim != carrier_dims[m - 1]:
                     raise ValueError(f"carrier {m} schedule dimension mismatch")
             object.__setattr__(self, "local_hamiltonians", scheds)
-        if self.collision_times is not None:
-            times = tuple(float(t) for t in self.collision_times)
-            if len(times) != self.n_collisions:
-                raise ValueError("collision_times must list one time per collision")
-            if any(b <= a for a, b in zip((0.0,) + times, times)):
-                raise ValueError("collision times must be positive and strictly increasing")
-            object.__setattr__(self, "collision_times", times)
 
     @property
     def n_carriers(self) -> int:
@@ -226,10 +227,6 @@ class CollisionConfig:
 
     def tau(self, n: int) -> float:
         """Time of the n-th collision (tau_0 = 0)."""
-        if n == 0:
-            return 0.0
-        if self.collision_times is not None:
-            return self.collision_times[n - 1]
         return n * self.dt
 
     @property
@@ -332,18 +329,21 @@ def _unitary_provider(cfg: CollisionConfig) -> Callable[[int, int], np.ndarray]:
     return lambda m, n: _embedded_unitary(cfg, m, n)
 
 
-def _column_step_raw(
+def _column(
     joint: np.ndarray,
     cfg: CollisionConfig,
     n: int,
     provider: Callable[[int, int], np.ndarray],
 ) -> np.ndarray:
+    """Joint carriers (x) environment-site matrix after collision n: for
+    m = 1..M collide carrier m with the site, then relax the site.  The
+    environment is not traced out."""
     arr = joint
     for m in range(1, cfg.n_carriers + 1):
         u = provider(m, n)
         arr = u @ arr @ u.conj().T
         arr = cfg.channel.apply_on_factor(arr, cfg.joint_dims, cfg.n_carriers)
-    return _trace_env(arr, cfg.env_dim)
+    return arr
 
 
 def evolve_column_step(
@@ -357,8 +357,8 @@ def evolve_column_step(
         raise ValueError(
             f"joint state dims {joint.dims} do not match carriers+environment {cfg.joint_dims}"
         )
-    out = _column_step_raw(joint.entries, cfg, collision_index, _unitary_provider(cfg))
-    return DensityMatrix(Operator(cfg.carrier_dims, out), atol=1e-8)
+    out = _column(joint.entries, cfg, collision_index, _unitary_provider(cfg))
+    return DensityMatrix(Operator(cfg.carrier_dims, _trace_env(out, cfg.env_dim)), atol=1e-8)
 
 
 def _free_evolution_unitary(cfg: CollisionConfig, t0: float, t1: float) -> np.ndarray | None:
@@ -394,15 +394,7 @@ def simulate(
         raise ValueError(f"initial state dims {rho0.dims} do not match carriers {cfg.carrier_dims}")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
-    obs = [np.asarray(o.entries) for o in observables]
-    for o in observables:
-        if o.side != math.prod(cfg.carrier_dims):
-            raise ValueError("observables must act on the joint carrier space")
-    names = tuple(observable_names) if observable_names is not None else tuple(
-        f"obs{i}" for i in range(len(obs))
-    )
-    if len(names) != len(obs):
-        raise ValueError("one name per observable required")
+    obs, names = observable_arrays(observables, rho0.side, observable_names)
 
     provider = _unitary_provider(cfg)
     eta = cfg.eta.entries
@@ -414,7 +406,7 @@ def simulate(
         if v is not None:
             arr = v @ arr @ v.conj().T
         joint = np.kron(arr, eta)
-        arr = _column_step_raw(joint, cfg, n, provider)
+        arr = _trace_env(_column(joint, cfg, n, provider), cfg.env_dim)
         if n % record_stride == 0 or n == cfg.n_collisions:
             steps.append(n)
             times.append(cfg.tau(n))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import DensityMatrix
 from .ops import Operator, Superoperator, hermitize, unvec, vec
-from .trajectory import Trajectory, build_trajectory, sample_state
+from .trajectory import Trajectory, build_trajectory, observable_arrays, sample_state
 
 GeneratorLike = Superoperator | Sequence[tuple[float, Superoperator]]
 
@@ -69,15 +69,7 @@ def integrate(
     starts, mats, desc = _segments(generator)
     dims = rho0.dims
     side = rho0.side
-    obs = [np.asarray(o.entries) for o in observables]
-    for o in observables:
-        if o.side != side:
-            raise ValueError("observables must act on the state space")
-    names = tuple(observable_names) if observable_names is not None else tuple(
-        f"obs{i}" for i in range(len(obs))
-    )
-    if len(names) != len(obs):
-        raise ValueError("one name per observable required")
+    obs, names = observable_arrays(observables, side, observable_names)
 
     n_steps = max(int(round(t_end / dt)), 1)
     v = vec(np.array(rho0.entries, dtype=complex))

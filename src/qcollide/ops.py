@@ -240,9 +240,6 @@ class Superoperator:
             raise ValueError("composition side mismatch")
         return Superoperator(other.in_dims, self.out_dims, self.matrix @ other.matrix)
 
-    def adjoint(self) -> "Superoperator":
-        return Superoperator(self.out_dims, self.in_dims, self.matrix.conj().T)
-
     def is_trace_preserving(self, tol: float = DEFAULT_TOL) -> bool:
         """True iff the adjoint maps the identity to the identity."""
         vid_out = vec(np.eye(self.out_side))
@@ -300,19 +297,9 @@ def multiplier_matrix(
     return mat
 
 
-def sandwich_superop(a: Operator, b: Operator) -> Superoperator:
-    """Superoperator X -> a X b."""
-    return Superoperator(a.dims, a.dims, multiplier_matrix([(a.entries, b.entries)]))
-
-
 def commutator_superop(h: Operator) -> Superoperator:
     """Superoperator X -> [h, X]."""
     return Superoperator(h.dims, h.dims, multiplier_matrix([], h.entries, -h.entries))
-
-
-def anticommutator_superop(h: Operator) -> Superoperator:
-    """Superoperator X -> {h, X}."""
-    return Superoperator(h.dims, h.dims, multiplier_matrix([], h.entries, h.entries))
 
 
 def kraus_superop(kraus: Sequence[Operator]) -> Superoperator:

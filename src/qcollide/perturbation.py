@@ -1,19 +1,29 @@
 """Order-by-order expansion of one collision column in the coupling g*dt.
 
-Expanding each collision unitary conjugation as I + (g dt) U' + (g dt)^2 U''
-and composing through the column gives three maps on carriers (x) one
-environment site: C' (first order), C''a (squared single collisions) and
-C''b (ordered pairs of collisions threaded through channel powers).  The
-weak-coupling generator is recovered from their environment traces:
+Expanding each collision unitary conjugation as I + s U'_m + s^2 U''_m
+(s = g dt) and composing through the column gives, besides the zeroth order
+C0 = E^M (E the relaxation channel on the environment factor), three maps on
+carriers (x) one environment site: C' (first order), C''a (squared single
+collisions) and C''b (ordered pairs of collisions).  The weak-coupling
+generator is recovered from their environment traces:
 
     <C'(rho (x) eta)>_E   = 0                       (zero-mean couplings)
     <C''a(rho (x) eta)>_E = sum_m L_m(rho) / gamma
     <C''b(rho (x) eta)>_E = sum_{m'>m} D_mm'(rho) / gamma
 
-This module verifies those identities numerically and measures the order of
-the neglected remainders by halving g.  Internally every map acts on stacks
-of matrices, so materializing a superoperator is just feeding the matrix
-unit basis through; no dense superoperator products are ever formed.
+All four orders come from one forward pass over the carriers: the ordered
+product prod_m E o (I + s U'_m + s^2 U''_m), kept through s^2, is the
+recurrence
+
+    (y0, y1, y2a, y2b) <- (E y0, E(y1 + U'_m y0), E(y2a + U''_m y0), E(y2b + U'_m y1))
+
+started from (x, 0, 0, 0); the pairs m < m' of C''b enter through U'_m' y1.
+The exact side of the remainder and step-defect checks is the simulator's
+own column (`collision._column`), so those checks test the map `simulate`
+runs.  This module verifies the identities numerically and measures the
+order of the neglected remainders by halving g.  Every map acts on stacks of
+matrices, so materializing a superoperator is just feeding the matrix unit
+basis through; no dense superoperator products are ever formed.
 """
 
 from __future__ import annotations
@@ -23,19 +33,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import DensityMatrix, power
-from .collision import CollisionConfig, _trace_env, collision_hamiltonian
-from .generators import GeneratorSet, full_generator
-from .ops import (
-    Operator,
-    Superoperator,
-    anticommutator_superop,
-    apply_on_factor,
-    commutator_superop,
-    embed,
-    expm_hermitian,
-    sandwich_superop,
+from .channels import DensityMatrix
+from .collision import (
+    CollisionConfig,
+    _column,
+    _trace_env,
+    _unitary_provider,
+    collision_hamiltonian,
 )
+from .generators import GeneratorSet, full_generator
+from .ops import Operator, Superoperator, embed, expm_hermitian
 
 
 def _frob(x: np.ndarray) -> float:
@@ -55,70 +62,36 @@ def _u_second(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _ColumnExpansion:
-    """Shared machinery: embedded collision Hamiltonians and channel powers."""
+    """Embedded collision Hamiltonians of one column and its expansion orders."""
 
     def __init__(self, cfg: CollisionConfig, collision_index: int = 1):
         self.cfg = cfg
-        self.n = collision_index
-        self.de = cfg.env_dim
-        self.dims = cfg.joint_dims
-        m_count = cfg.n_carriers
         self.h = [
             embed(
                 collision_hamiltonian(cfg, m, collision_index),
-                self.dims,
-                (m - 1, m_count),
+                cfg.joint_dims,
+                (m - 1, cfg.n_carriers),
             ).entries
-            for m in range(1, m_count + 1)
+            for m in range(1, cfg.n_carriers + 1)
         ]
-        self.powers = [power(cfg.channel, k).matrix for k in range(m_count + 2)]
 
-    def env_power(self, k: int, x: np.ndarray) -> np.ndarray:
-        if k == 0:
-            return x
-        return apply_on_factor(self.powers[k], x, self.dims, self.cfg.n_carriers)
-
-    def c_prime(self, x: np.ndarray) -> np.ndarray:
-        m_count = self.cfg.n_carriers
-        out = np.zeros_like(x)
-        for m in range(1, m_count + 1):
-            y = self.env_power(m - 1, x)
-            y = _u_prime(self.h[m - 1], y)
-            out += self.env_power(m_count - m + 1, y)
-        return out
-
-    def c_second_a(self, x: np.ndarray) -> np.ndarray:
-        m_count = self.cfg.n_carriers
-        out = np.zeros_like(x)
-        for m in range(1, m_count + 1):
-            y = self.env_power(m - 1, x)
-            y = _u_second(self.h[m - 1], y)
-            out += self.env_power(m_count - m + 1, y)
-        return out
-
-    def c_second_b(self, x: np.ndarray) -> np.ndarray:
-        m_count = self.cfg.n_carriers
-        out = np.zeros_like(x)
-        for m in range(1, m_count):
-            base = _u_prime(self.h[m - 1], self.env_power(m - 1, x))
-            for mp in range(m + 1, m_count + 1):
-                y = self.env_power(mp - m, base)
-                y = _u_prime(self.h[mp - 1], y)
-                out += self.env_power(m_count - mp + 1, y)
-        return out
-
-    def exact_column(self, x: np.ndarray) -> np.ndarray:
-        """The full column map at the configured g*dt (no environment trace)."""
+    def orders(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(C0 x, C'x, C''a x, C''b x) for a matrix or a stack, in one pass."""
         cfg = self.cfg
-        m_count = cfg.n_carriers
-        y = x
-        for m in range(1, m_count + 1):
-            u = expm_hermitian(
-                Operator(self.dims, self.h[m - 1]), cfg.g * cfg.dt
-            ).entries
-            y = u @ y @ u.conj().T
-            y = self.env_power(1, y)
-        return y
+
+        def relax(y):
+            return cfg.channel.apply_on_factor(y, cfg.joint_dims, cfg.n_carriers)
+
+        zero = np.zeros_like(x, dtype=complex)
+        y0, y1, y2a, y2b = x, zero, zero, zero
+        for h in self.h:
+            y0, y1, y2a, y2b = (
+                relax(y0),
+                relax(y1 + _u_prime(h, y0)),
+                relax(y2a + _u_second(h, y0)),
+                relax(y2b + _u_prime(h, y1)),
+            )
+        return y0, y1, y2a, y2b
 
 
 def _matrix_units(side: int) -> np.ndarray:
@@ -129,31 +102,30 @@ def _matrix_units(side: int) -> np.ndarray:
     return units
 
 
-def _materialize(dims: tuple[int, ...], apply_fn) -> Superoperator:
+def _materialize(dims: tuple[int, ...], images: np.ndarray) -> Superoperator:
+    """Superoperator whose images of the matrix units are `images`."""
     side = math.prod(dims)
-    out = apply_fn(_matrix_units(side))
-    matrix = out.transpose(0, 2, 1).reshape(side * side, side * side).T
+    matrix = images.transpose(0, 2, 1).reshape(side * side, side * side).T
     return Superoperator(dims, dims, matrix)
 
 
 def unitary_expansion_terms(h: Operator) -> tuple[Superoperator, Superoperator]:
     """First and second expansion terms of X -> e^(-isH) X e^(isH) in s:
     U'(X) = -i[H, X] and U''(X) = H X H - (1/2){H^2, X}."""
-    u_prime = -1j * commutator_superop(h)
-    u_second = sandwich_superop(h, h) - 0.5 * anticommutator_superop(h @ h)
-    return u_prime, u_second
+    units = _matrix_units(h.side)
+    return (
+        _materialize(h.dims, _u_prime(h.entries, units)),
+        _materialize(h.dims, _u_second(h.entries, units)),
+    )
 
 
 def column_expansion(
     cfg: CollisionConfig, collision_index: int = 1
 ) -> tuple[Superoperator, Superoperator, Superoperator]:
     """Materialize C', C''a and C''b on carriers (x) one environment site."""
-    exp = _ColumnExpansion(cfg, collision_index)
-    return (
-        _materialize(cfg.joint_dims, exp.c_prime),
-        _materialize(cfg.joint_dims, exp.c_second_a),
-        _materialize(cfg.joint_dims, exp.c_second_b),
-    )
+    units = _matrix_units(math.prod(cfg.joint_dims))
+    _, c1, c2a, c2b = _ColumnExpansion(cfg, collision_index).orders(units)
+    return tuple(_materialize(cfg.joint_dims, c) for c in (c1, c2a, c2b))
 
 
 @dataclass(frozen=True)
@@ -176,10 +148,9 @@ def verify_first_order(
 ) -> FirstOrderReport:
     """Check that the first-order column term disappears under the
     environment trace (it is proportional to the coupling first moments)."""
-    exp = _ColumnExpansion(cfg, collision_index)
     joint = np.kron(rho.entries, cfg.eta.entries)
-    traced = _trace_env(exp.c_prime(joint), exp.de)
-    residual = _frob(traced)
+    _, c1, _, _ = _ColumnExpansion(cfg, collision_index).orders(joint)
+    residual = _frob(_trace_env(c1, cfg.env_dim))
     return FirstOrderReport(residual=residual, tol=tol, passed=residual <= tol)
 
 
@@ -196,7 +167,6 @@ def verify_second_order(
     For collision-indexed couplings both sides are evaluated at the same
     collision, so the identity is tested per step of the non-uniform model.
     """
-    exp = _ColumnExpansion(cfg, collision_index)
     if gen is None:
         gen = full_generator(
             cfg.couplings,
@@ -208,14 +178,15 @@ def verify_second_order(
         )
     scale = 1.0 / gen.rates.gamma
     joint = np.kron(rho.entries, cfg.eta.entries)
+    _, _, c2a, c2b = _ColumnExpansion(cfg, collision_index).orders(joint)
 
-    traced_a = _trace_env(exp.c_second_a(joint), exp.de)
+    traced_a = _trace_env(c2a, cfg.env_dim)
     local_sum = np.zeros_like(rho.entries)
     for term in gen.local_terms:
         local_sum = local_sum + term.apply(rho.op).entries
     residual_a = _frob(traced_a - scale * local_sum)
 
-    traced_b = _trace_env(exp.c_second_b(joint), exp.de)
+    traced_b = _trace_env(c2b, cfg.env_dim)
     cross_sum = np.zeros_like(rho.entries)
     for term in gen.cross_terms.values():
         cross_sum = cross_sum + term.apply(rho.op).entries
@@ -237,19 +208,17 @@ def unitary_remainder(h: Operator, s: float, x: Operator) -> float:
 
 
 def column_remainder(cfg: CollisionConfig, x: Operator) -> float:
-    """Norm of the exact column map minus its expansion through order (g*dt)^2.
+    """Norm of the simulator's column map minus its expansion through order
+    (g*dt)^2.
 
     The zeroth-order term is the M-fold relaxation channel on the
     environment factor (it reduces to the identity only under the
     environment trace).
     """
-    exp = _ColumnExpansion(cfg)
     u = cfg.g * cfg.dt
-    arr = x.entries
-    exact = exp.exact_column(arr)
-    zeroth = exp.env_power(cfg.n_carriers, arr)
-    approx = zeroth + u * exp.c_prime(arr) + u * u * (exp.c_second_a(arr) + exp.c_second_b(arr))
-    return _frob(exact - approx)
+    exact = _column(x.entries, cfg, 1, _unitary_provider(cfg))
+    c0, c1, c2a, c2b = _ColumnExpansion(cfg).orders(x.entries)
+    return _frob(exact - (c0 + u * c1 + u * u * (c2a + c2b)))
 
 
 def collision_step_defect(
@@ -257,9 +226,8 @@ def collision_step_defect(
 ) -> float:
     """Norm of the one-step finite difference against the weak-coupling
     generator built at gamma = g^2 dt; O(g^3 dt^2)."""
-    exp = _ColumnExpansion(cfg, collision_index)
     joint = np.kron(rho.entries, cfg.eta.entries)
-    stepped = _trace_env(exp.exact_column(joint), exp.de)
+    stepped = _trace_env(_column(joint, cfg, collision_index, _unitary_provider(cfg)), cfg.env_dim)
     diff = (stepped - rho.entries) / cfg.dt
     gen = full_generator(
         cfg.couplings,

@@ -104,6 +104,20 @@ def sample_state(arr: np.ndarray, dims: tuple[int, ...], step: int, t: float) ->
         raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
 
 
+def observable_arrays(
+    observables: Sequence[Operator], side: int, observable_names: Sequence[str] | None
+) -> tuple[list[np.ndarray], tuple[str, ...]]:
+    """Observable matrices on a state space of the given side, with their
+    names (obs0, obs1, ... when none are given)."""
+    if any(o.side != side for o in observables):
+        raise ValueError(f"observables must act on the state space (side {side})")
+    if observable_names is None:
+        observable_names = [f"obs{i}" for i in range(len(observables))]
+    if len(observable_names) != len(observables):
+        raise ValueError("one name per observable required")
+    return [np.asarray(o.entries) for o in observables], tuple(observable_names)
+
+
 def build_trajectory(
     steps: Sequence[int],
     times: Sequence[float],

@@ -59,6 +59,22 @@ class TestCouplingSpec:
         with pytest.raises(ValueError, match="counts"):
             CouplingSpec(system_ops=((SX, SY),), env_ops=((SX,),))
 
+    def test_shared_env_needs_equal_lists(self):
+        # a shared spec is checked on carrier 1's list only, so carrier 2's
+        # nonzero-mean SZ would pass the assumption check unseen
+        with pytest.raises(ValueError, match="carrier 2 environment operators differ"):
+            CouplingSpec(((SX,), (SX,)), ((SX,), (SZ,)))
+        with pytest.raises(ValueError, match="carrier 2 environment operators differ"):
+            CouplingSpec(((SX,), (SX, SY)), ((SX,), (SX, SY)))
+        per_carrier = CouplingSpec(((SX,), (SX,)), ((SX,), (SZ,)), env_shared=False)
+        report = check_assumption(qubit_config(couplings=per_carrier, m_carriers=2), m_max=2)
+        assert not report.passed and report.max_violation == pytest.approx(1.0)
+
+    def test_shared_env_compares_by_value(self):
+        copy = Operator((2,), np.array(SX.entries))
+        spec = CouplingSpec(((SX,), (SY,)), ((SX,), (copy,)))
+        assert spec.env_shared
+
 
 class TestCollisionUnitary:
     def test_zero_coupling_gives_identity(self):

@@ -7,7 +7,6 @@ from conftest import random_cpt_channel, random_hermitian, random_unitary
 from qcollide.ops import (
     Operator,
     Superoperator,
-    anticommutator_superop,
     apply_on_factor,
     bracket,
     commutator_superop,
@@ -19,7 +18,6 @@ from qcollide.ops import (
     multiplier_matrix,
     partial_trace,
     pauli,
-    sandwich_superop,
     unvec,
     vec,
 )
@@ -333,25 +331,11 @@ class TestSuperoperator:
         x = np.array([[1, 2], [3, 4]])
         assert np.allclose(vec(x), [1, 3, 2, 4])
 
-    def test_sandwich_matches_direct(self, rng):
-        a = random_hermitian(rng, (3,))
-        b = random_hermitian(rng, (3,))
-        x = random_hermitian(rng, (3,))
-        got = sandwich_superop(a, b).apply(x).entries
-        assert np.max(np.abs(got - a.entries @ x.entries @ b.entries)) <= 1e-12
-
     def test_commutator_superop(self, rng):
         h = random_hermitian(rng, (4,))
         x = random_hermitian(rng, (4,))
         got = commutator_superop(h).apply(x).entries
         want = h.entries @ x.entries - x.entries @ h.entries
-        assert np.allclose(got, want)
-
-    def test_anticommutator_superop(self, rng):
-        h = random_hermitian(rng, (4,))
-        x = random_hermitian(rng, (4,))
-        got = anticommutator_superop(h).apply(x).entries
-        want = h.entries @ x.entries + x.entries @ h.entries
         assert np.allclose(got, want)
 
     def test_kraus_superop_matches_sandwich_sum(self, rng):

@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 
 from conftest import random_hermitian, random_state
@@ -6,19 +8,30 @@ from qcollide.channels import (
     DensityMatrix,
     identity_channel,
     lossy_bosonic_channel,
+    power,
     replacer_channel,
     unitary_channel,
 )
-from qcollide.collision import CollisionConfig, CouplingSpec
+from qcollide.collision import (
+    CollisionConfig,
+    CouplingSpec,
+    HamiltonianSchedule,
+    _trace_env,
+    collision_hamiltonian,
+    evolve_column_step,
+    interaction_frame_couplings,
+)
 from qcollide.generators import full_generator
 from qcollide.ops import (
     Operator,
+    apply_on_factor,
     commutator_superop,
     embed,
     expm_hermitian,
     pauli,
 )
 from qcollide.perturbation import (
+    _ColumnExpansion,
     collision_step_defect,
     column_expansion,
     column_remainder,
@@ -137,17 +150,14 @@ class TestColumnExpansion:
     def test_materialized_matches_application(self, rng):
         cfg = compliant_random_cfg(rng)
         c1, c2a, c2b = column_expansion(cfg)
-        from qcollide.perturbation import _ColumnExpansion
-
         exp = _ColumnExpansion(cfg)
         x = random_hermitian(rng, cfg.joint_dims)
-        assert np.allclose(c1.apply(x).entries, exp.c_prime(x.entries), atol=1e-12)
-        assert np.allclose(c2a.apply(x).entries, exp.c_second_a(x.entries), atol=1e-12)
-        assert np.allclose(c2b.apply(x).entries, exp.c_second_b(x.entries), atol=1e-12)
+        _, y1, y2a, y2b = exp.orders(x.entries)
+        assert np.allclose(c1.apply(x).entries, y1, atol=1e-12)
+        assert np.allclose(c2a.apply(x).entries, y2a, atol=1e-12)
+        assert np.allclose(c2b.apply(x).entries, y2b, atol=1e-12)
 
     def test_remainder_is_cubic(self, rng):
-        from dataclasses import replace
-
         cfg = make_cfg(
             CouplingSpec.uniform([[SX], [SY]], [SX]), lossy_bosonic_channel(2, 0.5),
             g=2.0, dt=0.05,
@@ -156,6 +166,88 @@ class TestColumnExpansion:
         r_hi = column_remainder(cfg, x)
         r_lo = column_remainder(replace(cfg, g=cfg.g / 2), x)
         assert 6.0 <= r_hi / r_lo <= 10.0
+
+
+def per_order_loops(cfg, collision_index, x):
+    """(C0 x, C'x, C''a x, C''b x) from one loop per order, threading x
+    through channel powers M^k taken from `channels.power`: the pair term
+    sums E^(M-m'+1) U'_m' E^(m'-m) U'_m E^(m-1) over m < m' explicitly."""
+    dims, m_count = cfg.joint_dims, cfg.n_carriers
+    hs = [
+        embed(collision_hamiltonian(cfg, m, collision_index), dims, (m - 1, m_count)).entries
+        for m in range(1, m_count + 1)
+    ]
+    powers = [power(cfg.channel, k).matrix for k in range(m_count + 2)]
+
+    def env(k, y):
+        return y if k == 0 else apply_on_factor(powers[k], y, dims, m_count)
+
+    def u1(h, y):
+        return -1j * (h @ y - y @ h)
+
+    def u2(h, y):
+        return h @ y @ h - 0.5 * (h @ h @ y + y @ h @ h)
+
+    c1 = sum(env(m_count - m + 1, u1(hs[m - 1], env(m - 1, x))) for m in range(1, m_count + 1))
+    c2a = sum(env(m_count - m + 1, u2(hs[m - 1], env(m - 1, x))) for m in range(1, m_count + 1))
+    c2b = np.zeros_like(x, dtype=complex)
+    for m in range(1, m_count):
+        base = u1(hs[m - 1], env(m - 1, x))
+        for mp in range(m + 1, m_count + 1):
+            c2b = c2b + env(m_count - mp + 1, u1(hs[mp - 1], env(mp - m, base)))
+    return env(m_count, x), c1, c2a, c2b
+
+
+def frame_rotated_cfg(rng, m_carriers):
+    """Collision-indexed couplings from a free carrier-1 rotation."""
+    sched = HamiltonianSchedule.constant(random_hermitian(rng, (2,)))
+    base = compliant_random_cfg(rng, m_carriers=m_carriers, env_dim=3)
+    base = replace(base, n_collisions=4, local_hamiltonians=(sched,) + (None,) * (m_carriers - 1))
+    return replace(base, couplings=interaction_frame_couplings(base), local_hamiltonians=None)
+
+
+class TestOnePassOrders:
+    CASES = [(m, de, share) for m in (1, 2, 3) for de in (2, 3) for share in (True, False)]
+
+    def test_matches_per_order_loops(self, rng):
+        for m_carriers, env_dim, share_env in self.CASES:
+            cfg = compliant_random_cfg(rng, m_carriers=m_carriers, env_dim=env_dim, share_env=share_env)
+            side = 2**m_carriers * env_dim
+            # unnormalized non-Hermitian inputs, one matrix and a stack of two
+            x = rng.normal(size=(2, side, side)) + 1j * rng.normal(size=(2, side, side))
+            for arr in (x[0], x):
+                got = _ColumnExpansion(cfg).orders(arr)
+                want = per_order_loops(cfg, 1, arr)
+                for g_k, w_k in zip(got, want):
+                    assert np.max(np.abs(g_k - w_k)) <= 1e-12
+
+    def test_matches_per_order_loops_collision_indexed(self, rng):
+        for m_carriers in (2, 3):
+            cfg = frame_rotated_cfg(rng, m_carriers)
+            side = 2**m_carriers * 3
+            x = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+            for n in (1, 3):
+                got = _ColumnExpansion(cfg, n).orders(x)
+                want = per_order_loops(cfg, n, x)
+                for g_k, w_k in zip(got, want):
+                    assert np.max(np.abs(g_k - w_k)) <= 1e-12
+            # the orders really depend on the collision index here
+            assert np.max(np.abs(_ColumnExpansion(cfg, 1).orders(x)[1] - got[1])) > 1e-3
+
+
+class TestExactSideIsSimulatorColumn:
+    def test_step_defect_pins_to_evolve_column_step(self, rng):
+        # the defect's stepped state is bit for bit the simulator's column
+        cases = [(compliant_random_cfg(rng, m_carriers=3), 1), (frame_rotated_cfg(rng, 2), 3)]
+        for cfg, n in cases:
+            rho = random_state(rng, cfg.carrier_dims)
+            joint = DensityMatrix.from_matrix(np.kron(rho.entries, cfg.eta.entries), cfg.joint_dims)
+            stepped = evolve_column_step(joint, cfg, collision_index=n).entries
+            gen = full_generator(
+                cfg.couplings, cfg.eta, cfg.channel, cfg.gamma, cfg.carrier_dims, collision_index=n
+            )
+            diff = (stepped - rho.entries) / cfg.dt - gen.total.apply(rho.op).entries
+            assert collision_step_defect(cfg, rho, collision_index=n) == np.linalg.norm(diff)
 
 
 class TestVerifyFirstOrder:
@@ -197,12 +289,9 @@ class TestVerifySecondOrder:
         report = verify_second_order(cfg, rho)
         assert report.passed
         # the traced pair term itself must vanish, not just match the (zero) cross rates
-        from qcollide.collision import _trace_env
-        from qcollide.perturbation import _ColumnExpansion
-
         exp = _ColumnExpansion(cfg)
         joint = np.kron(rho.entries, eta.entries)
-        traced = _trace_env(exp.c_second_b(joint), exp.de)
+        traced = _trace_env(exp.orders(joint)[3], cfg.env_dim)
         assert np.max(np.abs(traced)) <= 1e-12
 
     def test_rate_rescaling_linearity(self, rng):
@@ -236,9 +325,6 @@ class TestVerifySecondOrder:
     def test_identities_with_collision_indexed_couplings(self, rng):
         # frame-rotated couplings depend on the collision index; the traced
         # expansion must match the generator built at the same collision
-        from qcollide.collision import HamiltonianSchedule, interaction_frame_couplings
-        from dataclasses import replace
-
         sched = HamiltonianSchedule.constant(Operator((2,), 0.65 * SZ.entries))
         base = make_cfg(
             CouplingSpec.uniform([[SX], [SY]], [SX]),
@@ -281,8 +367,6 @@ class TestStepDefect:
         assert 6.0 <= report.column[2] <= 10.0
 
     def test_defect_magnitude_scales(self, rng):
-        from dataclasses import replace
-
         cfg = compliant_random_cfg(rng)
         rho = random_state(rng, cfg.carrier_dims)
         d_hi = collision_step_defect(cfg, rho)

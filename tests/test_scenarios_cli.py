@@ -297,9 +297,12 @@ class TestCLI:
             ),
             ({"scenario": "dephasing-1q", "gamma": math.nan}, "gamma must be positive and finite"),
             ({"scenario": "dephasing-1q", "t_end": math.inf}, "t_end must be positive and finite"),
+            ({"scenario": "dephasing-1q", "sweep": []}, "sweep needs at least one entry"),
+            ({"scenario": "dephasing-1q", "sweep": [50, 100, 100]}, "sweep entries must be distinct"),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
-             "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity"],
+             "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity",
+             "sweep-empty", "sweep-duplicate"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"
