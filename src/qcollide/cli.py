@@ -70,9 +70,9 @@ def main(argv=None) -> int:
 
         if args.command == "generators":
             gen = run_generators(sc, out_dir=args.out, fmt=args.fmt)
-            n_cross = len(gen.cross_terms)
+            n_cross = len(gen.rates.cross)
             print(
-                f"generators {sc.name}: {len(gen.local_terms)} local terms, "
+                f"generators {sc.name}: {len(gen.rates.local)} local terms, "
                 f"{n_cross} cross terms, gamma {gen.rates.gamma:g}"
             )
             return EXIT_OK

@@ -1,22 +1,33 @@
 """Correlated Markovian generator built from the collision model's data.
 
-The generator on the joint carrier space is a sum of local Lindblad terms,
-one per carrier, plus directed two-body cross terms for every ordered pair
-m < m'.  All rates are environment two-point functions evaluated on the
-relaxation orbit of the environment input state eta:
+All rates are environment two-point functions evaluated on the relaxation
+orbit of the environment input state eta:
 
     local:  gamma_m[l, l']    = gamma * tr(B_l B_l' M^(m-1)(eta))
     cross:  gamma_mm'[l, l']  = gamma * tr(B_l' M^(m'-m)(B_l M^(m-1)(eta)))
 
-with gamma the continuum rate g^2 dt.  The cross rates are what make the
-channel correlated; their imaginary parts are what allows earlier carriers
-to steer later ones.
+with gamma the continuum rate g^2 dt.  They form one Kossakowski matrix
+Gamma over the embedded carrier operators F = (A^1_1 .. A^M_n): diagonal
+block m is gamma_m; for m < m', block (m', m) is gamma_mm'^T and block
+(m, m') is conj(gamma_mm').  The generator is the one GKSL form
+
+    L(X) = sum_ab Gamma_ab F_b X F_a - K X - X K^dag,   K = sum_ab T_ab F_a F_b,
+
+with T the time-ordered part of Gamma: later-carrier rows whole, diagonal
+blocks halved, earlier-carrier rows zero.  Each local and cross term is the
+same form on a block of Gamma.  The cross rates make the channel correlated;
+their imaginary parts enter only through the anti-Hermitian part of K, the
+two-body Hamiltonian sum Im gamma_mm'[l, l'] A^m_l A^m'_l', which lets
+earlier carriers steer later ones (see `signaling_correction`).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -159,41 +170,45 @@ def stationary_local_rates(
     return _two_point_rates(spec.b_ops(1), eta0.entries, gamma)
 
 
-# --- dissipators ------------------------------------------------------------
+# --- the GKSL form -----------------------------------------------------------
 
 
-def _contract(rates: np.ndarray, ops: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """sum_l' rates[l, l'] ops[l'] for every l."""
-    return list(np.tensordot(rates, np.stack(ops), axes=1))
-
-
-def _lindblad_matrix(a_ops: Sequence[np.ndarray], rates: np.ndarray) -> np.ndarray:
-    """(1/2) sum_{l,l'} rates[l,l'] (2 A_l' X A_l - A_l A_l' X - X A_l A_l')
-    = sum_l B_l X A_l - (K X + X K)/2, B_l = sum_l' rates[l,l'] A_l', K = sum_l A_l B_l."""
-    b_ops = _contract(rates, a_ops)
-    k = -0.5 * sum(al @ bl for al, bl in zip(a_ops, b_ops))
-    return multiplier_matrix(list(zip(b_ops, a_ops)), k, k)
-
-
-def _cross_matrix(
-    a_m: Sequence[np.ndarray], a_mp: Sequence[np.ndarray], rates: np.ndarray
+def _kossakowski(
+    local: Sequence[np.ndarray], cross: dict[tuple[int, int], np.ndarray]
 ) -> np.ndarray:
-    """sum_{l,l'} rates[l,l'] A^m_l [X, A^m'_l'] - conj(rates[l,l']) [X, A^m'_l'] A^m_l
-    = sum_l (A_l X C_l + C~_l X A_l) - (sum_l A_l C_l) X - X (sum_l C~_l A_l),
-    with C_l = sum_l' rates[l,l'] A^m'_l' and C~_l the same with conj(rates)."""
-    c_ops = _contract(rates, a_mp)
-    c_conj = _contract(rates.conj(), a_mp)
-    pairs = list(zip(a_m, c_ops)) + list(zip(c_conj, a_m))
-    left = -sum(al @ cl for al, cl in zip(a_m, c_ops))
-    right = -sum(cl @ al for al, cl in zip(a_m, c_conj))
-    return multiplier_matrix(pairs, left, right)
+    """Gamma over the operators of the carriers 1..len(local), in carrier order:
+    block (m, m) is local[m-1]; for m < m', block (m', m) is cross[m, m']^T and
+    block (m, m') is conj(cross[m, m'])."""
+    blocks = [[np.zeros((len(a), len(b)), dtype=complex) for b in local] for a in local]
+    for m, rates in enumerate(local):
+        blocks[m][m] = rates
+    for (m, mp), rates in cross.items():
+        blocks[mp - 1][m - 1] = rates.T
+        blocks[m - 1][mp - 1] = rates.conj()
+    return np.block(blocks)
 
 
-def _embedded_a_ops(
-    spec: CouplingSpec, m: int, carrier_dims: Sequence[int], n: int | None = None
-) -> list[np.ndarray]:
-    dims = tuple(carrier_dims)
-    return [embed(a, dims, (m - 1,)).entries for a in spec.a_ops(m, n)]
+def _gksl(
+    spec: CouplingSpec,
+    kossakowski: np.ndarray,
+    carriers: Sequence[int],
+    dims: tuple[int, ...],
+    n: int | None = None,
+    first: int = 1,
+) -> Superoperator:
+    """The GKSL form of `kossakowski` (module docstring) as a superoperator on
+    `dims`, over the operators of `carriers` at collision n, carrier m on factor
+    m - first."""
+    ops, owner = [], []
+    for m in carriers:
+        for a in spec.a_ops(m, n):
+            ops.append(embed(a, dims, (m - first,)).entries)
+            owner.append(m)
+    f = np.stack(ops)
+    t = kossakowski * ((np.sign(np.subtract.outer(owner, owner)) + 1) / 2)
+    sandwich = np.tensordot(kossakowski, f, axes=1)  # sum_b Gamma_ab F_b
+    k = np.hstack(f) @ np.vstack(np.tensordot(t, f, axes=1))
+    return Superoperator(dims, dims, multiplier_matrix(list(zip(sandwich, f)), -k, -k.conj().T))
 
 
 def local_dissipator(
@@ -207,9 +222,7 @@ def local_dissipator(
     rates = np.asarray(rates, dtype=complex)
     if max_abs(rates - rates.conj().T) > PSD_TOL:
         raise ValueError("local rate matrix must be Hermitian")
-    dims = tuple(carrier_dims)
-    a_ops = _embedded_a_ops(spec, m, dims, collision_index)
-    return Superoperator(dims, dims, _lindblad_matrix(a_ops, rates))
+    return _gksl(spec, rates, (m,), tuple(carrier_dims), collision_index)
 
 
 def cross_dissipator(
@@ -224,10 +237,9 @@ def cross_dissipator(
     if m_prime <= m:
         raise ValueError("cross dissipators are directional: need m' > m")
     rates = np.asarray(rates, dtype=complex)
-    dims = tuple(carrier_dims)
-    a_m = _embedded_a_ops(spec, m, dims, collision_index)
-    a_mp = _embedded_a_ops(spec, m_prime, dims, collision_index)
-    return Superoperator(dims, dims, _cross_matrix(a_m, a_mp, rates))
+    zeros = [np.zeros((spec.n_terms(k), spec.n_terms(k))) for k in (m, m_prime)]
+    gamma = _kossakowski(zeros, {(1, 2): rates})
+    return _gksl(spec, gamma, (m, m_prime), tuple(carrier_dims), collision_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,32 +261,59 @@ class CorrelationTensor:
 
     def rate_table_rows(self) -> list[tuple[int, int, int, int, float, float]]:
         """Rows (m, m', l, l', re, im); local entries carry m' = m."""
-        rows = []
-        for m, mat in enumerate(self.local, start=1):
-            for l in range(mat.shape[0]):
-                for lp in range(mat.shape[1]):
-                    rows.append((m, m, l, lp, float(mat[l, lp].real), float(mat[l, lp].imag)))
-        for (m, mp), mat in sorted(self.cross.items()):
-            for l in range(mat.shape[0]):
-                for lp in range(mat.shape[1]):
-                    rows.append((m, mp, l, lp, float(mat[l, lp].real), float(mat[l, lp].imag)))
-        return rows
+        blocks = [((m, m), mat) for m, mat in enumerate(self.local, start=1)]
+        return [
+            (m, mp, l, lp, float(z.real), float(z.imag))
+            for (m, mp), mat in blocks + sorted(self.cross.items())
+            for (l, lp), z in np.ndenumerate(mat)
+        ]
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Local and cross generator pieces on the joint carrier space, plus their sum."""
+    """The rates of one configuration and the generator they define.
+
+    Every generator piece is the GKSL form of a block or a restriction of the
+    Kossakowski matrix, assembled on first access and then kept.
+    """
 
     carrier_dims: tuple[int, ...]
     spec: CouplingSpec
     rates: CorrelationTensor
-    local_terms: tuple[Superoperator, ...]
-    cross_terms: dict[tuple[int, int], Superoperator]
-    total: Superoperator
+    collision_index: int | None
 
     @property
     def n_carriers(self) -> int:
         return len(self.carrier_dims)
+
+    @cached_property
+    def kossakowski(self) -> np.ndarray:
+        """Gamma over every carrier operator F = (A^1_1 .. A^M_n); Hermitian, and
+        PSD by the paper's central claim, which makes `total` a GKSL generator."""
+        gamma = _kossakowski(self.rates.local, self.rates.cross)
+        gamma.setflags(write=False)
+        return gamma
+
+    @cached_property
+    def local_terms(self) -> tuple[Superoperator, ...]:
+        return tuple(
+            local_dissipator(self.spec, rates, m, self.carrier_dims, self.collision_index)
+            for m, rates in enumerate(self.rates.local, start=1)
+        )
+
+    @cached_property
+    def cross_terms(self) -> Mapping[tuple[int, int], Superoperator]:
+        terms = {
+            (m, mp): cross_dissipator(self.spec, rates, m, mp, self.carrier_dims, self.collision_index)
+            for (m, mp), rates in self.rates.cross.items()
+        }
+        return MappingProxyType(terms)
+
+    @cached_property
+    def total(self) -> Superoperator:
+        """The whole generator, assembled once over every carrier operator."""
+        carriers = range(1, self.n_carriers + 1)
+        return _gksl(self.spec, self.kossakowski, carriers, self.carrier_dims, self.collision_index)
 
     def to_dict(self) -> dict:
         return {
@@ -297,37 +336,20 @@ def full_generator(
     carrier_dims: Sequence[int],
     collision_index: int | None = None,
 ) -> GeneratorSet:
-    """Assemble every local term and every ordered cross term."""
+    """Every local and ordered cross rate matrix; the generator pieces are
+    assembled from them on demand (see `GeneratorSet`)."""
     dims = tuple(carrier_dims)
     n_carr = spec.n_carriers
     if len(dims) != n_carr:
         raise ValueError("carrier_dims must match the coupling spec")
-    locals_list = []
-    local_rate_list = []
-    for m in range(1, n_carr + 1):
-        rates = local_rates(spec, eta, channel, m, gamma)
-        local_rate_list.append(rates)
-        locals_list.append(local_dissipator(spec, rates, m, dims, collision_index))
-    cross_rate_map: dict[tuple[int, int], np.ndarray] = {}
-    cross_map: dict[tuple[int, int], Superoperator] = {}
-    for m in range(1, n_carr + 1):
-        for mp in range(m + 1, n_carr + 1):
-            rates = cross_rates(spec, eta, channel, m, mp, gamma)
-            cross_rate_map[(m, mp)] = rates
-            cross_map[(m, mp)] = cross_dissipator(spec, rates, m, mp, dims, collision_index)
-    terms = locals_list + list(cross_map.values())
-    total = terms[0].matrix.copy()
-    for term in terms[1:]:
-        total += term.matrix
-    tensor = CorrelationTensor(gamma=gamma, local=tuple(local_rate_list), cross=cross_rate_map)
-    return GeneratorSet(
-        carrier_dims=dims,
-        spec=spec,
-        rates=tensor,
-        local_terms=tuple(locals_list),
-        cross_terms=cross_map,
-        total=Superoperator(dims, dims, total),
-    )
+    local = tuple(local_rates(spec, eta, channel, m, gamma) for m in range(1, n_carr + 1))
+    cross = {
+        (m, mp): cross_rates(spec, eta, channel, m, mp, gamma)
+        for m in range(1, n_carr + 1)
+        for mp in range(m + 1, n_carr + 1)
+    }
+    tensor = CorrelationTensor(gamma=gamma, local=local, cross=cross)
+    return GeneratorSet(carrier_dims=dims, spec=spec, rates=tensor, collision_index=collision_index)
 
 
 def reduced_two_carrier_generator(gen: GeneratorSet) -> Superoperator:
@@ -336,24 +358,18 @@ def reduced_two_carrier_generator(gen: GeneratorSet) -> Superoperator:
     Tracing the joint generator over carriers 3..M removes every term that
     touches them (local terms are traceless on their own carrier and cross
     terms vanish under the trace over the later carrier), so the pair
-    evolves under L_1 + L_2 + D_12 rebuilt on the two-carrier space.
+    evolves under the form of Gamma restricted to its two carriers.
     """
     if gen.n_carriers < 2:
         raise ValueError("need at least two carriers")
-    if gen.n_carriers == 2:
-        return gen.total
-    dims = gen.carrier_dims[:2]
-    l1 = local_dissipator(gen.spec, gen.rates.local[0], 1, dims)
-    l2 = local_dissipator(gen.spec, gen.rates.local[1], 2, dims)
-    d12 = cross_dissipator(gen.spec, gen.rates.cross[(1, 2)], 1, 2, dims)
-    return l1 + l2 + d12
+    k = gen.spec.n_terms(1) + gen.spec.n_terms(2)
+    return _gksl(gen.spec, gen.kossakowski[:k, :k], (1, 2), gen.carrier_dims[:2], gen.collision_index)
 
 
 def single_carrier_generator(gen: GeneratorSet, m: int) -> Superoperator:
     """Local Lindblad generator of carrier m on its own space."""
     dims = (gen.carrier_dims[m - 1],)
-    a_ops = [a.entries for a in gen.spec.a_ops(m)]
-    return Superoperator(dims, dims, _lindblad_matrix(a_ops, gen.rates.local[m - 1]))
+    return _gksl(gen.spec, gen.rates.local[m - 1], (m,), dims, gen.collision_index, first=m)
 
 
 def signaling_correction(

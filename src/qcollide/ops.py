@@ -246,19 +246,6 @@ class Superoperator:
         vid_in = vec(np.eye(self.in_side))
         return max_abs(self.matrix.conj().T @ vid_out - vid_in) <= tol
 
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.in_dims != other.in_dims or self.out_dims != other.out_dims:
-            raise ValueError("superoperator dims mismatch")
-        return Superoperator(self.in_dims, self.out_dims, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Superoperator") -> "Superoperator":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "Superoperator":
-        return Superoperator(self.in_dims, self.out_dims, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self):  # pragma: no cover
         return f"Superoperator(in_dims={self.in_dims}, out_dims={self.out_dims})"
 

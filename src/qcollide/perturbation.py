@@ -181,15 +181,11 @@ def verify_second_order(
     _, _, c2a, c2b = _ColumnExpansion(cfg, collision_index).orders(joint)
 
     traced_a = _trace_env(c2a, cfg.env_dim)
-    local_sum = np.zeros_like(rho.entries)
-    for term in gen.local_terms:
-        local_sum = local_sum + term.apply(rho.op).entries
+    local_sum = sum(term.apply(rho.op).entries for term in gen.local_terms)
     residual_a = _frob(traced_a - scale * local_sum)
 
     traced_b = _trace_env(c2b, cfg.env_dim)
-    cross_sum = np.zeros_like(rho.entries)
-    for term in gen.cross_terms.values():
-        cross_sum = cross_sum + term.apply(rho.op).entries
+    cross_sum = sum(term.apply(rho.op).entries for term in gen.cross_terms.values())
     residual_b = _frob(traced_b - scale * cross_sum)
 
     passed = residual_a <= tol and residual_b <= tol

@@ -12,7 +12,12 @@ from qcollide.channels import (
     replacer_channel,
     unitary_channel,
 )
-from qcollide.collision import CouplingSpec
+from qcollide.collision import (
+    CollisionConfig,
+    CouplingSpec,
+    HamiltonianSchedule,
+    interaction_frame_couplings,
+)
 from qcollide.generators import (
     cross_dissipator,
     cross_rates,
@@ -35,6 +40,7 @@ from qcollide.ops import (
     pauli,
     position_op,
 )
+from qcollide.scenarios import BUILTIN_NAMES, load_scenario, scenario_generator
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 GROUND = DensityMatrix.ground(2)
@@ -277,6 +283,17 @@ class TestAssemblyAgainstKron:
                 got = cross_dissipator(spec, r, m, mp, dims).matrix
                 assert np.max(np.abs(got - kron_cross(a_m, a_mp, r))) <= 1e-12
 
+    def test_total(self, rng, dims, n_terms):
+        spec = self._spec(rng, dims, n_terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # random B_l have a first moment
+            gen = full_generator(spec, random_state(rng, (2,)), random_cpt_channel(rng, 2), 0.8, dims)
+        ops = [[embed(a, dims, (m - 1,)).entries for a in spec.a_ops(m)] for m in range(1, len(dims) + 1)]
+        want = sum(kron_lindblad(a, r) for a, r in zip(ops, gen.rates.local))
+        for (m, mp), r in gen.rates.cross.items():
+            want = want + kron_cross(ops[m - 1], ops[mp - 1], r)
+        assert np.max(np.abs(gen.total.matrix - want)) <= 1e-12
+
 
 class TestCrossDissipator:
     def test_zero_rates_zero_map(self):
@@ -376,7 +393,7 @@ class TestFullGenerator:
         want = terms[0].matrix
         for term in terms[1:]:
             want = want + term.matrix
-        assert np.array_equal(gen.total.matrix, want)
+        assert np.max(np.abs(gen.total.matrix - want)) <= 1e-14
         assert not np.shares_memory(gen.total.matrix, terms[0].matrix)
 
     def test_trace_annihilating_and_hermiticity(self, rng):
@@ -421,6 +438,100 @@ class TestReducedDynamics:
         local1 = single_carrier_generator(gen, 1)
         want = local1.apply(rho1.op).entries
         assert np.max(np.abs(got - want)) <= 1e-11
+
+    @pytest.mark.parametrize("n_carr", [2, 3])
+    def test_reduced_generators_follow_collision_index(self, rng, n_carr):
+        # frame-rotated couplings differ per collision: the reduced pieces must
+        # use the operators of the collision the set was built at
+        dims = (2,) * n_carr
+        chan = lossy_bosonic_channel(2, 0.5)
+        sched = HamiltonianSchedule.constant(Operator((2,), 0.7 * SZ.entries))
+        cfg = CollisionConfig(
+            carrier_dims=dims, env_dim=2, g=1.0, dt=0.25, n_collisions=4, eta=GROUND,
+            channel=chan, couplings=CouplingSpec.uniform([[SX]] * n_carr, [SX]),
+            local_hamiltonians=(sched,) * n_carr,
+        )
+        spec = interaction_frame_couplings(cfg)
+        gen = full_generator(spec, GROUND, chan, 1.0, dims, collision_index=4)
+        pieces = [((0,), single_carrier_generator(gen, 1))]
+        if n_carr == 3:
+            pieces.append(((0, 1), reduced_two_carrier_generator(gen)))
+        for _ in range(3):
+            rho = random_state(rng, dims).op
+            out = gen.total.apply(rho)
+            for keep, piece in pieces:
+                got = partial_trace(out, keep=keep).entries
+                want = piece.apply(partial_trace(rho, keep=keep)).entries
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def projected_choi(total):
+    """Choi matrix of L projected off the maximally entangled vector, and the
+    max |entry| of the Choi matrix.  A Hermiticity-preserving L generates a CP
+    semigroup (is of GKSL form) exactly when the projection is PSD (Wolf,
+    Eisert, Cubitt, Cirac, PRL 101, 150402 (2008)).  Reads only the
+    column-stacked matrix."""
+    side = total.in_side
+    # entry (l*D + k, j*D + i) of the matrix is L(|i><j|)[k, l]; Choi[(k, i), (l, j)]
+    choi = total.matrix.reshape((side,) * 4).transpose(1, 3, 0, 2).reshape(side**2, side**2)
+    omega = np.eye(side).reshape(-1) / math.sqrt(side)
+    proj = np.eye(side**2) - np.outer(omega, omega.conj())
+    return proj @ choi @ proj, np.max(np.abs(choi))
+
+
+CHAIN3 = {
+    "scenario": "custom",
+    "carrier_dims": [3, 3, 3],
+    "env_dim": 3,
+    "couplings": {"system": [["x", "p"]] * 3, "environment": ["x", "p"]},
+    "eta": "ground",
+    "channel": {"kind": "lossy", "dim": 3, "kappa": 0.25},
+}
+
+
+class TestGKSLForm:
+    """The correlated generator is of Lindblad form: its Kossakowski matrix is
+    Hermitian PSD, and independently the projected Choi matrix of `total` is PSD."""
+
+    @staticmethod
+    def _check(gen):
+        gamma = gen.kossakowski
+        scale = np.max(np.abs(gamma))
+        assert np.max(np.abs(gamma - gamma.conj().T)) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(gamma)[0] >= -1e-12 * scale
+        proj, scale = projected_choi(gen.total)
+        assert np.max(np.abs(proj - proj.conj().T)) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(proj)[0] >= -1e-12 * scale
+
+    @pytest.mark.parametrize("source", BUILTIN_NAMES + ("chain3",))
+    def test_builtins(self, source):
+        self._check(scenario_generator(load_scenario(CHAIN3 if source == "chain3" else source)))
+
+    def test_random_configs(self, rng):
+        for trial in range(12):
+            n_carr = int(rng.integers(2, 4))
+            dims = tuple(int(d) for d in rng.integers(2, 4, size=n_carr))
+            if n_carr == 3:
+                dims = (2,) + dims[1:]  # joint side <= 18 keeps the Choi matrix small
+            d_env = int(rng.integers(2, 4))
+            n_terms = int(rng.integers(1, 3))
+            system = [[random_hermitian(rng, (d,)) for _ in range(n_terms)] for d in dims]
+            shared = trial % 2 == 0
+
+            def env_list():
+                return [random_hermitian(rng, (d_env,)) for _ in range(n_terms)]
+
+            env = [env_list()] * n_carr if shared else [env_list() for _ in range(n_carr)]
+            spec = CouplingSpec(system_ops=system, env_ops=env, env_shared=shared)
+            eta, chan = random_state(rng, (d_env,)), random_cpt_channel(rng, d_env)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # random B_l have a first moment
+                gen = full_generator(spec, eta, chan, float(rng.uniform(0.2, 2.0)), dims)
+            self._check(gen)
+
+    def test_choi_oracle_sees_a_negative_rate(self):
+        proj, scale = projected_choi(local_dissipator(spec_1q(), np.array([[-1.0]]), 1, (2,)))
+        assert np.linalg.eigvalsh(proj)[0] < -0.5 * scale
 
 
 class TestSignalingCorrection:
