@@ -52,6 +52,7 @@ from .perturbation import (
     column_expansion,
     column_remainder,
     remainder_halving_ratios,
+    traced_orders,
     unitary_expansion_terms,
     unitary_remainder,
     verify_first_order,

@@ -1,16 +1,21 @@
 """Fixed-step 4th-order integration of d rho/dt = G(rho).
 
-Deterministic classical RK4 on the vectorized state, no adaptivity.  For a
-linear generator one RK4 step of size h is exactly v <- T4(hG) v, with T4 the
-degree-4 Taylor polynomial, so the propagator T4(hG) is built once per
-distinct generator and every step is a single matrix-vector product.
-Hermiticity is re-symmetrized every step; trace and positivity are checked
-on every recorded sample but never enforced, so a broken generator shows up
-instead of being masked.
+Deterministic classical RK4, no adaptivity.  A GKSL generator maps Hermitian
+matrices to Hermitian matrices, so the state lives in real Hermitian
+coordinates: X = A + iB (A symmetric, B antisymmetric) is stored as the real
+matrix S = A + B, and X = ((1+i)S + (1-i)S^T)/2.  Each generator is converted
+once into the real D^2 x D^2 matrix R of S -> s(Herm(G X(S))).  For a linear
+generator one RK4 step of size h is exactly s <- T4(hR) s, with T4 the
+degree-4 Taylor polynomial, so the propagator T4(hR) is built once per
+distinct generator and every step is a single real matrix-vector product.
+Recorded samples are exactly Hermitian by construction and are never
+re-symmetrized; trace and positivity are checked on every recorded sample
+but never enforced, so a broken generator shows up instead of being masked.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -21,11 +26,15 @@ from .trajectory import Trajectory, build_trajectory, observable_arrays, sample_
 
 GeneratorLike = Superoperator | Sequence[tuple[float, Superoperator]]
 
+# a segment start t is on the step grid when t / dt is an integer within this
+# relative tolerance
+GRID_RTOL = 1e-9
 
-def _segments(generator: GeneratorLike):
+
+def _segments(generator: GeneratorLike, dt: float):
     """Return (segment start times, matrices, description).  Schedules are
-    piecewise constant, keyed by segment start times; dt should subdivide the
-    segment grid."""
+    piecewise constant, keyed by segment start times, which must lie on the
+    step grid so that no step straddles a segment boundary."""
     if isinstance(generator, Superoperator):
         return [0.0], [generator.matrix], {"kind": "static"}
     segments = sorted(((float(t), g) for t, g in generator), key=lambda p: p[0])
@@ -33,8 +42,29 @@ def _segments(generator: GeneratorLike):
         raise ValueError("empty generator schedule")
     if segments[0][0] > 0.0:
         raise ValueError("generator schedule must start at t = 0")
+    for i, (t, _) in enumerate(segments):
+        steps = t / dt
+        if abs(steps - round(steps)) > GRID_RTOL * max(abs(steps), 1.0):
+            raise ValueError(
+                f"schedule segment {i} starts at t = {t!r}, off the step grid of dt = {dt!r}"
+            )
     desc = {"kind": "schedule", "segments": len(segments)}
     return [t for t, _ in segments], [g.matrix for _, g in segments], desc
+
+
+def _real_generator(g: np.ndarray) -> np.ndarray:
+    """R = (Re G + T Re G T + Im G T - T Im G) / 2, the generator G (on
+    column-stacked vectors) in real Hermitian coordinates; T is the transpose
+    permutation of vec, which swaps the two indices of each side of the
+    (D, D, D, D) view."""
+    side = math.isqrt(g.shape[0])
+    re = g.real.reshape((side,) * 4)
+    im = g.imag.reshape((side,) * 4)
+    r = re + re.transpose(1, 0, 3, 2)
+    r += im.transpose(0, 1, 3, 2)
+    r -= im.transpose(1, 0, 2, 3)
+    r *= 0.5
+    return r.reshape(g.shape)
 
 
 def _rk4_propagator(g: np.ndarray, h: float) -> np.ndarray:
@@ -48,6 +78,18 @@ def _rk4_propagator(g: np.ndarray, h: float) -> np.ndarray:
     return p
 
 
+def _hermitian(s: np.ndarray, side: int) -> np.ndarray:
+    """X = ((1+i)S + (1-i)S^T)/2 = A + iB from the real coordinates s = vec(S);
+    exactly Hermitian, since A = (S + S^T)/2 and B = (S - S^T)/2 are built
+    from the same entry pairs."""
+    m = unvec(s, side)
+    x = np.empty((side, side), dtype=complex)
+    np.add(m, m.T, out=x.real)
+    np.subtract(m, m.T, out=x.imag)
+    x *= 0.5
+    return x
+
+
 def integrate(
     generator: GeneratorLike,
     rho0: DensityMatrix,
@@ -58,7 +100,8 @@ def integrate(
     observable_names: Sequence[str] | None = None,
 ) -> Trajectory:
     """Integrate rho over [0, t_end] with fixed step dt (final time within dt
-    of t_end).  Aborts with a RuntimeError when a recorded sample fails the
+    of t_end).  A schedule segment that starts off the step grid is a
+    ValueError.  Aborts with a RuntimeError when a recorded sample fails the
     state check (trace or positivity off by more than 1e-8): that signals a
     broken generator, not an integration problem.
     """
@@ -66,29 +109,28 @@ def integrate(
         raise ValueError("need 0 < dt <= t_end")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
-    starts, mats, desc = _segments(generator)
+    starts, mats, desc = _segments(generator, dt)
     dims = rho0.dims
     side = rho0.side
     obs, names = observable_arrays(observables, side, observable_names)
 
     n_steps = max(int(round(t_end / dt)), 1)
-    v = vec(np.array(rho0.entries, dtype=complex))
+    s = vec(rho0.entries.real + rho0.entries.imag)
+    buf = np.empty_like(s)
     steps, times, states = [0], [0.0], [rho0]
     propagators: dict[int, np.ndarray] = {}
     for k in range(1, n_steps + 1):
-        # one lookup per step, at the midpoint: schedules are piecewise
-        # constant on a grid the step subdivides, so the step never
-        # straddles a segment boundary
+        # one lookup per step, at the midpoint: segments start on the step
+        # grid, so the step never straddles a segment boundary
         idx = int(np.searchsorted(starts, (k - 0.5) * dt, side="right")) - 1
         if idx not in propagators:
-            propagators[idx] = _rk4_propagator(mats[idx], dt)
-        v = propagators[idx] @ v
-        rho = hermitize(unvec(v, side))
-        v = vec(rho)
+            propagators[idx] = _rk4_propagator(_real_generator(mats[idx]), dt)
+        np.matmul(propagators[idx], s, out=buf)
+        s, buf = buf, s
         if k % record_stride == 0 or k == n_steps:
             steps.append(k)
             times.append(k * dt)
-            states.append(sample_state(rho, dims, k, k * dt))
+            states.append(sample_state(_hermitian(s, side), dims, k, k * dt))
 
     metadata = {"engine": "me-rk4", "dt": dt, "t_end": n_steps * dt, "generator": desc}
     return build_trajectory(steps, times, states, obs, names, metadata)

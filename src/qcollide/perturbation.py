@@ -143,14 +143,30 @@ class SecondOrderReport:
     passed: bool
 
 
+def traced_orders(
+    cfg: CollisionConfig, rho: DensityMatrix, collision_index: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Environment traces of C', C''a and C''b applied to rho (x) eta, from one
+    `orders` pass; both verify reports can read the same triple."""
+    joint = np.kron(rho.entries, cfg.eta.entries)
+    _, c1, c2a, c2b = _ColumnExpansion(cfg, collision_index).orders(joint)
+    return tuple(_trace_env(c, cfg.env_dim) for c in (c1, c2a, c2b))
+
+
 def verify_first_order(
-    cfg: CollisionConfig, rho: DensityMatrix, tol: float = 1e-12, collision_index: int = 1
+    cfg: CollisionConfig,
+    rho: DensityMatrix,
+    tol: float = 1e-12,
+    collision_index: int = 1,
+    orders: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> FirstOrderReport:
     """Check that the first-order column term disappears under the
-    environment trace (it is proportional to the coupling first moments)."""
-    joint = np.kron(rho.entries, cfg.eta.entries)
-    _, c1, _, _ = _ColumnExpansion(cfg, collision_index).orders(joint)
-    residual = _frob(_trace_env(c1, cfg.env_dim))
+    environment trace (it is proportional to the coupling first moments).
+    `orders` is `traced_orders(cfg, rho, collision_index)`, computed here when
+    not given."""
+    if orders is None:
+        orders = traced_orders(cfg, rho, collision_index)
+    residual = _frob(orders[0])
     return FirstOrderReport(residual=residual, tol=tol, passed=residual <= tol)
 
 
@@ -160,12 +176,16 @@ def verify_second_order(
     tol: float = 1e-10,
     gen: GeneratorSet | None = None,
     collision_index: int = 1,
+    orders: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SecondOrderReport:
     """Check the identification of the environment-traced second-order terms
     with the local dissipators (a) and the directed cross terms (b).
 
-    For collision-indexed couplings both sides are evaluated at the same
+    Both generator sides are applied without their matrices: (a) is the
+    form of Gamma's block-diagonal part, (b) of its off-diagonal part.  For
+    collision-indexed couplings both sides are evaluated at the same
     collision, so the identity is tested per step of the non-uniform model.
+    `orders` is as in `verify_first_order`.
     """
     if gen is None:
         gen = full_generator(
@@ -176,18 +196,13 @@ def verify_second_order(
             cfg.carrier_dims,
             collision_index=collision_index,
         )
+    if orders is None:
+        orders = traced_orders(cfg, rho, collision_index)
     scale = 1.0 / gen.rates.gamma
-    joint = np.kron(rho.entries, cfg.eta.entries)
-    _, _, c2a, c2b = _ColumnExpansion(cfg, collision_index).orders(joint)
-
-    traced_a = _trace_env(c2a, cfg.env_dim)
-    local_sum = sum(term.apply(rho.op).entries for term in gen.local_terms)
-    residual_a = _frob(traced_a - scale * local_sum)
-
-    traced_b = _trace_env(c2b, cfg.env_dim)
-    cross_sum = sum(term.apply(rho.op).entries for term in gen.cross_terms.values())
-    residual_b = _frob(traced_b - scale * cross_sum)
-
+    _, traced_a, traced_b = orders
+    local, cross = gen._split
+    residual_a = _frob(traced_a - scale * local.apply(rho.entries))
+    residual_b = _frob(traced_b - scale * cross.apply(rho.entries))
     passed = residual_a <= tol and residual_b <= tol
     return SecondOrderReport(residual_a=residual_a, residual_b=residual_b, tol=tol, passed=passed)
 
@@ -233,7 +248,7 @@ def collision_step_defect(
         cfg.carrier_dims,
         collision_index=collision_index,
     )
-    return _frob(diff - gen.total.apply(rho.op).entries)
+    return _frob(diff - gen.apply(rho.entries))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .ops import (
 )
 from .perturbation import (
     remainder_halving_ratios,
+    traced_orders,
     verify_first_order,
     verify_second_order,
 )
@@ -629,8 +630,9 @@ def run_verify(sc: ScenarioConfig, n_states: int = 3, seed: int | None = None) -
     first, second = [], []
     ok = assumption.passed
     for i, rho in enumerate(states):
-        f = verify_first_order(cfg, rho, tol=FIRST_ORDER_TOL)
-        s = verify_second_order(cfg, rho, tol=SECOND_ORDER_TOL, gen=gen)
+        orders = traced_orders(cfg, rho)
+        f = verify_first_order(cfg, rho, tol=FIRST_ORDER_TOL, orders=orders)
+        s = verify_second_order(cfg, rho, tol=SECOND_ORDER_TOL, gen=gen, orders=orders)
         ok = ok and f.passed and s.passed
         first.append({"state": i, "residual": f.residual, "passed": f.passed})
         second.append(

@@ -39,6 +39,8 @@ from qcollide.ops import (
     partial_trace,
     pauli,
     position_op,
+    unvec,
+    vec,
 )
 from qcollide.scenarios import BUILTIN_NAMES, load_scenario, scenario_generator
 
@@ -444,15 +446,7 @@ class TestReducedDynamics:
         # frame-rotated couplings differ per collision: the reduced pieces must
         # use the operators of the collision the set was built at
         dims = (2,) * n_carr
-        chan = lossy_bosonic_channel(2, 0.5)
-        sched = HamiltonianSchedule.constant(Operator((2,), 0.7 * SZ.entries))
-        cfg = CollisionConfig(
-            carrier_dims=dims, env_dim=2, g=1.0, dt=0.25, n_collisions=4, eta=GROUND,
-            channel=chan, couplings=CouplingSpec.uniform([[SX]] * n_carr, [SX]),
-            local_hamiltonians=(sched,) * n_carr,
-        )
-        spec = interaction_frame_couplings(cfg)
-        gen = full_generator(spec, GROUND, chan, 1.0, dims, collision_index=4)
+        gen = frame_rotated_generator(n_carr, collision_index=4)
         pieces = [((0,), single_carrier_generator(gen, 1))]
         if n_carr == 3:
             pieces.append(((0, 1), reduced_two_carrier_generator(gen)))
@@ -489,6 +483,42 @@ CHAIN3 = {
 }
 
 
+def random_generator(rng, shared):
+    """M = 2-3 carriers, random CPT channel, random Hermitian couplings, a
+    shared or per-carrier environment list; joint side <= 18."""
+    n_carr = int(rng.integers(2, 4))
+    dims = tuple(int(d) for d in rng.integers(2, 4, size=n_carr))
+    if n_carr == 3:
+        dims = (2,) + dims[1:]  # joint side <= 18 keeps the Choi matrix small
+    d_env = int(rng.integers(2, 4))
+    n_terms = int(rng.integers(1, 3))
+    system = [[random_hermitian(rng, (d,)) for _ in range(n_terms)] for d in dims]
+
+    def env_list():
+        return [random_hermitian(rng, (d_env,)) for _ in range(n_terms)]
+
+    env = [env_list()] * n_carr if shared else [env_list() for _ in range(n_carr)]
+    spec = CouplingSpec(system_ops=system, env_ops=env, env_shared=shared)
+    eta, chan = random_state(rng, (d_env,)), random_cpt_channel(rng, d_env)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # random B_l have a first moment
+        return full_generator(spec, eta, chan, float(rng.uniform(0.2, 2.0)), dims)
+
+
+def frame_rotated_generator(n_carr, collision_index):
+    """Collision-indexed set: frame-rotated couplings differ per collision."""
+    dims = (2,) * n_carr
+    chan = lossy_bosonic_channel(2, 0.5)
+    sched = HamiltonianSchedule.constant(Operator((2,), 0.7 * SZ.entries))
+    cfg = CollisionConfig(
+        carrier_dims=dims, env_dim=2, g=1.0, dt=0.25, n_collisions=4, eta=GROUND,
+        channel=chan, couplings=CouplingSpec.uniform([[SX]] * n_carr, [SX]),
+        local_hamiltonians=(sched,) * n_carr,
+    )
+    spec = interaction_frame_couplings(cfg)
+    return full_generator(spec, GROUND, chan, 1.0, dims, collision_index=collision_index)
+
+
 class TestGKSLForm:
     """The correlated generator is of Lindblad form: its Kossakowski matrix is
     Hermitian PSD, and independently the projected Choi matrix of `total` is PSD."""
@@ -509,29 +539,54 @@ class TestGKSLForm:
 
     def test_random_configs(self, rng):
         for trial in range(12):
-            n_carr = int(rng.integers(2, 4))
-            dims = tuple(int(d) for d in rng.integers(2, 4, size=n_carr))
-            if n_carr == 3:
-                dims = (2,) + dims[1:]  # joint side <= 18 keeps the Choi matrix small
-            d_env = int(rng.integers(2, 4))
-            n_terms = int(rng.integers(1, 3))
-            system = [[random_hermitian(rng, (d,)) for _ in range(n_terms)] for d in dims]
-            shared = trial % 2 == 0
-
-            def env_list():
-                return [random_hermitian(rng, (d_env,)) for _ in range(n_terms)]
-
-            env = [env_list()] * n_carr if shared else [env_list() for _ in range(n_carr)]
-            spec = CouplingSpec(system_ops=system, env_ops=env, env_shared=shared)
-            eta, chan = random_state(rng, (d_env,)), random_cpt_channel(rng, d_env)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # random B_l have a first moment
-                gen = full_generator(spec, eta, chan, float(rng.uniform(0.2, 2.0)), dims)
-            self._check(gen)
+            self._check(random_generator(rng, shared=trial % 2 == 0))
 
     def test_choi_oracle_sees_a_negative_rate(self):
         proj, scale = projected_choi(local_dissipator(spec_1q(), np.array([[-1.0]]), 1, (2,)))
         assert np.linalg.eigvalsh(proj)[0] < -0.5 * scale
+
+
+class TestMatrixFreeAction:
+    """`GeneratorSet.apply` and the local/cross split act as the assembled
+    matrices do, on non-Hermitian inputs."""
+
+    @staticmethod
+    def _inputs(rng, side, count=2):
+        for _ in range(count):
+            x = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+            yield x / np.max(np.abs(x))
+
+    def _check(self, gen, rng):
+        side = gen.total.in_side
+        scale = np.max(np.abs(gen.total.matrix))
+        local, cross = gen._split
+        for x in self._inputs(rng, side):
+            want = unvec(gen.total.matrix @ vec(x), side)
+            assert np.max(np.abs(gen.apply(x) - want)) <= 1e-13 * scale
+            local_sum = sum(unvec(t.matrix @ vec(x), side) for t in gen.local_terms)
+            cross_sum = sum(
+                (unvec(t.matrix @ vec(x), side) for t in gen.cross_terms.values()),
+                np.zeros_like(x),
+            )
+            assert np.max(np.abs(local.apply(x) - local_sum)) <= 1e-13 * scale
+            assert np.max(np.abs(cross.apply(x) - cross_sum)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("source", BUILTIN_NAMES + ("chain3",))
+    def test_builtins(self, source, rng):
+        self._check(scenario_generator(load_scenario(CHAIN3 if source == "chain3" else source)), rng)
+
+    def test_random_configs(self, rng):
+        for trial in range(6):
+            self._check(random_generator(rng, shared=trial % 2 == 0), rng)
+
+    @pytest.mark.parametrize("n_carr", [2, 3])
+    def test_collision_indexed(self, rng, n_carr):
+        gen = frame_rotated_generator(n_carr, collision_index=3)
+        self._check(gen, rng)
+        # the action really follows the collision index
+        x = next(self._inputs(rng, gen.total.in_side, 1))
+        other = frame_rotated_generator(n_carr, collision_index=1)
+        assert np.max(np.abs(gen.apply(x) - other.apply(x))) > 1e-3
 
 
 class TestSignalingCorrection:

@@ -87,6 +87,23 @@ class TestIntegrate:
         want = dephasing_exact(0.25)
         assert np.max(np.abs(traj.final_state().entries - want)) <= 1e-9
 
+    def test_off_grid_segment_rejected(self):
+        # a segment starting inside a step would silently run that whole step
+        # with the later generator
+        gen = dephasing_generator()
+        zero = Superoperator((2,), (2,), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="segment 1 starts at t = 0.015"):
+            integrate([(0.0, gen), (0.015, zero)], GROUND, t_end=0.1, dt=0.01)
+
+    def test_samples_exactly_hermitian(self, rng):
+        spec = CouplingSpec.uniform([[SX], [SX]], [SX])
+        correlated = full_generator(spec, GROUND, lossy_bosonic_channel(2, 0.25), 1.0, (2, 2)).total
+        for gen in (correlated, random_lindblad(rng, (2, 2))):
+            traj = integrate(gen, random_state(rng, (2, 2)), t_end=0.2, dt=1e-3)
+            for state in traj.states[1:]:
+                x = state.entries
+                assert np.array_equal(x, x.conj().T)
+
 
 def random_lindblad(rng, dims, n_jumps=2):
     """-i[H, X] + sum_k (L_k X L_k^dag - {L_k^dag L_k, X}/2): trace preserving."""

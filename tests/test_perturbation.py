@@ -36,6 +36,7 @@ from qcollide.perturbation import (
     column_expansion,
     column_remainder,
     remainder_halving_ratios,
+    traced_orders,
     unitary_expansion_terms,
     unitary_remainder,
     verify_first_order,
@@ -246,7 +247,7 @@ class TestExactSideIsSimulatorColumn:
             gen = full_generator(
                 cfg.couplings, cfg.eta, cfg.channel, cfg.gamma, cfg.carrier_dims, collision_index=n
             )
-            diff = (stepped - rho.entries) / cfg.dt - gen.total.apply(rho.op).entries
+            diff = (stepped - rho.entries) / cfg.dt - gen.apply(rho.entries)
             assert collision_step_defect(cfg, rho, collision_index=n) == np.linalg.norm(diff)
 
 
@@ -272,6 +273,23 @@ class TestVerifyFirstOrder:
         cfg = compliant_random_cfg(rng)
         report = verify_first_order(cfg, DensityMatrix.maximally_mixed((2, 2)))
         assert report.residual < 1e-12
+
+
+class TestSharedOrders:
+    def test_reports_read_one_pass(self, rng):
+        # both reports from one traced_orders pass equal the standalone ones
+        for cfg, n in [(compliant_random_cfg(rng, m_carriers=3), 1), (frame_rotated_cfg(rng, 2), 3)]:
+            rho = random_state(rng, cfg.carrier_dims)
+            gen = full_generator(
+                cfg.couplings, cfg.eta, cfg.channel, 1.0, cfg.carrier_dims, collision_index=n
+            )
+            orders = traced_orders(cfg, rho, collision_index=n)
+            assert verify_first_order(cfg, rho, collision_index=n, orders=orders) == verify_first_order(
+                cfg, rho, collision_index=n
+            )
+            assert verify_second_order(
+                cfg, rho, gen=gen, collision_index=n, orders=orders
+            ) == verify_second_order(cfg, rho, gen=gen, collision_index=n)
 
 
 class TestVerifySecondOrder:
