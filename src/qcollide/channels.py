@@ -28,30 +28,60 @@ from .ops import (
 STATE_TOL = 1e-10
 
 
+class StateViolation(ValueError):
+    """Row `index` of a checked stack is not a state; the message says why."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def check_states(stack: np.ndarray, atol: float = STATE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The one state check, over an (n, D, D) stack: Hermiticity within
+    max(atol, DEFAULT_TOL), then |trace - 1| <= atol, then minimum
+    eigenvalue >= -atol.  Returns the traces and minimum eigenvalues, or
+    raises StateViolation for the first row that fails a check, with that
+    check's message.  Comparisons are written so that NaN fails them; the
+    one batched eigvalsh runs only over the rows before the first
+    Hermiticity or trace failure.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails below
+        defect = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+        traces = np.trace(stack, axis1=-2, axis2=-1)
+    not_hermitian = ~(defect <= max(atol, DEFAULT_TOL))
+    bad = not_hermitian | ~(np.abs(traces - 1.0) <= atol)
+    first = int(np.argmax(bad)) if bad.any() else len(stack)
+    min_eigs = np.linalg.eigvalsh(stack[:first])[:, 0]
+    negative = ~(min_eigs >= -atol)
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise StateViolation(i, f"minimum eigenvalue {float(min_eigs[i])} below -{atol}")
+    if first < len(stack):
+        if not_hermitian[first]:
+            raise StateViolation(first, "density matrix is not Hermitian within tolerance")
+        raise StateViolation(first, f"trace {complex(traces[first])} is not 1 within {atol}")
+    return traces.real, min_eigs
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Operator constrained to be a valid quantum state.
 
     `atol` loosens the Hermiticity/trace/positivity checks, e.g. for states
-    produced by numerical integration.  This is the only state check; the
-    minimum eigenvalue it computes is kept for the trajectory record.
+    produced by numerical integration.  Construction runs the one state
+    check (`check_states`) on a stack of one; the trace and minimum
+    eigenvalue it computes are kept for the trajectory record.
     """
 
     op: Operator
     atol: float = STATE_TOL
+    trace: float = field(init=False, repr=False)
     min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        op = self.op
-        if not op.is_hermitian(max(self.atol, DEFAULT_TOL)):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = op.trace()
-        if abs(tr - 1.0) > self.atol:
-            raise ValueError(f"trace {tr} is not 1 within {self.atol}")
-        min_eig = float(np.linalg.eigvalsh(op.entries)[0])
-        if min_eig < -self.atol:
-            raise ValueError(f"minimum eigenvalue {min_eig} below -{self.atol}")
-        object.__setattr__(self, "min_eigenvalue", min_eig)
+        traces, min_eigs = check_states(self.op.entries[None], self.atol)
+        object.__setattr__(self, "trace", float(traces[0]))
+        object.__setattr__(self, "min_eigenvalue", float(min_eigs[0]))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -92,6 +122,30 @@ class DensityMatrix:
 
     def __repr__(self):  # pragma: no cover
         return f"DensityMatrix(dims={self.dims})"
+
+
+def checked_states(
+    stack: np.ndarray, dims: Sequence[int], atol: float = STATE_TOL
+) -> list[DensityMatrix]:
+    """Run the one state check over a complex (n, D, D) stack on the tensor
+    space `dims`, then make the stack read-only and wrap each row as a
+    DensityMatrix, neither copied nor checked a second time.  A failing row
+    raises StateViolation."""
+    dims = tuple(int(d) for d in dims)
+    side = math.prod(dims)
+    if stack.ndim != 3 or stack.shape[1:] != (side, side) or stack.dtype != complex:
+        raise ValueError(f"expected a complex stack of side {side}, got {stack.dtype} {stack.shape}")
+    traces, min_eigs = check_states(stack, atol)
+    stack.setflags(write=False)
+    states = []
+    for row, tr, min_eig in zip(stack, traces.tolist(), min_eigs.tolist()):
+        state = object.__new__(DensityMatrix)
+        object.__setattr__(state, "op", Operator.wrap(dims, row))
+        object.__setattr__(state, "atol", atol)
+        object.__setattr__(state, "trace", tr)
+        object.__setattr__(state, "min_eigenvalue", min_eig)
+        states.append(state)
+    return states
 
 
 def _trace_norm_hermitian(delta: np.ndarray) -> float:

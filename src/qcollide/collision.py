@@ -28,7 +28,7 @@ from .ops import (
     kron,
     partial_trace,
 )
-from .trajectory import Trajectory, build_trajectory, observable_arrays, sample_state
+from .trajectory import SampleRecorder, Trajectory, observable_arrays
 
 ROW_PATH_MAX_SIDE = 256
 
@@ -387,8 +387,9 @@ def simulate(
 
     Local free evolution, when configured, is applied to the carriers over
     [tau_(n-1), tau_n] before collision n.  Samples are recorded at step 0,
-    every `record_stride` collisions, and at the final collision; each is
-    validated when recorded, so an invalid state aborts the run.
+    every `record_stride` collisions, and at the final collision; they are
+    validated in batches (`trajectory.SampleRecorder`), so an invalid state
+    aborts the run at most one batch after it was recorded.
     """
     if rho0.dims != cfg.carrier_dims:
         raise ValueError(f"initial state dims {rho0.dims} do not match carriers {cfg.carrier_dims}")
@@ -400,7 +401,7 @@ def simulate(
     eta = cfg.eta.entries
     arr = np.array(rho0.entries, dtype=complex)
 
-    steps, times, states = [0], [0.0], [rho0]
+    recorder = SampleRecorder(cfg.carrier_dims, initial=rho0)
     for n in range(1, cfg.n_collisions + 1):
         v = _free_evolution_unitary(cfg, cfg.tau(n - 1), cfg.tau(n))
         if v is not None:
@@ -408,9 +409,7 @@ def simulate(
         joint = np.kron(arr, eta)
         arr = _trace_env(_column(joint, cfg, n, provider), cfg.env_dim)
         if n % record_stride == 0 or n == cfg.n_collisions:
-            steps.append(n)
-            times.append(cfg.tau(n))
-            states.append(sample_state(arr, cfg.carrier_dims, n, cfg.tau(n)))
+            recorder.record(n, cfg.tau(n), arr)
 
     metadata = {
         "engine": "collision",
@@ -420,7 +419,7 @@ def simulate(
         "n_collisions": cfg.n_collisions,
         "record_stride": record_stride,
     }
-    return build_trajectory(steps, times, states, obs, names, metadata)
+    return recorder.trajectory(obs, names, metadata)
 
 
 # --- row path (correctness oracle) ----------------------------------------

@@ -7,10 +7,14 @@ matrix S = A + B, and X = ((1+i)S + (1-i)S^T)/2.  Each generator is converted
 once into the real D^2 x D^2 matrix R of S -> s(Herm(G X(S))).  For a linear
 generator one RK4 step of size h is exactly s <- T4(hR) s, with T4 the
 degree-4 Taylor polynomial, so the propagator T4(hR) is built once per
-distinct generator and every step is a single real matrix-vector product.
-Recorded samples are exactly Hermitian by construction and are never
-re-symmetrized; trace and positivity are checked on every recorded sample
-but never enforced, so a broken generator shows up instead of being masked.
+distinct generator and every step is a single real matrix-vector product;
+the products run back to back.  A recorded step only copies its real
+coordinates into a small batch buffer (`trajectory.SampleRecorder`); each
+full batch, and the last one, becomes complex states in one vectorized
+conversion and goes through the one state check in one call.  Recorded
+samples are exactly Hermitian by construction and are never re-symmetrized;
+trace and positivity are checked on every recorded sample but never
+enforced, so a broken generator shows up instead of being masked.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .channels import DensityMatrix
-from .ops import Operator, Superoperator, hermitize, unvec, vec
-from .trajectory import Trajectory, build_trajectory, observable_arrays, sample_state
+from .ops import Operator, Superoperator, hermitize, vec
+from .trajectory import SampleRecorder, Trajectory, observable_arrays
 
 GeneratorLike = Superoperator | Sequence[tuple[float, Superoperator]]
 
@@ -79,13 +83,13 @@ def _rk4_propagator(g: np.ndarray, h: float) -> np.ndarray:
 
 
 def _hermitian(s: np.ndarray, side: int) -> np.ndarray:
-    """X = ((1+i)S + (1-i)S^T)/2 = A + iB from the real coordinates s = vec(S);
-    exactly Hermitian, since A = (S + S^T)/2 and B = (S - S^T)/2 are built
-    from the same entry pairs."""
-    m = unvec(s, side)
-    x = np.empty((side, side), dtype=complex)
-    np.add(m, m.T, out=x.real)
-    np.subtract(m, m.T, out=x.imag)
+    """X = ((1+i)S + (1-i)S^T)/2 = A + iB from the real coordinates s = vec(S),
+    for a stack of coordinate rows shaped (n, D^2); exactly Hermitian, since
+    A = (S + S^T)/2 and B = (S - S^T)/2 are built from the same entry pairs."""
+    m = s.reshape(-1, side, side).swapaxes(-2, -1)  # row-wise unvec
+    x = np.empty(m.shape, dtype=complex)
+    np.add(m, m.swapaxes(-2, -1), out=x.real)
+    np.subtract(m, m.swapaxes(-2, -1), out=x.imag)
     x *= 0.5
     return x
 
@@ -101,23 +105,23 @@ def integrate(
 ) -> Trajectory:
     """Integrate rho over [0, t_end] with fixed step dt (final time within dt
     of t_end).  A schedule segment that starts off the step grid is a
-    ValueError.  Aborts with a RuntimeError when a recorded sample fails the
-    state check (trace or positivity off by more than 1e-8): that signals a
-    broken generator, not an integration problem.
+    ValueError.  Aborts with a RuntimeError naming the first recorded sample
+    that fails the state check (trace or positivity off by more than 1e-8),
+    at most one batch of samples after it: that signals a broken generator,
+    not an integration problem.
     """
     if dt <= 0 or dt > t_end:
         raise ValueError("need 0 < dt <= t_end")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     starts, mats, desc = _segments(generator, dt)
-    dims = rho0.dims
     side = rho0.side
     obs, names = observable_arrays(observables, side, observable_names)
 
     n_steps = max(int(round(t_end / dt)), 1)
     s = vec(rho0.entries.real + rho0.entries.imag)
     buf = np.empty_like(s)
-    steps, times, states = [0], [0.0], [rho0]
+    recorder = SampleRecorder(rho0.dims, lambda rows: _hermitian(rows, side), initial=rho0)
     propagators: dict[int, np.ndarray] = {}
     for k in range(1, n_steps + 1):
         # one lookup per step, at the midpoint: segments start on the step
@@ -128,12 +132,10 @@ def integrate(
         np.matmul(propagators[idx], s, out=buf)
         s, buf = buf, s
         if k % record_stride == 0 or k == n_steps:
-            steps.append(k)
-            times.append(k * dt)
-            states.append(sample_state(_hermitian(s, side), dims, k, k * dt))
+            recorder.record(k, k * dt, s)
 
     metadata = {"engine": "me-rk4", "dt": dt, "t_end": n_steps * dt, "generator": desc}
-    return build_trajectory(steps, times, states, obs, names, metadata)
+    return recorder.trajectory(obs, names, metadata)
 
 
 def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
@@ -141,13 +143,13 @@ def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
     from .ops import partial_trace
 
     keep0 = sorted(int(m) - 1 for m in keep)
-    states = []
-    for step, t, state in zip(traj.steps, traj.times, traj.states):
-        reduced = partial_trace(state.op, keep0)
-        states.append(sample_state(reduced.entries, reduced.dims, step, t))
+    reduced = [partial_trace(state.op, keep0) for state in traj.states]
+    recorder = SampleRecorder(reduced[0].dims)
+    for step, t, r in zip(traj.steps.tolist(), traj.times.tolist(), reduced):
+        recorder.record(step, t, r.entries)
     metadata = dict(traj.metadata)
     metadata["reduced_to"] = list(keep)
-    return build_trajectory(traj.steps, traj.times, states, [], [], metadata)
+    return recorder.trajectory([], [], metadata)
 
 
 def trace_distance(a: DensityMatrix | Operator, b: DensityMatrix | Operator) -> float:

@@ -53,6 +53,17 @@ class Operator:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def wrap(cls, dims: tuple[int, ...], entries: np.ndarray) -> "Operator":
+        """Operator over an already read-only square complex array whose side
+        matches `dims`, taken as it is: neither copied nor checked again."""
+        if entries.flags.writeable:
+            raise ValueError("only a read-only array can be wrapped")
+        op = object.__new__(cls)
+        object.__setattr__(op, "dims", dims)
+        object.__setattr__(op, "entries", entries)
+        return op
+
     @property
     def side(self) -> int:
         return self.entries.shape[0]
@@ -260,8 +271,9 @@ def multiplier_matrix(
     `pairs` lists the (L_k, R_k) sandwiches; all matrices share one side D.
     Since vec(L X R) = (R^T kron L) vec(X), the (D, D, D, D) view [j, i, l, k]
     of the result holds sum_k R_k[l, j] L_k[i, k]: each term is one outer
-    product added into that view, in order, so a single term reproduces
-    np.kron bit for bit.  The one-sided pieces only touch the block
+    product added into that view, in order, one j-row at a time through a
+    reused D^3 buffer, so the result is the ordered sum of the np.kron
+    terms bit for bit.  The one-sided pieces only touch the block
     diagonals j = l (left) and i = k (right), at O(D^3) cost.
     """
     mats = [m for pair in pairs for m in pair] + [m for m in (left, right) if m is not None]
@@ -273,9 +285,10 @@ def multiplier_matrix(
     mat = np.zeros((side * side, side * side), dtype=complex)
     t = mat.reshape(side, side, side, side)
     if pairs:
-        view, term = t.transpose(0, 2, 1, 3), np.empty((side,) * 4, dtype=complex)
-        for l_k, r_k in pairs:
-            view += np.multiply.outer(r_k.T, l_k, out=term)
+        view, row = t.transpose(0, 2, 1, 3), np.empty((side,) * 3, dtype=complex)
+        for j in range(side):
+            for l_k, r_k in pairs:
+                view[j] += np.multiply.outer(r_k[:, j], l_k, out=row)
     diag = np.arange(side)
     if left is not None:
         t[diag, :, diag, :] += left

@@ -7,15 +7,17 @@ trace, min_eigenvalue) so outputs can be diffed at the file level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix
+from .channels import DensityMatrix, StateViolation, checked_states
 from .jsonio import write_json
 from .ops import Operator
 
 SAMPLE_ATOL = 1e-8
+# recorded samples are validated in stacks of this many
+SAMPLE_BATCH = 64
 
 
 def _fmt(x: float) -> str:
@@ -95,13 +97,71 @@ class Trajectory:
         write_json(path, payload)
 
 
-def sample_state(arr: np.ndarray, dims: tuple[int, ...], step: int, t: float) -> DensityMatrix:
-    """Validate one recorded sample; a violation aborts the run with a
-    RuntimeError naming the step, so the CLI reports a property failure."""
-    try:
-        return DensityMatrix(Operator(dims, arr), atol=SAMPLE_ATOL)
-    except ValueError as exc:
-        raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
+class SampleRecorder:
+    """The recorded samples of one run, validated SAMPLE_BATCH at a time.
+
+    `record` copies a raw sample (the integrator records real coordinates)
+    into the next row of a reused buffer of SAMPLE_BATCH samples.  A full
+    batch, and the last one at `trajectory`, is turned into a complex
+    (n, D, D) stack by `convert` (a copy by default) and goes through the one
+    state check in one call (`channels.checked_states`).  A violation aborts
+    the run with a RuntimeError naming the first failing step, so the CLI
+    reports a property failure; it surfaces at most one batch after that
+    step was recorded.  `initial`, when given, is the already validated
+    sample at step 0.
+    """
+
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        convert: Callable[[np.ndarray], np.ndarray] = np.array,
+        initial: DensityMatrix | None = None,
+    ):
+        self.dims = dims
+        self._convert = convert
+        self._buf: np.ndarray | None = None
+        self._pending = 0
+        self.steps: list[int] = []
+        self.times: list[float] = []
+        self.states: list[DensityMatrix] = []
+        if initial is not None:
+            self.steps.append(0)
+            self.times.append(0.0)
+            self.states.append(initial)
+
+    def record(self, step: int, t: float, sample: np.ndarray) -> None:
+        if self._buf is None:
+            self._buf = np.empty((SAMPLE_BATCH,) + sample.shape, dtype=sample.dtype)
+        self._buf[self._pending] = sample
+        self._pending += 1
+        self.steps.append(step)
+        self.times.append(t)
+        if self._pending == SAMPLE_BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        stack = self._convert(self._buf[: self._pending])
+        self._pending = 0
+        try:
+            self.states += checked_states(stack, self.dims, SAMPLE_ATOL)
+        except StateViolation as exc:
+            i = len(self.states) + exc.index
+            raise RuntimeError(
+                f"state invariants violated at step {self.steps[i]}, t={self.times[i]:.6g}: {exc}"
+            ) from exc
+
+    def trajectory(
+        self,
+        observables: Sequence[np.ndarray],
+        observable_names: Sequence[str],
+        metadata: dict | None = None,
+    ) -> Trajectory:
+        self._flush()
+        return build_trajectory(
+            self.steps, self.times, self.states, observables, observable_names, metadata
+        )
 
 
 def observable_arrays(
@@ -138,7 +198,7 @@ def build_trajectory(
         states=tuple(raw_states),
         observable_names=tuple(observable_names),
         observable_values=values,
-        traces=np.asarray([state.op.trace().real for state in raw_states]),
+        traces=np.asarray([state.trace for state in raw_states]),
         min_eigenvalues=np.asarray([state.min_eigenvalue for state in raw_states]),
         metadata=metadata or {},
     )

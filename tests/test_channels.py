@@ -7,7 +7,10 @@ from conftest import random_cpt_channel, random_hermitian, random_state, random_
 from qcollide.channels import (
     DensityMatrix,
     KrausChannel,
+    StateViolation,
     channel_from_dict,
+    check_states,
+    checked_states,
     fixed_point_distance,
     identity_channel,
     lossy_bosonic_channel,
@@ -56,6 +59,81 @@ class TestDensityMatrix:
     def test_from_ket_normalizes(self):
         dm = DensityMatrix.from_ket([3.0, 4.0], (2,))
         assert abs(dm.entries[0, 0] - 0.36) < 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        for pos in ((0, 0), (0, 1)):
+            rho = np.diag([0.5, 0.5]).astype(complex)
+            rho[pos] = bad
+            with pytest.raises(ValueError):
+                DensityMatrix.from_matrix(rho, (2,))
+
+    def test_keeps_trace_and_min_eigenvalue(self, rng):
+        rho = random_state(rng, (3,))
+        assert rho.trace == complex(np.trace(rho.entries)).real
+        assert rho.min_eigenvalue == np.linalg.eigvalsh(rho.entries)[0]
+
+
+class TestCheckStates:
+    """The one state check over a stack: same results and messages as one
+    state at a time, first violation by index."""
+
+    def stack(self, rng, n=10, dims=(3, 3)):
+        return np.array([random_state(rng, dims).entries for _ in range(n)])
+
+    def test_min_eigenvalues_and_traces_match_one_state_bit_for_bit(self, rng):
+        stack = self.stack(rng)
+        traces, min_eigs = check_states(stack, 1e-8)
+        assert np.array_equal(min_eigs, [np.linalg.eigvalsh(x)[0] for x in stack])
+        assert np.array_equal(traces, [complex(np.trace(x)).real for x in stack])
+
+    @pytest.mark.parametrize(
+        "bump, message",
+        [
+            ((0, 1, 1e-3), "not Hermitian"),
+            ((0, 0, 1e-3), "trace"),
+            ((0, 0, np.nan), "not Hermitian"),
+            ((0, 0, np.inf), "not Hermitian"),
+        ],
+    )
+    def test_first_violation_by_index(self, rng, bump, message):
+        stack = self.stack(rng)
+        i, j, delta = bump
+        stack[4, i, j] += delta
+        stack[7, i, j] += delta
+        with pytest.raises(StateViolation, match=message) as info:
+            check_states(stack, 1e-8)
+        assert info.value.index == 4
+
+    def test_negative_eigenvalue_before_a_trace_failure_comes_first(self, rng):
+        stack = self.stack(rng, dims=(2,))
+        stack[3] = np.diag([1.2, -0.2])
+        stack[6, 0, 0] += 1e-3
+        with pytest.raises(StateViolation, match="minimum eigenvalue -0.2") as info:
+            check_states(stack, 1e-8)
+        assert info.value.index == 3
+
+    def test_messages_match_one_state(self, rng):
+        for rho in (np.diag([0.5, 0.75]), np.diag([1.2, -0.2]), np.array([[0.5, 0.4], [0.1, 0.5]])):
+            with pytest.raises(ValueError) as one:
+                DensityMatrix.from_matrix(rho, (2,), atol=1e-8)
+            with pytest.raises(StateViolation) as stacked:
+                check_states(np.array([np.diag([0.5, 0.5]), rho], dtype=complex), 1e-8)
+            assert stacked.value.index == 1
+            assert str(stacked.value) == str(one.value)
+
+    def test_checked_states_wrap_rows_without_copy(self, rng):
+        stack = self.stack(rng, n=3)
+        states = checked_states(stack, (3, 3), 1e-8)
+        assert not stack.flags.writeable
+        for row, state in zip(stack, states):
+            assert np.shares_memory(state.entries, row)
+            assert state.dims == (3, 3)
+            assert state.min_eigenvalue == np.linalg.eigvalsh(row)[0]
+
+    def test_checked_states_rejects_wrong_side(self, rng):
+        with pytest.raises(ValueError, match="side 4"):
+            checked_states(self.stack(rng, n=2, dims=(3,)), (2, 2))
 
 
 class TestValidateCPT:

@@ -10,6 +10,7 @@ from qcollide.channels import (
     lossy_bosonic_channel,
     replacer_channel,
 )
+import qcollide.collision
 from qcollide.collision import (
     CollisionConfig,
     CouplingSpec,
@@ -184,6 +185,26 @@ class TestSimulate:
         got = traj.expectations("p0")[-1].real
         want = (1 + math.exp(-2 * gamma * t)) / 2
         assert abs(got - want) < 1e-2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_aborts(self, monkeypatch, bad):
+        # poison the carrier state after collision 70, past the first batch
+        trace_env, calls = qcollide.collision._trace_env, [0]
+
+        def poisoned(arr, env_dim):
+            out = trace_env(arr, env_dim)
+            calls[0] += 1
+            if calls[0] == 70:
+                out = out.copy()
+                out[1, 1] = bad
+            return out
+
+        monkeypatch.setattr(qcollide.collision, "_trace_env", poisoned)
+        # the run goes on past collision 70 until its batch is checked, and
+        # inf * 0 in the later collisions is NaN
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(RuntimeError, match="at step 70, t=7: density matrix is not Hermitian"):
+                simulate(qubit_config(n_collisions=100), GROUND)
 
     def test_replacer_keeps_carriers_product(self, rng):
         eta = GROUND

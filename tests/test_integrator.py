@@ -7,8 +7,10 @@ from conftest import random_state
 from qcollide.channels import DensityMatrix, identity_channel, lossy_bosonic_channel
 from qcollide.collision import CouplingSpec
 from qcollide.generators import full_generator
+import qcollide.integrator
 from qcollide.integrator import integrate, reduced_trajectory, trace_distance
 from qcollide.ops import Operator, Superoperator, hermitize, pauli, projector, unvec, vec
+from qcollide.trajectory import SAMPLE_BATCH
 
 SX = pauli("x")
 GROUND = DensityMatrix.ground(2)
@@ -69,6 +71,54 @@ class TestIntegrate:
         grow = Superoperator((2,), (2,), rate * np.eye(4))
         with pytest.raises(RuntimeError, match="invariants violated at step"):
             integrate(grow, GROUND, t_end=1.0, dt=0.01)
+
+    def test_growth_names_the_first_failing_step_past_a_batch(self):
+        # d rho/dt = rate * rho: the trace e^(rate t) first leaves 1 +- 1e-8 at
+        # the step of the per-sample formula, in a later batch than the first
+        dt = 0.01
+        rate = 1e-8 / (150.5 * dt)
+        want = next(k for k in range(1, 10**6) if abs(math.expm1(rate * k * dt)) > 1e-8)
+        assert want > SAMPLE_BATCH
+        grow = Superoperator((2,), (2,), rate * np.eye(4))
+        with pytest.raises(RuntimeError, match=f"invariants violated at step {want}, t={want * dt:.6g}: trace"):
+            integrate(grow, GROUND, t_end=3.0, dt=dt)
+
+    def test_nan_generator_segment_aborts_at_its_first_step(self):
+        nan = Superoperator((2,), (2,), np.full((4, 4), np.nan))
+        zero = Superoperator((2,), (2,), np.zeros((4, 4)))
+        with pytest.raises(RuntimeError, match="at step 101, t=1.01: density matrix is not Hermitian"):
+            integrate([(0.0, zero), (1.0, nan)], GROUND, t_end=2.0, dt=0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_aborts(self, monkeypatch, bad):
+        # poison the sample of step 70 where the recorder converts its batch
+        hermitian, seen = qcollide.integrator._hermitian, [0]
+
+        def poisoned(rows, side):
+            x = hermitian(rows, side)
+            i = 70 - 1 - seen[0]
+            seen[0] += len(x)
+            if 0 <= i < len(x):
+                x[i, 0, 0] = bad
+            return x
+
+        monkeypatch.setattr(qcollide.integrator, "_hermitian", poisoned)
+        with pytest.raises(RuntimeError, match="at step 70, t=0.7: density matrix is not Hermitian"):
+            integrate(dephasing_generator(), GROUND, t_end=1.0, dt=0.01)
+
+    def test_strided_samples_equal_stride_one_bit_for_bit(self, rng):
+        spec = CouplingSpec.uniform([[SX], [SX]], [SX])
+        gen = full_generator(spec, GROUND, lossy_bosonic_channel(2, 0.25), 1.0, (2, 2)).total
+        rho0 = random_state(rng, (2, 2))
+        every = integrate(gen, rho0, t_end=1.0, dt=5e-3)
+        by_step = dict(zip(every.steps.tolist(), range(len(every))))
+        for stride in (7, SAMPLE_BATCH + 1):
+            coarse = integrate(gen, rho0, t_end=1.0, dt=5e-3, record_stride=stride)
+            for i, step in enumerate(coarse.steps.tolist()):
+                j = by_step[step]
+                assert np.array_equal(coarse.states[i].entries, every.states[j].entries)
+                assert coarse.traces[i] == every.traces[j]
+                assert coarse.min_eigenvalues[i] == every.min_eigenvalues[j]
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="dt"):

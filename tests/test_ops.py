@@ -76,6 +76,14 @@ class TestOperator:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
+    def test_wrap_takes_only_read_only_arrays_without_copy(self):
+        arr = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="read-only"):
+            Operator.wrap((2,), arr)
+        arr.setflags(write=False)
+        op = Operator.wrap((2,), arr)
+        assert op.entries is arr and op.dims == (2,)
+
     def test_hermiticity_query(self, rng):
         h = random_hermitian(rng, (3,))
         assert h.is_hermitian()
@@ -312,6 +320,17 @@ class TestMultiplierMatrix:
         direct = sum((l @ x @ r for l, r in pairs), np.zeros((side, side)))
         direct = direct + (left @ x if left is not None else 0) + (x @ right if right is not None else 0)
         assert np.max(np.abs(unvec(got @ vec(x), side) - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("side", [1, 5, 27])
+    def test_terms_are_the_ordered_kron_sum_bit_for_bit(self, rng, side):
+        def rand():
+            return rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+
+        pairs = [(rand(), rand()) for _ in range(6)]
+        want = np.zeros((side**2, side**2), dtype=complex)
+        for l, r in pairs:
+            want += np.kron(r.T, l)
+        assert np.array_equal(multiplier_matrix(pairs), want)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
