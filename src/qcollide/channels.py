@@ -69,19 +69,14 @@ class DensityMatrix:
 
     `atol` loosens the Hermiticity/trace/positivity checks, e.g. for states
     produced by numerical integration.  Construction runs the one state
-    check (`check_states`) on a stack of one; the trace and minimum
-    eigenvalue it computes are kept for the trajectory record.
+    check (`check_states`) on a stack of one.
     """
 
     op: Operator
     atol: float = STATE_TOL
-    trace: float = field(init=False, repr=False)
-    min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        traces, min_eigs = check_states(self.op.entries[None], self.atol)
-        object.__setattr__(self, "trace", float(traces[0]))
-        object.__setattr__(self, "min_eigenvalue", float(min_eigs[0]))
+        check_states(self.op.entries[None], self.atol)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -122,30 +117,6 @@ class DensityMatrix:
 
     def __repr__(self):  # pragma: no cover
         return f"DensityMatrix(dims={self.dims})"
-
-
-def checked_states(
-    stack: np.ndarray, dims: Sequence[int], atol: float = STATE_TOL
-) -> list[DensityMatrix]:
-    """Run the one state check over a complex (n, D, D) stack on the tensor
-    space `dims`, then make the stack read-only and wrap each row as a
-    DensityMatrix, neither copied nor checked a second time.  A failing row
-    raises StateViolation."""
-    dims = tuple(int(d) for d in dims)
-    side = math.prod(dims)
-    if stack.ndim != 3 or stack.shape[1:] != (side, side) or stack.dtype != complex:
-        raise ValueError(f"expected a complex stack of side {side}, got {stack.dtype} {stack.shape}")
-    traces, min_eigs = check_states(stack, atol)
-    stack.setflags(write=False)
-    states = []
-    for row, tr, min_eig in zip(stack, traces.tolist(), min_eigs.tolist()):
-        state = object.__new__(DensityMatrix)
-        object.__setattr__(state, "op", Operator.wrap(dims, row))
-        object.__setattr__(state, "atol", atol)
-        object.__setattr__(state, "trace", tr)
-        object.__setattr__(state, "min_eigenvalue", min_eig)
-        states.append(state)
-    return states
 
 
 def _trace_norm_hermitian(delta: np.ndarray) -> float:
@@ -194,8 +165,6 @@ class KrausChannel:
         if x.side != self.side:
             raise ValueError(f"operator side {x.side} does not match channel side {self.side}")
         return Operator(x.dims, self.apply_on_factor(x.entries, (self.side,), 0))
-
-    __call__ = apply
 
     def apply_on_factor(self, x: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
         """Apply the channel to factor `pos` of x, a matrix or a stack

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 when a property
-check fails (assumption violation, non-decreasing convergence errors,
-expansion identity failures, or state-invariant blowups).
+Exit codes: 0 on success, 1 on configuration and usage errors, 2 when a
+property check fails (assumption violation, non-decreasing convergence
+errors, expansion identity failures, or state-invariant blowups).
 """
 
 from __future__ import annotations
@@ -26,15 +26,17 @@ EXIT_CONFIG = 1
 EXIT_PROPERTY = 2
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", required=True, help="config JSON path or builtin scenario name")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG, since EXIT_PROPERTY (argparse's
+    own usage-error code) means a failed property check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcollide",
         description="Collision-model simulation and correlated master-equation construction",
     )
@@ -45,7 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("converge", "sweep collision counts against the master-equation reference"),
         ("verify", "check the weak-coupling expansion identities"),
     ):
-        _add_common(sub.add_parser(name, help=text))
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--config", required=True, help="config JSON path or builtin scenario name")
+        cmd.add_argument("--out", default=None, help="output directory")
+        if name == "verify":
+            cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+        else:
+            cmd.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     return parser
 
 
@@ -56,8 +64,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        sc.seed = args.seed
 
     try:
         if args.command == "simulate":
@@ -102,7 +108,9 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            report = run_verify(sc, seed=args.seed)
+            if args.seed is not None:
+                sc.seed = args.seed
+            report = run_verify(sc)
             if args.out is not None:
                 os.makedirs(args.out, exist_ok=True)
                 write_json(os.path.join(args.out, "verify.json"), report.to_dict())

@@ -401,7 +401,8 @@ def simulate(
     eta = cfg.eta.entries
     arr = np.array(rho0.entries, dtype=complex)
 
-    recorder = SampleRecorder(cfg.carrier_dims, initial=rho0)
+    recorder = SampleRecorder(cfg.carrier_dims)
+    recorder.record(0, 0.0, arr)
     for n in range(1, cfg.n_collisions + 1):
         v = _free_evolution_unitary(cfg, cfg.tau(n - 1), cfg.tau(n))
         if v is not None:

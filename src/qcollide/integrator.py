@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .channels import DensityMatrix
-from .ops import Operator, Superoperator, hermitize, vec
-from .trajectory import SampleRecorder, Trajectory, observable_arrays
+from .ops import Operator, Superoperator, hermitize, trace_out, vec
+from .trajectory import SampleRecorder, Trajectory, build_trajectory, check_samples, observable_arrays
 
 GeneratorLike = Superoperator | Sequence[tuple[float, Superoperator]]
 
@@ -121,7 +121,8 @@ def integrate(
     n_steps = max(int(round(t_end / dt)), 1)
     s = vec(rho0.entries.real + rho0.entries.imag)
     buf = np.empty_like(s)
-    recorder = SampleRecorder(rho0.dims, lambda rows: _hermitian(rows, side), initial=rho0)
+    recorder = SampleRecorder(rho0.dims, lambda rows: _hermitian(rows, side))
+    recorder.record(0, 0.0, s)
     propagators: dict[int, np.ndarray] = {}
     for k in range(1, n_steps + 1):
         # one lookup per step, at the midpoint: segments start on the step
@@ -139,17 +140,16 @@ def integrate(
 
 
 def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
-    """Partial trace applied samplewise; `keep` lists 1-based carrier indices."""
-    from .ops import partial_trace
-
-    keep0 = sorted(int(m) - 1 for m in keep)
-    reduced = [partial_trace(state.op, keep0) for state in traj.states]
-    recorder = SampleRecorder(reduced[0].dims)
-    for step, t, r in zip(traj.steps.tolist(), traj.times.tolist(), reduced):
-        recorder.record(step, t, r.entries)
-    metadata = dict(traj.metadata)
-    metadata["reduced_to"] = list(keep)
-    return recorder.trajectory([], [], metadata)
+    """Partial trace applied samplewise; `keep` lists 1-based carrier indices.
+    The reduced samples go through the state check in one call."""
+    keep0 = [int(m) - 1 for m in keep]
+    reduced = [trace_out(state, traj.dims, keep0) for state in traj.states]
+    stack = np.array([r for _, r in reduced])
+    traces, min_eigs = check_samples(stack, traj.steps, traj.times)
+    metadata = {**traj.metadata, "reduced_to": list(keep)}
+    return build_trajectory(
+        traj.steps, traj.times, list(stack), traces, min_eigs, reduced[0][0], [], [], metadata
+    )
 
 
 def trace_distance(a: DensityMatrix | Operator, b: DensityMatrix | Operator) -> float:

@@ -53,17 +53,6 @@ class Operator:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def wrap(cls, dims: tuple[int, ...], entries: np.ndarray) -> "Operator":
-        """Operator over an already read-only square complex array whose side
-        matches `dims`, taken as it is: neither copied nor checked again."""
-        if entries.flags.writeable:
-            raise ValueError("only a read-only array can be wrapped")
-        op = object.__new__(cls)
-        object.__setattr__(op, "dims", dims)
-        object.__setattr__(op, "entries", entries)
-        return op
-
     @property
     def side(self) -> int:
         return self.entries.shape[0]
@@ -91,13 +80,6 @@ class Operator:
         self._binary_check(other)
         return Operator(self.dims, self.entries + other.entries)
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._binary_check(other)
-        return Operator(self.dims, self.entries - other.entries)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.dims, -self.entries)
-
     def __mul__(self, scalar) -> "Operator":
         return Operator(self.dims, self.entries * complex(scalar))
 
@@ -121,30 +103,29 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(a.dims + b.dims, np.kron(a.entries, b.entries))
 
 
-def kron_all(ops: Sequence[Operator]) -> Operator:
-    if not ops:
-        raise ValueError("need at least one operator")
-    out = ops[0]
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
-
-
 def partial_trace(x: Operator, keep: Iterable[int]) -> Operator:
     """Trace out every factor not listed in `keep` (kept factors stay in order)."""
-    n = len(x.dims)
+    return Operator(*trace_out(x.entries, x.dims, keep))
+
+
+def trace_out(
+    x: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The factor dimensions and matrix of the partial trace of the matrix x
+    on the tensor space `dims` over every factor not listed in `keep`."""
+    n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    tensor = x.entries.reshape(x.dims + x.dims)
+    tensor = x.reshape(dims + dims)
     row = list(range(n))
     col = [n + i for i in range(n)]
     in_labels = row + [row[i] if i not in keep else col[i] for i in range(n)]
     out_labels = [row[i] for i in keep] + [col[i] for i in keep]
     reduced = np.einsum(tensor, in_labels, out_labels)
-    kept_dims = tuple(x.dims[i] for i in keep) or (1,)
+    kept_dims = tuple(dims[i] for i in keep) or (1,)
     side = math.prod(kept_dims)
-    return Operator(kept_dims, reduced.reshape(side, side))
+    return kept_dims, reduced.reshape(side, side)
 
 
 def expm_hermitian(h: Operator, s: float, tol: float = DEFAULT_TOL) -> Operator:
@@ -244,18 +225,6 @@ class Superoperator:
         if x.side != self.in_side:
             raise ValueError(f"operator side {x.side} does not match superoperator input {self.in_side}")
         return Operator(self.out_dims, unvec(self.matrix @ vec(x.entries), self.out_side))
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other."""
-        if other.out_side != self.in_side:
-            raise ValueError("composition side mismatch")
-        return Superoperator(other.in_dims, self.out_dims, self.matrix @ other.matrix)
-
-    def is_trace_preserving(self, tol: float = DEFAULT_TOL) -> bool:
-        """True iff the adjoint maps the identity to the identity."""
-        vid_out = vec(np.eye(self.out_side))
-        vid_in = vec(np.eye(self.in_side))
-        return max_abs(self.matrix.conj().T @ vid_out - vid_in) <= tol
 
     def __repr__(self):  # pragma: no cover
         return f"Superoperator(in_dims={self.in_dims}, out_dims={self.out_dims})"

@@ -259,13 +259,6 @@ class HalvingReport:
     column: tuple[float, float, float]
     step: tuple[float, float, float]
 
-    def ratios(self) -> dict:
-        return {
-            "unitary": self.unitary[2],
-            "column": self.column[2],
-            "step": self.step[2],
-        }
-
 
 def _random_hermitian(rng: np.random.Generator, dims: tuple[int, ...]) -> Operator:
     side = math.prod(dims)

@@ -63,6 +63,14 @@ class ConfigError(Exception):
     """Raised for malformed or inconsistent scenario configuration."""
 
 
+def _integer(value, what: str) -> int:
+    """A config integer as given: floats (also 2.0), booleans and strings are
+    rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(eq=False)
 class ScenarioConfig:
     name: str
@@ -86,7 +94,9 @@ class ScenarioConfig:
             raise ConfigError("gamma must be positive and finite")
         if not 0 < self.t_end < math.inf:
             raise ConfigError("t_end must be positive and finite")
-        self.sweep = tuple(int(n) for n in self.sweep)
+        self.sweep = tuple(_integer(n, "sweep entry") for n in self.sweep)
+        for key in ("n_collisions", "record_stride", "seed"):
+            setattr(self, key, _integer(getattr(self, key), key))
         if not self.sweep:
             raise ConfigError("sweep needs at least one entry")
         if min(self.sweep) < 1:
@@ -224,7 +234,7 @@ def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...
             raise ConfigError("each observable needs a 'name'")
         name = str(entry["name"])
         if "carrier" in entry:
-            m = int(entry["carrier"])
+            m = _integer(entry["carrier"], f"observable {name!r}: carrier")
             if not 1 <= m <= len(carrier_dims):
                 raise ConfigError(f"observable {name!r}: carrier {m} out of range")
             local = parse_operator(entry["op"], carrier_dims[m - 1])
@@ -310,7 +320,7 @@ def builtin_scenario(name: str, params: dict | None = None) -> ScenarioConfig:
         )
     if name == "bosonic-fiber":
         _check_params(name, params, {"d", "kappa"})
-        d = int(params.get("d", 4))
+        d = _integer(params.get("d", 4), "params.d")
         kappa = float(params.get("kappa", 0.25))
         dims = (d, d)
         x, p = position_op(d), momentum_op(d)
@@ -400,11 +410,9 @@ def load_scenario(source) -> ScenarioConfig:
         for key in ("gamma", "t_end"):
             if key in data:
                 setattr(sc, key, float(data[key]))
-        if "sweep" in data:
-            sc.sweep = tuple(int(n) for n in data["sweep"])
-        for key in ("n_collisions", "record_stride", "seed"):
+        for key in ("sweep", "n_collisions", "record_stride", "seed"):
             if key in data:
-                setattr(sc, key, int(data[key]))
+                setattr(sc, key, data[key])
         sc.__post_init__()
     except KeyError as exc:
         raise ConfigError(f"config is missing key {exc}") from exc
@@ -415,8 +423,8 @@ def load_scenario(source) -> ScenarioConfig:
 
 
 def _load_custom(data: dict) -> ScenarioConfig:
-    carrier_dims = tuple(int(d) for d in data["carrier_dims"])
-    env_dim = int(data["env_dim"])
+    carrier_dims = tuple(_integer(d, "carrier_dims entry") for d in data["carrier_dims"])
+    env_dim = _integer(data["env_dim"], "env_dim")
     coupling_block = data["couplings"]
     eta = parse_state(data["eta"], (env_dim,))
     channel = channel_from_dict(data["channel"])
@@ -471,15 +479,7 @@ class ConvergeReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "entries": self.entries,
-            "fitted_order": self.fitted_order,
-            "errors_strictly_decreasing": self.errors_strictly_decreasing,
-            "assumption": self.assumption,
-            "reference_dt": self.reference_dt,
-            "passed": self.passed,
-        }
+        return dataclasses.asdict(self)
 
     def to_csv(self, path):
         lines = ["n,dt,g,error"]
@@ -615,12 +615,11 @@ def _random_state(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMat
     return DensityMatrix.from_matrix(rho, dims)
 
 
-def run_verify(sc: ScenarioConfig, n_states: int = 3, seed: int | None = None) -> VerifyReport:
+def run_verify(sc: ScenarioConfig, n_states: int = 3) -> VerifyReport:
     """Expansion identity checks on the scenario: first-order cancellation,
     second-order identification with the generator pieces, and remainder
-    halving ratios."""
-    seed = sc.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    halving ratios; the random states and probes are drawn from sc.seed."""
+    rng = np.random.default_rng(sc.seed)
     cfg = collision_config(sc, max(sc.n_collisions, 1))
     assumption = check_assumption(cfg, m_max=len(sc.carrier_dims) + 2)
 
@@ -644,7 +643,7 @@ def run_verify(sc: ScenarioConfig, n_states: int = 3, seed: int | None = None) -
             }
         )
 
-    ratios = remainder_halving_ratios(cfg, seed=seed)
+    ratios = remainder_halving_ratios(cfg, seed=sc.seed)
     lo, hi = RATIO_WINDOW
     ratio_ok = (
         lo <= ratios.unitary[2] <= hi
@@ -658,7 +657,7 @@ def run_verify(sc: ScenarioConfig, n_states: int = 3, seed: int | None = None) -
     }
     return VerifyReport(
         scenario=sc.name,
-        seed=seed,
+        seed=sc.seed,
         assumption=assumption.to_dict(),
         first_order=first,
         second_order=second,

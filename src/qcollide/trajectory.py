@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, StateViolation, checked_states
+from .channels import DensityMatrix, StateViolation, check_states
 from .jsonio import write_json
 from .ops import Operator
 
@@ -26,11 +26,17 @@ def _fmt(x: float) -> str:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Ordered samples of a state evolution with observable expectations."""
+    """Ordered samples of a state evolution with observable expectations.
+
+    `states` are read-only complex (D, D) arrays on the tensor space `dims`:
+    the rows of the stacks that passed the one state check, whose traces and
+    minimum eigenvalues are kept alongside.
+    """
 
     steps: np.ndarray
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    states: tuple[np.ndarray, ...]
+    dims: tuple[int, ...]
     observable_names: tuple[str, ...]
     observable_values: np.ndarray  # shape (n_samples, n_observables), complex
     traces: np.ndarray
@@ -55,7 +61,8 @@ class Trajectory:
         return len(self.states)
 
     def final_state(self) -> DensityMatrix:
-        return self.states[-1]
+        """The last sample as a DensityMatrix (checked again, at SAMPLE_ATOL)."""
+        return DensityMatrix(Operator(self.dims, self.states[-1]), SAMPLE_ATOL)
 
     def expectations(self, name: str) -> np.ndarray:
         idx = self.observable_names.index(name)
@@ -93,8 +100,25 @@ class Trajectory:
         }
         if include_states:
             for i, sample in enumerate(payload["samples"]):
-                sample["state"] = self.states[i].entries
+                sample["state"] = self.states[i]
         write_json(path, payload)
+
+
+def check_samples(
+    stack: np.ndarray, steps: Sequence[int], times: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the one state check (`channels.check_states`) over a complex
+    (n, D, D) stack of the samples taken at `steps` and `times`, then make the
+    stack read-only; returns the traces and minimum eigenvalues.  A failing
+    sample aborts the run with a RuntimeError naming its step, so the CLI
+    reports a property failure."""
+    try:
+        checks = check_states(stack, SAMPLE_ATOL)
+    except StateViolation as exc:
+        step, t = steps[exc.index], times[exc.index]
+        raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
+    stack.setflags(write=False)
+    return checks
 
 
 class SampleRecorder:
@@ -102,20 +126,16 @@ class SampleRecorder:
 
     `record` copies a raw sample (the integrator records real coordinates)
     into the next row of a reused buffer of SAMPLE_BATCH samples.  A full
-    batch, and the last one at `trajectory`, is turned into a complex
-    (n, D, D) stack by `convert` (a copy by default) and goes through the one
-    state check in one call (`channels.checked_states`).  A violation aborts
-    the run with a RuntimeError naming the first failing step, so the CLI
-    reports a property failure; it surfaces at most one batch after that
-    step was recorded.  `initial`, when given, is the already validated
-    sample at step 0.
+    batch, and the last one at `trajectory`, is turned into a new complex
+    (n, D, D) stack by `convert` (a copy by default) and checked in one call
+    (`check_samples`); the recorder keeps the checked stacks and the check's
+    traces and minimum eigenvalues, and the trajectory's states are the rows
+    of those stacks.  A violation surfaces at most one batch after the
+    failing step was recorded.
     """
 
     def __init__(
-        self,
-        dims: tuple[int, ...],
-        convert: Callable[[np.ndarray], np.ndarray] = np.array,
-        initial: DensityMatrix | None = None,
+        self, dims: tuple[int, ...], convert: Callable[[np.ndarray], np.ndarray] = np.array
     ):
         self.dims = dims
         self._convert = convert
@@ -123,11 +143,8 @@ class SampleRecorder:
         self._pending = 0
         self.steps: list[int] = []
         self.times: list[float] = []
-        self.states: list[DensityMatrix] = []
-        if initial is not None:
-            self.steps.append(0)
-            self.times.append(0.0)
-            self.states.append(initial)
+        self._stacks: list[np.ndarray] = []
+        self._checks: list[tuple[np.ndarray, np.ndarray]] = []
 
     def record(self, step: int, t: float, sample: np.ndarray) -> None:
         if self._buf is None:
@@ -143,14 +160,10 @@ class SampleRecorder:
         if not self._pending:
             return
         stack = self._convert(self._buf[: self._pending])
+        first = len(self.steps) - self._pending
         self._pending = 0
-        try:
-            self.states += checked_states(stack, self.dims, SAMPLE_ATOL)
-        except StateViolation as exc:
-            i = len(self.states) + exc.index
-            raise RuntimeError(
-                f"state invariants violated at step {self.steps[i]}, t={self.times[i]:.6g}: {exc}"
-            ) from exc
+        self._checks.append(check_samples(stack, self.steps[first:], self.times[first:]))
+        self._stacks.append(stack)
 
     def trajectory(
         self,
@@ -159,8 +172,11 @@ class SampleRecorder:
         metadata: dict | None = None,
     ) -> Trajectory:
         self._flush()
+        traces, min_eigs = (np.concatenate(c) for c in zip(*self._checks))
+        rows = [row for stack in self._stacks for row in stack]
         return build_trajectory(
-            self.steps, self.times, self.states, observables, observable_names, metadata
+            self.steps, self.times, rows, traces, min_eigs, self.dims,
+            observables, observable_names, metadata,
         )
 
 
@@ -181,24 +197,28 @@ def observable_arrays(
 def build_trajectory(
     steps: Sequence[int],
     times: Sequence[float],
-    raw_states: Sequence[DensityMatrix],
+    raw_states: Sequence[np.ndarray],
+    traces: np.ndarray,
+    min_eigenvalues: np.ndarray,
+    dims: tuple[int, ...],
     observables: Sequence[np.ndarray],
     observable_names: Sequence[str],
     metadata: dict | None = None,
 ) -> Trajectory:
-    """Assemble a Trajectory from the validated samples; trace and minimum
-    eigenvalue are read from the states, not recomputed."""
+    """Assemble a Trajectory from checked samples (read-only complex arrays)
+    and the traces and minimum eigenvalues their check returned."""
     values = np.zeros((len(raw_states), len(observables)), dtype=complex)
     for i, state in enumerate(raw_states):
         for j, obs in enumerate(observables):
-            values[i, j] = np.einsum("ij,ji->", obs, state.entries)
+            values[i, j] = np.einsum("ij,ji->", obs, state)
     return Trajectory(
         steps=np.asarray(steps),
         times=np.asarray(times),
         states=tuple(raw_states),
+        dims=tuple(dims),
         observable_names=tuple(observable_names),
         observable_values=values,
-        traces=np.asarray([state.trace for state in raw_states]),
-        min_eigenvalues=np.asarray([state.min_eigenvalue for state in raw_states]),
+        traces=traces,
+        min_eigenvalues=min_eigenvalues,
         metadata=metadata or {},
     )

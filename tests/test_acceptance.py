@@ -185,10 +185,11 @@ def test_criterion_5_nonsignaling_dichotomy():
 
         local_gen = single_carrier_generator(gen_cx, 2)
         for state in joint_cx.states[:: max(len(joint_cx) // 20, 1)]:
-            lhs = partial_trace(gen_cx.total.apply(state.op), keep=[1]).entries
-            rho2 = partial_trace(state.op, keep=[1])
+            state = Operator(joint_cx.dims, state)
+            lhs = partial_trace(gen_cx.total.apply(state), keep=[1]).entries
+            rho2 = partial_trace(state, keep=[1])
             corr = signaling_correction(
-                sc_cx.couplings, gen_cx.rates.cross[(1, 2)], state.op, (2, 2)
+                sc_cx.couplings, gen_cx.rates.cross[(1, 2)], state, (2, 2)
             )
             rhs = local_gen.apply(rho2).entries + corr.entries
             assert np.linalg.norm(lhs - rhs) <= 1e-9
@@ -203,9 +204,9 @@ def test_criterion_6_memoryless_limit(rng):
         cfg = collision_config(sc, 30)
         traj = simulate(cfg, sc.rho0)
         for state in traj.states:
-            red1 = partial_trace(state.op, keep=[0]).entries
-            red2 = partial_trace(state.op, keep=[1]).entries
-            assert np.max(np.abs(state.entries - np.kron(red1, red2))) <= 1e-10
+            red1 = partial_trace(Operator(traj.dims, state), keep=[0]).entries
+            red2 = partial_trace(Operator(traj.dims, state), keep=[1]).entries
+            assert np.max(np.abs(state - np.kron(red1, red2))) <= 1e-10
 
 
 def test_criterion_7_bosonic_fiber():
@@ -356,5 +357,5 @@ def test_criterion_10_interaction_picture(rng):
         rot = simulate(cfg_rot, rho0)
         for i, n in enumerate(lab.steps):
             v = frame_propagator(cfg_lab, int(n))
-            mapped = v.conj().T @ lab.states[i].entries @ v
-            assert np.max(np.abs(mapped - rot.states[i].entries)) <= 1e-10
+            mapped = v.conj().T @ lab.states[i] @ v
+            assert np.max(np.abs(mapped - rot.states[i])) <= 1e-10

@@ -10,7 +10,6 @@ from qcollide.channels import (
     StateViolation,
     channel_from_dict,
     check_states,
-    checked_states,
     fixed_point_distance,
     identity_channel,
     lossy_bosonic_channel,
@@ -68,11 +67,6 @@ class TestDensityMatrix:
             with pytest.raises(ValueError):
                 DensityMatrix.from_matrix(rho, (2,))
 
-    def test_keeps_trace_and_min_eigenvalue(self, rng):
-        rho = random_state(rng, (3,))
-        assert rho.trace == complex(np.trace(rho.entries)).real
-        assert rho.min_eigenvalue == np.linalg.eigvalsh(rho.entries)[0]
-
 
 class TestCheckStates:
     """The one state check over a stack: same results and messages as one
@@ -121,19 +115,6 @@ class TestCheckStates:
                 check_states(np.array([np.diag([0.5, 0.5]), rho], dtype=complex), 1e-8)
             assert stacked.value.index == 1
             assert str(stacked.value) == str(one.value)
-
-    def test_checked_states_wrap_rows_without_copy(self, rng):
-        stack = self.stack(rng, n=3)
-        states = checked_states(stack, (3, 3), 1e-8)
-        assert not stack.flags.writeable
-        for row, state in zip(stack, states):
-            assert np.shares_memory(state.entries, row)
-            assert state.dims == (3, 3)
-            assert state.min_eigenvalue == np.linalg.eigvalsh(row)[0]
-
-    def test_checked_states_rejects_wrong_side(self, rng):
-        with pytest.raises(ValueError, match="side 4"):
-            checked_states(self.stack(rng, n=2, dims=(3,)), (2, 2))
 
 
 class TestValidateCPT:

@@ -403,8 +403,8 @@ class TestInteractionFrame:
         rot = simulate(cfg_rot, rho0)
         for i, n in enumerate(lab.steps):
             v = frame_propagator(cfg_lab, int(n))
-            mapped = v.conj().T @ lab.states[i].entries @ v
-            assert np.max(np.abs(mapped - rot.states[i].entries)) <= 1e-10
+            mapped = v.conj().T @ lab.states[i] @ v
+            assert np.max(np.abs(mapped - rot.states[i])) <= 1e-10
 
     def test_piecewise_schedule_propagator(self):
         h1 = Operator((2,), 0.7 * SZ.entries)

@@ -31,7 +31,7 @@ class TestIntegrate:
         zero = Superoperator((2,), (2,), np.zeros((4, 4)))
         traj = integrate(zero, rho0, t_end=1.0, dt=0.05)
         for state in traj.states:
-            assert np.max(np.abs(state.entries - rho0.entries)) <= 1e-14
+            assert np.max(np.abs(state - rho0.entries)) <= 1e-14
 
     def test_dephasing_closed_form(self):
         traj = integrate(dephasing_generator(), GROUND, t_end=0.5, dt=1e-3,
@@ -96,7 +96,7 @@ class TestIntegrate:
 
         def poisoned(rows, side):
             x = hermitian(rows, side)
-            i = 70 - 1 - seen[0]
+            i = 70 - seen[0]
             seen[0] += len(x)
             if 0 <= i < len(x):
                 x[i, 0, 0] = bad
@@ -116,7 +116,7 @@ class TestIntegrate:
             coarse = integrate(gen, rho0, t_end=1.0, dt=5e-3, record_stride=stride)
             for i, step in enumerate(coarse.steps.tolist()):
                 j = by_step[step]
-                assert np.array_equal(coarse.states[i].entries, every.states[j].entries)
+                assert np.array_equal(coarse.states[i], every.states[j])
                 assert coarse.traces[i] == every.traces[j]
                 assert coarse.min_eigenvalues[i] == every.min_eigenvalues[j]
 
@@ -150,8 +150,7 @@ class TestIntegrate:
         correlated = full_generator(spec, GROUND, lossy_bosonic_channel(2, 0.25), 1.0, (2, 2)).total
         for gen in (correlated, random_lindblad(rng, (2, 2))):
             traj = integrate(gen, random_state(rng, (2, 2)), t_end=0.2, dt=1e-3)
-            for state in traj.states[1:]:
-                x = state.entries
+            for x in traj.states:
                 assert np.array_equal(x, x.conj().T)
 
 
@@ -203,7 +202,7 @@ class TestPropagatorAgainstStagedRK4:
         assert traj.times[-1] == self.N_STEPS * self.DT
         assert traj.metadata["engine"] == "me-rk4"
         for state, ref in zip(traj.states, want):
-            assert np.max(np.abs(state.entries - ref)) <= 1e-12
+            assert np.max(np.abs(state - ref)) <= 1e-12
 
     def test_static_generator(self, rng):
         gen = random_lindblad(rng, self.DIMS)
@@ -222,7 +221,7 @@ class TestReducedTrajectory:
         traj = integrate(gen, random_state(rng, (2,)), t_end=0.2, dt=1e-2)
         red = reduced_trajectory(traj, keep=[1])
         for a, b in zip(traj.states, red.states):
-            assert np.allclose(a.entries, b.entries)
+            assert np.allclose(a, b)
 
     def test_product_local_factorization(self, rng):
         # local-only generator on a product state: reduction equals a local run

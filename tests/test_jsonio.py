@@ -96,7 +96,7 @@ class TestRoundTripAgainstOldEncoder:
                     "observables": [[float(v.real), float(v.imag)] for v in traj.observable_values[i]],
                     "trace": float(traj.traces[i]),
                     "min_eigenvalue": float(traj.min_eigenvalues[i]),
-                    "state": old_complex_matrix_to_json(traj.states[i].entries),
+                    "state": old_complex_matrix_to_json(traj.states[i]),
                 }
                 for i in range(len(traj))
             ],
@@ -104,7 +104,7 @@ class TestRoundTripAgainstOldEncoder:
         doc = read(tmp_path / "trajectory.json")
         assert doc == old_document(old)
         for sample, state in zip(doc["samples"], traj.states, strict=True):
-            assert np.array_equal(complex_matrix_from_json(sample["state"]), state.entries)
+            assert np.array_equal(complex_matrix_from_json(sample["state"]), state)
 
 
 def tokens(text):

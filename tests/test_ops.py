@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cpt_channel, random_hermitian, random_unitary
+from conftest import random_cpt_channel, random_hermitian
 from qcollide.ops import (
     Operator,
     Superoperator,
@@ -76,14 +76,6 @@ class TestOperator:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
-    def test_wrap_takes_only_read_only_arrays_without_copy(self):
-        arr = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError, match="read-only"):
-            Operator.wrap((2,), arr)
-        arr.setflags(write=False)
-        op = Operator.wrap((2,), arr)
-        assert op.entries is arr and op.dims == (2,)
-
     def test_hermiticity_query(self, rng):
         h = random_hermitian(rng, (3,))
         assert h.is_hermitian()
@@ -116,17 +108,6 @@ class TestKron:
         left = kron(kron(a, b), c)
         right = kron(a, kron(b, c))
         assert np.max(np.abs(left.entries - right.entries)) <= 1e-13
-
-    def test_kron_all_chains(self, rng):
-        from qcollide.ops import kron_all
-
-        ops = [random_hermitian(rng, (2,)) for _ in range(3)]
-        got = kron_all(ops)
-        want = kron(kron(ops[0], ops[1]), ops[2])
-        assert got.dims == (2, 2, 2)
-        assert np.allclose(got.entries, want.entries)
-        with pytest.raises(ValueError, match="at least one"):
-            kron_all([])
 
 
 class TestPartialTrace:
@@ -368,20 +349,6 @@ class TestSuperoperator:
         s = Superoperator.identity((2, 3))
         x = random_hermitian(rng, (2, 3))
         assert s.apply(x).side == 6
-
-    def test_trace_preserving_query(self, rng):
-        u = random_unitary(rng, 3)
-        s = kraus_superop([Operator((3,), u)])
-        assert s.is_trace_preserving()
-        assert not kraus_superop([identity((3,)) * 0.5]).is_trace_preserving()
-
-    def test_composition(self, rng):
-        a = random_hermitian(rng, (2,))
-        b = random_hermitian(rng, (2,))
-        x = random_hermitian(rng, (2,))
-        s = commutator_superop(a).compose(commutator_superop(b))
-        want = commutator_superop(a).apply(commutator_superop(b).apply(x))
-        assert np.allclose(s.apply(x).entries, want.entries)
 
     def test_rejects_bad_matrix_shape(self):
         with pytest.raises(ValueError, match="shape"):

@@ -283,7 +283,7 @@ class TestCLI:
                 "invalid literal",
             ),
             ([1, 2], "must be a JSON object"),
-            ({"scenario": "dephasing-1q", "seed": math.inf}, "cannot convert float infinity"),
+            ({"scenario": "dephasing-1q", "seed": math.inf}, "seed must be an integer, got inf"),
             (
                 {
                     "scenario": "custom",
@@ -299,10 +299,46 @@ class TestCLI:
             ({"scenario": "dephasing-1q", "t_end": math.inf}, "t_end must be positive and finite"),
             ({"scenario": "dephasing-1q", "sweep": []}, "sweep needs at least one entry"),
             ({"scenario": "dephasing-1q", "sweep": [50, 100, 100]}, "sweep entries must be distinct"),
+            ({"scenario": "dephasing-1q", "sweep": [1.5, 2.5]}, "sweep entry must be an integer, got 1.5"),
+            ({"scenario": "dephasing-1q", "sweep": [50, 100.0]}, "sweep entry must be an integer, got 100.0"),
+            ({"scenario": "dephasing-1q", "sweep": "50"}, "sweep entry must be an integer, got '5'"),
+            ({"scenario": "dephasing-1q", "n_collisions": 10.5}, "n_collisions must be an integer, got 10.5"),
+            ({"scenario": "dephasing-1q", "record_stride": True}, "record_stride must be an integer, got True"),
+            ({"scenario": "dephasing-1q", "seed": True}, "seed must be an integer, got True"),
+            ({"scenario": "dephasing-1q", "seed": "7"}, "seed must be an integer, got '7'"),
+            (
+                {
+                    "scenario": "custom",
+                    "carrier_dims": [2.0],
+                    "env_dim": 2,
+                    "couplings": {"system": [["sx"]], "environment": ["sx"]},
+                    "eta": "ground",
+                    "channel": {"kind": "lossy", "dim": 2, "kappa": 0.5},
+                },
+                "carrier_dims entry must be an integer, got 2.0",
+            ),
+            (
+                {
+                    "scenario": "custom",
+                    "carrier_dims": [2],
+                    "env_dim": 2.5,
+                    "couplings": {"system": [["sx"]], "environment": ["sx"]},
+                    "eta": "ground",
+                    "channel": {"kind": "lossy", "dim": 2, "kappa": 0.5},
+                },
+                "env_dim must be an integer, got 2.5",
+            ),
+            ({"scenario": "bosonic-fiber", "params": {"d": 3.5}}, "params.d must be an integer, got 3.5"),
+            (
+                {"scenario": "ad-chain-2q", "observables": [{"name": "p", "carrier": 1.5, "op": "sz"}]},
+                "observable 'p': carrier must be an integer, got 1.5",
+            ),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
              "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity",
-             "sweep-empty", "sweep-duplicate"],
+             "sweep-empty", "sweep-duplicate", "sweep-float", "sweep-integral-float", "sweep-string",
+             "n-collisions-float", "record-stride-bool", "seed-bool", "seed-string", "carrier-dims-float",
+             "env-dim-float", "params-d-float", "observable-carrier-float"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"
@@ -313,6 +349,43 @@ class TestCLI:
         assert err.startswith("config error:")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "dephasing-1q", "--format", "xml"],
+            ["simulate", "--config", "dephasing-1q", "--seed", "3"],
+            ["generators", "--config", "dephasing-1q", "--seed", "3"],
+            ["converge", "--config", "dephasing-1q", "--seed", "3"],
+            ["verify", "--config", "dephasing-1q", "--format", "json"],
+            ["verify", "--config", "dephasing-1q", "--seed", "1.5"],
+            ["simulate"],
+            ["transmogrify", "--config", "dephasing-1q"],
+            [],
+        ],
+        ids=["bad-format", "simulate-seed", "generators-seed", "converge-seed", "verify-format",
+             "float-seed", "no-config", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exit_one(self, capsys, argv):
+        # exit 2 is reserved for failed property checks
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qcollide")
+        assert "error:" in err
+
+    def test_help_exit_zero(self, capsys):
+        for command in ("simulate", "generators", "converge", "verify"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--help"])
+            assert info.value.code == 0
+            text = capsys.readouterr().out
+            assert ("--seed" in text) == (command == "verify")
+            assert ("--format" in text) == (command != "verify")
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
 
     def test_module_entry_point(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -326,6 +399,15 @@ class TestCLI:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("verify dephasing-1q:")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcollide", "simulate", "--config", "dephasing-1q", "--format", "xml"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "invalid choice: 'xml'" in proc.stderr
 
     def test_property_failure_exit_two(self, tmp_path, capsys):
         bad = {

@@ -1,0 +1,150 @@
+"""Recorded samples: a trajectory keeps the rows of its checked batch stacks
+as read-only arrays, and the check's traces and minimum eigenvalues."""
+
+import numpy as np
+import pytest
+
+from conftest import random_state
+from qcollide.channels import DensityMatrix, check_states, lossy_bosonic_channel
+from qcollide.collision import CollisionConfig, CouplingSpec, simulate
+from qcollide.generators import full_generator
+from qcollide.integrator import integrate, reduced_trajectory
+from qcollide.ops import Operator, partial_trace, pauli
+import qcollide.trajectory
+from qcollide.trajectory import SAMPLE_ATOL, SAMPLE_BATCH
+
+SX = pauli("x")
+GROUND = DensityMatrix.ground(2)
+SPEC_3 = CouplingSpec.uniform([[SX]] * 3, [SX])
+DAMPING = lossy_bosonic_channel(2, 0.25)
+
+
+def chain_collisions(n_collisions):
+    return CollisionConfig(
+        carrier_dims=(2, 2, 2),
+        env_dim=2,
+        g=1.0,
+        dt=0.05,
+        n_collisions=n_collisions,
+        eta=GROUND,
+        channel=DAMPING,
+        couplings=SPEC_3,
+    )
+
+
+def chain_generator():
+    return full_generator(SPEC_3, GROUND, DAMPING, 1.0, (2, 2, 2)).total
+
+
+def batches(traj):
+    """The distinct stacks the trajectory's rows are views of, in order."""
+    stacks = []
+    for row in traj.states:
+        if not stacks or row.base is not stacks[-1]:
+            stacks.append(row.base)
+    return stacks
+
+
+@pytest.fixture(params=["simulate", "integrate"])
+def long_run(request, rng):
+    rho0 = random_state(rng, (2, 2, 2))
+    if request.param == "simulate":
+        return simulate(chain_collisions(150), rho0)
+    return integrate(chain_generator(), rho0, t_end=0.3, dt=2e-3)
+
+
+class TestSamples:
+    def test_rows_are_read_only_views_of_checked_batches(self, long_run):
+        traj = long_run
+        assert len(traj) == 151
+        stacks = batches(traj)
+        assert [len(s) for s in stacks] == [SAMPLE_BATCH, SAMPLE_BATCH, 151 - 2 * SAMPLE_BATCH]
+        rows = [row for stack in stacks for row in stack]
+        assert len(rows) == len(traj.states)
+        for row, state in zip(rows, traj.states):
+            assert state.shape == (8, 8) and state.dtype == complex
+            assert not state.flags.writeable
+            assert np.shares_memory(state, row)
+            with pytest.raises(ValueError):
+                state[0, 0] = 0.0
+        for stack in stacks:
+            assert stack.ndim == 3 and not stack.flags.writeable
+
+    def test_traces_and_min_eigenvalues_come_from_the_check(self, long_run):
+        traj = long_run
+        traces, min_eigs = zip(*(check_states(s, SAMPLE_ATOL) for s in batches(traj)))
+        assert np.array_equal(traj.traces, np.concatenate(traces))
+        assert np.array_equal(traj.min_eigenvalues, np.concatenate(min_eigs))
+        assert np.array_equal(traj.traces, [complex(np.trace(x)).real for x in traj.states])
+        assert np.array_equal(traj.min_eigenvalues, [np.linalg.eigvalsh(x)[0] for x in traj.states])
+
+    def test_step_zero_is_recorded_like_every_sample(self, rng):
+        rho0 = random_state(rng, (2, 2, 2))
+        traj = simulate(chain_collisions(3), rho0)
+        assert traj.steps[0] == 0 and traj.times[0] == 0.0
+        assert np.array_equal(traj.states[0], rho0.entries)
+        assert not traj.states[0].flags.writeable
+        assert traj.states[0].base is traj.states[-1].base
+        # the integrator's step 0 goes through its real coordinates, which
+        # make every sample exactly Hermitian
+        traj = integrate(chain_generator(), rho0, t_end=0.01, dt=1e-3)
+        assert traj.steps[0] == 0 and traj.times[0] == 0.0
+        assert np.max(np.abs(traj.states[0] - rho0.entries)) <= 1e-15
+        assert np.array_equal(traj.states[0], traj.states[0].conj().T)
+
+    def test_final_state_is_the_last_row(self, long_run):
+        final = long_run.final_state()
+        assert isinstance(final, DensityMatrix)
+        assert final.dims == (2, 2, 2)
+        assert np.array_equal(final.entries, long_run.states[-1])
+
+    def test_no_density_matrix_per_sample(self, monkeypatch, rng):
+        rho0 = random_state(rng, (2, 2, 2))
+        post_init, calls = DensityMatrix.__post_init__, [0]
+
+        def counted(self):
+            calls[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        traj = integrate(chain_generator(), rho0, t_end=0.4, dt=2e-3)
+        assert len(traj) == 201
+        assert calls[0] == 0
+        simulate(chain_collisions(200), rho0)
+        assert calls[0] == 0
+        traj.final_state()
+        assert calls[0] == 1
+
+
+class TestReducedTrajectory:
+    def test_matches_per_sample_partial_trace(self, long_run, monkeypatch):
+        traj = long_run
+        assert len(traj) > SAMPLE_BATCH
+        check, calls = qcollide.trajectory.check_states, []
+
+        def counted(stack, atol):
+            calls.append(len(stack))
+            return check(stack, atol)
+
+        monkeypatch.setattr(qcollide.trajectory, "check_states", counted)
+        red = reduced_trajectory(traj, keep=[1, 3])
+        assert calls == [len(traj)]
+        assert red.dims == (2, 2)
+        assert red.metadata["reduced_to"] == [1, 3]
+        assert np.array_equal(red.steps, traj.steps) and np.array_equal(red.times, traj.times)
+        for state, r in zip(traj.states, red.states, strict=True):
+            want = partial_trace(Operator(traj.dims, state), [0, 2]).entries
+            assert np.array_equal(r, want)
+            assert not r.flags.writeable and r.base is red.states[0].base
+        assert np.array_equal(red.traces, [complex(np.trace(x)).real for x in red.states])
+        assert np.array_equal(red.min_eigenvalues, [np.linalg.eigvalsh(x)[0] for x in red.states])
+
+    def test_invalid_reduced_sample_names_its_step(self, rng):
+        traj = simulate(chain_collisions(3), random_state(rng, (2, 2, 2)))
+        bad = traj.states[2].copy()
+        bad[0, 0] += 1e-3
+        bad.setflags(write=False)
+        traj.states = traj.states[:2] + (bad,) + traj.states[3:]
+        with pytest.raises(RuntimeError, match="at step 2, t=0.1: trace"):
+            reduced_trajectory(traj, keep=[2])
+
