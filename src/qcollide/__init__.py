@@ -61,7 +61,6 @@ from .perturbation import (
 from .scenarios import (
     ConfigError,
     ScenarioConfig,
-    builtin_scenario,
     collision_config,
     load_scenario,
     run_converge,

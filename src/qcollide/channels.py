@@ -8,14 +8,12 @@ as superoperator matrices (environment sides here are small).
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .jsonio import complex_matrix_from_json, complex_matrix_to_json
 from .ops import (
     DEFAULT_TOL,
     Operator,
@@ -131,12 +129,9 @@ class KrausChannel:
     `validate_cpt` so that broken channels can still be inspected.
     Every application goes through the superoperator matrix, which is
     computed once per channel.
-    `description` optionally records how the channel was built, for
-    JSON round-tripping.
     """
 
     kraus: tuple[Operator, ...]
-    description: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         kraus = tuple(self.kraus)
@@ -172,15 +167,7 @@ class KrausChannel:
         return apply_on_factor(self.superop_matrix, x, dims, pos)
 
     def superoperator(self) -> Superoperator:
-        return Superoperator(self.dims, self.dims, self.superop_matrix)
-
-    def to_dict(self) -> dict:
-        if self.description is not None:
-            return dict(self.description)
-        return {
-            "kind": "kraus",
-            "operators": [complex_matrix_to_json(k.entries) for k in self.kraus],
-        }
+        return Superoperator(self.dims, self.superop_matrix)
 
 
 @dataclass(frozen=True)
@@ -205,7 +192,7 @@ def power(c: KrausChannel, m: int) -> Superoperator:
         raise ValueError("channel power must be nonnegative")
     if m == 0:
         return Superoperator.identity(c.dims)
-    return Superoperator(c.dims, c.dims, np.linalg.matrix_power(c.superop_matrix, m))
+    return Superoperator(c.dims, np.linalg.matrix_power(c.superop_matrix, m))
 
 
 def lossy_bosonic_channel(d: int, kappa: float) -> KrausChannel:
@@ -227,9 +214,7 @@ def lossy_bosonic_channel(d: int, kappa: float) -> KrausChannel:
                 1.0 - kappa
             ) ** (k / 2.0)
         kraus.append(Operator((d,), mat))
-    return KrausChannel(
-        tuple(kraus), description={"kind": "lossy", "dim": d, "kappa": float(kappa)}
-    )
+    return KrausChannel(tuple(kraus))
 
 
 def replacer_channel(eta: DensityMatrix) -> KrausChannel:
@@ -248,18 +233,13 @@ def replacer_channel(eta: DensityMatrix) -> KrausChannel:
             mat = np.zeros((d, d), dtype=complex)
             mat[:, j] = root * v[:, i]
             kraus.append(Operator(eta.dims, mat))
-    return KrausChannel(
-        tuple(kraus),
-        description={"kind": "replacer", "eta": complex_matrix_to_json(eta.entries)},
-    )
+    return KrausChannel(tuple(kraus))
 
 
 def unitary_channel(u: Operator, tol: float = DEFAULT_TOL) -> KrausChannel:
     if not u.is_unitary(tol):
         raise ValueError("matrix is not unitary within tolerance")
-    return KrausChannel(
-        (u,), description={"kind": "unitary", "matrix": complex_matrix_to_json(u.entries)}
-    )
+    return KrausChannel((u,))
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -273,29 +253,3 @@ def fixed_point_distance(c: KrausChannel, eta: DensityMatrix) -> float:
     delta = c.apply(eta.op).entries - eta.entries
     return 0.5 * _trace_norm_hermitian(0.5 * (delta + delta.conj().T))
 
-
-def channel_from_dict(data: dict) -> KrausChannel:
-    """Rebuild a channel from its JSON description."""
-    try:
-        kind = data["kind"]
-    except (TypeError, KeyError):
-        raise ValueError("channel description needs a 'kind' field") from None
-    if kind == "lossy":
-        return lossy_bosonic_channel(int(data["dim"]), float(data["kappa"]))
-    if kind == "replacer":
-        eta = complex_matrix_from_json(data["eta"])
-        return replacer_channel(DensityMatrix.from_matrix(eta, (eta.shape[0],)))
-    if kind == "unitary":
-        mat = complex_matrix_from_json(data["matrix"])
-        return unitary_channel(Operator((mat.shape[0],), mat))
-    if kind == "kraus":
-        ops = [complex_matrix_from_json(m) for m in data["operators"]]
-        chan = KrausChannel(tuple(Operator((m.shape[0],), m) for m in ops))
-        report = validate_cpt(chan)
-        if not report.passed:
-            warnings.warn(
-                f"deserialized Kraus channel is not trace preserving (residual {report.residual:.3e})",
-                RuntimeWarning,
-            )
-        return chan
-    raise ValueError(f"unknown channel kind {kind!r}")

@@ -201,7 +201,7 @@ class _Form:
 
     def superoperator(self) -> Superoperator:
         pairs = list(zip(self.sandwich, self.ops))
-        return Superoperator(self.dims, self.dims, multiplier_matrix(pairs, -self.k, -self.k.conj().T))
+        return Superoperator(self.dims, multiplier_matrix(pairs, -self.k, -self.k.conj().T))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum_a (S_a X) F_a - K X - X K^dag, as one product over the stacked a."""

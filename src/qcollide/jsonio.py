@@ -32,8 +32,15 @@ def write_json(path, data) -> None:
         fh.write(text)
 
 
+def _complex_entry(pair) -> complex:
+    re, im = pair[0], pair[1]
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError(f"entry {pair!r} is not a pair of numbers")
+    return complex(re, im)
+
+
 def complex_matrix_from_json(rows) -> np.ndarray:
     try:
-        return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
+        return np.array([[_complex_entry(c) for c in row] for row in rows], dtype=complex)
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed complex matrix payload: {exc}") from exc

@@ -189,45 +189,39 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Linear map on operators stored as a matrix on column-stacked vectors."""
+    """Linear map on operators on `dims`, stored as a matrix on column-stacked
+    vectors."""
 
-    in_dims: tuple[int, ...]
-    out_dims: tuple[int, ...]
+    dims: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        in_dims = tuple(int(d) for d in self.in_dims)
-        out_dims = tuple(int(d) for d in self.out_dims)
+        dims = tuple(int(d) for d in self.dims)
         matrix = np.asarray(self.matrix, dtype=complex).copy()
-        want = (math.prod(out_dims) ** 2, math.prod(in_dims) ** 2)
+        want = (math.prod(dims) ** 2,) * 2
         if matrix.shape != want:
             raise ValueError(f"superoperator matrix shape {matrix.shape}, expected {want}")
         matrix.setflags(write=False)
-        object.__setattr__(self, "in_dims", in_dims)
-        object.__setattr__(self, "out_dims", out_dims)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "Superoperator":
         dims = tuple(dims)
         side = math.prod(dims)
-        return cls(dims, dims, np.eye(side * side))
+        return cls(dims, np.eye(side * side))
 
     @property
-    def in_side(self) -> int:
-        return math.prod(self.in_dims)
-
-    @property
-    def out_side(self) -> int:
-        return math.prod(self.out_dims)
+    def side(self) -> int:
+        return math.prod(self.dims)
 
     def apply(self, x: Operator) -> Operator:
-        if x.side != self.in_side:
-            raise ValueError(f"operator side {x.side} does not match superoperator input {self.in_side}")
-        return Operator(self.out_dims, unvec(self.matrix @ vec(x.entries), self.out_side))
+        if x.side != self.side:
+            raise ValueError(f"operator side {x.side} does not match superoperator side {self.side}")
+        return Operator(self.dims, unvec(self.matrix @ vec(x.entries), self.side))
 
     def __repr__(self):  # pragma: no cover
-        return f"Superoperator(in_dims={self.in_dims}, out_dims={self.out_dims})"
+        return f"Superoperator(dims={self.dims})"
 
 
 def multiplier_matrix(
@@ -268,7 +262,7 @@ def multiplier_matrix(
 
 def commutator_superop(h: Operator) -> Superoperator:
     """Superoperator X -> [h, X]."""
-    return Superoperator(h.dims, h.dims, multiplier_matrix([], h.entries, -h.entries))
+    return Superoperator(h.dims, multiplier_matrix([], h.entries, -h.entries))
 
 
 def kraus_superop(kraus: Sequence[Operator]) -> Superoperator:
@@ -276,7 +270,7 @@ def kraus_superop(kraus: Sequence[Operator]) -> Superoperator:
     if not kraus:
         raise ValueError("need at least one Kraus operator")
     pairs = [(k.entries, k.entries.conj().T) for k in kraus]
-    return Superoperator(kraus[0].dims, kraus[0].dims, multiplier_matrix(pairs))
+    return Superoperator(kraus[0].dims, multiplier_matrix(pairs))
 
 
 def apply_on_factor(p: np.ndarray, x: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:

@@ -106,7 +106,7 @@ def _materialize(dims: tuple[int, ...], images: np.ndarray) -> Superoperator:
     """Superoperator whose images of the matrix units are `images`."""
     side = math.prod(dims)
     matrix = images.transpose(0, 2, 1).reshape(side * side, side * side).T
-    return Superoperator(dims, dims, matrix)
+    return Superoperator(dims, matrix)
 
 
 def unitary_expansion_terms(h: Operator) -> tuple[Superoperator, Superoperator]:

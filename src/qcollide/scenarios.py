@@ -2,9 +2,11 @@
 
 Configs are JSON with named operator shorthands plus an explicit-matrix
 escape hatch, so parameter sweeps are scriptable without code changes.
-For every sweep entry n the scaling dt = t_end/n, g = sqrt(gamma/dt) is
-derived here and never user-supplied: the weak-coupling limit is walked
-along the line g^2 dt = gamma.
+A builtin name stands for a custom config document (`_builtin_document`);
+keys given next to it replace that document's keys, and one parser builds
+every scenario.  For every sweep entry n the scaling dt = t_end/n,
+g = sqrt(gamma/dt) is derived here and never user-supplied: the
+weak-coupling limit is walked along the line g^2 dt = gamma.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,11 +24,10 @@ import numpy as np
 from .channels import (
     DensityMatrix,
     KrausChannel,
-    channel_from_dict,
-    identity_channel,
     lossy_bosonic_channel,
     replacer_channel,
     unitary_channel,
+    validate_cpt,
 )
 from .collision import (
     CollisionConfig,
@@ -35,7 +37,7 @@ from .collision import (
 )
 from .generators import GeneratorSet, full_generator
 from .integrator import integrate, trace_distance
-from .jsonio import complex_matrix_from_json, write_json
+from .jsonio import complex_matrix_from_json, complex_matrix_to_json, write_json
 from .ops import (
     Operator,
     annihilation,
@@ -56,9 +58,6 @@ from .perturbation import (
 )
 from .trajectory import Trajectory, _fmt
 
-BUILTIN_NAMES = ("dephasing-1q", "ad-chain-2q", "rotating-env-2q", "bosonic-fiber", "replacer")
-
-
 class ConfigError(Exception):
     """Raised for malformed or inconsistent scenario configuration."""
 
@@ -69,6 +68,14 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A config real number: JSON numbers only, booleans and strings are
+    rejected, never converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(eq=False)
@@ -87,9 +94,10 @@ class ScenarioConfig:
     n_collisions: int = 100
     record_stride: int = 1
     seed: int = 0
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in ("gamma", "t_end"):
+            setattr(self, key, _real(getattr(self, key), key))
         if not 0 < self.gamma < math.inf:
             raise ConfigError("gamma must be positive and finite")
         if not 0 < self.t_end < math.inf:
@@ -199,7 +207,7 @@ def parse_state(spec, dims: Sequence[int]) -> DensityMatrix:
         raise ConfigError("state spec must be a shorthand name or a dict")
     kind = spec.get("kind")
     if kind == "ket":
-        amps = np.array([complex(a[0], a[1]) for a in spec["amplitudes"]])
+        amps = complex_matrix_from_json([spec["amplitudes"]])[0]
         if amps.size != side:
             raise ConfigError(f"ket length {amps.size} does not match dimension {side}")
         return DensityMatrix.from_ket(amps, dims)
@@ -224,6 +232,34 @@ def parse_state(spec, dims: Sequence[int]) -> DensityMatrix:
         except ValueError as exc:
             raise ConfigError(f"invalid product state: {exc}") from exc
     raise ConfigError(f"unknown state kind {kind!r}")
+
+
+def parse_channel(spec) -> KrausChannel:
+    """Channel dict: {'kind': 'lossy', 'dim', 'kappa'}, {'kind': 'replacer',
+    'eta'}, {'kind': 'unitary', 'matrix'} or {'kind': 'kraus', 'operators'};
+    matrices are nested [re, im] pairs.  A Kraus list that is not trace
+    preserving only warns, so that broken channels can still be run."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind == "lossy":
+        dim = _integer(spec["dim"], "channel dim")
+        return lossy_bosonic_channel(dim, _real(spec["kappa"], "channel kappa"))
+    if kind == "replacer":
+        eta = complex_matrix_from_json(spec["eta"])
+        return replacer_channel(DensityMatrix.from_matrix(eta, (eta.shape[0],)))
+    if kind == "unitary":
+        mat = complex_matrix_from_json(spec["matrix"])
+        return unitary_channel(Operator((mat.shape[0],), mat))
+    if kind == "kraus":
+        ops = [complex_matrix_from_json(m) for m in spec["operators"]]
+        chan = KrausChannel(tuple(Operator((m.shape[0],), m) for m in ops))
+        report = validate_cpt(chan)
+        if not report.passed:
+            warnings.warn(
+                f"Kraus channel is not trace preserving (residual {report.residual:.3e})",
+                RuntimeWarning,
+            )
+        return chan
+    raise ConfigError(f"channel needs a 'kind' of lossy, replacer, unitary or kraus, got {kind!r}")
 
 
 def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...]:
@@ -251,121 +287,90 @@ def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...
 
 # --- built-in scenarios -------------------------------------------------------
 
+_BUILTIN_PARAMS = {
+    "dephasing-1q": set(),
+    "ad-chain-2q": {"kappa", "p"},
+    "rotating-env-2q": {"theta"},
+    "bosonic-fiber": {"d", "kappa"},
+    "replacer": set(),
+}
+BUILTIN_NAMES = tuple(_BUILTIN_PARAMS)
 
-def _check_params(name: str, params: dict, allowed: set[str]):
-    unknown = set(params) - allowed
+
+def _ket(amplitudes) -> dict:
+    return {"kind": "ket", "amplitudes": complex_matrix_to_json(np.asarray(amplitudes, dtype=complex))}
+
+
+def _builtin_document(name: str, params: dict) -> dict:
+    """The custom config document that builtin `name` stands for, with its
+    `params` applied.  It holds only JSON-shaped values."""
+    unknown = set(params) - _BUILTIN_PARAMS[name]
     if unknown:
         raise ConfigError(f"scenario {name!r} does not accept parameters {sorted(unknown)}")
-
-
-def _qubit_chain(name: str, channel: KrausChannel, rho0: DensityMatrix) -> ScenarioConfig:
-    sx = pauli("x")
-    dims = (2, 2)
-    spec = CouplingSpec.uniform([[sx], [sx]], [sx])
-    observables = tuple(
-        (f"pe_c{m}", embed(projector(2, 1), dims, (m - 1,))) for m in (1, 2)
-    )
-    return ScenarioConfig(
-        name=name,
-        carrier_dims=dims,
-        env_dim=2,
-        couplings=spec,
-        eta=DensityMatrix.ground(2),
-        channel=channel,
-        rho0=rho0,
-        observables=observables,
-    )
-
-
-def builtin_scenario(name: str, params: dict | None = None) -> ScenarioConfig:
-    params = dict(params or {})
     if name == "dephasing-1q":
-        _check_params(name, params, set())
-        sx = pauli("x")
-        return ScenarioConfig(
-            name=name,
-            carrier_dims=(2,),
-            env_dim=2,
-            couplings=CouplingSpec.uniform([[sx]], [sx]),
-            eta=DensityMatrix.ground(2),
-            channel=identity_channel(2),
-            rho0=DensityMatrix.ground(2),
-            observables=(("p0_c1", projector(2, 0)),),
-        )
+        return {
+            "carrier_dims": [2],
+            "env_dim": 2,
+            "couplings": {"system": [["sx"]], "environment": ["sx"]},
+            "eta": "ground",
+            "channel": {"kind": "unitary", "matrix": complex_matrix_to_json(np.eye(2))},
+            "rho0": "ground",
+            "observables": [{"name": "p0_c1", "carrier": 1, "op": "proj0"}],
+        }
+    if name == "bosonic-fiber":
+        d = _integer(params.get("d", 4), "params.d")
+        ket1 = np.zeros(d, dtype=complex)
+        ket1[0] = ket1[1] = 1 / math.sqrt(2)
+        return {
+            "carrier_dims": [d, d],
+            "env_dim": d,
+            "couplings": {"system": [["x", "p"], ["x", "p"]], "environment": ["x", "p"]},
+            "eta": "ground",
+            "channel": {"kind": "lossy", "dim": d, "kappa": _real(params.get("kappa", 0.25), "params.kappa")},
+            "rho0": _ket(np.kron(ket1, np.eye(d)[0].astype(complex))),
+            "observables": [{"name": f"n_c{m}", "carrier": m, "op": "number"} for m in (1, 2)],
+        }
+    # the three two-qubit chains: sigma_x couplings and a ground-state environment
     if name == "ad-chain-2q":
-        _check_params(name, params, {"kappa", "p"})
         if "kappa" in params and "p" in params:
             raise ConfigError("give either the transmissivity 'kappa' or the damping 'p', not both")
         if "p" in params:
-            kappa = 1.0 - float(params["p"])
+            kappa = 1.0 - _real(params["p"], "params.p")
         else:
-            kappa = float(params.get("kappa", 0.25))
-        theta8 = math.pi / 8
-        ket = np.zeros(4, dtype=complex)
-        ket[1] = math.cos(theta8)  # |01>
-        ket[2] = math.sin(theta8)  # |10>
-        return _qubit_chain(
-            name,
-            lossy_bosonic_channel(2, kappa),
-            DensityMatrix.from_ket(ket, (2, 2)),
-        )
-    if name == "rotating-env-2q":
-        _check_params(name, params, {"theta"})
-        theta = float(params.get("theta", math.pi / 4))
-        ket = np.array([1, 0, 0, 1j]) / math.sqrt(2)
-        return _qubit_chain(
-            name,
-            unitary_channel(expm_hermitian(pauli("z"), theta)),
-            DensityMatrix.from_ket(ket, (2, 2)),
-        )
-    if name == "bosonic-fiber":
-        _check_params(name, params, {"d", "kappa"})
-        d = _integer(params.get("d", 4), "params.d")
-        kappa = float(params.get("kappa", 0.25))
-        dims = (d, d)
-        x, p = position_op(d), momentum_op(d)
-        spec = CouplingSpec.uniform([[x, p], [x, p]], [x, p])
-        ket1 = np.zeros(d, dtype=complex)
-        ket1[0] = ket1[1] = 1 / math.sqrt(2)
-        ket = np.kron(ket1, np.eye(d)[0].astype(complex))
-        observables = tuple(
-            (f"n_c{m}", embed(number_op(d), dims, (m - 1,))) for m in (1, 2)
-        )
-        return ScenarioConfig(
-            name=name,
-            carrier_dims=dims,
-            env_dim=d,
-            couplings=spec,
-            eta=DensityMatrix.ground(d),
-            channel=lossy_bosonic_channel(d, kappa),
-            rho0=DensityMatrix.from_ket(ket, dims),
-            observables=observables,
-        )
-    if name == "replacer":
-        _check_params(name, params, set())
-        eta = DensityMatrix.ground(2)
-        plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        rho0 = DensityMatrix.from_matrix(np.kron(plus, np.diag([0.3, 0.7])), (2, 2))
-        return _qubit_chain(name, replacer_channel(eta), rho0)
-    raise ConfigError(f"unknown scenario {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
+            kappa = _real(params.get("kappa", 0.25), "params.kappa")
+        channel = {"kind": "lossy", "dim": 2, "kappa": kappa}
+        rho0 = _ket([0, math.cos(math.pi / 8), math.sin(math.pi / 8), 0])  # cos|01> + sin|10>
+    elif name == "rotating-env-2q":
+        u = expm_hermitian(pauli("z"), _real(params.get("theta", math.pi / 4), "params.theta"))
+        channel = {"kind": "unitary", "matrix": complex_matrix_to_json(u.entries)}
+        rho0 = _ket(np.array([1, 0, 0, 1j]) / math.sqrt(2))
+    else:
+        channel = {"kind": "replacer", "eta": complex_matrix_to_json(np.diag([1.0, 0.0]))}
+        plus = np.full((2, 2), 0.5)
+        rho0 = {"kind": "product", "factors": [complex_matrix_to_json(m) for m in (plus, np.diag([0.3, 0.7]))]}
+    return {
+        "carrier_dims": [2, 2],
+        "env_dim": 2,
+        "couplings": {"system": [["sx"], ["sx"]], "environment": ["sx"]},
+        "eta": "ground",
+        "channel": channel,
+        "rho0": rho0,
+        "observables": [{"name": f"pe_c{m}", "carrier": m, "op": "proj1"} for m in (1, 2)],
+    }
 
 
+_RUN_KEYS = ("gamma", "t_end", "sweep", "n_collisions", "record_stride", "seed")
 _TOP_LEVEL_KEYS = {
     "scenario",
     "params",
-    "gamma",
-    "t_end",
-    "sweep",
-    "n_collisions",
-    "record_stride",
-    "seed",
-    "rho0",
-    "observables",
     "carrier_dims",
     "env_dim",
     "couplings",
     "eta",
     "channel",
+    "rho0",
+    "observables",
+    *_RUN_KEYS,
 }
 
 
@@ -396,38 +401,30 @@ def load_scenario(source) -> ScenarioConfig:
     kind = data.get("scenario")
     if kind is None:
         raise ConfigError("config needs a 'scenario' key")
+    if kind == "custom":
+        if "params" in data:
+            raise ConfigError("'params' is only for builtin scenarios; a custom config gives every key")
+    elif kind not in BUILTIN_NAMES:
+        raise ConfigError(f"unknown scenario {kind!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
+    elif not isinstance(data.get("params", {}), dict):
+        raise ConfigError(f"params must be an object, got {type(data['params']).__name__}")
 
     # outside input: whichever parser or factory trips over a value, it is a config error
     try:
-        if kind == "custom":
-            sc = _load_custom(data)
-        else:
-            sc = builtin_scenario(kind, data.get("params"))
-            if "rho0" in data:
-                sc.rho0 = parse_state(data["rho0"], sc.carrier_dims)
-            if "observables" in data:
-                sc.observables = _parse_observables(data["observables"], sc.carrier_dims)
-        for key in ("gamma", "t_end"):
-            if key in data:
-                setattr(sc, key, float(data[key]))
-        for key in ("sweep", "n_collisions", "record_stride", "seed"):
-            if key in data:
-                setattr(sc, key, data[key])
-        sc.__post_init__()
+        doc = data if kind == "custom" else {**_builtin_document(kind, data.get("params", {})), **data}
+        return _parse_document(kind, doc)
     except KeyError as exc:
         raise ConfigError(f"config is missing key {exc}") from exc
     except (ValueError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    sc.raw = dict(data)
-    return sc
 
 
-def _load_custom(data: dict) -> ScenarioConfig:
-    carrier_dims = tuple(_integer(d, "carrier_dims entry") for d in data["carrier_dims"])
-    env_dim = _integer(data["env_dim"], "env_dim")
-    coupling_block = data["couplings"]
-    eta = parse_state(data["eta"], (env_dim,))
-    channel = channel_from_dict(data["channel"])
+def _parse_document(name: str, doc: dict) -> ScenarioConfig:
+    carrier_dims = tuple(_integer(d, "carrier_dims entry") for d in doc["carrier_dims"])
+    env_dim = _integer(doc["env_dim"], "env_dim")
+    coupling_block = doc["couplings"]
+    eta = parse_state(doc["eta"], (env_dim,))
+    channel = parse_channel(doc["channel"])
     system = coupling_block.get("system")
     environment = coupling_block.get("environment")
     if system is None or environment is None:
@@ -451,17 +448,16 @@ def _load_custom(data: dict) -> ScenarioConfig:
         spec = CouplingSpec.uniform(system_ops, env_list)
     if channel.side != env_dim:
         raise ConfigError("channel dimension does not match env_dim")
-    rho0 = parse_state(data.get("rho0", "ground"), carrier_dims)
-    observables = _parse_observables(data.get("observables", []), carrier_dims)
     return ScenarioConfig(
-        name="custom",
+        name=name,
         carrier_dims=carrier_dims,
         env_dim=env_dim,
         couplings=spec,
         eta=eta,
         channel=channel,
-        rho0=rho0,
-        observables=observables,
+        rho0=parse_state(doc.get("rho0", "ground"), carrier_dims),
+        observables=_parse_observables(doc.get("observables", []), carrier_dims),
+        **{key: doc[key] for key in _RUN_KEYS if key in doc},
     )
 
 

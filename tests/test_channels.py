@@ -8,7 +8,6 @@ from qcollide.channels import (
     DensityMatrix,
     KrausChannel,
     StateViolation,
-    channel_from_dict,
     check_states,
     fixed_point_distance,
     identity_channel,
@@ -18,7 +17,9 @@ from qcollide.channels import (
     unitary_channel,
     validate_cpt,
 )
+from qcollide.jsonio import complex_matrix_to_json
 from qcollide.ops import Operator, expm_hermitian, pauli
+from qcollide.scenarios import ConfigError, parse_channel
 
 SX, SZ = pauli("x"), pauli("z")
 
@@ -282,36 +283,36 @@ class TestFixedPointDistance:
 
 
 class TestSerialization:
+    """Channel dicts of the config format parse to what the factories build."""
+
     def test_lossy_roundtrip(self):
-        chan = lossy_bosonic_channel(3, 0.4)
-        back = channel_from_dict(chan.to_dict())
-        for a, b in zip(chan.kraus, back.kraus):
-            assert np.allclose(a.entries, b.entries)
+        back = parse_channel({"kind": "lossy", "dim": 3, "kappa": 0.4})
+        for a, b in zip(lossy_bosonic_channel(3, 0.4).kraus, back.kraus, strict=True):
+            assert np.array_equal(a.entries, b.entries)
 
     def test_replacer_roundtrip(self, rng):
         eta = random_state(rng, (2,))
         chan = replacer_channel(eta)
-        back = channel_from_dict(chan.to_dict())
+        back = parse_channel({"kind": "replacer", "eta": complex_matrix_to_json(eta.entries)})
         x = random_hermitian(rng, (2,))
         assert np.allclose(chan.apply(x).entries, back.apply(x).entries, atol=1e-12)
 
     def test_unitary_roundtrip(self, rng):
         u = Operator((2,), random_unitary(rng, 2))
-        chan = unitary_channel(u)
-        back = channel_from_dict(chan.to_dict())
-        assert np.allclose(back.kraus[0].entries, u.entries)
+        back = parse_channel({"kind": "unitary", "matrix": complex_matrix_to_json(u.entries)})
+        assert np.array_equal(back.kraus[0].entries, unitary_channel(u).kraus[0].entries)
 
     def test_generic_kraus_roundtrip(self, rng):
         chan = random_cpt_channel(rng, 2)
-        back = channel_from_dict(chan.to_dict())
+        back = parse_channel({"kind": "kraus", "operators": [complex_matrix_to_json(k.entries) for k in chan.kraus]})
         x = random_hermitian(rng, (2,))
         assert np.allclose(chan.apply(x).entries, back.apply(x).entries, atol=1e-12)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            channel_from_dict({"kind": "teleporter"})
+        with pytest.raises(ConfigError, match="kind"):
+            parse_channel({"kind": "teleporter"})
 
     def test_non_cpt_kraus_warns(self):
         payload = {"kind": "kraus", "operators": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]}
         with pytest.warns(RuntimeWarning, match="trace preserving"):
-            channel_from_dict(payload)
+            parse_channel(payload)

@@ -465,7 +465,7 @@ def projected_choi(total):
     semigroup (is of GKSL form) exactly when the projection is PSD (Wolf,
     Eisert, Cubitt, Cirac, PRL 101, 150402 (2008)).  Reads only the
     column-stacked matrix."""
-    side = total.in_side
+    side = total.side
     # entry (l*D + k, j*D + i) of the matrix is L(|i><j|)[k, l]; Choi[(k, i), (l, j)]
     choi = total.matrix.reshape((side,) * 4).transpose(1, 3, 0, 2).reshape(side**2, side**2)
     omega = np.eye(side).reshape(-1) / math.sqrt(side)
@@ -557,7 +557,7 @@ class TestMatrixFreeAction:
             yield x / np.max(np.abs(x))
 
     def _check(self, gen, rng):
-        side = gen.total.in_side
+        side = gen.total.side
         scale = np.max(np.abs(gen.total.matrix))
         local, cross = gen._split
         for x in self._inputs(rng, side):
@@ -584,7 +584,7 @@ class TestMatrixFreeAction:
         gen = frame_rotated_generator(n_carr, collision_index=3)
         self._check(gen, rng)
         # the action really follows the collision index
-        x = next(self._inputs(rng, gen.total.in_side, 1))
+        x = next(self._inputs(rng, gen.total.side, 1))
         other = frame_rotated_generator(n_carr, collision_index=1)
         assert np.max(np.abs(gen.apply(x) - other.apply(x))) > 1e-3
 

@@ -28,7 +28,7 @@ def dephasing_exact(t, gamma=1.0):
 class TestIntegrate:
     def test_zero_generator_is_constant(self, rng):
         rho0 = random_state(rng, (2,))
-        zero = Superoperator((2,), (2,), np.zeros((4, 4)))
+        zero = Superoperator((2,), np.zeros((4, 4)))
         traj = integrate(zero, rho0, t_end=1.0, dt=0.05)
         for state in traj.states:
             assert np.max(np.abs(state - rho0.entries)) <= 1e-14
@@ -68,7 +68,7 @@ class TestIntegrate:
     def test_aborts_on_broken_generator(self, rate):
         # d rho/dt = rate * rho inflates the trace; must abort with a diagnostic,
         # also when the drift stays below 1e-6 but exceeds the 1e-8 sample check
-        grow = Superoperator((2,), (2,), rate * np.eye(4))
+        grow = Superoperator((2,), rate * np.eye(4))
         with pytest.raises(RuntimeError, match="invariants violated at step"):
             integrate(grow, GROUND, t_end=1.0, dt=0.01)
 
@@ -79,13 +79,13 @@ class TestIntegrate:
         rate = 1e-8 / (150.5 * dt)
         want = next(k for k in range(1, 10**6) if abs(math.expm1(rate * k * dt)) > 1e-8)
         assert want > SAMPLE_BATCH
-        grow = Superoperator((2,), (2,), rate * np.eye(4))
+        grow = Superoperator((2,), rate * np.eye(4))
         with pytest.raises(RuntimeError, match=f"invariants violated at step {want}, t={want * dt:.6g}: trace"):
             integrate(grow, GROUND, t_end=3.0, dt=dt)
 
     def test_nan_generator_segment_aborts_at_its_first_step(self):
-        nan = Superoperator((2,), (2,), np.full((4, 4), np.nan))
-        zero = Superoperator((2,), (2,), np.zeros((4, 4)))
+        nan = Superoperator((2,), np.full((4, 4), np.nan))
+        zero = Superoperator((2,), np.zeros((4, 4)))
         with pytest.raises(RuntimeError, match="at step 101, t=1.01: density matrix is not Hermitian"):
             integrate([(0.0, zero), (1.0, nan)], GROUND, t_end=2.0, dt=0.01)
 
@@ -131,7 +131,7 @@ class TestIntegrate:
     def test_piecewise_constant_schedule(self):
         # x-dephasing for t < 0.25 then frozen: matches the closed form piecewise
         gen = dephasing_generator()
-        zero = Superoperator((2,), (2,), np.zeros((4, 4)))
+        zero = Superoperator((2,), np.zeros((4, 4)))
         schedule = [(0.0, gen), (0.25, zero)]
         traj = integrate(schedule, GROUND, t_end=0.5, dt=1e-3)
         want = dephasing_exact(0.25)
@@ -141,7 +141,7 @@ class TestIntegrate:
         # a segment starting inside a step would silently run that whole step
         # with the later generator
         gen = dephasing_generator()
-        zero = Superoperator((2,), (2,), np.zeros((4, 4)))
+        zero = Superoperator((2,), np.zeros((4, 4)))
         with pytest.raises(ValueError, match="segment 1 starts at t = 0.015"):
             integrate([(0.0, gen), (0.015, zero)], GROUND, t_end=0.1, dt=0.01)
 
@@ -165,7 +165,7 @@ def random_lindblad(rng, dims, n_jumps=2):
         jump = 0.5 * (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
         jj = jump.conj().T @ jump
         mat += np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
-    return Superoperator(dims, dims, mat)
+    return Superoperator(dims, mat)
 
 
 def staged_rk4(schedule, rho0, n_steps, dt):

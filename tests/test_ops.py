@@ -352,4 +352,4 @@ class TestSuperoperator:
 
     def test_rejects_bad_matrix_shape(self):
         with pytest.raises(ValueError, match="shape"):
-            Superoperator((2,), (2,), np.eye(3))
+            Superoperator((2,), np.eye(3))

@@ -7,11 +7,20 @@ import sys
 import numpy as np
 import pytest
 
+from qcollide.channels import (
+    DensityMatrix,
+    identity_channel,
+    lossy_bosonic_channel,
+    replacer_channel,
+    unitary_channel,
+)
 from qcollide.cli import main
 from qcollide.integrator import integrate
+from qcollide.ops import embed, expm_hermitian, momentum_op, number_op, pauli, position_op, projector
 from qcollide.scenarios import (
+    BUILTIN_NAMES,
     ConfigError,
-    builtin_scenario,
+    _builtin_document,
     collision_config,
     load_scenario,
     parse_operator,
@@ -77,7 +86,8 @@ class TestScenarioLoading:
 
     def test_builtin_param_override(self):
         sc = load_scenario({"scenario": "ad-chain-2q", "params": {"kappa": 0.5}})
-        assert sc.channel.description["kappa"] == 0.5
+        for got, want in zip(sc.channel.kraus, lossy_bosonic_channel(2, 0.5).kraus, strict=True):
+            assert np.array_equal(got.entries, want.entries)
 
     def test_builtin_rejects_unknown_params(self):
         with pytest.raises(ConfigError, match="parameters"):
@@ -121,6 +131,106 @@ class TestScenarioLoading:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
             load_scenario(path)
+
+
+def constructed_pieces(name: str) -> dict:
+    """The builtin pieces as the scenario constructors built them before the
+    builtins became config documents: the oracle of the documents."""
+    sx = pauli("x")
+    qubits = {
+        "system": [[sx], [sx]],
+        "environment": [sx],
+        "eta": DensityMatrix.ground(2),
+        "observables": [(f"pe_c{m}", embed(projector(2, 1), (2, 2), (m - 1,))) for m in (1, 2)],
+    }
+    if name == "dephasing-1q":
+        return {
+            "system": [[sx]],
+            "environment": [sx],
+            "eta": DensityMatrix.ground(2),
+            "channel": identity_channel(2),
+            "rho0": DensityMatrix.ground(2),
+            "observables": [("p0_c1", projector(2, 0))],
+        }
+    if name == "ad-chain-2q":
+        ket = np.zeros(4, dtype=complex)
+        ket[1] = math.cos(math.pi / 8)
+        ket[2] = math.sin(math.pi / 8)
+        return {**qubits, "channel": lossy_bosonic_channel(2, 0.25), "rho0": DensityMatrix.from_ket(ket, (2, 2))}
+    if name == "rotating-env-2q":
+        ket = np.array([1, 0, 0, 1j]) / math.sqrt(2)
+        return {
+            **qubits,
+            "channel": unitary_channel(expm_hermitian(pauli("z"), math.pi / 4)),
+            "rho0": DensityMatrix.from_ket(ket, (2, 2)),
+        }
+    if name == "bosonic-fiber":
+        d = 4
+        x, p = position_op(d), momentum_op(d)
+        ket1 = np.zeros(d, dtype=complex)
+        ket1[0] = ket1[1] = 1 / math.sqrt(2)
+        return {
+            "system": [[x, p], [x, p]],
+            "environment": [x, p],
+            "eta": DensityMatrix.ground(d),
+            "channel": lossy_bosonic_channel(d, 0.25),
+            "rho0": DensityMatrix.from_ket(np.kron(ket1, np.eye(d)[0].astype(complex)), (d, d)),
+            "observables": [(f"n_c{m}", embed(number_op(d), (d, d), (m - 1,))) for m in (1, 2)],
+        }
+    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    return {
+        **qubits,
+        "channel": replacer_channel(DensityMatrix.ground(2)),
+        "rho0": DensityMatrix.from_matrix(np.kron(plus, np.diag([0.3, 0.7])), (2, 2)),
+    }
+
+
+def assert_same_pieces(sc, want: dict):
+    def same(a, b):
+        assert a.dims == b.dims and np.array_equal(a.entries, b.entries)
+
+    assert len(sc.couplings.system_ops) == len(want["system"])
+    for got_ops, want_ops, env_ops in zip(sc.couplings.system_ops, want["system"], sc.couplings.env_ops):
+        assert len(got_ops) == len(want_ops) and len(env_ops) == len(want["environment"])
+        for got, op in zip(got_ops + env_ops, want_ops + want["environment"]):
+            same(got, op)
+    same(sc.eta, want["eta"])
+    assert len(sc.channel.kraus) == len(want["channel"].kraus)
+    for got, k in zip(sc.channel.kraus, want["channel"].kraus):
+        same(got, k)
+    same(sc.rho0, want["rho0"])
+    assert [name for name, _ in sc.observables] == [name for name, _ in want["observables"]]
+    for (_, got), (_, op) in zip(sc.observables, want["observables"]):
+        same(got, op)
+
+
+class TestBuiltinDocuments:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_loads_the_constructed_pieces(self, name):
+        sc = load_scenario(name)
+        assert sc.name == name
+        assert_same_pieces(sc, constructed_pieces(name))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_document_is_json_and_loads_as_custom(self, name):
+        doc = json.loads(json.dumps(_builtin_document(name, {})))
+        sc = load_scenario({"scenario": "custom", **doc})
+        assert sc.name == "custom"
+        assert_same_pieces(sc, constructed_pieces(name))
+
+    def test_channel_next_to_builtin_replaces_its_channel(self):
+        sc = load_scenario(
+            {"scenario": "ad-chain-2q", "gamma": 2.0, "channel": {"kind": "lossy", "dim": 2, "kappa": 0.81}}
+        )
+        (cross,) = scenario_generator(sc).rates.cross.values()
+        # the cross rate scales as sqrt(kappa) per unit distance
+        assert abs(cross[0, 0] - 0.9 * sc.gamma) <= 1e-12
+
+    def test_builtin_keys_replace_document_keys(self):
+        sc = load_scenario({"scenario": "ad-chain-2q", "rho0": "ground", "observables": [], "eta": "maximally-mixed"})
+        assert np.array_equal(sc.rho0.entries, np.diag([1.0, 0, 0, 0]))
+        assert sc.observables == ()
+        assert np.array_equal(sc.eta.entries, np.eye(2) / 2)
 
 
 class TestRunConverge:
@@ -265,7 +375,7 @@ class TestCLI:
         [
             ({"scenario": "bosonic-fiber", "params": {"kappa": 2}}, "transmissivity"),
             ({"scenario": "dephasing-1q", "record_stride": 0}, "record_stride"),
-            ({"scenario": "dephasing-1q", "t_end": "abc"}, "could not convert"),
+            ({"scenario": "dephasing-1q", "t_end": "abc"}, "t_end must be a real number, got 'abc'"),
             ({"scenario": "dephasing-1q", "rho0": {"kind": "ket"}}, "missing key 'amplitudes'"),
             (
                 {"scenario": "dephasing-1q", "rho0": {"kind": "ket", "amplitudes": [[1], [0]]}},
@@ -329,16 +439,67 @@ class TestCLI:
                 "env_dim must be an integer, got 2.5",
             ),
             ({"scenario": "bosonic-fiber", "params": {"d": 3.5}}, "params.d must be an integer, got 3.5"),
+            ({"scenario": "bosonic-fiber", "params": {"d": -1}}, "negative dimensions are not allowed"),
             (
                 {"scenario": "ad-chain-2q", "observables": [{"name": "p", "carrier": 1.5, "op": "sz"}]},
                 "observable 'p': carrier must be an integer, got 1.5",
+            ),
+            (
+                {
+                    "scenario": "custom",
+                    "carrier_dims": [2],
+                    "env_dim": 2,
+                    "couplings": {"system": [["sx"]], "environment": ["sx"]},
+                    "eta": "ground",
+                    "channel": {"kind": "lossy", "dim": 2.7, "kappa": 0.5},
+                },
+                "channel dim must be an integer, got 2.7",
+            ),
+            ({"scenario": "dephasing-1q", "gamma": True}, "gamma must be a real number, got True"),
+            ({"scenario": "dephasing-1q", "t_end": True}, "t_end must be a real number, got True"),
+            ({"scenario": "dephasing-1q", "t_end": "0.5"}, "t_end must be a real number, got '0.5'"),
+            (
+                {"scenario": "dephasing-1q", "channel": {"kind": "lossy", "dim": 2, "kappa": "0.5"}},
+                "channel kappa must be a real number, got '0.5'",
+            ),
+            ({"scenario": "ad-chain-2q", "params": {"kappa": True}}, "params.kappa must be a real number, got True"),
+            ({"scenario": "ad-chain-2q", "params": {"p": "0.1"}}, "params.p must be a real number, got '0.1'"),
+            ({"scenario": "rotating-env-2q", "params": {"theta": "1"}}, "params.theta must be a real number, got '1'"),
+            (
+                {"scenario": "dephasing-1q", "rho0": {"kind": "matrix", "matrix": [[[True, False], [0, 0]], [[0, 0], [0, 0]]]}},
+                "is not a pair of numbers",
+            ),
+            (
+                {"scenario": "dephasing-1q", "rho0": {"kind": "ket", "amplitudes": [[True, False], [0, 0]]}},
+                "is not a pair of numbers",
+            ),
+            (
+                {
+                    "scenario": "custom",
+                    "params": {},
+                    "carrier_dims": [2],
+                    "env_dim": 2,
+                    "couplings": {"system": [["sx"]], "environment": ["sx"]},
+                    "eta": "ground",
+                    "channel": {"kind": "lossy", "dim": 2, "kappa": 0.5},
+                },
+                "'params' is only for builtin scenarios",
+            ),
+            ({"scenario": "ad-chain-2q", "params": [1]}, "params must be an object, got list"),
+            ({"scenario": "ad-chain-2q", "couplings": "junk"}, "has no attribute 'get'"),
+            (
+                {"scenario": "ad-chain-2q", "channel": {"kind": "lossy", "dim": 3, "kappa": 0.5}},
+                "channel dimension does not match env_dim",
             ),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
              "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity",
              "sweep-empty", "sweep-duplicate", "sweep-float", "sweep-integral-float", "sweep-string",
              "n-collisions-float", "record-stride-bool", "seed-bool", "seed-string", "carrier-dims-float",
-             "env-dim-float", "params-d-float", "observable-carrier-float"],
+             "env-dim-float", "params-d-float", "params-d-negative", "observable-carrier-float", "channel-dim-float",
+             "gamma-bool", "t-end-bool", "t-end-numeric-string", "channel-kappa-string", "params-kappa-bool",
+             "params-p-string", "params-theta-string", "matrix-bool-pair", "ket-bool-amplitude",
+             "custom-params", "params-list", "builtin-couplings-junk", "builtin-channel-dim"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"
