@@ -2,8 +2,13 @@
 
 An ordered set of carriers S_1..S_M collides with a stream of identical
 sub-environments; between collisions each sub-environment relaxes under a
-CPT channel.  The main simulation path is the column recursion, which only
-ever holds the carriers plus one environment site in memory.  The row
+CPT channel.  The main simulation path is the column recursion.  When every
+column is the same linear map Phi on the carriers (no collision index, no
+local schedule), `simulate` materializes Phi once, by contraction, and the
+stream is Phi^n: one real matrix-vector product per collision, with D_c^4
+entries held.  Otherwise each collision runs the direct column on the
+carriers plus one environment site.  The direct column also serves
+`evolve_column_step` and the expansion's exact side, and the row
 decomposition is kept as a correctness oracle on small instances.
 
 Joint states are laid out as [S_1, ..., S_M, E] with the environment last.
@@ -28,9 +33,12 @@ from .ops import (
     kron,
     partial_trace,
 )
-from .trajectory import SampleRecorder, Trajectory, observable_arrays
+from .integrator import _hermitian, _propagate, _real_coordinates, _real_map
+from .trajectory import Trajectory, observable_arrays
 
 ROW_PATH_MAX_SIDE = 256
+# simulate materializes the traced column when its side D_c^2 is at most this
+COLUMN_MAP_MAX = 1024
 
 
 def _check_coupling_list(ops: Sequence[Operator], dim: int, label: str):
@@ -376,6 +384,40 @@ def _free_evolution_unitary(cfg: CollisionConfig, t0: float, t1: float) -> np.nd
     return full
 
 
+def _column_map(cfg: CollisionConfig) -> np.ndarray:
+    """The traced column rho -> tr_E[column(rho (x) eta)] at collision 1,
+    built by contraction, as a view of its column-stacked D_c^2 x D_c^2
+    matrix with axes (s'_1..s'_M, s_1..s_M, t'_1..t'_M, t_1..t_M): out[s, s']
+    = sum phi[s', s, t', t] rho[t, t'] (`.reshape(D_c^2, D_c^2)` copies it
+    into the matrix).
+
+    For carrier m, T_m[(f f'), (t t' s s' e e')] = sum_(g g') R[e e', g g']
+    U_m[s g, t f] conj(U_m[s' g', t' f']) takes the environment site's
+    (f, f') to (e, e') while carrier m's (t, t') goes to (s, s'); R is the
+    relaxation channel's tensor on E.  Starting from the row W = eta, the
+    carriers are absorbed one by one, W <- W.reshape(-1, d_e^2) @ T_m, with
+    the environment traced out of T_M before the last product, so that the
+    last product writes the map itself and not a d_e^2 times larger tensor.
+    """
+    de = cfg.env_dim
+    # r[e', e, g', g] = R[e + de e', g + de g'], the column-stacked channel matrix
+    r = cfg.channel.superop_matrix.reshape(de, de, de, de)
+    w = cfg.eta.entries.reshape(1, de * de)
+    for m, d in enumerate(cfg.carrier_dims, start=1):
+        u = collision_unitary(cfg, m, 1).entries.reshape(d, de, d, de)
+        # sum over g, then over g', in einsum's own loops: threaded BLAS can
+        # stall on such thin products
+        if m < cfg.n_carriers:
+            t = np.einsum("fteEGs,SGTF->fFtTsSeE", np.einsum("EeGg,sgtf->fteEGs", r, u), u.conj())
+        else:
+            t = np.einsum("ftGs,SGTF->fFtTsS", np.einsum("eeGg,sgtf->ftGs", r, u), u.conj())
+        w = w.reshape(-1, de * de) @ t.reshape(de * de, -1)
+    # axes (t_1, t'_1, s_1, s'_1, ..., t_M, t'_M, s_M, s'_M) -> (s', s, t', t):
+    # row s + D s' and column t + D t' of the column-stacked matrix, as a view
+    w = w.reshape(tuple(d for d in cfg.carrier_dims for _ in range(4)))
+    return w.transpose([4 * m + k for k in (3, 2, 1, 0) for m in range(cfg.n_carriers)])
+
+
 def simulate(
     cfg: CollisionConfig,
     rho0: DensityMatrix,
@@ -384,6 +426,16 @@ def simulate(
     observable_names: Sequence[str] | None = None,
 ) -> Trajectory:
     """Iterate the column recursion for cfg.n_collisions collisions.
+
+    When the column is the same map at every collision (couplings not
+    collision-indexed, no local schedule) and D_c^2 <= COLUMN_MAP_MAX, the
+    traced column is materialized once (`_column_map`) in real Hermitian
+    coordinates and every collision is one real D_c^2 x D_c^2 matvec.  The
+    map takes 8 D_c^4 bytes (8 MB at the bound), and its build briefly holds
+    the complex map as well (16 D_c^4 bytes).  Otherwise each collision runs
+    the direct column (`_column` on rho (x) eta, then `_trace_env`).  Both
+    routes go through the integrator's one propagation loop, so recorded
+    samples are exactly Hermitian.
 
     Local free evolution, when configured, is applied to the carriers over
     [tau_(n-1), tau_n] before collision n.  Samples are recorded at step 0,
@@ -397,21 +449,26 @@ def simulate(
         raise ValueError("record_stride must be >= 1")
     obs, names = observable_arrays(observables, rho0.side, observable_names)
 
-    provider = _unitary_provider(cfg)
-    eta = cfg.eta.entries
-    arr = np.array(rho0.entries, dtype=complex)
+    uniform = cfg.couplings.collision_system_ops is None and cfg.local_hamiltonians is None
+    if uniform and rho0.side**2 <= COLUMN_MAP_MAX:
+        phi = _real_map(_column_map(cfg))
 
-    recorder = SampleRecorder(cfg.carrier_dims)
-    recorder.record(0, 0.0, arr)
-    for n in range(1, cfg.n_collisions + 1):
-        v = _free_evolution_unitary(cfg, cfg.tau(n - 1), cfg.tau(n))
-        if v is not None:
-            arr = v @ arr @ v.conj().T
-        joint = np.kron(arr, eta)
-        arr = _trace_env(_column(joint, cfg, n, provider), cfg.env_dim)
-        if n % record_stride == 0 or n == cfg.n_collisions:
-            recorder.record(n, cfg.tau(n), arr)
+        def step(n: int, s: np.ndarray, out: np.ndarray) -> None:
+            np.matmul(phi, s, out=out)
 
+    else:
+        provider = _unitary_provider(cfg)
+        side = rho0.side
+
+        def step(n: int, s: np.ndarray, out: np.ndarray) -> None:
+            arr = _hermitian(s, side)[0]
+            v = _free_evolution_unitary(cfg, cfg.tau(n - 1), cfg.tau(n))
+            if v is not None:
+                arr = v @ arr @ v.conj().T
+            joint = np.kron(arr, cfg.eta.entries)
+            out[:] = _real_coordinates(_trace_env(_column(joint, cfg, n, provider), cfg.env_dim))
+
+    recorder = _propagate(rho0, cfg.dt, cfg.n_collisions, record_stride, step)
     metadata = {
         "engine": "collision",
         "g": cfg.g,

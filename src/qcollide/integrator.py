@@ -8,7 +8,9 @@ once into the real D^2 x D^2 matrix R of S -> s(Herm(G X(S))).  For a linear
 generator one RK4 step of size h is exactly s <- T4(hR) s, with T4 the
 degree-4 Taylor polynomial, so the propagator T4(hR) is built once per
 distinct generator and every step is a single real matrix-vector product;
-the products run back to back.  A recorded step only copies its real
+the products run back to back.  The conversion holds for any
+Hermiticity-preserving linear map, and the loop (`_propagate`) is the one
+`collision.simulate` runs too.  A recorded step only copies its real
 coordinates into a small batch buffer (`trajectory.SampleRecorder`); each
 full batch, and the last one, becomes complex states in one vectorized
 conversion and goes through the one state check in one call.  Recorded
@@ -19,8 +21,9 @@ enforced, so a broken generator shows up instead of being masked.
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,19 +59,23 @@ def _segments(generator: GeneratorLike, dt: float):
     return [t for t, _ in segments], [g.matrix for _, g in segments], desc
 
 
-def _real_generator(g: np.ndarray) -> np.ndarray:
-    """R = (Re G + T Re G T + Im G T - T Im G) / 2, the generator G (on
-    column-stacked vectors) in real Hermitian coordinates; T is the transpose
-    permutation of vec, which swaps the two indices of each side of the
-    (D, D, D, D) view."""
-    side = math.isqrt(g.shape[0])
-    re = g.real.reshape((side,) * 4)
-    im = g.imag.reshape((side,) * 4)
-    r = re + re.transpose(1, 0, 3, 2)
-    r += im.transpose(0, 1, 3, 2)
-    r -= im.transpose(1, 0, 2, 3)
+def _real_map(g: np.ndarray) -> np.ndarray:
+    """R = (Re G + T Re G T + Im G T - T Im G) / 2, a Hermiticity-preserving
+    linear map G (on column-stacked vectors) in real Hermitian coordinates;
+    T is the transpose permutation of vec, which swaps the row and column
+    index on each side.  G is a (D^2, D^2) matrix or, to spare a copy, any
+    view of its (D, D, D, D) tensor with each of the four indices split
+    into the same number of axes."""
+    t = g.reshape((math.isqrt(g.shape[0]),) * 4) if g.ndim == 2 else g
+    k = t.ndim // 4
+    col, row, col_in, row_in = (tuple(range(i * k, (i + 1) * k)) for i in range(4))
+    re, im = t.real, t.imag
+    r = np.add(re, re.transpose(row + col + row_in + col_in), out=np.empty(t.shape))
+    r += im.transpose(col + row + row_in + col_in)
+    r -= im.transpose(row + col + col_in + row_in)
     r *= 0.5
-    return r.reshape(g.shape)
+    side2 = math.isqrt(r.size)
+    return r.reshape(side2, side2)
 
 
 def _rk4_propagator(g: np.ndarray, h: float) -> np.ndarray:
@@ -94,6 +101,36 @@ def _hermitian(s: np.ndarray, side: int) -> np.ndarray:
     return x
 
 
+def _real_coordinates(x: np.ndarray) -> np.ndarray:
+    """s = vec(S) with S = A + B for the Hermitian part A + iB of x."""
+    return vec(x.real + x.imag)
+
+
+def _propagate(
+    rho0: DensityMatrix,
+    dt: float,
+    n_steps: int,
+    record_stride: int,
+    step: Callable[[int, np.ndarray, np.ndarray], None],
+) -> SampleRecorder:
+    """The one propagation loop of `integrate` and `collision.simulate`: from
+    rho0, in real Hermitian coordinates, `step(k, s, out)` writes the
+    coordinates after step k into `out` (one real matvec on the propagator
+    routes), and steps are recorded at t = k dt: step 0, every
+    `record_stride` steps and the last step."""
+    side = rho0.side
+    s = _real_coordinates(rho0.entries)
+    buf = np.empty_like(s)
+    recorder = SampleRecorder(rho0.dims, lambda rows: _hermitian(rows, side))
+    recorder.record(0, 0.0, s)
+    for k in range(1, n_steps + 1):
+        step(k, s, buf)
+        s, buf = buf, s
+        if k % record_stride == 0 or k == n_steps:
+            recorder.record(k, k * dt, s)
+    return recorder
+
+
 def integrate(
     generator: GeneratorLike,
     rho0: DensityMatrix,
@@ -115,26 +152,19 @@ def integrate(
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     starts, mats, desc = _segments(generator, dt)
-    side = rho0.side
-    obs, names = observable_arrays(observables, side, observable_names)
-
-    n_steps = max(int(round(t_end / dt)), 1)
-    s = vec(rho0.entries.real + rho0.entries.imag)
-    buf = np.empty_like(s)
-    recorder = SampleRecorder(rho0.dims, lambda rows: _hermitian(rows, side))
-    recorder.record(0, 0.0, s)
+    obs, names = observable_arrays(observables, rho0.side, observable_names)
     propagators: dict[int, np.ndarray] = {}
-    for k in range(1, n_steps + 1):
+
+    def step(k: int, s: np.ndarray, out: np.ndarray) -> None:
         # one lookup per step, at the midpoint: segments start on the step
         # grid, so the step never straddles a segment boundary
-        idx = int(np.searchsorted(starts, (k - 0.5) * dt, side="right")) - 1
+        idx = bisect.bisect_right(starts, (k - 0.5) * dt) - 1
         if idx not in propagators:
-            propagators[idx] = _rk4_propagator(_real_generator(mats[idx]), dt)
-        np.matmul(propagators[idx], s, out=buf)
-        s, buf = buf, s
-        if k % record_stride == 0 or k == n_steps:
-            recorder.record(k, k * dt, s)
+            propagators[idx] = _rk4_propagator(_real_map(mats[idx]), dt)
+        np.matmul(propagators[idx], s, out=out)
 
+    n_steps = max(int(round(t_end / dt)), 1)
+    recorder = _propagate(rho0, dt, n_steps, record_stride, step)
     metadata = {"engine": "me-rk4", "dt": dt, "t_end": n_steps * dt, "generator": desc}
     return recorder.trajectory(obs, names, metadata)
 

@@ -70,6 +70,18 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what}: expected an object, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what}: expected a list, got {value!r}")
+    return value
+
+
 def _real(value, what: str) -> float:
     """A config real number: JSON numbers only, booleans and strings are
     rejected, never converted."""
@@ -184,11 +196,21 @@ def parse_operator(spec, dim: int) -> Operator:
             raise ConfigError(f"operator {spec!r} declares dimension {arg}, context expects {dim}")
         name = base
     if name.startswith("proj"):
+        if not name[4:].isdigit():
+            raise ConfigError(f"operator {spec!r}: projector index {name[4:]!r} is not an integer")
         return projector(dim, int(name[4:]))
     try:
         return _OP_BUILDERS[name](dim)
     except KeyError:
         raise ConfigError(f"unknown operator shorthand {spec!r}") from None
+
+
+def _operator(spec, dim: int, what: str) -> Operator:
+    """parse_operator with the config key path in its error message."""
+    try:
+        return parse_operator(spec, dim)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def parse_state(spec, dims: Sequence[int]) -> DensityMatrix:
@@ -265,15 +287,15 @@ def parse_channel(spec) -> KrausChannel:
 def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...]:
     parsed = []
     side = math.prod(carrier_dims)
-    for entry in entries:
-        if "name" not in entry:
+    for i, entry in enumerate(_list(entries, "observables")):
+        if "name" not in _object(entry, f"observables[{i}]"):
             raise ConfigError("each observable needs a 'name'")
         name = str(entry["name"])
         if "carrier" in entry:
             m = _integer(entry["carrier"], f"observable {name!r}: carrier")
             if not 1 <= m <= len(carrier_dims):
                 raise ConfigError(f"observable {name!r}: carrier {m} out of range")
-            local = parse_operator(entry["op"], carrier_dims[m - 1])
+            local = _operator(entry["op"], carrier_dims[m - 1], f"observables[{i}].op")
             parsed.append((name, embed(local, carrier_dims, (m - 1,))))
         elif "matrix" in entry:
             mat = complex_matrix_from_json(entry["matrix"])
@@ -415,36 +437,40 @@ def load_scenario(source) -> ScenarioConfig:
         return _parse_document(kind, doc)
     except KeyError as exc:
         raise ConfigError(f"config is missing key {exc}") from exc
-    except (ValueError, TypeError, IndexError, AttributeError, OverflowError) as exc:
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _parse_document(name: str, doc: dict) -> ScenarioConfig:
-    carrier_dims = tuple(_integer(d, "carrier_dims entry") for d in doc["carrier_dims"])
+    carrier_dims = tuple(_integer(d, "carrier_dims entry") for d in _list(doc["carrier_dims"], "carrier_dims"))
     env_dim = _integer(doc["env_dim"], "env_dim")
-    coupling_block = doc["couplings"]
+    coupling_block = _object(doc["couplings"], "couplings")
     eta = parse_state(doc["eta"], (env_dim,))
     channel = parse_channel(doc["channel"])
     system = coupling_block.get("system")
     environment = coupling_block.get("environment")
     if system is None or environment is None:
         raise ConfigError("couplings need 'system' and 'environment' lists")
-    if len(system) != len(carrier_dims):
+    if len(_list(system, "couplings.system")) != len(carrier_dims):
         raise ConfigError("one system coupling list per carrier required")
+
+    def operators(ops, dim: int, what: str) -> list[Operator]:
+        return [_operator(op, dim, f"{what}[{l}]") for l, op in enumerate(_list(ops, what))]
+
     system_ops = [
-        [parse_operator(op, carrier_dims[m]) for op in ops] for m, ops in enumerate(system)
+        operators(ops, carrier_dims[m], f"couplings.system[{m}]") for m, ops in enumerate(system)
     ]
-    if environment and isinstance(environment[0], list):
+    if _list(environment, "couplings.environment") and isinstance(environment[0], list):
         if len(environment) != len(carrier_dims):
             raise ConfigError("per-carrier environment couplings must cover every carrier")
-        env_ops = [[parse_operator(op, env_dim) for op in ops] for ops in environment]
+        env_ops = [operators(ops, env_dim, f"couplings.environment[{m}]") for m, ops in enumerate(environment)]
         spec = CouplingSpec(
             system_ops=tuple(tuple(ops) for ops in system_ops),
             env_ops=tuple(tuple(ops) for ops in env_ops),
             env_shared=False,
         )
     else:
-        env_list = [parse_operator(op, env_dim) for op in environment]
+        env_list = operators(environment, env_dim, "couplings.environment")
         spec = CouplingSpec.uniform(system_ops, env_list)
     if channel.side != env_dim:
         raise ConfigError("channel dimension does not match env_dim")

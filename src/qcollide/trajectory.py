@@ -124,19 +124,17 @@ def check_samples(
 class SampleRecorder:
     """The recorded samples of one run, validated SAMPLE_BATCH at a time.
 
-    `record` copies a raw sample (the integrator records real coordinates)
-    into the next row of a reused buffer of SAMPLE_BATCH samples.  A full
-    batch, and the last one at `trajectory`, is turned into a new complex
-    (n, D, D) stack by `convert` (a copy by default) and checked in one call
-    (`check_samples`); the recorder keeps the checked stacks and the check's
-    traces and minimum eigenvalues, and the trajectory's states are the rows
-    of those stacks.  A violation surfaces at most one batch after the
-    failing step was recorded.
+    `record` copies a raw sample (the propagation loop of `simulate` and
+    `integrate` records real coordinates) into the next row of a reused
+    buffer of SAMPLE_BATCH samples.  A full batch, and the last one at
+    `trajectory`, is turned into a new complex (n, D, D) stack by `convert`
+    and checked in one call (`check_samples`); the recorder keeps the checked
+    stacks and the check's traces and minimum eigenvalues, and the
+    trajectory's states are the rows of those stacks.  A violation surfaces
+    at most one batch after the failing step was recorded.
     """
 
-    def __init__(
-        self, dims: tuple[int, ...], convert: Callable[[np.ndarray], np.ndarray] = np.array
-    ):
+    def __init__(self, dims: tuple[int, ...], convert: Callable[[np.ndarray], np.ndarray]):
         self.dims = dims
         self._convert = convert
         self._buf: np.ndarray | None = None

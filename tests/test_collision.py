@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cpt_channel, random_hermitian, random_state
+from conftest import random_cpt_channel, random_hermitian, random_state, random_unitary
 from qcollide.channels import (
     DensityMatrix,
     identity_channel,
     lossy_bosonic_channel,
     replacer_channel,
+    unitary_channel,
 )
 import qcollide.collision
 from qcollide.collision import (
+    COLUMN_MAP_MAX,
     CollisionConfig,
     CouplingSpec,
     HamiltonianSchedule,
@@ -22,8 +24,13 @@ from qcollide.collision import (
     frame_propagator,
     interaction_frame_couplings,
     simulate,
+    _column,
+    _column_map,
+    _trace_env,
+    _unitary_provider,
 )
-from qcollide.ops import Operator, expm_hermitian, kron, partial_trace, pauli, projector
+from qcollide.ops import Operator, expm_hermitian, kron, partial_trace, pauli, projector, vec
+from qcollide.scenarios import BUILTIN_NAMES, collision_config, load_scenario
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 GROUND = DensityMatrix.ground(2)
@@ -188,7 +195,33 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_aborts(self, monkeypatch, bad):
-        # poison the carrier state after collision 70, past the first batch
+        # map route: poison the coordinates after collision 70, past the first batch
+        propagate, built = qcollide.collision._propagate, [0]
+        column_map = qcollide.collision._column_map
+
+        def counted_map(cfg):
+            built[0] += 1
+            return column_map(cfg)
+
+        def poisoned(rho0, dt, n_steps, record_stride, step):
+            def bad_step(k, s, out):
+                step(k, s, out)
+                if k == 70:
+                    out[3] = bad  # S[1, 1]
+            return propagate(rho0, dt, n_steps, record_stride, bad_step)
+
+        monkeypatch.setattr(qcollide.collision, "_column_map", counted_map)
+        monkeypatch.setattr(qcollide.collision, "_propagate", poisoned)
+        # the run goes on past collision 70 until its batch is checked, and
+        # inf * 0 in the later collisions is NaN
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(RuntimeError, match="at step 70, t=7: density matrix is not Hermitian"):
+                simulate(qubit_config(n_collisions=100), GROUND)
+        assert built[0] == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_aborts_direct_column(self, monkeypatch, bad):
+        # a local schedule keeps the direct column: poison its traced state
         trace_env, calls = qcollide.collision._trace_env, [0]
 
         def poisoned(arr, env_dim):
@@ -200,11 +233,10 @@ class TestSimulate:
             return out
 
         monkeypatch.setattr(qcollide.collision, "_trace_env", poisoned)
-        # the run goes on past collision 70 until its batch is checked, and
-        # inf * 0 in the later collisions is NaN
+        sched = HamiltonianSchedule.constant(Operator((2,), 0.4 * SZ.entries))
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="at step 70, t=7: density matrix is not Hermitian"):
-                simulate(qubit_config(n_collisions=100), GROUND)
+                simulate(qubit_config(n_collisions=100, local_hamiltonians=(sched,)), GROUND)
 
     def test_replacer_keeps_carriers_product(self, rng):
         eta = GROUND
@@ -286,6 +318,92 @@ class TestSimulate:
         traj = simulate(cfg, GROUND, record_stride=4)
         assert list(traj.steps) == [0, 4, 8, 10]
         assert np.allclose(traj.times, [0.0, 0.4, 0.8, 1.0])
+
+
+class TestColumnMap:
+    CHANNELS = ("lossy", "unitary", "replacer", "kraus")
+
+    @staticmethod
+    def channel(rng, kind, de):
+        if kind == "lossy":
+            return lossy_bosonic_channel(de, 0.3)
+        if kind == "unitary":
+            return unitary_channel(Operator((de,), random_unitary(rng, de)))
+        if kind == "replacer":
+            return replacer_channel(random_state(rng, (de,)))
+        return random_cpt_channel(rng, de)
+
+    @pytest.mark.parametrize("env_shared", [True, False])
+    @pytest.mark.parametrize("de", [2, 3])
+    @pytest.mark.parametrize("dims", [(2,), (2, 3), (2, 3, 2)])
+    def test_matches_direct_column(self, rng, dims, de, env_shared):
+        # the materialized map against one direct column on random
+        # couplings, channels and states: the index order is the risk
+        for kind in self.CHANNELS:
+            n_terms = int(rng.integers(1, 3))
+            system = [[random_hermitian(rng, (d,)) for _ in range(n_terms)] for d in dims]
+            if env_shared:
+                spec = CouplingSpec.uniform(system, [random_hermitian(rng, (de,)) for _ in range(n_terms)])
+            else:
+                env = [[random_hermitian(rng, (de,)) for _ in range(n_terms)] for _ in dims]
+                spec = CouplingSpec(system, env, env_shared=False)
+            cfg = CollisionConfig(
+                carrier_dims=dims, env_dim=de, g=1.3, dt=0.4, n_collisions=1,
+                eta=random_state(rng, (de,)), channel=self.channel(rng, kind, de), couplings=spec,
+            )
+            rho = random_state(rng, dims).entries
+            joint = np.kron(rho, cfg.eta.entries)
+            direct = _trace_env(_column(joint, cfg, 1, _unitary_provider(cfg)), de)
+            phi = _column_map(cfg).reshape(rho.size, rho.size)
+            assert np.max(np.abs(phi @ vec(rho) - vec(direct))) <= 1e-12, kind
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_trajectories_match_direct_column(self, monkeypatch, name):
+        sc = load_scenario(name)
+        cfg = collision_config(sc, 200)
+        mapped = simulate(cfg, sc.rho0)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX", 0)
+        direct = simulate(cfg, sc.rho0)
+        assert len(mapped) == len(direct) == 201
+        assert np.max(np.abs(np.array(mapped.states) - np.array(direct.states))) <= 1e-12
+
+    def test_mode_rule(self, monkeypatch):
+        built = [0]
+        column_map = qcollide.collision._column_map
+
+        def counted(cfg):
+            built[0] += 1
+            return column_map(cfg)
+
+        def uses_map(cfg):
+            before = built[0]
+            simulate(cfg, DensityMatrix.maximally_mixed(cfg.carrier_dims))
+            return built[0] - before == 1
+
+        monkeypatch.setattr(qcollide.collision, "_column_map", counted)
+        # the 3-carrier qutrit chain (D_c^2 = 729) takes the map, its d = 4
+        # version (4096) does not
+        assert 27**2 <= COLUMN_MAP_MAX < 64**2
+        cfg = qubit_config(m_carriers=2, n_collisions=3)
+        assert uses_map(cfg)
+        sched = HamiltonianSchedule.constant(Operator((2,), 0.4 * SZ.entries))
+        scheduled = qubit_config(m_carriers=2, n_collisions=3, local_hamiltonians=(sched, None))
+        assert not uses_map(scheduled)
+        indexed = qubit_config(m_carriers=2, n_collisions=3, couplings=interaction_frame_couplings(scheduled))
+        assert not uses_map(indexed)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX", 15)
+        assert not uses_map(cfg)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX", 16)
+        assert uses_map(cfg)
+
+    def test_long_run_trace_drift(self):
+        # |tr - 1| grows linearly, about 9e-16 per collision here; the state
+        # is never renormalized
+        sc = load_scenario("ad-chain-2q")
+        traj = simulate(collision_config(sc, 20_000), sc.rho0, record_stride=20_000)
+        assert list(traj.steps) == [0, 20_000]
+        assert abs(traj.traces[-1] - 1.0) <= 1e-10
+        assert np.array_equal(traj.states[-1], traj.states[-1].conj().T)
 
 
 class TestRowPath:

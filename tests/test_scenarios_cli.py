@@ -390,7 +390,7 @@ class TestCLI:
                     "eta": "ground",
                     "channel": {"kind": "lossy", "dim": 2, "kappa": 0.5},
                 },
-                "invalid literal",
+                "couplings.system[0][0]: operator 'projx': projector index 'x' is not an integer",
             ),
             ([1, 2], "must be a JSON object"),
             ({"scenario": "dephasing-1q", "seed": math.inf}, "seed must be an integer, got inf"),
@@ -403,7 +403,7 @@ class TestCLI:
                     "eta": "ground",
                     "channel": {"kind": "lossy", "dim": 2, "kappa": 0.5},
                 },
-                "has no attribute 'get'",
+                "couplings: expected an object, got [1]",
             ),
             ({"scenario": "dephasing-1q", "gamma": math.nan}, "gamma must be positive and finite"),
             ({"scenario": "dephasing-1q", "t_end": math.inf}, "t_end must be positive and finite"),
@@ -486,7 +486,7 @@ class TestCLI:
                 "'params' is only for builtin scenarios",
             ),
             ({"scenario": "ad-chain-2q", "params": [1]}, "params must be an object, got list"),
-            ({"scenario": "ad-chain-2q", "couplings": "junk"}, "has no attribute 'get'"),
+            ({"scenario": "ad-chain-2q", "couplings": "junk"}, "couplings: expected an object, got 'junk'"),
             (
                 {"scenario": "ad-chain-2q", "channel": {"kind": "lossy", "dim": 3, "kappa": 0.5}},
                 "channel dimension does not match env_dim",

@@ -80,17 +80,17 @@ class TestSamples:
 
     def test_step_zero_is_recorded_like_every_sample(self, rng):
         rho0 = random_state(rng, (2, 2, 2))
-        traj = simulate(chain_collisions(3), rho0)
-        assert traj.steps[0] == 0 and traj.times[0] == 0.0
-        assert np.array_equal(traj.states[0], rho0.entries)
-        assert not traj.states[0].flags.writeable
-        assert traj.states[0].base is traj.states[-1].base
-        # the integrator's step 0 goes through its real coordinates, which
+        # both engines record step 0 through their real coordinates, which
         # make every sample exactly Hermitian
-        traj = integrate(chain_generator(), rho0, t_end=0.01, dt=1e-3)
-        assert traj.steps[0] == 0 and traj.times[0] == 0.0
-        assert np.max(np.abs(traj.states[0] - rho0.entries)) <= 1e-15
-        assert np.array_equal(traj.states[0], traj.states[0].conj().T)
+        for traj in (
+            simulate(chain_collisions(3), rho0),
+            integrate(chain_generator(), rho0, t_end=0.01, dt=1e-3),
+        ):
+            assert traj.steps[0] == 0 and traj.times[0] == 0.0
+            assert np.max(np.abs(traj.states[0] - rho0.entries)) <= 1e-15
+            assert np.array_equal(traj.states[0], traj.states[0].conj().T)
+            assert not traj.states[0].flags.writeable
+            assert traj.states[0].base is traj.states[-1].base
 
     def test_final_state_is_the_last_row(self, long_run):
         final = long_run.final_state()
