@@ -4,12 +4,13 @@ An ordered set of carriers S_1..S_M collides with a stream of identical
 sub-environments; between collisions each sub-environment relaxes under a
 CPT channel.  The main simulation path is the column recursion.  When every
 column is the same linear map Phi on the carriers (no collision index, no
-local schedule), `simulate` materializes Phi once, by contraction, and the
-stream is Phi^n: one real matrix-vector product per collision, with D_c^4
-entries held.  Otherwise each collision runs the direct column on the
-carriers plus one environment site.  The direct column also serves
-`evolve_column_step` and the expansion's exact side, and the row
-decomposition is kept as a correctness oracle on small instances.
+local schedule) and its build fits the entry budget COLUMN_MAP_MAX_ENTRIES,
+`simulate` materializes Phi once, by contraction, and the stream is Phi^n:
+one real matrix-vector product per collision, with D_c^4 entries held.
+Otherwise each collision runs the direct column on the carriers plus one
+environment site.  The direct column also serves `evolve_column_step` and
+the expansion's exact side, and the row decomposition is kept as a
+correctness oracle on small instances.
 
 Joint states are laid out as [S_1, ..., S_M, E] with the environment last.
 Carrier indices m and collision indices n are 1-based throughout.
@@ -37,8 +38,9 @@ from .integrator import _hermitian, _propagate, _real_coordinates, _real_map
 from .trajectory import Trajectory, observable_arrays
 
 ROW_PATH_MAX_SIDE = 256
-# simulate materializes the traced column when its side D_c^2 is at most this
-COLUMN_MAP_MAX = 1024
+# simulate materializes the traced column when no array of the build has
+# more complex entries than this (`_column_map_entries`; 16 MiB each)
+COLUMN_MAP_MAX_ENTRIES = 2**20
 
 
 def _check_coupling_list(ops: Sequence[Operator], dim: int, label: str):
@@ -391,31 +393,49 @@ def _column_map(cfg: CollisionConfig) -> np.ndarray:
     = sum phi[s', s, t', t] rho[t, t'] (`.reshape(D_c^2, D_c^2)` copies it
     into the matrix).
 
-    For carrier m, T_m[(f f'), (t t' s s' e e')] = sum_(g g') R[e e', g g']
-    U_m[s g, t f] conj(U_m[s' g', t' f']) takes the environment site's
-    (f, f') to (e, e') while carrier m's (t, t') goes to (s, s'); R is the
-    relaxation channel's tensor on E.  Starting from the row W = eta, the
-    carriers are absorbed one by one, W <- W.reshape(-1, d_e^2) @ T_m, with
-    the environment traced out of T_M before the last product, so that the
-    last product writes the map itself and not a d_e^2 times larger tensor.
+    The row W starts as eta and takes one carrier at a time.  For carrier m
+    the environment site's (f, f') goes to (e, e') while carrier m's (t, t')
+    goes to (s, s'): W is contracted with U_m[s g, t f], then with
+    conj(U_m[s' g', t' f']), then with the relaxation channel's tensor
+    R[e e', g g'], one factor at a time, so that every array of the build is
+    at most as large as the next W.  For the last carrier, E is traced out of
+    R first and W meets the small tensor sum_(g g') tr_E R[., g g'] U_M
+    conj(U_M) in one product, which writes the map itself.  All contractions
+    except that product run in einsum's own loops: threaded BLAS can stall
+    on such thin products; outputs that are reshaped are written in C order
+    so the reshape is a view.  `_column_map_entries` gives the largest array.
     """
     de = cfg.env_dim
     # r[e', e, g', g] = R[e + de e', g + de g'], the column-stacked channel matrix
     r = cfg.channel.superop_matrix.reshape(de, de, de, de)
-    w = cfg.eta.entries.reshape(1, de * de)
-    for m, d in enumerate(cfg.carrier_dims, start=1):
-        u = collision_unitary(cfg, m, 1).entries.reshape(d, de, d, de)
-        # sum over g, then over g', in einsum's own loops: threaded BLAS can
-        # stall on such thin products
-        if m < cfg.n_carriers:
-            t = np.einsum("fteEGs,SGTF->fFtTsSeE", np.einsum("EeGg,sgtf->fteEGs", r, u), u.conj())
-        else:
-            t = np.einsum("ftGs,SGTF->fFtTsS", np.einsum("eeGg,sgtf->ftGs", r, u), u.conj())
-        w = w.reshape(-1, de * de) @ t.reshape(de * de, -1)
+    us = [
+        collision_unitary(cfg, m, 1).entries.reshape(d, de, d, de)
+        for m, d in enumerate(cfg.carrier_dims, start=1)
+    ]
+    w = cfg.eta.entries.reshape(1, de, de)
+    for u in us[:-1]:
+        wu = np.einsum("pfF,sgtf->pFtsg", w, u)
+        wuu = np.einsum("pFtsg,SGTF->ptTsSGg", wu, u.conj())
+        del wu
+        w = np.einsum("ptTsSGg,EeGg->ptTsSeE", wuu, r, order="C").reshape(-1, de, de)
+        del wuu
+    ru = np.einsum("Gg,sgtf->ftGs", np.einsum("eeGg->Gg", r), us[-1])
+    t = np.einsum("ftGs,SGTF->fFtTsS", ru, us[-1].conj(), order="C")
+    w = w.reshape(-1, de * de) @ t.reshape(de * de, -1)
     # axes (t_1, t'_1, s_1, s'_1, ..., t_M, t'_M, s_M, s'_M) -> (s', s, t', t):
     # row s + D s' and column t + D t' of the column-stacked matrix, as a view
     w = w.reshape(tuple(d for d in cfg.carrier_dims for _ in range(4)))
     return w.transpose([4 * m + k for k in (3, 2, 1, 0) for m in range(cfg.n_carriers)])
+
+
+def _column_map_entries(cfg: CollisionConfig) -> int:
+    """Complex entries of the largest array `_column_map` allocates: the map
+    (D_c^4), the row W after each carrier but the last and the array it is
+    contracted from (at most D_(<M)^4 d_e^2), or the last carrier's tensor
+    (d_M^4 d_e^2).  The relaxation channel's own d_e^4 matrix is cached on
+    the channel, which the direct column uses as well."""
+    head = math.prod(cfg.carrier_dims[:-1]) ** 4
+    return max(math.prod(cfg.carrier_dims) ** 4, max(head, cfg.carrier_dims[-1] ** 4) * cfg.env_dim**2)
 
 
 def simulate(
@@ -428,14 +448,16 @@ def simulate(
     """Iterate the column recursion for cfg.n_collisions collisions.
 
     When the column is the same map at every collision (couplings not
-    collision-indexed, no local schedule) and D_c^2 <= COLUMN_MAP_MAX, the
+    collision-indexed, no local schedule) and no array of its build has more
+    than COLUMN_MAP_MAX_ENTRIES complex entries (`_column_map_entries`), the
     traced column is materialized once (`_column_map`) in real Hermitian
     coordinates and every collision is one real D_c^2 x D_c^2 matvec.  The
-    map takes 8 D_c^4 bytes (8 MB at the bound), and its build briefly holds
-    the complex map as well (16 D_c^4 bytes).  Otherwise each collision runs
-    the direct column (`_column` on rho (x) eta, then `_trace_env`).  Both
-    routes go through the integrator's one propagation loop, so recorded
-    samples are exactly Hermitian.
+    build holds at most two arrays of that size at once (32 MiB at the
+    bound), and the iterated map takes 8 D_c^4 bytes (at most 8 MiB).
+    Otherwise each collision runs the direct column (`_column` on
+    rho (x) eta, then `_trace_env`).  Both routes go through the
+    integrator's one propagation loop, so recorded samples are exactly
+    Hermitian.
 
     Local free evolution, when configured, is applied to the carriers over
     [tau_(n-1), tau_n] before collision n.  Samples are recorded at step 0,
@@ -450,7 +472,7 @@ def simulate(
     obs, names = observable_arrays(observables, rho0.side, observable_names)
 
     uniform = cfg.couplings.collision_system_ops is None and cfg.local_hamiltonians is None
-    if uniform and rho0.side**2 <= COLUMN_MAP_MAX:
+    if uniform and _column_map_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES:
         phi = _real_map(_column_map(cfg))
 
         def step(n: int, s: np.ndarray, out: np.ndarray) -> None:

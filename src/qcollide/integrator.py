@@ -102,8 +102,10 @@ def _hermitian(s: np.ndarray, side: int) -> np.ndarray:
 
 
 def _real_coordinates(x: np.ndarray) -> np.ndarray:
-    """s = vec(S) with S = A + B for the Hermitian part A + iB of x."""
-    return vec(x.real + x.imag)
+    """s = vec(S) with S = A + B for the Hermitian part A + iB of x:
+    A = (Re x + Re x^T)/2 and B = (Im x - Im x^T)/2, so S = (P + Q^T)/2 with
+    P = Re x + Im x and Q = Re x - Im x (S = P exactly when x is Hermitian)."""
+    return vec(0.5 * (x.real + x.imag + (x.real - x.imag).T))
 
 
 def _propagate(

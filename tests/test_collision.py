@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qcollide.channels import (
 )
 import qcollide.collision
 from qcollide.collision import (
-    COLUMN_MAP_MAX,
+    COLUMN_MAP_MAX_ENTRIES,
     CollisionConfig,
     CouplingSpec,
     HamiltonianSchedule,
@@ -26,6 +27,7 @@ from qcollide.collision import (
     simulate,
     _column,
     _column_map,
+    _column_map_entries,
     _trace_env,
     _unitary_provider,
 )
@@ -49,6 +51,19 @@ def qubit_config(n_collisions=10, g=1.0, dt=0.1, channel=None, couplings=None, m
         channel=channel or identity_channel(2),
         couplings=couplings,
         **kw,
+    )
+
+
+def lossy_env_config(dims, de, n_collisions=3):
+    """Carriers coupled through x (x) x to one lossy bosonic mode of de levels."""
+
+    def x(d):
+        return Operator((d,), np.diag(np.sqrt(np.arange(1, d)), 1) + np.diag(np.sqrt(np.arange(1, d)), -1))
+
+    return CollisionConfig(
+        carrier_dims=dims, env_dim=de, g=1.0, dt=0.1, n_collisions=n_collisions,
+        eta=DensityMatrix.ground(de), channel=lossy_bosonic_channel(de, 0.3),
+        couplings=CouplingSpec.uniform([[x(d)] for d in dims], [x(de)]),
     )
 
 
@@ -362,7 +377,7 @@ class TestColumnMap:
         sc = load_scenario(name)
         cfg = collision_config(sc, 200)
         mapped = simulate(cfg, sc.rho0)
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX", 0)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
         direct = simulate(cfg, sc.rho0)
         assert len(mapped) == len(direct) == 201
         assert np.max(np.abs(np.array(mapped.states) - np.array(direct.states))) <= 1e-12
@@ -381,20 +396,54 @@ class TestColumnMap:
             return built[0] - before == 1
 
         monkeypatch.setattr(qcollide.collision, "_column_map", counted)
-        # the 3-carrier qutrit chain (D_c^2 = 729) takes the map, its d = 4
-        # version (4096) does not
-        assert 27**2 <= COLUMN_MAP_MAX < 64**2
+        # the 3-carrier qutrit chain (largest build array: the map, 27^4
+        # entries) takes the map, its d = 4 version (64^4) does not
+        assert 27**4 <= COLUMN_MAP_MAX_ENTRIES < 64**4
         cfg = qubit_config(m_carriers=2, n_collisions=3)
+        assert _column_map_entries(cfg) == 4**4
         assert uses_map(cfg)
         sched = HamiltonianSchedule.constant(Operator((2,), 0.4 * SZ.entries))
         scheduled = qubit_config(m_carriers=2, n_collisions=3, local_hamiltonians=(sched, None))
         assert not uses_map(scheduled)
         indexed = qubit_config(m_carriers=2, n_collisions=3, couplings=interaction_frame_couplings(scheduled))
         assert not uses_map(indexed)
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX", 15)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 4**4 - 1)
         assert not uses_map(cfg)
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX", 16)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 4**4)
         assert uses_map(cfg)
+        # the environment counts too: two qubits on a d_e = 32 site build a
+        # 2^4 * 32^2 row, four times larger than their 4^4-entry map
+        wide = lossy_env_config((2, 2), 32)
+        assert _column_map_entries(wide) == 2**4 * 32**2
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2**4 * 32**2 - 1)
+        assert not uses_map(wide)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2**4 * 32**2)
+        assert uses_map(wide)
+
+    @pytest.mark.parametrize("dims, de", [((2, 2), 32), ((2, 2, 2), 8), ((3, 3, 3), 3)])
+    def test_build_memory_follows_entry_count(self, dims, de):
+        # no tensor of d_m^4 d_e^4 entries: the build holds two arrays of at
+        # most `_column_map_entries` at once, plus the collision unitaries
+        # and einsum's buffers (the channel's own d_e^4 matrix is cached
+        # before tracing starts)
+        cfg = lossy_env_config(dims, de)
+        cfg.channel.superop_matrix
+        tracemalloc.start()
+        try:
+            _column_map(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * _column_map_entries(cfg)
+
+    def test_wide_environment_map_matches_direct_column(self, monkeypatch, rng):
+        cfg = lossy_env_config((2, 2), 24, n_collisions=30)
+        rho = random_state(rng, cfg.carrier_dims)
+        mapped = simulate(cfg, rho)
+        assert np.max(np.abs(mapped.states[-1] - rho.entries)) > 0.1
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
+        direct = simulate(cfg, rho)
+        assert np.max(np.abs(np.array(mapped.states) - np.array(direct.states))) <= 1e-12
 
     def test_long_run_trace_drift(self):
         # |tr - 1| grows linearly, about 9e-16 per collision here; the state

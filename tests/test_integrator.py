@@ -153,6 +153,15 @@ class TestIntegrate:
             for x in traj.states:
                 assert np.array_equal(x, x.conj().T)
 
+    def test_real_coordinates_keep_the_hermitian_part(self, rng):
+        # a non-Hermitian input drops its anti-Hermitian part; for a
+        # Hermitian one S = Re x + Im x exactly
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        back = qcollide.integrator._hermitian(qcollide.integrator._real_coordinates(x), 4)[0]
+        assert np.max(np.abs(back - hermitize(x))) <= 1e-15
+        rho = hermitize(random_state(rng, (2, 2)).entries)
+        assert np.array_equal(qcollide.integrator._real_coordinates(rho), vec(rho.real + rho.imag))
+
 
 def random_lindblad(rng, dims, n_jumps=2):
     """-i[H, X] + sum_k (L_k X L_k^dag - {L_k^dag L_k, X}/2): trace preserving."""
