@@ -1,11 +1,12 @@
 """JSON encoding helpers: complex matrices as nested [re, im] pairs.
 
-``write_json`` is the one JSON writer of the package.  It encodes with the
-C encoder (``json.dumps`` without ``indent``), so every output is a compact
-single-line document.  Payloads may hold complex ndarrays as values; the
-``default`` hook expands each one to its [re, im] lists only when the encoder
-reaches it, so one matrix's lists are alive at a time.  Any other value the
-encoder cannot handle raises TypeError before the file is opened.
+``write_json`` is the one JSON writer of the package.  Its output is byte for
+byte the compact ``json.dumps`` of the payload with each complex ndarray as
+its [re, im] lists, but no lists are built: ``json.dumps`` writes the rest of
+the document around placeholders, each distinct float64 bit pattern of all of
+its arrays is spelled once (0.0 and -0.0 stay apart), and each array is one
+``%``-format of those tokens.  A value ``json`` cannot encode raises TypeError
+before the file is opened.
 """
 
 from __future__ import annotations
@@ -20,27 +21,68 @@ def complex_matrix_to_json(a: np.ndarray) -> list:
     return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
-def _encode_array(obj):
-    if isinstance(obj, np.ndarray):
-        return complex_matrix_to_json(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _nested_format(shape: tuple[int, ...]) -> str:
+    """The JSON text of a nested list of this shape, one %s per leaf."""
+    if not shape:
+        return "%s"
+    return "[" + ", ".join([_nested_format(shape[1:])] * shape[0]) + "]"
+
+
+def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of int64 bit patterns, as float64, and each one's
+    index among them.  0.0, the bulk of a generator matrix, takes index 0 outside
+    the argsort (np.unique's), which is slow on long runs of zeros."""
+    nonzero = np.flatnonzero(bits)
+    order = nonzero[np.argsort(bits[nonzero])]
+    ordered = bits[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    index = np.zeros(bits.size, dtype=np.intp)
+    index[order] = np.cumsum(first)
+    return np.concatenate(([0], ordered[first])).view(np.float64), index
 
 
 def write_json(path, data) -> None:
-    text = json.dumps(data, default=_encode_array)
+    arrays, mark = [], "\0"
+
+    def defer(obj):
+        if isinstance(obj, np.ndarray):
+            arrays.append(np.ascontiguousarray(obj, dtype=complex))
+            return mark
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    parts = json.dumps(data, default=defer).split(json.dumps(mark))
+    while len(parts) != len(arrays) + 1:  # a string of the document spells the placeholder
+        arrays, mark = [], mark + "\0"
+        parts = json.dumps(data, default=defer).split(json.dumps(mark))
+    values, index = _distinct(np.concatenate([np.empty(0, np.int64)] + [a.ravel().view(np.int64) for a in arrays]))
+    tokens = np.array(list(map(repr, values.tolist())), dtype=object)
+    tokens[np.isnan(values)] = "NaN"  # json's spelling of what repr calls nan, inf, -inf
+    tokens[values == np.inf] = "Infinity"
+    tokens[values == -np.inf] = "-Infinity"
+    formats, start = {}, 0
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(parts[0])
+        for a, part in zip(arrays, parts[1:]):
+            if a.shape not in formats:
+                formats[a.shape] = _nested_format(a.shape + (2,))
+            stop = start + 2 * a.size
+            fh.write(formats[a.shape] % tuple(tokens[index[start:stop]].tolist()))
+            fh.write(part)
+            start = stop
 
 
 def _complex_entry(pair) -> complex:
-    re, im = pair[0], pair[1]
-    if isinstance(re, bool) or isinstance(im, bool):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(isinstance(x, bool) for x in pair):
         raise TypeError(f"entry {pair!r} is not a pair of numbers")
-    return complex(re, im)
+    return complex(*pair)
 
 
 def complex_matrix_from_json(rows) -> np.ndarray:
     try:
-        return np.array([[_complex_entry(c) for c in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError) as exc:
+        entries = [[_complex_entry(c) for c in row] for row in rows]
+        if len({len(row) for row in entries}) > 1:
+            raise ValueError(f"rows of unequal lengths {[len(row) for row in entries]}")
+        return np.array(entries, dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed complex matrix payload: {exc}") from exc

@@ -82,6 +82,20 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _key(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise ConfigError(f"{what}: missing key {key!r}")
+    return spec[key]
+
+
+def _matrix(payload, what: str) -> np.ndarray:
+    """complex_matrix_from_json with the config key path in its error message."""
+    try:
+        return complex_matrix_from_json(payload)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _real(value, what: str) -> float:
     """A config real number: JSON numbers only, booleans and strings are
     rejected, never converted."""
@@ -213,7 +227,7 @@ def _operator(spec, dim: int, what: str) -> Operator:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def parse_state(spec, dims: Sequence[int]) -> DensityMatrix:
+def parse_state(spec, dims: Sequence[int], what: str = "state") -> DensityMatrix:
     dims = tuple(dims)
     side = math.prod(dims)
     if isinstance(spec, str):
@@ -224,55 +238,56 @@ def parse_state(spec, dims: Sequence[int]) -> DensityMatrix:
             return DensityMatrix.from_ket(ket, dims)
         if name == "maximally-mixed":
             return DensityMatrix.maximally_mixed(dims)
-        raise ConfigError(f"unknown state shorthand {spec!r}")
+        raise ConfigError(f"{what}: unknown state shorthand {spec!r}")
     if not isinstance(spec, dict):
-        raise ConfigError("state spec must be a shorthand name or a dict")
+        raise ConfigError(f"{what}: state spec must be a shorthand name or a dict")
     kind = spec.get("kind")
     if kind == "ket":
-        amps = complex_matrix_from_json([spec["amplitudes"]])[0]
+        amps = _matrix([_key(spec, "amplitudes", what)], f"{what}.amplitudes")[0]
         if amps.size != side:
-            raise ConfigError(f"ket length {amps.size} does not match dimension {side}")
+            raise ConfigError(f"{what}: ket length {amps.size} does not match dimension {side}")
         return DensityMatrix.from_ket(amps, dims)
     if kind == "matrix":
-        mat = complex_matrix_from_json(spec["matrix"])
+        mat = _matrix(_key(spec, "matrix", what), f"{what}.matrix")
         if mat.shape[0] != side:
-            raise ConfigError(f"state matrix side {mat.shape[0]} does not match dimension {side}")
+            raise ConfigError(f"{what}: state matrix side {mat.shape[0]} does not match dimension {side}")
         try:
             return DensityMatrix.from_matrix(mat, dims)
         except ValueError as exc:
-            raise ConfigError(f"invalid density matrix: {exc}") from exc
+            raise ConfigError(f"{what}: invalid density matrix: {exc}") from exc
     if kind == "product":
-        factors = spec["factors"]
+        factors = _list(_key(spec, "factors", what), f"{what}.factors")
         if len(factors) != len(dims):
-            raise ConfigError("product state needs one factor per carrier")
-        mats = [complex_matrix_from_json(m) for m in factors]
+            raise ConfigError(f"{what}: product state needs one factor per carrier")
+        mats = [_matrix(m, f"{what}.factors[{i}]") for i, m in enumerate(factors)]
         full = mats[0]
         for m in mats[1:]:
             full = np.kron(full, m)
         try:
             return DensityMatrix.from_matrix(full, dims)
         except ValueError as exc:
-            raise ConfigError(f"invalid product state: {exc}") from exc
-    raise ConfigError(f"unknown state kind {kind!r}")
+            raise ConfigError(f"{what}: invalid product state: {exc}") from exc
+    raise ConfigError(f"{what}: unknown state kind {kind!r}")
 
 
-def parse_channel(spec) -> KrausChannel:
+def parse_channel(spec, what: str = "channel") -> KrausChannel:
     """Channel dict: {'kind': 'lossy', 'dim', 'kappa'}, {'kind': 'replacer',
     'eta'}, {'kind': 'unitary', 'matrix'} or {'kind': 'kraus', 'operators'};
     matrices are nested [re, im] pairs.  A Kraus list that is not trace
     preserving only warns, so that broken channels can still be run."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "lossy":
-        dim = _integer(spec["dim"], "channel dim")
-        return lossy_bosonic_channel(dim, _real(spec["kappa"], "channel kappa"))
+        dim = _integer(_key(spec, "dim", what), f"{what} dim")
+        return lossy_bosonic_channel(dim, _real(_key(spec, "kappa", what), f"{what} kappa"))
     if kind == "replacer":
-        eta = complex_matrix_from_json(spec["eta"])
+        eta = _matrix(_key(spec, "eta", what), f"{what}.eta")
         return replacer_channel(DensityMatrix.from_matrix(eta, (eta.shape[0],)))
     if kind == "unitary":
-        mat = complex_matrix_from_json(spec["matrix"])
+        mat = _matrix(_key(spec, "matrix", what), f"{what}.matrix")
         return unitary_channel(Operator((mat.shape[0],), mat))
     if kind == "kraus":
-        ops = [complex_matrix_from_json(m) for m in spec["operators"]]
+        operators = _list(_key(spec, "operators", what), f"{what}.operators")
+        ops = [_matrix(m, f"{what}.operators[{i}]") for i, m in enumerate(operators)]
         chan = KrausChannel(tuple(Operator((m.shape[0],), m) for m in ops))
         report = validate_cpt(chan)
         if not report.passed:
@@ -281,7 +296,7 @@ def parse_channel(spec) -> KrausChannel:
                 RuntimeWarning,
             )
         return chan
-    raise ConfigError(f"channel needs a 'kind' of lossy, replacer, unitary or kraus, got {kind!r}")
+    raise ConfigError(f"{what} needs a 'kind' of lossy, replacer, unitary or kraus, got {kind!r}")
 
 
 def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...]:
@@ -298,7 +313,7 @@ def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...
             local = _operator(entry["op"], carrier_dims[m - 1], f"observables[{i}].op")
             parsed.append((name, embed(local, carrier_dims, (m - 1,))))
         elif "matrix" in entry:
-            mat = complex_matrix_from_json(entry["matrix"])
+            mat = _matrix(entry["matrix"], f"observables[{i}].matrix")
             if mat.shape[0] != side:
                 raise ConfigError(f"observable {name!r}: matrix side mismatch")
             parsed.append((name, Operator(tuple(carrier_dims), mat)))
@@ -445,7 +460,7 @@ def _parse_document(name: str, doc: dict) -> ScenarioConfig:
     carrier_dims = tuple(_integer(d, "carrier_dims entry") for d in _list(doc["carrier_dims"], "carrier_dims"))
     env_dim = _integer(doc["env_dim"], "env_dim")
     coupling_block = _object(doc["couplings"], "couplings")
-    eta = parse_state(doc["eta"], (env_dim,))
+    eta = parse_state(doc["eta"], (env_dim,), "eta")
     channel = parse_channel(doc["channel"])
     system = coupling_block.get("system")
     environment = coupling_block.get("environment")
@@ -481,7 +496,7 @@ def _parse_document(name: str, doc: dict) -> ScenarioConfig:
         couplings=spec,
         eta=eta,
         channel=channel,
-        rho0=parse_state(doc.get("rho0", "ground"), carrier_dims),
+        rho0=parse_state(doc.get("rho0", "ground"), carrier_dims, "rho0"),
         observables=_parse_observables(doc.get("observables", []), carrier_dims),
         **{key: doc[key] for key in _RUN_KEYS if key in doc},
     )

@@ -1,6 +1,6 @@
 """The one JSON writer: compact output that parses to the same document the
-list-building, indented encoder produced, and the same tokens for edge
-floats."""
+list-building, indented encoder produced, and the same bytes as the compact
+list-building encoder, down to the spelling of every float token."""
 
 import json
 import math
@@ -11,13 +11,28 @@ import pytest
 
 from qcollide.cli import main
 from qcollide.jsonio import complex_matrix_from_json, complex_matrix_to_json, write_json
-from qcollide.scenarios import load_scenario, run_simulate, run_verify, scenario_generator
+from qcollide.scenarios import (
+    BUILTIN_NAMES,
+    load_scenario,
+    run_converge,
+    run_simulate,
+    run_verify,
+    scenario_generator,
+)
 
 
 def old_complex_matrix_to_json(a):
-    """The element-by-element encoder the writer replaced: the oracle."""
-    a = np.asarray(a, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    """The element-by-element encoder the writer replaced: the oracle.  Any
+    shape; a 0-d array counts as one entry, as in the writer."""
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    if a.ndim > 1:
+        return [old_complex_matrix_to_json(sub) for sub in a]
+    return [[float(z.real), float(z.imag)] for z in a]
+
+
+def old_bytes(data):
+    """The bytes the compact list-building writer put on disk."""
+    return json.dumps(data, default=old_complex_matrix_to_json).encode()
 
 
 def old_document(data):
@@ -37,6 +52,24 @@ def old_rates_dict(rates):
         "cross": [
             {"m": m, "m_prime": mp, "rates": old_complex_matrix_to_json(r)}
             for (m, mp), r in sorted(rates.cross.items())
+        ],
+    }
+
+
+def old_trajectory_document(traj):
+    return {
+        "metadata": traj.metadata,
+        "observable_names": list(traj.observable_names),
+        "samples": [
+            {
+                "step": int(traj.steps[i]),
+                "t": float(traj.times[i]),
+                "observables": [[float(v.real), float(v.imag)] for v in traj.observable_values[i]],
+                "trace": float(traj.traces[i]),
+                "min_eigenvalue": float(traj.min_eigenvalues[i]),
+                "state": old_complex_matrix_to_json(traj.states[i]),
+            }
+            for i in range(len(traj))
         ],
     }
 
@@ -86,23 +119,8 @@ class TestRoundTripAgainstOldEncoder:
         argv = ["simulate", "--config", "ad-chain-2q", "--out", str(tmp_path), "--format", "json"]
         assert main(argv) == 0
         traj = run_simulate(load_scenario("ad-chain-2q"))
-        old = {
-            "metadata": traj.metadata,
-            "observable_names": list(traj.observable_names),
-            "samples": [
-                {
-                    "step": int(traj.steps[i]),
-                    "t": float(traj.times[i]),
-                    "observables": [[float(v.real), float(v.imag)] for v in traj.observable_values[i]],
-                    "trace": float(traj.traces[i]),
-                    "min_eigenvalue": float(traj.min_eigenvalues[i]),
-                    "state": old_complex_matrix_to_json(traj.states[i]),
-                }
-                for i in range(len(traj))
-            ],
-        }
         doc = read(tmp_path / "trajectory.json")
-        assert doc == old_document(old)
+        assert doc == old_document(old_trajectory_document(traj))
         for sample, state in zip(doc["samples"], traj.states, strict=True):
             assert np.array_equal(complex_matrix_from_json(sample["state"]), state)
 
@@ -134,3 +152,106 @@ class TestWriteJson:
         with pytest.raises(TypeError, match="not JSON serializable"):
             write_json(tmp_path / "bad.json", {"x": [bad]})
         assert not (tmp_path / "bad.json").exists()
+
+
+class TestBytesAgainstOldWriter:
+    """Parsing cannot see a -0.0 -> 0.0 flip or a respelled token; these
+    compare the files byte for byte with the list-building writer's output."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_outputs(self, tmp_path, name):
+        for command, fmt in [
+            ("generators", "csv"), ("generators", "json"), ("simulate", "json"), ("converge", "json"), ("verify", None),
+        ]:
+            argv = [command, "--config", name, "--out", str(tmp_path / f"{command}-{fmt}")]
+            assert main(argv + (["--format", fmt] if fmt else [])) == 0
+        sc = load_scenario(name)
+        gen = scenario_generator(sc)
+        expected = {
+            "generators-csv/generators.json": old_bytes(gen.to_dict()),
+            "generators-json/generators.json": old_bytes(gen.to_dict()),
+            "generators-json/rates.json": old_bytes(gen.rates.to_dict()),
+            "simulate-json/trajectory.json": old_bytes(old_trajectory_document(run_simulate(sc))),
+            "converge-json/convergence.json": old_bytes(run_converge(sc).to_dict()),
+            "verify-None/verify.json": old_bytes(run_verify(sc).to_dict()),
+        }
+        for path, data in expected.items():
+            assert (tmp_path / path).read_bytes() == data, path
+
+    def test_edge_values(self, tmp_path):
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e22, 1e-5, 0.1 + 0.2]
+        arr = np.array(values, dtype=complex)
+        arr.imag = [-0.0, 0.0, 1e22, math.nan, -0.0, -math.inf, math.inf, 5e-324, 0.1 + 0.2, 1e-5]
+        arr = np.stack([arr, arr[::-1]])
+        path = tmp_path / "edge.json"
+        write_json(path, {"a": arr, "b": [arr[0, 0, ...], arr[1, ::-3]]})
+        assert path.read_bytes() == old_bytes({"a": arr, "b": [arr[0, 0, ...], arr[1, ::-3]]})
+        assert path.read_text().startswith('{"a": [[[0.0, -0.0], [-0.0, 0.0], [NaN, 1e+22], [Infinity, NaN], ')
+        for token in ("5e-324", "1e+16", "1e+22", "1e-05", "0.30000000000000004", "-Infinity"):
+            assert token in tokens(path.read_text())
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a.real,
+            lambda a: a.T,
+            lambda a: a[::2, 1::3],
+            lambda a: a[1],
+            lambda a: a[:, 0].real,
+            lambda a: a[:0],
+            lambda a: a[:0, :3],
+            lambda a: a[:, :0],
+            lambda a: a.reshape(2, 2, 6),
+            lambda a: a[0, 0, ...],
+        ],
+        ids=["real", "transposed", "strided", "1d", "1d-real", "empty", "0x3", "4x0", "3d", "0d"],
+    )
+    def test_shapes(self, tmp_path, rng, make):
+        a = make(rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6)))
+        write_json(tmp_path / "a.json", {"x": a, "y": [a, {"z": a}]})
+        assert (tmp_path / "a.json").read_bytes() == old_bytes({"x": a, "y": [a, {"z": a}]})
+
+    def test_same_array_twice_and_many_arrays(self, tmp_path, rng):
+        shared = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        doc = {"first": shared, "again": shared, "many": [rng.normal(size=(2, 2)) for _ in range(50)], "last": shared}
+        write_json(tmp_path / "a.json", doc)
+        assert (tmp_path / "a.json").read_bytes() == old_bytes(doc)
+
+    @pytest.mark.parametrize(
+        "strings",
+        [["\0"], ['"\0', "\0\0", "\0\0\0"], ["%s", "%%", "100%"], ["\\u0000", "ü", "a\nb"]],
+        ids=["nul", "nul-runs", "percent", "escapes"],
+    )
+    def test_document_strings_next_to_arrays(self, tmp_path, strings):
+        doc = {"strings": strings, "a": np.eye(2), **{s: np.ones(1) for s in strings}}
+        write_json(tmp_path / "a.json", doc)
+        assert (tmp_path / "a.json").read_bytes() == old_bytes(doc)
+
+    def test_document_without_arrays(self, tmp_path):
+        for doc in ({}, [], "x", 1.5, {"a": [1, 2.5, None, True]}):
+            write_json(tmp_path / "a.json", doc)
+            assert (tmp_path / "a.json").read_bytes() == old_bytes(doc)
+
+
+class TestComplexMatrixFromJson:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([[[1, 0, 7], [0, 0]], [[0, 0], [1, 0]]], "entry [1, 0, 7] is not a pair of numbers"),
+            ([[[1, 0]], [[0, 0], [1, 0]]], "rows of unequal lengths [1, 2]"),
+            ([[[1]]], "entry [1] is not a pair of numbers"),
+            ([[1, 0]], "entry 1 is not a pair of numbers"),
+            ([[[True, 0]]], "is not a pair of numbers"),
+            ([[["1", 0]]], "malformed complex matrix payload"),
+            (5, "malformed complex matrix payload"),
+        ],
+        ids=["triple", "ragged", "single", "scalar-entry", "bool", "string", "not-a-list"],
+    )
+    def test_malformed_payload(self, payload, message):
+        with pytest.raises(ValueError, match="^malformed complex matrix payload: ") as info:
+            complex_matrix_from_json(payload)
+        assert message in str(info.value)
+
+    def test_round_trip(self, rng):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        assert np.array_equal(complex_matrix_from_json(complex_matrix_to_json(a)), a)

@@ -376,10 +376,10 @@ class TestCLI:
             ({"scenario": "bosonic-fiber", "params": {"kappa": 2}}, "transmissivity"),
             ({"scenario": "dephasing-1q", "record_stride": 0}, "record_stride"),
             ({"scenario": "dephasing-1q", "t_end": "abc"}, "t_end must be a real number, got 'abc'"),
-            ({"scenario": "dephasing-1q", "rho0": {"kind": "ket"}}, "missing key 'amplitudes'"),
+            ({"scenario": "dephasing-1q", "rho0": {"kind": "ket"}}, "rho0: missing key 'amplitudes'"),
             (
                 {"scenario": "dephasing-1q", "rho0": {"kind": "ket", "amplitudes": [[1], [0]]}},
-                "index out of range",
+                "rho0.amplitudes: malformed complex matrix payload: entry [1] is not a pair of numbers",
             ),
             (
                 {
@@ -491,6 +491,29 @@ class TestCLI:
                 {"scenario": "ad-chain-2q", "channel": {"kind": "lossy", "dim": 3, "kappa": 0.5}},
                 "channel dimension does not match env_dim",
             ),
+            ({"scenario": "dephasing-1q", "channel": {"kind": "lossy", "dim": 2}}, "channel: missing key 'kappa'"),
+            ({"scenario": "dephasing-1q", "eta": {"kind": "matrix"}}, "eta: missing key 'matrix'"),
+            ({"scenario": "dephasing-1q", "rho0": {"kind": "product"}}, "rho0: missing key 'factors'"),
+            (
+                {"scenario": "ad-chain-2q", "rho0": {"kind": "product", "factors": [[[[1, 0]]], [[[1, 0], [0]]]]}},
+                "rho0.factors[1]: malformed complex matrix payload: entry [0] is not a pair of numbers",
+            ),
+            (
+                {"scenario": "dephasing-1q", "channel": {"kind": "unitary", "matrix": [[[1, 0, 7], [0, 0]], [[0, 0], [1, 0]]]}},
+                "channel.matrix: malformed complex matrix payload: entry [1, 0, 7] is not a pair of numbers",
+            ),
+            (
+                {"scenario": "dephasing-1q", "channel": {"kind": "unitary", "matrix": [[[1, 0], [0, 0]], [[1, 0]]]}},
+                "channel.matrix: malformed complex matrix payload: rows of unequal lengths [2, 1]",
+            ),
+            (
+                {"scenario": "dephasing-1q", "channel": {"kind": "kraus", "operators": [[[[1, 0], [0, 0]], [[0, 0]]]]}},
+                "channel.operators[0]: malformed complex matrix payload: rows of unequal lengths [2, 1]",
+            ),
+            (
+                {"scenario": "dephasing-1q", "observables": [{"name": "m", "matrix": [[[1, 0], [0]], [[0, 0], [1, 0]]]}]},
+                "observables[0].matrix: malformed complex matrix payload: entry [0] is not a pair of numbers",
+            ),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
              "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity",
@@ -499,7 +522,9 @@ class TestCLI:
              "env-dim-float", "params-d-float", "params-d-negative", "observable-carrier-float", "channel-dim-float",
              "gamma-bool", "t-end-bool", "t-end-numeric-string", "channel-kappa-string", "params-kappa-bool",
              "params-p-string", "params-theta-string", "matrix-bool-pair", "ket-bool-amplitude",
-             "custom-params", "params-list", "builtin-couplings-junk", "builtin-channel-dim"],
+             "custom-params", "params-list", "builtin-couplings-junk", "builtin-channel-dim",
+             "lossy-no-kappa", "eta-no-matrix", "product-no-factors", "product-short-entry", "unitary-triple-entry",
+             "unitary-ragged", "kraus-ragged", "observable-matrix-entry"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"
