@@ -64,6 +64,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"qcollide: error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
 
     try:
         if args.command == "simulate":
@@ -86,7 +92,6 @@ def main(argv=None) -> int:
         if args.command == "converge":
             report = run_converge(sc)
             if args.out is not None:
-                os.makedirs(args.out, exist_ok=True)
                 if args.fmt == "json":
                     write_json(os.path.join(args.out, "convergence.json"), report.to_dict())
                 else:
@@ -112,7 +117,6 @@ def main(argv=None) -> int:
                 sc.seed = args.seed
             report = run_verify(sc)
             if args.out is not None:
-                os.makedirs(args.out, exist_ok=True)
                 write_json(os.path.join(args.out, "verify.json"), report.to_dict())
             worst_first = max(e["residual"] for e in report.first_order)
             worst_second = max(

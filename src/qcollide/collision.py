@@ -19,9 +19,10 @@ Carrier indices m and collision indices n are 1-based throughout.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +62,8 @@ class CouplingSpec:
     sub-environment.  With `env_shared` (the default) every carrier must list
     the same environment operators, so checking carrier 1's list covers all.  For
     non-uniform collisions, `collision_system_ops[n-1][m-1][l]` supplies the
-    carrier operators used at collision n.
+    carrier operators used at collision n; such a spec is collision-indexed,
+    and `at(n)` resolves it to the plain spec of collision n.
     """
 
     system_ops: tuple[tuple[Operator, ...], ...]
@@ -92,12 +94,13 @@ class CouplingSpec:
                     raise ValueError(f"env_shared: carrier {m} environment operators differ from carrier 1's")
         if self.collision_system_ops is not None:
             frozen = tuple(tuple(tuple(ops) for ops in per_m) for per_m in self.collision_system_ops)
-            for per_m in frozen:
+            for n, per_m in enumerate(frozen, start=1):
                 if len(per_m) != len(system_ops):
                     raise ValueError("collision-indexed operators must cover every carrier")
-                for m, ops in enumerate(per_m):
-                    if len(ops) != len(system_ops[m]):
+                for m, ops in enumerate(per_m, start=1):
+                    if len(ops) != len(system_ops[m - 1]):
                         raise ValueError("collision-indexed term count mismatch")
+                    _check_coupling_list(ops, system_ops[m - 1][0].side, f"collision {n} carrier {m} system")
             object.__setattr__(self, "collision_system_ops", frozen)
         object.__setattr__(self, "system_ops", system_ops)
         object.__setattr__(self, "env_ops", env_ops)
@@ -121,12 +124,24 @@ class CouplingSpec:
     def n_terms(self, m: int) -> int:
         return len(self.system_ops[m - 1])
 
-    def a_ops(self, m: int, n: int | None = None) -> tuple[Operator, ...]:
-        """Carrier-m operators, at collision n when collision-indexed."""
-        if self.collision_system_ops is not None and n is not None:
-            if not 1 <= n <= len(self.collision_system_ops):
-                raise ValueError(f"collision index {n} outside tabulated range")
-            return self.collision_system_ops[n - 1][m - 1]
+    def at(self, n: int) -> "CouplingSpec":
+        """The couplings of collision n: the plain spec of its carrier
+        operators when collision-indexed, otherwise this spec itself."""
+        if self.collision_system_ops is None:
+            return self
+        if not 1 <= n <= len(self.collision_system_ops):
+            raise ValueError(f"collision index {n} outside tabulated range")
+        # a copy, not a new spec: every table row was checked at construction,
+        # and simulate resolves one spec per collision
+        spec = copy.copy(self)
+        object.__setattr__(spec, "system_ops", self.collision_system_ops[n - 1])
+        object.__setattr__(spec, "collision_system_ops", None)
+        return spec
+
+    def a_ops(self, m: int) -> tuple[Operator, ...]:
+        """Carrier-m operators of a spec that is not collision-indexed."""
+        if self.collision_system_ops is not None:
+            raise ValueError("couplings are collision-indexed; resolve collision n with .at(n) first")
         return self.system_ops[m - 1]
 
     def b_ops(self, m: int) -> tuple[Operator, ...]:
@@ -243,12 +258,16 @@ class CollisionConfig:
     def joint_dims(self) -> tuple[int, ...]:
         return self.carrier_dims + (self.env_dim,)
 
+    def at(self, n: int) -> "CollisionConfig":
+        """This configuration with its couplings resolved at collision n."""
+        return replace(self, couplings=self.couplings.at(n))
 
-def collision_hamiltonian(cfg: CollisionConfig, m: int, n: int) -> Operator:
+
+def collision_hamiltonian(cfg: CollisionConfig, m: int) -> Operator:
     """Coupling Hamiltonian sum_l A_l (x) B_l on carrier m and one sub-environment."""
     if not 1 <= m <= cfg.n_carriers:
         raise ValueError(f"carrier index {m} out of range")
-    a_ops = cfg.couplings.a_ops(m, n)
+    a_ops = cfg.couplings.a_ops(m)
     b_ops = cfg.couplings.b_ops(m)
     total = None
     for a, b in zip(a_ops, b_ops):
@@ -257,9 +276,9 @@ def collision_hamiltonian(cfg: CollisionConfig, m: int, n: int) -> Operator:
     return total
 
 
-def collision_unitary(cfg: CollisionConfig, m: int, n: int) -> Operator:
-    """exp(-i g H dt) for the collision of carrier m with sub-environment n."""
-    return expm_hermitian(collision_hamiltonian(cfg, m, n), cfg.g * cfg.dt)
+def collision_unitary(cfg: CollisionConfig, m: int) -> Operator:
+    """exp(-i g H dt) for the collision of carrier m with a sub-environment."""
+    return expm_hermitian(collision_hamiltonian(cfg, m), cfg.g * cfg.dt)
 
 
 @dataclass(frozen=True)
@@ -326,48 +345,38 @@ def _trace_env(x: np.ndarray, de: int) -> np.ndarray:
     return np.einsum("...iaja->...ij", x.reshape(x.shape[:-2] + (ds, de, ds, de)))
 
 
-def _embedded_unitary(cfg: CollisionConfig, m: int, n: int) -> np.ndarray:
-    u = collision_unitary(cfg, m, n)
-    full = embed(u, cfg.joint_dims, (m - 1, cfg.n_carriers))
-    return full.entries
+def _embedded_unitaries(cfg: CollisionConfig) -> list[np.ndarray]:
+    """The collision unitaries of one column, carrier m's embedded on
+    carriers (x) the environment site."""
+    return [
+        embed(collision_unitary(cfg, m), cfg.joint_dims, (m - 1, cfg.n_carriers)).entries
+        for m in range(1, cfg.n_carriers + 1)
+    ]
 
 
-def _unitary_provider(cfg: CollisionConfig) -> Callable[[int, int], np.ndarray]:
-    if cfg.couplings.collision_system_ops is None:
-        cache = {m: _embedded_unitary(cfg, m, 1) for m in range(1, cfg.n_carriers + 1)}
-        return lambda m, n: cache[m]
-    return lambda m, n: _embedded_unitary(cfg, m, n)
-
-
-def _column(
-    joint: np.ndarray,
-    cfg: CollisionConfig,
-    n: int,
-    provider: Callable[[int, int], np.ndarray],
-) -> np.ndarray:
-    """Joint carriers (x) environment-site matrix after collision n: for
-    m = 1..M collide carrier m with the site, then relax the site.  The
-    environment is not traced out."""
+def _column(joint: np.ndarray, cfg: CollisionConfig, unitaries: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint carriers (x) environment-site matrix after one collision: for
+    m = 1..M collide carrier m with the site (`unitaries[m-1]`, from
+    `_embedded_unitaries`), then relax the site.  The environment is not
+    traced out."""
     arr = joint
-    for m in range(1, cfg.n_carriers + 1):
-        u = provider(m, n)
+    for u in unitaries:
         arr = u @ arr @ u.conj().T
         arr = cfg.channel.apply_on_factor(arr, cfg.joint_dims, cfg.n_carriers)
     return arr
 
 
-def evolve_column_step(
-    joint: DensityMatrix, cfg: CollisionConfig, collision_index: int = 1
-) -> DensityMatrix:
+def evolve_column_step(joint: DensityMatrix, cfg: CollisionConfig) -> DensityMatrix:
     """One column of the collision sequence: for m = 1..M collide carrier m
     with the fresh sub-environment and relax it, then trace the environment
-    factor out.  Input is the joint state carriers (x) one environment site.
+    factor out.  Input is the joint state carriers (x) one environment site;
+    collision-indexed couplings are resolved first (`cfg.at(n)`).
     """
     if joint.dims != cfg.joint_dims:
         raise ValueError(
             f"joint state dims {joint.dims} do not match carriers+environment {cfg.joint_dims}"
         )
-    out = _column(joint.entries, cfg, collision_index, _unitary_provider(cfg))
+    out = _column(joint.entries, cfg, _embedded_unitaries(cfg))
     return DensityMatrix(Operator(cfg.carrier_dims, _trace_env(out, cfg.env_dim)), atol=1e-8)
 
 
@@ -387,10 +396,10 @@ def _free_evolution_unitary(cfg: CollisionConfig, t0: float, t1: float) -> np.nd
 
 
 def _column_map(cfg: CollisionConfig) -> np.ndarray:
-    """The traced column rho -> tr_E[column(rho (x) eta)] at collision 1,
-    built by contraction, as a view of its column-stacked D_c^2 x D_c^2
-    matrix with axes (s'_1..s'_M, s_1..s_M, t'_1..t'_M, t_1..t_M): out[s, s']
-    = sum phi[s', s, t', t] rho[t, t'] (`.reshape(D_c^2, D_c^2)` copies it
+    """The traced column rho -> tr_E[column(rho (x) eta)], built by
+    contraction, as a view of its column-stacked D_c^2 x D_c^2 matrix with
+    axes (s'_1..s'_M, s_1..s_M, t'_1..t'_M, t_1..t_M): out[s, s'] =
+    sum phi[s', s, t', t] rho[t, t'] (`.reshape(D_c^2, D_c^2)` copies it
     into the matrix).
 
     The row W starts as eta and takes one carrier at a time.  For carrier m
@@ -409,7 +418,7 @@ def _column_map(cfg: CollisionConfig) -> np.ndarray:
     # r[e', e, g', g] = R[e + de e', g + de g'], the column-stacked channel matrix
     r = cfg.channel.superop_matrix.reshape(de, de, de, de)
     us = [
-        collision_unitary(cfg, m, 1).entries.reshape(d, de, d, de)
+        collision_unitary(cfg, m).entries.reshape(d, de, d, de)
         for m, d in enumerate(cfg.carrier_dims, start=1)
     ]
     w = cfg.eta.entries.reshape(1, de, de)
@@ -455,9 +464,10 @@ def simulate(
     build holds at most two arrays of that size at once (32 MiB at the
     bound), and the iterated map takes 8 D_c^4 bytes (at most 8 MiB).
     Otherwise each collision runs the direct column (`_column` on
-    rho (x) eta, then `_trace_env`).  Both routes go through the
-    integrator's one propagation loop, so recorded samples are exactly
-    Hermitian.
+    rho (x) eta, then `_trace_env`) with one list of embedded unitaries,
+    or with the list of `cfg.at(n)` when the couplings are
+    collision-indexed.  Both routes go through the integrator's one
+    propagation loop, so recorded samples are exactly Hermitian.
 
     Local free evolution, when configured, is applied to the carriers over
     [tau_(n-1), tau_n] before collision n.  Samples are recorded at step 0,
@@ -479,7 +489,8 @@ def simulate(
             np.matmul(phi, s, out=out)
 
     else:
-        provider = _unitary_provider(cfg)
+        indexed = cfg.couplings.collision_system_ops is not None
+        unitaries = None if indexed else _embedded_unitaries(cfg)
         side = rho0.side
 
         def step(n: int, s: np.ndarray, out: np.ndarray) -> None:
@@ -488,7 +499,8 @@ def simulate(
             if v is not None:
                 arr = v @ arr @ v.conj().T
             joint = np.kron(arr, cfg.eta.entries)
-            out[:] = _real_coordinates(_trace_env(_column(joint, cfg, n, provider), cfg.env_dim))
+            us = _embedded_unitaries(cfg.at(n)) if indexed else unitaries
+            out[:] = _real_coordinates(_trace_env(_column(joint, cfg, us), cfg.env_dim))
 
     recorder = _propagate(rho0, cfg.dt, cfg.n_collisions, record_stride, step)
     metadata = {
@@ -507,8 +519,8 @@ def simulate(
 
 def evolve_row(cfg: CollisionConfig, rho0: DensityMatrix, n_sites: int) -> DensityMatrix:
     """Row decomposition: carrier by carrier, collide with sub-environments
-    1..n_sites and then relax all of them once.  Exponential in n_sites;
-    guarded to a total side of 256.
+    1..n_sites (site j at the couplings of collision j) and then relax all
+    of them once.  Exponential in n_sites; guarded to a total side of 256.
     """
     if rho0.dims != cfg.carrier_dims:
         raise ValueError("initial state dims do not match carriers")
@@ -527,7 +539,7 @@ def evolve_row(cfg: CollisionConfig, rho0: DensityMatrix, n_sites: int) -> Densi
     n_carr = cfg.n_carriers
     for m in range(1, n_carr + 1):
         for j in range(1, n_sites + 1):
-            u = embed(collision_unitary(cfg, m, j), dims, (m - 1, n_carr - 1 + j)).entries
+            u = embed(collision_unitary(cfg.at(j), m), dims, (m - 1, n_carr - 1 + j)).entries
             arr = u @ arr @ u.conj().T
         for j in range(1, n_sites + 1):
             arr = cfg.channel.apply_on_factor(arr, dims, n_carr - 1 + j)
@@ -540,7 +552,8 @@ def evolve_row(cfg: CollisionConfig, rho0: DensityMatrix, n_sites: int) -> Densi
 
 def interaction_frame_couplings(cfg: CollisionConfig) -> CouplingSpec:
     """Rotate the carrier coupling operators into the frame of the local free
-    evolution: A -> V(tau_n,0)^dag A V(tau_n,0), tabulated per collision.
+    evolution: A -> V(tau_n,0)^dag A V(tau_n,0), tabulated per collision
+    (`CouplingSpec.at(n)` reads collision n).
 
     The collision duration is assumed short against the spacing of the
     collision times; the transformation itself is exact for the piecewise

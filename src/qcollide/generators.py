@@ -216,14 +216,13 @@ def _gksl(
     kossakowski: np.ndarray,
     carriers: Sequence[int],
     dims: tuple[int, ...],
-    n: int | None = None,
     first: int = 1,
 ) -> _Form:
     """The GKSL form of `kossakowski` (module docstring) on `dims`, over the
-    operators of `carriers` at collision n, carrier m on factor m - first."""
+    operators of `carriers`, carrier m on factor m - first."""
     ops, owner = [], []
     for m in carriers:
-        for a in spec.a_ops(m, n):
+        for a in spec.a_ops(m):
             ops.append(embed(a, dims, (m - first,)).entries)
             owner.append(m)
     f = np.stack(ops)
@@ -238,13 +237,12 @@ def local_dissipator(
     rates: np.ndarray,
     m: int,
     carrier_dims: Sequence[int],
-    collision_index: int | None = None,
 ) -> Superoperator:
     """Lindblad dissipator of carrier m, embedded on the joint carrier space."""
     rates = np.asarray(rates, dtype=complex)
     if max_abs(rates - rates.conj().T) > PSD_TOL:
         raise ValueError("local rate matrix must be Hermitian")
-    return _gksl(spec, rates, (m,), tuple(carrier_dims), collision_index).superoperator()
+    return _gksl(spec, rates, (m,), tuple(carrier_dims)).superoperator()
 
 
 def cross_dissipator(
@@ -253,7 +251,6 @@ def cross_dissipator(
     m: int,
     m_prime: int,
     carrier_dims: Sequence[int],
-    collision_index: int | None = None,
 ) -> Superoperator:
     """Directed cross term coupling carrier m to the later carrier m' > m."""
     if m_prime <= m:
@@ -261,7 +258,7 @@ def cross_dissipator(
     rates = np.asarray(rates, dtype=complex)
     zeros = [np.zeros((spec.n_terms(k), spec.n_terms(k))) for k in (m, m_prime)]
     gamma = _kossakowski(zeros, {(1, 2): rates})
-    return _gksl(spec, gamma, (m, m_prime), tuple(carrier_dims), collision_index).superoperator()
+    return _gksl(spec, gamma, (m, m_prime), tuple(carrier_dims)).superoperator()
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +299,6 @@ class GeneratorSet:
     carrier_dims: tuple[int, ...]
     spec: CouplingSpec
     rates: CorrelationTensor
-    collision_index: int | None
 
     @property
     def n_carriers(self) -> int:
@@ -319,21 +315,21 @@ class GeneratorSet:
     @cached_property
     def local_terms(self) -> tuple[Superoperator, ...]:
         return tuple(
-            local_dissipator(self.spec, rates, m, self.carrier_dims, self.collision_index)
+            local_dissipator(self.spec, rates, m, self.carrier_dims)
             for m, rates in enumerate(self.rates.local, start=1)
         )
 
     @cached_property
     def cross_terms(self) -> Mapping[tuple[int, int], Superoperator]:
         terms = {
-            (m, mp): cross_dissipator(self.spec, rates, m, mp, self.carrier_dims, self.collision_index)
+            (m, mp): cross_dissipator(self.spec, rates, m, mp, self.carrier_dims)
             for (m, mp), rates in self.rates.cross.items()
         }
         return MappingProxyType(terms)
 
     def _form_of(self, kossakowski: np.ndarray) -> _Form:
         carriers = range(1, self.n_carriers + 1)
-        return _gksl(self.spec, kossakowski, carriers, self.carrier_dims, self.collision_index)
+        return _gksl(self.spec, kossakowski, carriers, self.carrier_dims)
 
     @cached_property
     def _form(self) -> _Form:
@@ -380,13 +376,13 @@ def full_generator(
     channel: KrausChannel,
     gamma: float,
     carrier_dims: Sequence[int],
-    collision_index: int | None = None,
 ) -> GeneratorSet:
     """Every local and ordered cross rate matrix; the generator pieces are
-    assembled from them on demand (see `GeneratorSet`)."""
+    assembled from them on demand (see `GeneratorSet`).  Collision-indexed
+    couplings are resolved first: `full_generator(spec.at(n), ...)`."""
     dims = tuple(carrier_dims)
     n_carr = spec.n_carriers
-    if len(dims) != n_carr:
+    if tuple(spec.a_ops(m)[0].side for m in range(1, n_carr + 1)) != dims:
         raise ValueError("carrier_dims must match the coupling spec")
     local = tuple(local_rates(spec, eta, channel, m, gamma) for m in range(1, n_carr + 1))
     cross = {
@@ -395,7 +391,7 @@ def full_generator(
         for mp in range(m + 1, n_carr + 1)
     }
     tensor = CorrelationTensor(gamma=gamma, local=local, cross=cross)
-    return GeneratorSet(carrier_dims=dims, spec=spec, rates=tensor, collision_index=collision_index)
+    return GeneratorSet(carrier_dims=dims, spec=spec, rates=tensor)
 
 
 def reduced_two_carrier_generator(gen: GeneratorSet) -> Superoperator:
@@ -409,14 +405,14 @@ def reduced_two_carrier_generator(gen: GeneratorSet) -> Superoperator:
     if gen.n_carriers < 2:
         raise ValueError("need at least two carriers")
     k = gen.spec.n_terms(1) + gen.spec.n_terms(2)
-    pair = _gksl(gen.spec, gen.kossakowski[:k, :k], (1, 2), gen.carrier_dims[:2], gen.collision_index)
+    pair = _gksl(gen.spec, gen.kossakowski[:k, :k], (1, 2), gen.carrier_dims[:2])
     return pair.superoperator()
 
 
 def single_carrier_generator(gen: GeneratorSet, m: int) -> Superoperator:
     """Local Lindblad generator of carrier m on its own space."""
     dims = (gen.carrier_dims[m - 1],)
-    form = _gksl(gen.spec, gen.rates.local[m - 1], (m,), dims, gen.collision_index, first=m)
+    form = _gksl(gen.spec, gen.rates.local[m - 1], (m,), dims, first=m)
     return form.superoperator()
 
 

@@ -20,10 +20,12 @@ recurrence
 started from (x, 0, 0, 0); the pairs m < m' of C''b enter through U'_m' y1.
 The exact side of the remainder and step-defect checks is the simulator's
 own column (`collision._column`), so those checks test the map `simulate`
-runs.  This module verifies the identities numerically and measures the
-order of the neglected remainders by halving g.  Every map acts on stacks of
-matrices, so materializing a superoperator is just feeding the matrix unit
-basis through; no dense superoperator products are ever formed.
+runs.  Every function here takes one column's couplings: collision-indexed
+configurations are resolved first (`cfg.at(n)`).  This module verifies the
+identities numerically and measures the order of the neglected remainders
+by halving g.  Every map acts on stacks of matrices, so materializing a
+superoperator is just feeding the matrix unit basis through; no dense
+superoperator products are ever formed.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .channels import DensityMatrix
 from .collision import (
     CollisionConfig,
     _column,
+    _embedded_unitaries,
     _trace_env,
-    _unitary_provider,
     collision_hamiltonian,
 )
 from .generators import GeneratorSet, full_generator
@@ -64,14 +66,10 @@ def _u_second(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _ColumnExpansion:
     """Embedded collision Hamiltonians of one column and its expansion orders."""
 
-    def __init__(self, cfg: CollisionConfig, collision_index: int = 1):
+    def __init__(self, cfg: CollisionConfig):
         self.cfg = cfg
         self.h = [
-            embed(
-                collision_hamiltonian(cfg, m, collision_index),
-                cfg.joint_dims,
-                (m - 1, cfg.n_carriers),
-            ).entries
+            embed(collision_hamiltonian(cfg, m), cfg.joint_dims, (m - 1, cfg.n_carriers)).entries
             for m in range(1, cfg.n_carriers + 1)
         ]
 
@@ -119,12 +117,10 @@ def unitary_expansion_terms(h: Operator) -> tuple[Superoperator, Superoperator]:
     )
 
 
-def column_expansion(
-    cfg: CollisionConfig, collision_index: int = 1
-) -> tuple[Superoperator, Superoperator, Superoperator]:
+def column_expansion(cfg: CollisionConfig) -> tuple[Superoperator, Superoperator, Superoperator]:
     """Materialize C', C''a and C''b on carriers (x) one environment site."""
     units = _matrix_units(math.prod(cfg.joint_dims))
-    _, c1, c2a, c2b = _ColumnExpansion(cfg, collision_index).orders(units)
+    _, c1, c2a, c2b = _ColumnExpansion(cfg).orders(units)
     return tuple(_materialize(cfg.joint_dims, c) for c in (c1, c2a, c2b))
 
 
@@ -143,13 +139,11 @@ class SecondOrderReport:
     passed: bool
 
 
-def traced_orders(
-    cfg: CollisionConfig, rho: DensityMatrix, collision_index: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def traced_orders(cfg: CollisionConfig, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Environment traces of C', C''a and C''b applied to rho (x) eta, from one
     `orders` pass; both verify reports can read the same triple."""
     joint = np.kron(rho.entries, cfg.eta.entries)
-    _, c1, c2a, c2b = _ColumnExpansion(cfg, collision_index).orders(joint)
+    _, c1, c2a, c2b = _ColumnExpansion(cfg).orders(joint)
     return tuple(_trace_env(c, cfg.env_dim) for c in (c1, c2a, c2b))
 
 
@@ -157,15 +151,13 @@ def verify_first_order(
     cfg: CollisionConfig,
     rho: DensityMatrix,
     tol: float = 1e-12,
-    collision_index: int = 1,
     orders: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> FirstOrderReport:
     """Check that the first-order column term disappears under the
     environment trace (it is proportional to the coupling first moments).
-    `orders` is `traced_orders(cfg, rho, collision_index)`, computed here when
-    not given."""
+    `orders` is `traced_orders(cfg, rho)`, computed here when not given."""
     if orders is None:
-        orders = traced_orders(cfg, rho, collision_index)
+        orders = traced_orders(cfg, rho)
     residual = _frob(orders[0])
     return FirstOrderReport(residual=residual, tol=tol, passed=residual <= tol)
 
@@ -175,29 +167,21 @@ def verify_second_order(
     rho: DensityMatrix,
     tol: float = 1e-10,
     gen: GeneratorSet | None = None,
-    collision_index: int = 1,
     orders: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SecondOrderReport:
     """Check the identification of the environment-traced second-order terms
     with the local dissipators (a) and the directed cross terms (b).
 
     Both generator sides are applied without their matrices: (a) is the
-    form of Gamma's block-diagonal part, (b) of its off-diagonal part.  For
-    collision-indexed couplings both sides are evaluated at the same
-    collision, so the identity is tested per step of the non-uniform model.
+    form of Gamma's block-diagonal part, (b) of its off-diagonal part.  A
+    given `gen` is built on `cfg.couplings`, so for collision-indexed
+    couplings both sides belong to the same resolved collision `cfg.at(n)`.
     `orders` is as in `verify_first_order`.
     """
     if gen is None:
-        gen = full_generator(
-            cfg.couplings,
-            cfg.eta,
-            cfg.channel,
-            1.0,
-            cfg.carrier_dims,
-            collision_index=collision_index,
-        )
+        gen = full_generator(cfg.couplings, cfg.eta, cfg.channel, 1.0, cfg.carrier_dims)
     if orders is None:
-        orders = traced_orders(cfg, rho, collision_index)
+        orders = traced_orders(cfg, rho)
     scale = 1.0 / gen.rates.gamma
     _, traced_a, traced_b = orders
     local, cross = gen._split
@@ -227,27 +211,18 @@ def column_remainder(cfg: CollisionConfig, x: Operator) -> float:
     environment trace).
     """
     u = cfg.g * cfg.dt
-    exact = _column(x.entries, cfg, 1, _unitary_provider(cfg))
+    exact = _column(x.entries, cfg, _embedded_unitaries(cfg))
     c0, c1, c2a, c2b = _ColumnExpansion(cfg).orders(x.entries)
     return _frob(exact - (c0 + u * c1 + u * u * (c2a + c2b)))
 
 
-def collision_step_defect(
-    cfg: CollisionConfig, rho: DensityMatrix, collision_index: int = 1
-) -> float:
+def collision_step_defect(cfg: CollisionConfig, rho: DensityMatrix) -> float:
     """Norm of the one-step finite difference against the weak-coupling
     generator built at gamma = g^2 dt; O(g^3 dt^2)."""
     joint = np.kron(rho.entries, cfg.eta.entries)
-    stepped = _trace_env(_column(joint, cfg, collision_index, _unitary_provider(cfg)), cfg.env_dim)
+    stepped = _trace_env(_column(joint, cfg, _embedded_unitaries(cfg)), cfg.env_dim)
     diff = (stepped - rho.entries) / cfg.dt
-    gen = full_generator(
-        cfg.couplings,
-        cfg.eta,
-        cfg.channel,
-        cfg.gamma,
-        cfg.carrier_dims,
-        collision_index=collision_index,
-    )
+    gen = full_generator(cfg.couplings, cfg.eta, cfg.channel, cfg.gamma, cfg.carrier_dims)
     return _frob(diff - gen.apply(rho.entries))
 
 
@@ -280,7 +255,7 @@ def remainder_halving_ratios(cfg: CollisionConfig, seed: int = 0) -> HalvingRepo
     rng = np.random.default_rng(seed)
     half = replace(cfg, g=0.5 * cfg.g)
 
-    h = collision_hamiltonian(cfg, 1, 1)
+    h = collision_hamiltonian(cfg, 1)
     x_small = _random_hermitian(rng, h.dims)
     s = cfg.g * cfg.dt
     u_hi = unitary_remainder(h, s, x_small)

@@ -356,6 +356,8 @@ def _builtin_document(name: str, params: dict) -> dict:
         }
     if name == "bosonic-fiber":
         d = _integer(params.get("d", 4), "params.d")
+        if d < 2:
+            raise ConfigError(f"params.d must be at least 2, got {d}")
         ket1 = np.zeros(d, dtype=complex)
         ket1[0] = ket1[1] = 1 / math.sqrt(2)
         return {
@@ -417,10 +419,12 @@ def load_scenario(source) -> ScenarioConfig:
         path = os.fspath(source)
         if os.path.exists(path):
             try:
-                with open(path) as fh:
+                with open(path, encoding="utf-8") as fh:
                     data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
         elif path in BUILTIN_NAMES:
             data = {"scenario": path}
         else:
@@ -459,6 +463,10 @@ def load_scenario(source) -> ScenarioConfig:
 def _parse_document(name: str, doc: dict) -> ScenarioConfig:
     carrier_dims = tuple(_integer(d, "carrier_dims entry") for d in _list(doc["carrier_dims"], "carrier_dims"))
     env_dim = _integer(doc["env_dim"], "env_dim")
+    named = {f"carrier_dims[{i}]": d for i, d in enumerate(carrier_dims)} | {"env_dim": env_dim}
+    for what, d in named.items():
+        if d < 1:
+            raise ConfigError(f"{what} must be at least 1, got {d}")
     coupling_block = _object(doc["couplings"], "couplings")
     eta = parse_state(doc["eta"], (env_dim,), "eta")
     channel = parse_channel(doc["channel"])

@@ -28,8 +28,8 @@ from qcollide.collision import (
     _column,
     _column_map,
     _column_map_entries,
+    _embedded_unitaries,
     _trace_env,
-    _unitary_provider,
 )
 from qcollide.ops import Operator, expm_hermitian, kron, partial_trace, pauli, projector, vec
 from qcollide.scenarios import BUILTIN_NAMES, collision_config, load_scenario
@@ -98,17 +98,42 @@ class TestCouplingSpec:
         spec = CouplingSpec(((SX,), (SY,)), ((SX,), (copy,)))
         assert spec.env_shared
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (Operator((2,), np.array([[0, 1], [0, 0]])), "collision 2 carrier 1 system operator is not Hermitian"),
+            (Operator((2,), np.zeros((2, 2))), "collision 2 carrier 1 system operator is identically zero"),
+            (Operator((3,), np.eye(3)), "collision 2 carrier 1 system operator side 3 does not match dimension 2"),
+        ],
+        ids=["non-hermitian", "zero", "wrong-side"],
+    )
+    def test_collision_indexed_rows_are_checked(self, entry, message):
+        table = (((SX,), (SY,)), ((entry,), (SY,)))
+        with pytest.raises(ValueError, match=message):
+            CouplingSpec(((SX,), (SY,)), ((SX,), (SX,)), collision_system_ops=table)
+
+    def test_at_resolves_one_collision(self):
+        table = (((SY,),), ((SZ,),))
+        spec = CouplingSpec(((SX,),), ((SX,),), collision_system_ops=table)
+        assert spec.at(2).a_ops(1) == (SZ,) and spec.at(2).collision_system_ops is None
+        plain = spec.at(1)
+        assert plain.at(5) is plain
+        with pytest.raises(ValueError, match="outside tabulated range"):
+            spec.at(3)
+        with pytest.raises(ValueError, match=r"\.at\(n\)"):
+            spec.a_ops(1)
+
 
 class TestCollisionUnitary:
     def test_zero_coupling_gives_identity(self):
         cfg = qubit_config(g=0.0)
-        u = collision_unitary(cfg, 1, 1)
+        u = collision_unitary(cfg, 1)
         assert np.allclose(u.entries, np.eye(4))
 
     def test_sx_sx_half_pi(self):
         # (sx x sx)^2 = I, so exp(-i u sx x sx) = cos(u) - i sin(u) sx x sx
         cfg = qubit_config(g=1.0, dt=np.pi / 2)
-        u = collision_unitary(cfg, 1, 1)
+        u = collision_unitary(cfg, 1)
         want = -1j * kron(SX, SX).entries
         assert np.allclose(u.entries, want, atol=1e-14)
 
@@ -118,7 +143,7 @@ class TestCollisionUnitary:
             [random_hermitian(rng, (2,)), random_hermitian(rng, (2,))],
         )
         cfg = qubit_config(couplings=spec, g=1.3, dt=0.7)
-        u = collision_unitary(cfg, 1, 1)
+        u = collision_unitary(cfg, 1)
         assert np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(4))) <= 1e-12
 
 
@@ -368,7 +393,7 @@ class TestColumnMap:
             )
             rho = random_state(rng, dims).entries
             joint = np.kron(rho, cfg.eta.entries)
-            direct = _trace_env(_column(joint, cfg, 1, _unitary_provider(cfg)), de)
+            direct = _trace_env(_column(joint, cfg, _embedded_unitaries(cfg)), de)
             phi = _column_map(cfg).reshape(rho.size, rho.size)
             assert np.max(np.abs(phi @ vec(rho) - vec(direct))) <= 1e-12, kind
 
@@ -515,7 +540,7 @@ class TestInteractionFrame:
         cfg = qubit_config(n_collisions=4, local_hamiltonians=(zero_sched,))
         bar = interaction_frame_couplings(cfg)
         for n in range(1, 5):
-            assert np.allclose(bar.a_ops(1, n)[0].entries, SX.entries)
+            assert np.allclose(bar.at(n).a_ops(1)[0].entries, SX.entries)
 
     def test_constant_sz_rotation(self):
         omega = 1.3
@@ -524,7 +549,7 @@ class TestInteractionFrame:
         bar = interaction_frame_couplings(cfg)
         for n in range(1, 6):
             tau = cfg.tau(n)
-            got = bar.a_ops(1, n)[0].entries
+            got = bar.at(n).a_ops(1)[0].entries
             want = math.cos(omega * tau) * SX.entries - math.sin(omega * tau) * SY.entries
             # oracle: explicit conjugation by the 2x2 exponential
             v = expm_hermitian(Operator((2,), omega / 2 * SZ.entries), tau).entries
@@ -539,7 +564,7 @@ class TestInteractionFrame:
                            local_hamiltonians=(HamiltonianSchedule.constant(h),))
         bar = interaction_frame_couplings(cfg)
         for n in range(1, 7):
-            assert bar.a_ops(1, n)[0].is_hermitian(1e-12)
+            assert bar.at(n).a_ops(1)[0].is_hermitian(1e-12)
 
     def test_missing_schedule_rejected(self):
         cfg = qubit_config()
@@ -610,8 +635,7 @@ class TestInteractionFrame:
             schedule = [
                 (
                     (k - 1) * dt,
-                    full_generator(rotated.couplings, GROUND, chan, gamma, (2, 2),
-                                   collision_index=k).total,
+                    full_generator(rotated.couplings.at(k), GROUND, chan, gamma, (2, 2)).total,
                 )
                 for k in range(1, n + 1)
             ]

@@ -446,7 +446,7 @@ class TestReducedDynamics:
         # frame-rotated couplings differ per collision: the reduced pieces must
         # use the operators of the collision the set was built at
         dims = (2,) * n_carr
-        gen = frame_rotated_generator(n_carr, collision_index=4)
+        gen = frame_rotated_generator(n_carr, 4)
         pieces = [((0,), single_carrier_generator(gen, 1))]
         if n_carr == 3:
             pieces.append(((0, 1), reduced_two_carrier_generator(gen)))
@@ -505,8 +505,8 @@ def random_generator(rng, shared):
         return full_generator(spec, eta, chan, float(rng.uniform(0.2, 2.0)), dims)
 
 
-def frame_rotated_generator(n_carr, collision_index):
-    """Collision-indexed set: frame-rotated couplings differ per collision."""
+def frame_rotated_generator(n_carr, n):
+    """The set of collision n of frame-rotated couplings, which differ per collision."""
     dims = (2,) * n_carr
     chan = lossy_bosonic_channel(2, 0.5)
     sched = HamiltonianSchedule.constant(Operator((2,), 0.7 * SZ.entries))
@@ -516,7 +516,7 @@ def frame_rotated_generator(n_carr, collision_index):
         local_hamiltonians=(sched,) * n_carr,
     )
     spec = interaction_frame_couplings(cfg)
-    return full_generator(spec, GROUND, chan, 1.0, dims, collision_index=collision_index)
+    return full_generator(spec.at(n), GROUND, chan, 1.0, dims)
 
 
 class TestGKSLForm:
@@ -581,11 +581,11 @@ class TestMatrixFreeAction:
 
     @pytest.mark.parametrize("n_carr", [2, 3])
     def test_collision_indexed(self, rng, n_carr):
-        gen = frame_rotated_generator(n_carr, collision_index=3)
+        gen = frame_rotated_generator(n_carr, 3)
         self._check(gen, rng)
         # the action really follows the collision index
         x = next(self._inputs(rng, gen.total.side, 1))
-        other = frame_rotated_generator(n_carr, collision_index=1)
+        other = frame_rotated_generator(n_carr, 1)
         assert np.max(np.abs(gen.apply(x) - other.apply(x))) > 1e-3
 
 

@@ -2,6 +2,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import random_hermitian, random_state
 from qcollide.channels import (
@@ -169,13 +170,13 @@ class TestColumnExpansion:
         assert 6.0 <= r_hi / r_lo <= 10.0
 
 
-def per_order_loops(cfg, collision_index, x):
+def per_order_loops(cfg, x):
     """(C0 x, C'x, C''a x, C''b x) from one loop per order, threading x
     through channel powers M^k taken from `channels.power`: the pair term
     sums E^(M-m'+1) U'_m' E^(m'-m) U'_m E^(m-1) over m < m' explicitly."""
     dims, m_count = cfg.joint_dims, cfg.n_carriers
     hs = [
-        embed(collision_hamiltonian(cfg, m, collision_index), dims, (m - 1, m_count)).entries
+        embed(collision_hamiltonian(cfg, m), dims, (m - 1, m_count)).entries
         for m in range(1, m_count + 1)
     ]
     powers = [power(cfg.channel, k).matrix for k in range(m_count + 2)]
@@ -218,7 +219,7 @@ class TestOnePassOrders:
             x = rng.normal(size=(2, side, side)) + 1j * rng.normal(size=(2, side, side))
             for arr in (x[0], x):
                 got = _ColumnExpansion(cfg).orders(arr)
-                want = per_order_loops(cfg, 1, arr)
+                want = per_order_loops(cfg, arr)
                 for g_k, w_k in zip(got, want):
                     assert np.max(np.abs(g_k - w_k)) <= 1e-12
 
@@ -228,27 +229,24 @@ class TestOnePassOrders:
             side = 2**m_carriers * 3
             x = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
             for n in (1, 3):
-                got = _ColumnExpansion(cfg, n).orders(x)
-                want = per_order_loops(cfg, n, x)
+                got = _ColumnExpansion(cfg.at(n)).orders(x)
+                want = per_order_loops(cfg.at(n), x)
                 for g_k, w_k in zip(got, want):
                     assert np.max(np.abs(g_k - w_k)) <= 1e-12
             # the orders really depend on the collision index here
-            assert np.max(np.abs(_ColumnExpansion(cfg, 1).orders(x)[1] - got[1])) > 1e-3
+            assert np.max(np.abs(_ColumnExpansion(cfg.at(1)).orders(x)[1] - got[1])) > 1e-3
 
 
 class TestExactSideIsSimulatorColumn:
     def test_step_defect_pins_to_evolve_column_step(self, rng):
         # the defect's stepped state is bit for bit the simulator's column
-        cases = [(compliant_random_cfg(rng, m_carriers=3), 1), (frame_rotated_cfg(rng, 2), 3)]
-        for cfg, n in cases:
+        for cfg in (compliant_random_cfg(rng, m_carriers=3), frame_rotated_cfg(rng, 2).at(3)):
             rho = random_state(rng, cfg.carrier_dims)
             joint = DensityMatrix.from_matrix(np.kron(rho.entries, cfg.eta.entries), cfg.joint_dims)
-            stepped = evolve_column_step(joint, cfg, collision_index=n).entries
-            gen = full_generator(
-                cfg.couplings, cfg.eta, cfg.channel, cfg.gamma, cfg.carrier_dims, collision_index=n
-            )
+            stepped = evolve_column_step(joint, cfg).entries
+            gen = full_generator(cfg.couplings, cfg.eta, cfg.channel, cfg.gamma, cfg.carrier_dims)
             diff = (stepped - rho.entries) / cfg.dt - gen.apply(rho.entries)
-            assert collision_step_defect(cfg, rho, collision_index=n) == np.linalg.norm(diff)
+            assert collision_step_defect(cfg, rho) == np.linalg.norm(diff)
 
 
 class TestVerifyFirstOrder:
@@ -278,18 +276,14 @@ class TestVerifyFirstOrder:
 class TestSharedOrders:
     def test_reports_read_one_pass(self, rng):
         # both reports from one traced_orders pass equal the standalone ones
-        for cfg, n in [(compliant_random_cfg(rng, m_carriers=3), 1), (frame_rotated_cfg(rng, 2), 3)]:
+        for cfg in (compliant_random_cfg(rng, m_carriers=3), frame_rotated_cfg(rng, 2).at(3)):
             rho = random_state(rng, cfg.carrier_dims)
-            gen = full_generator(
-                cfg.couplings, cfg.eta, cfg.channel, 1.0, cfg.carrier_dims, collision_index=n
+            gen = full_generator(cfg.couplings, cfg.eta, cfg.channel, 1.0, cfg.carrier_dims)
+            orders = traced_orders(cfg, rho)
+            assert verify_first_order(cfg, rho, orders=orders) == verify_first_order(cfg, rho)
+            assert verify_second_order(cfg, rho, gen=gen, orders=orders) == verify_second_order(
+                cfg, rho, gen=gen
             )
-            orders = traced_orders(cfg, rho, collision_index=n)
-            assert verify_first_order(cfg, rho, collision_index=n, orders=orders) == verify_first_order(
-                cfg, rho, collision_index=n
-            )
-            assert verify_second_order(
-                cfg, rho, gen=gen, collision_index=n, orders=orders
-            ) == verify_second_order(cfg, rho, gen=gen, collision_index=n)
 
 
 class TestVerifySecondOrder:
@@ -340,9 +334,9 @@ class TestVerifySecondOrder:
             s = verify_second_order(cfg, rho)
             assert s.residual_a <= 1e-10 and s.residual_b <= 1e-10
 
-    def test_identities_with_collision_indexed_couplings(self, rng):
-        # frame-rotated couplings depend on the collision index; the traced
-        # expansion must match the generator built at the same collision
+    @staticmethod
+    def rotated_qubit_pair():
+        """Two qubits whose carrier-1 couplings turn under a sigma_z schedule."""
         sched = HamiltonianSchedule.constant(Operator((2,), 0.65 * SZ.entries))
         base = make_cfg(
             CouplingSpec.uniform([[SX], [SY]], [SX]),
@@ -351,15 +345,37 @@ class TestVerifySecondOrder:
             dt=0.1,
         )
         base = replace(base, n_collisions=6, local_hamiltonians=(sched, None))
-        rotated = replace(
-            base, couplings=interaction_frame_couplings(base), local_hamiltonians=None
-        )
+        return replace(base, couplings=interaction_frame_couplings(base), local_hamiltonians=None)
+
+    def test_identities_with_collision_indexed_couplings(self, rng):
+        # frame-rotated couplings depend on the collision index; the traced
+        # expansion must match the generator built at the same collision
+        rotated = self.rotated_qubit_pair()
         rho = random_state(rng, rotated.carrier_dims)
         for n in (1, 3, 6):
-            f = verify_first_order(rotated, rho, collision_index=n)
-            s = verify_second_order(rotated, rho, collision_index=n)
+            f = verify_first_order(rotated.at(n), rho)
+            s = verify_second_order(rotated.at(n), rho)
             assert f.residual <= 1e-12
             assert s.residual_a <= 1e-10 and s.residual_b <= 1e-10
+
+    def test_given_generator_at_every_collision(self, rng):
+        # a generator built by the caller on the resolved couplings pairs
+        # with the column of the same collision
+        rotated = self.rotated_qubit_pair()
+        rho = random_state(rng, rotated.carrier_dims)
+        for n in range(1, rotated.n_collisions + 1):
+            cfg_n = rotated.at(n)
+            gen = full_generator(cfg_n.couplings, cfg_n.eta, cfg_n.channel, 1.0, cfg_n.carrier_dims)
+            s = verify_second_order(cfg_n, rho, gen=gen)
+            assert s.residual_a <= 1e-10 and s.residual_b <= 1e-10
+
+    def test_unresolved_couplings_rejected(self, rng):
+        rotated = self.rotated_qubit_pair()
+        rho = random_state(rng, rotated.carrier_dims)
+        with pytest.raises(ValueError, match=r"\.at\(n\)"):
+            full_generator(rotated.couplings, rotated.eta, rotated.channel, 1.0, rotated.carrier_dims)
+        with pytest.raises(ValueError, match=r"\.at\(n\)"):
+            traced_orders(rotated, rho)
 
 
 class TestStepDefect:

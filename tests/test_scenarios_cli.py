@@ -14,6 +14,7 @@ from qcollide.channels import (
     replacer_channel,
     unitary_channel,
 )
+import qcollide.cli
 from qcollide.cli import main
 from qcollide.integrator import integrate
 from qcollide.ops import embed, expm_hermitian, momentum_op, number_op, pauli, position_op, projector
@@ -439,7 +440,7 @@ class TestCLI:
                 "env_dim must be an integer, got 2.5",
             ),
             ({"scenario": "bosonic-fiber", "params": {"d": 3.5}}, "params.d must be an integer, got 3.5"),
-            ({"scenario": "bosonic-fiber", "params": {"d": -1}}, "negative dimensions are not allowed"),
+            ({"scenario": "bosonic-fiber", "params": {"d": -1}}, "params.d must be at least 2, got -1"),
             (
                 {"scenario": "ad-chain-2q", "observables": [{"name": "p", "carrier": 1.5, "op": "sz"}]},
                 "observable 'p': carrier must be an integer, got 1.5",
@@ -514,6 +515,12 @@ class TestCLI:
                 {"scenario": "dephasing-1q", "observables": [{"name": "m", "matrix": [[[1, 0], [0]], [[0, 0], [1, 0]]]}]},
                 "observables[0].matrix: malformed complex matrix payload: entry [0] is not a pair of numbers",
             ),
+            ({"scenario": "ad-chain-2q", "env_dim": 0}, "env_dim must be at least 1, got 0"),
+            ({"scenario": "ad-chain-2q", "env_dim": -1}, "env_dim must be at least 1, got -1"),
+            ({"scenario": "ad-chain-2q", "carrier_dims": [2, 0]}, "carrier_dims[1] must be at least 1, got 0"),
+            ({"scenario": "bosonic-fiber", "params": {"d": 1}}, "params.d must be at least 2, got 1"),
+            (None, "bad.json cannot be read"),
+            (b'{"scenario": "dephasing-1q", "t_end": "\xff"}', "bad.json cannot be read"),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
              "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity",
@@ -524,11 +531,17 @@ class TestCLI:
              "params-p-string", "params-theta-string", "matrix-bool-pair", "ket-bool-amplitude",
              "custom-params", "params-list", "builtin-couplings-junk", "builtin-channel-dim",
              "lossy-no-kappa", "eta-no-matrix", "product-no-factors", "product-short-entry", "unitary-triple-entry",
-             "unitary-ragged", "kraus-ragged", "observable-matrix-entry"],
+             "unitary-ragged", "kraus-ragged", "observable-matrix-entry", "env-dim-zero", "env-dim-negative",
+             "carrier-dim-zero", "params-d-one", "config-directory", "config-not-utf8"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(config))
+        if config is None:  # a directory where the config file should be
+            cfg.mkdir()
+        elif isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(json.dumps(config))
         code = main(["simulate", "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 1
@@ -560,6 +573,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("usage: qcollide")
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "generators", "converge", "verify"])
+    def test_out_naming_a_file_exit_one(self, tmp_path, capsys, command, monkeypatch):
+        # rejected before the command runs, with one error line
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        monkeypatch.setattr(qcollide.cli, f"run_{command}", None)
+        code = main([command, "--config", "dephasing-1q", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"qcollide: error: --out {out}: File exists\n"
+        assert out.read_text() == "keep"
 
     def test_help_exit_zero(self, capsys):
         for command in ("simulate", "generators", "converge", "verify"):
