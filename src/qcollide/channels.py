@@ -34,14 +34,17 @@ class StateViolation(ValueError):
         self.index = index
 
 
-def check_states(stack: np.ndarray, atol: float = STATE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def check_states(stack: np.ndarray, atol: float = STATE_TOL) -> np.ndarray:
     """The one state check, over an (n, D, D) stack: Hermiticity within
     max(atol, DEFAULT_TOL), then |trace - 1| <= atol, then minimum
-    eigenvalue >= -atol.  Returns the traces and minimum eigenvalues, or
-    raises StateViolation for the first row that fails a check, with that
-    check's message.  Comparisons are written so that NaN fails them; the
-    one batched eigvalsh runs only over the rows before the first
-    Hermiticity or trace failure.
+    eigenvalue >= -atol.  Returns the traces, or raises StateViolation for
+    the first row that fails a check, with that check's message.
+    Comparisons are written so that NaN fails them.  Positivity of the rows
+    before the first Hermiticity or trace failure is certified by one
+    batched Cholesky factorization of X + atol I, which exists exactly when
+    the minimum eigenvalue is above -atol, up to a rounding of the order of
+    D eps; only when it fails does one batched eigvalsh name the first row
+    below -atol.
     """
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails below
         defect = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
@@ -49,16 +52,19 @@ def check_states(stack: np.ndarray, atol: float = STATE_TOL) -> tuple[np.ndarray
     not_hermitian = ~(defect <= max(atol, DEFAULT_TOL))
     bad = not_hermitian | ~(np.abs(traces - 1.0) <= atol)
     first = int(np.argmax(bad)) if bad.any() else len(stack)
-    min_eigs = np.linalg.eigvalsh(stack[:first])[:, 0]
-    negative = ~(min_eigs >= -atol)
-    if negative.any():
-        i = int(np.argmax(negative))
-        raise StateViolation(i, f"minimum eigenvalue {float(min_eigs[i])} below -{atol}")
+    try:
+        np.linalg.cholesky(stack[:first] + atol * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eigs = np.linalg.eigvalsh(stack[:first])[:, 0]
+        negative = ~(min_eigs >= -atol)
+        if negative.any():
+            i = int(np.argmax(negative))
+            raise StateViolation(i, f"minimum eigenvalue {float(min_eigs[i])} below -{atol}") from None
     if first < len(stack):
         if not_hermitian[first]:
             raise StateViolation(first, "density matrix is not Hermitian within tolerance")
         raise StateViolation(first, f"trace {complex(traces[first])} is not 1 within {atol}")
-    return traces.real, min_eigs
+    return traces.real
 
 
 @dataclass(frozen=True, eq=False)

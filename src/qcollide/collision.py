@@ -6,7 +6,8 @@ CPT channel.  The main simulation path is the column recursion.  When every
 column is the same linear map Phi on the carriers (no collision index, no
 local schedule) and its build fits the entry budget COLUMN_MAP_MAX_ENTRIES,
 `simulate` materializes Phi once, by contraction, and the stream is Phi^n:
-one real matrix-vector product per collision, with D_c^4 entries held.
+one real matrix-vector product per collision (or per block of collisions,
+`integrator._propagate`), with D_c^4 entries held.
 Otherwise each collision runs the direct column on the carriers plus one
 environment site.  The direct column also serves `evolve_column_step` and
 the expansion's exact side, and the row decomposition is kept as a
@@ -42,6 +43,9 @@ ROW_PATH_MAX_SIDE = 256
 # simulate materializes the traced column when no array of the build has
 # more complex entries than this (`_column_map_entries`; 16 MiB each)
 COLUMN_MAP_MAX_ENTRIES = 2**20
+# and the one loop, `integrator._propagate`, then advances that map, like
+# any fixed map, SAMPLE_BATCH steps per matrix product when the run has at
+# least as many steps as the map's side (n_collisions >= D_c^2)
 
 
 def _check_coupling_list(ops: Sequence[Operator], dim: int, label: str):
@@ -228,6 +232,12 @@ class CollisionConfig:
             raise ValueError("relaxation channel side does not match env_dim")
         if self.couplings.n_carriers != len(carrier_dims):
             raise ValueError("coupling spec carrier count does not match carrier_dims")
+        table = self.couplings.collision_system_ops
+        if table is not None and len(table) < self.n_collisions:
+            raise ValueError(
+                f"collision-indexed couplings tabulate {len(table)} collisions, "
+                f"fewer than n_collisions = {self.n_collisions}"
+            )
         for m, d in enumerate(carrier_dims, start=1):
             if self.couplings.system_ops[m - 1][0].side != d:
                 raise ValueError(f"carrier {m} coupling operators do not match dimension {d}")
@@ -460,9 +470,12 @@ def simulate(
     collision-indexed, no local schedule) and no array of its build has more
     than COLUMN_MAP_MAX_ENTRIES complex entries (`_column_map_entries`), the
     traced column is materialized once (`_column_map`) in real Hermitian
-    coordinates and every collision is one real D_c^2 x D_c^2 matvec.  The
-    build holds at most two arrays of that size at once (32 MiB at the
-    bound), and the iterated map takes 8 D_c^4 bytes (at most 8 MiB).
+    coordinates and every collision is one real D_c^2 x D_c^2 matvec, or,
+    when n_collisions >= D_c^2, every SAMPLE_BATCH collisions are one matrix
+    product (`integrator._propagate`).  The build holds at most two arrays
+    of that size at once (32 MiB at the bound), and the iterated map takes
+    8 D_c^4 bytes (at most 8 MiB; three times that while the block mode
+    squares it).
     Otherwise each collision runs the direct column (`_column` on
     rho (x) eta, then `_trace_env`) with one list of embedded unitaries,
     or with the list of `cfg.at(n)` when the couplings are
@@ -473,7 +486,8 @@ def simulate(
     [tau_(n-1), tau_n] before collision n.  Samples are recorded at step 0,
     every `record_stride` collisions, and at the final collision; they are
     validated in batches (`trajectory.SampleRecorder`), so an invalid state
-    aborts the run at most one batch after it was recorded.
+    aborts the run at most one batch after it was recorded; minimum
+    eigenvalues are computed only when `Trajectory.min_eigenvalues` is read.
     """
     if rho0.dims != cfg.carrier_dims:
         raise ValueError(f"initial state dims {rho0.dims} do not match carriers {cfg.carrier_dims}")
@@ -483,17 +497,13 @@ def simulate(
 
     uniform = cfg.couplings.collision_system_ops is None and cfg.local_hamiltonians is None
     if uniform and _column_map_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES:
-        phi = _real_map(_column_map(cfg))
-
-        def step(n: int, s: np.ndarray, out: np.ndarray) -> None:
-            np.matmul(phi, s, out=out)
-
+        advance = _real_map(_column_map(cfg))
     else:
         indexed = cfg.couplings.collision_system_ops is not None
         unitaries = None if indexed else _embedded_unitaries(cfg)
         side = rho0.side
 
-        def step(n: int, s: np.ndarray, out: np.ndarray) -> None:
+        def advance(n: int, s: np.ndarray, out: np.ndarray) -> None:
             arr = _hermitian(s, side)[0]
             v = _free_evolution_unitary(cfg, cfg.tau(n - 1), cfg.tau(n))
             if v is not None:
@@ -502,7 +512,7 @@ def simulate(
             us = _embedded_unitaries(cfg.at(n)) if indexed else unitaries
             out[:] = _real_coordinates(_trace_env(_column(joint, cfg, us), cfg.env_dim))
 
-    recorder = _propagate(rho0, cfg.dt, cfg.n_collisions, record_stride, step)
+    recorder = _propagate(rho0, cfg.dt, record_stride, [(cfg.n_collisions, advance)])
     metadata = {
         "engine": "collision",
         "g": cfg.g,

@@ -6,30 +6,41 @@ coordinates: X = A + iB (A symmetric, B antisymmetric) is stored as the real
 matrix S = A + B, and X = ((1+i)S + (1-i)S^T)/2.  Each generator is converted
 once into the real D^2 x D^2 matrix R of S -> s(Herm(G X(S))).  For a linear
 generator one RK4 step of size h is exactly s <- T4(hR) s, with T4 the
-degree-4 Taylor polynomial, so the propagator T4(hR) is built once per
-distinct generator and every step is a single real matrix-vector product;
-the products run back to back.  The conversion holds for any
+degree-4 Taylor polynomial, built once per generator segment in two matrix
+products (Paterson-Stockmeyer).  The conversion holds for any
 Hermiticity-preserving linear map, and the loop (`_propagate`) is the one
-`collision.simulate` runs too.  A recorded step only copies its real
-coordinates into a small batch buffer (`trajectory.SampleRecorder`); each
-full batch, and the last one, becomes complex states in one vectorized
-conversion and goes through the one state check in one call.  Recorded
-samples are exactly Hermitian by construction and are never re-symmetrized;
-trace and positivity are checked on every recorded sample but never
-enforced, so a broken generator shows up instead of being masked.
+`collision.simulate` runs too: one matvec per step, or, when a fixed map
+runs at least as many steps as its side (n >= D^2), one matrix product per
+SAMPLE_BATCH steps with the map's power.  Recorded steps are rows of the
+computed ones, so the record stride never changes a sample.  A recorded
+step only copies its real coordinates into a small batch buffer
+(`trajectory.SampleRecorder`); each full batch, and the last one, becomes
+complex states in one vectorized conversion and goes through the one state
+check in one call, whose positivity verdict is one batched Cholesky
+factorization.  Minimum eigenvalues are computed only when a trajectory's
+`min_eigenvalues` is read.  Recorded samples are exactly Hermitian by
+construction and are never re-symmetrized; trace and positivity are
+checked on every recorded sample but never enforced, so a broken generator
+shows up instead of being masked.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .channels import DensityMatrix
 from .ops import Operator, Superoperator, hermitize, trace_out, vec
-from .trajectory import SampleRecorder, Trajectory, build_trajectory, check_samples, observable_arrays
+from .trajectory import (
+    SAMPLE_BATCH,
+    SampleRecorder,
+    Trajectory,
+    build_trajectory,
+    check_samples,
+    observable_arrays,
+)
 
 GeneratorLike = Superoperator | Sequence[tuple[float, Superoperator]]
 
@@ -78,15 +89,20 @@ def _real_map(g: np.ndarray) -> np.ndarray:
     return r.reshape(side2, side2)
 
 
-def _rk4_propagator(g: np.ndarray, h: float) -> np.ndarray:
-    """T4(hG) = I + hG(I + hG/2(I + hG/3(I + hG/4))) by Horner's rule."""
-    p = g * (h / 4.0)
-    p.flat[:: g.shape[0] + 1] += 1.0
-    for k in (3.0, 2.0, 1.0):
-        p = g @ p
-        p *= h / k
-        p.flat[:: g.shape[0] + 1] += 1.0
-    return p
+def _rk4_propagator(r: np.ndarray, h: float) -> np.ndarray:
+    """T4(hR) = (I + A + A^2/2) + A^2 (A/6 + A^2/24) with A = hR, by
+    Paterson-Stockmeyer: two matrix products.  Overwrites r."""
+    a = np.multiply(r, h, out=r)
+    a2 = a @ a
+    tail = a2 * 0.25
+    tail += a
+    tail *= 1.0 / 6.0
+    t4 = a2 @ tail
+    a2 *= 0.5
+    t4 += a2
+    t4 += a
+    t4.flat[:: t4.shape[0] + 1] += 1.0
+    return t4
 
 
 def _hermitian(s: np.ndarray, side: int) -> np.ndarray:
@@ -111,25 +127,71 @@ def _real_coordinates(x: np.ndarray) -> np.ndarray:
 def _propagate(
     rho0: DensityMatrix,
     dt: float,
-    n_steps: int,
     record_stride: int,
-    step: Callable[[int, np.ndarray, np.ndarray], None],
+    segments: Iterable[tuple[int, np.ndarray | Callable[[int, np.ndarray, np.ndarray], None]]],
 ) -> SampleRecorder:
-    """The one propagation loop of `integrate` and `collision.simulate`: from
-    rho0, in real Hermitian coordinates, `step(k, s, out)` writes the
-    coordinates after step k into `out` (one real matvec on the propagator
-    routes), and steps are recorded at t = k dt: step 0, every
-    `record_stride` steps and the last step."""
+    """The one propagation loop of `integrate` and `collision.simulate`.
+
+    From rho0, in real Hermitian coordinates, each `(n, advance)` of
+    `segments` advances the state by n steps: `advance` is a fixed real map
+    M (s <- M s), or `advance(k, s, out)`, which writes the coordinates
+    after step k into `out`.  Steps are recorded at t = k dt: step 0, every
+    `record_stride` steps and the last step.
+
+    A fixed map runs one matvec per step unless its segment has at least as
+    many steps as its side, n >= D^2.  Then the loop works a block at a
+    time: the segment's first state and the next SAMPLE_BATCH - 1 steps
+    (matvecs) fill a block of SAMPLE_BATCH states; Q = M^SAMPLE_BATCH is
+    built by squaring, the loop drops its reference to M, and each further
+    block of SAMPLE_BATCH steps is one product, block @ Q^T.  The squarings
+    cost about log2(SAMPLE_BATCH) D^2 matvecs, which shorter segments would
+    not repay.  Recorded steps are rows of the computed ones, so the stride
+    never changes a sample.
+    """
     side = rho0.side
-    s = _real_coordinates(rho0.entries)
-    buf = np.empty_like(s)
     recorder = SampleRecorder(rho0.dims, lambda rows: _hermitian(rows, side))
+
+    def record(rows: np.ndarray, first: int) -> None:
+        # rows[i] holds the coordinates after step first + i
+        for i in range(-first % record_stride, len(rows), record_stride):
+            recorder.record(first + i, (first + i) * dt, rows[i])
+
+    s = _real_coordinates(rho0.entries)
     recorder.record(0, 0.0, s)
-    for k in range(1, n_steps + 1):
-        step(k, s, buf)
-        s, buf = buf, s
-        if k % record_stride == 0 or k == n_steps:
-            recorder.record(k, k * dt, s)
+    k = 0
+    for n, advance in segments:
+        if callable(advance) or n < len(advance):
+            step = advance if callable(advance) else lambda _, x, out, m=advance: np.matmul(m, x, out=out)
+            buf = np.empty_like(s)
+            for k in range(k + 1, k + n + 1):
+                step(k, s, buf)
+                s, buf = buf, s
+                if k % record_stride == 0:
+                    recorder.record(k, k * dt, s)
+            continue
+        block = np.empty((SAMPLE_BATCH, s.size))
+        block[0] = s
+        head = min(n, SAMPLE_BATCH - 1)
+        for j in range(1, head + 1):
+            np.matmul(advance, block[j - 1], out=block[j])
+        record(block[1 : head + 1], k + 1)
+        s, k, n = block[head], k + head, n - head
+        if n > 0:
+            q = advance @ advance
+            del advance  # only its power is needed from here
+            scratch = np.empty_like(q)
+            for _ in range(SAMPLE_BATCH.bit_length() - 2):
+                np.matmul(q, q, out=scratch)
+                q, scratch = scratch, q
+            scratch = np.empty_like(block)
+        while n > 0:
+            rows = min(n, SAMPLE_BATCH)
+            np.matmul(block[:rows], q.T, out=scratch[:rows])
+            block, scratch = scratch, block
+            record(block[:rows], k + 1)
+            s, k, n = block[rows - 1], k + rows, n - rows
+    if k % record_stride:
+        recorder.record(k, k * dt, s)
     return recorder
 
 
@@ -155,18 +217,20 @@ def integrate(
         raise ValueError("record_stride must be >= 1")
     starts, mats, desc = _segments(generator, dt)
     obs, names = observable_arrays(observables, rho0.side, observable_names)
-    propagators: dict[int, np.ndarray] = {}
-
-    def step(k: int, s: np.ndarray, out: np.ndarray) -> None:
-        # one lookup per step, at the midpoint: segments start on the step
-        # grid, so the step never straddles a segment boundary
-        idx = bisect.bisect_right(starts, (k - 0.5) * dt) - 1
-        if idx not in propagators:
-            propagators[idx] = _rk4_propagator(_real_map(mats[idx]), dt)
-        np.matmul(propagators[idx], s, out=out)
-
     n_steps = max(int(round(t_end / dt)), 1)
-    recorder = _propagate(rho0, dt, n_steps, record_stride, step)
+
+    def segments():
+        # a segment runs the steps after its start up to the next start:
+        # starts lie on the step grid, so no step straddles a boundary, and
+        # a segment that runs no step builds no propagator
+        done = 0
+        for mat, end in zip(mats, [round(t / dt) for t in starts[1:]] + [n_steps]):
+            end = min(end, n_steps)
+            if end > done:
+                yield end - done, _rk4_propagator(_real_map(mat), dt)
+                done = end
+
+    recorder = _propagate(rho0, dt, record_stride, segments())
     metadata = {"engine": "me-rk4", "dt": dt, "t_end": n_steps * dt, "generator": desc}
     return recorder.trajectory(obs, names, metadata)
 
@@ -177,11 +241,9 @@ def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
     keep0 = [int(m) - 1 for m in keep]
     reduced = [trace_out(state, traj.dims, keep0) for state in traj.states]
     stack = np.array([r for _, r in reduced])
-    traces, min_eigs = check_samples(stack, traj.steps, traj.times)
+    traces = check_samples(stack, traj.steps, traj.times)
     metadata = {**traj.metadata, "reduced_to": list(keep)}
-    return build_trajectory(
-        traj.steps, traj.times, list(stack), traces, min_eigs, reduced[0][0], [], [], metadata
-    )
+    return build_trajectory(traj.steps, traj.times, list(stack), traces, reduced[0][0], [], [], metadata)
 
 
 def trace_distance(a: DensityMatrix | Operator, b: DensityMatrix | Operator) -> float:

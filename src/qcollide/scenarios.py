@@ -468,6 +468,11 @@ def _parse_document(name: str, doc: dict) -> ScenarioConfig:
         if d < 1:
             raise ConfigError(f"{what} must be at least 1, got {d}")
     coupling_block = _object(doc["couplings"], "couplings")
+    unknown = set(coupling_block) - {"system", "environment"}
+    if unknown:
+        # a document couples every collision alike: a collision-indexed
+        # table cannot be given, and is not silently dropped
+        raise ConfigError(f"couplings: unknown keys {sorted(unknown)}")
     eta = parse_state(doc["eta"], (env_dim,), "eta")
     channel = parse_channel(doc["channel"])
     system = coupling_block.get("system")

@@ -7,6 +7,7 @@ trace, min_eigenvalue) so outputs can be diffed at the file level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,8 +30,9 @@ class Trajectory:
     """Ordered samples of a state evolution with observable expectations.
 
     `states` are read-only complex (D, D) arrays on the tensor space `dims`:
-    the rows of the stacks that passed the one state check, whose traces and
-    minimum eigenvalues are kept alongside.
+    the rows of the stacks that passed the one state check, whose traces are
+    kept alongside.  The check certifies positivity without eigenvalues, so
+    `min_eigenvalues` are computed when first read.
     """
 
     steps: np.ndarray
@@ -40,7 +42,6 @@ class Trajectory:
     observable_names: tuple[str, ...]
     observable_values: np.ndarray  # shape (n_samples, n_observables), complex
     traces: np.ndarray
-    min_eigenvalues: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -51,14 +52,24 @@ class Trajectory:
             n, len(self.observable_names)
         )
         self.traces = np.asarray(self.traces, dtype=float)
-        self.min_eigenvalues = np.asarray(self.min_eigenvalues, dtype=float)
-        if not (len(self.steps) == len(self.times) == n == len(self.traces) == len(self.min_eigenvalues)):
+        if not (len(self.steps) == len(self.times) == n == len(self.traces)):
             raise ValueError("trajectory field lengths disagree")
         if np.any(np.diff(self.times) <= 0) and n > 1:
             raise ValueError("sample times must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def min_eigenvalues(self) -> np.ndarray:
+        """The minimum eigenvalue of every sample, by one batched eigvalsh
+        per SAMPLE_BATCH samples, computed once when first read."""
+        return np.concatenate(
+            [
+                np.linalg.eigvalsh(np.array(self.states[i : i + SAMPLE_BATCH]))[:, 0]
+                for i in range(0, len(self), SAMPLE_BATCH)
+            ]
+        )
 
     def final_state(self) -> DensityMatrix:
         """The last sample as a DensityMatrix (checked again, at SAMPLE_ATOL)."""
@@ -104,21 +115,19 @@ class Trajectory:
         write_json(path, payload)
 
 
-def check_samples(
-    stack: np.ndarray, steps: Sequence[int], times: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
+def check_samples(stack: np.ndarray, steps: Sequence[int], times: Sequence[float]) -> np.ndarray:
     """Run the one state check (`channels.check_states`) over a complex
     (n, D, D) stack of the samples taken at `steps` and `times`, then make the
-    stack read-only; returns the traces and minimum eigenvalues.  A failing
+    stack read-only; returns the traces.  A failing
     sample aborts the run with a RuntimeError naming its step, so the CLI
     reports a property failure."""
     try:
-        checks = check_states(stack, SAMPLE_ATOL)
+        traces = check_states(stack, SAMPLE_ATOL)
     except StateViolation as exc:
         step, t = steps[exc.index], times[exc.index]
         raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
     stack.setflags(write=False)
-    return checks
+    return traces
 
 
 class SampleRecorder:
@@ -129,8 +138,8 @@ class SampleRecorder:
     buffer of SAMPLE_BATCH samples.  A full batch, and the last one at
     `trajectory`, is turned into a new complex (n, D, D) stack by `convert`
     and checked in one call (`check_samples`); the recorder keeps the checked
-    stacks and the check's traces and minimum eigenvalues, and the
-    trajectory's states are the rows of those stacks.  A violation surfaces
+    stacks and the check's traces, and the trajectory's states are the rows
+    of those stacks.  A violation surfaces
     at most one batch after the failing step was recorded.
     """
 
@@ -142,7 +151,7 @@ class SampleRecorder:
         self.steps: list[int] = []
         self.times: list[float] = []
         self._stacks: list[np.ndarray] = []
-        self._checks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._traces: list[np.ndarray] = []
 
     def record(self, step: int, t: float, sample: np.ndarray) -> None:
         if self._buf is None:
@@ -160,7 +169,7 @@ class SampleRecorder:
         stack = self._convert(self._buf[: self._pending])
         first = len(self.steps) - self._pending
         self._pending = 0
-        self._checks.append(check_samples(stack, self.steps[first:], self.times[first:]))
+        self._traces.append(check_samples(stack, self.steps[first:], self.times[first:]))
         self._stacks.append(stack)
 
     def trajectory(
@@ -170,10 +179,9 @@ class SampleRecorder:
         metadata: dict | None = None,
     ) -> Trajectory:
         self._flush()
-        traces, min_eigs = (np.concatenate(c) for c in zip(*self._checks))
         rows = [row for stack in self._stacks for row in stack]
         return build_trajectory(
-            self.steps, self.times, rows, traces, min_eigs, self.dims,
+            self.steps, self.times, rows, np.concatenate(self._traces), self.dims,
             observables, observable_names, metadata,
         )
 
@@ -197,14 +205,13 @@ def build_trajectory(
     times: Sequence[float],
     raw_states: Sequence[np.ndarray],
     traces: np.ndarray,
-    min_eigenvalues: np.ndarray,
     dims: tuple[int, ...],
     observables: Sequence[np.ndarray],
     observable_names: Sequence[str],
     metadata: dict | None = None,
 ) -> Trajectory:
     """Assemble a Trajectory from checked samples (read-only complex arrays)
-    and the traces and minimum eigenvalues their check returned."""
+    and the traces their check returned."""
     values = np.zeros((len(raw_states), len(observables)), dtype=complex)
     for i, state in enumerate(raw_states):
         for j, obs in enumerate(observables):
@@ -217,6 +224,5 @@ def build_trajectory(
         observable_names=tuple(observable_names),
         observable_values=values,
         traces=traces,
-        min_eigenvalues=min_eigenvalues,
         metadata=metadata or {},
     )

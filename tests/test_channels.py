@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_cpt_channel, random_hermitian, random_state, random_unitary
 from qcollide.channels import (
+    STATE_TOL,
     DensityMatrix,
     KrausChannel,
     StateViolation,
@@ -20,6 +21,7 @@ from qcollide.channels import (
 from qcollide.jsonio import complex_matrix_to_json
 from qcollide.ops import Operator, expm_hermitian, pauli
 from qcollide.scenarios import ConfigError, parse_channel
+from qcollide.trajectory import build_trajectory
 
 SX, SZ = pauli("x"), pauli("z")
 
@@ -77,10 +79,53 @@ class TestCheckStates:
         return np.array([random_state(rng, dims).entries for _ in range(n)])
 
     def test_min_eigenvalues_and_traces_match_one_state_bit_for_bit(self, rng):
+        # the check returns the traces; the minimum eigenvalues of the checked
+        # rows are the trajectory's, computed when read
         stack = self.stack(rng)
-        traces, min_eigs = check_states(stack, 1e-8)
-        assert np.array_equal(min_eigs, [np.linalg.eigvalsh(x)[0] for x in stack])
+        traces = check_states(stack, 1e-8)
         assert np.array_equal(traces, [complex(np.trace(x)).real for x in stack])
+        traj = build_trajectory(range(len(stack)), range(len(stack)), list(stack), traces, (3, 3), [], [])
+        assert np.array_equal(traj.min_eigenvalues, [np.linalg.eigvalsh(x)[0] for x in stack])
+
+    @pytest.mark.parametrize("atol", [1e-8, STATE_TOL])
+    @pytest.mark.parametrize("side", [2, 5, 9])
+    def test_cholesky_verdict_is_the_eigenvalue_verdict_at_the_border(self, rng, monkeypatch, atol, side):
+        # minimum eigenvalue -atol (1 -+ 1e-3): the factorization alone passes
+        # the stack just above the border; just below it, eigvalsh names the row
+        eigvalsh, calls = np.linalg.eigvalsh, [0]
+
+        def counted(x):
+            calls[0] += 1
+            return eigvalsh(x)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for scale, fails in ((1 - 1e-3, False), (1 + 1e-3, True)):
+            stack = self.stack(rng, n=6, dims=(side,))
+            low = -atol * scale
+            spectrum = np.concatenate([[low], rng.uniform(0.1, 1.0, side - 1)])
+            spectrum[1:] *= (1 - low) / spectrum[1:].sum()
+            u = random_unitary(rng, side)
+            stack[4] = (u * spectrum) @ u.conj().T
+            assert bool((eigvalsh(stack)[:, 0] < -atol).any()) == fails
+            calls[0] = 0
+            if fails:
+                with pytest.raises(StateViolation, match="minimum eigenvalue -") as info:
+                    check_states(stack, atol)
+                assert info.value.index == 4
+            else:
+                check_states(stack, atol)
+            assert calls[0] == fails
+
+    def test_no_eigenvalues_for_a_passing_stack(self, rng, monkeypatch):
+        stack = self.stack(rng)
+        stack[3] = np.diag([1.0] + [0.0] * 8)  # a pure state passes too
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        check_states(stack, 1e-8)
+        check_states(stack, STATE_TOL)
 
     @pytest.mark.parametrize(
         "bump, message",

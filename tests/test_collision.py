@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ class TestCouplingSpec:
         table = (((SX,), (SY,)), ((entry,), (SY,)))
         with pytest.raises(ValueError, match=message):
             CouplingSpec(((SX,), (SY,)), ((SX,), (SX,)), collision_system_ops=table)
+
+    def test_short_collision_table_rejected(self):
+        # six tabulated collisions cannot drive ten
+        table = tuple(((SY,),) for _ in range(6))
+        spec = CouplingSpec(((SX,),), ((SX,),), collision_system_ops=table)
+        message = "collision-indexed couplings tabulate 6 collisions, fewer than n_collisions = 10"
+        with pytest.raises(ValueError, match=message):
+            qubit_config(n_collisions=10, couplings=spec)
+        cfg = qubit_config(n_collisions=6, couplings=spec)
+        assert len(simulate(cfg, GROUND)) == 7
+        with pytest.raises(ValueError, match=message):
+            replace(cfg, n_collisions=10)
 
     def test_at_resolves_one_collision(self):
         table = (((SY,),), ((SZ,),))
@@ -235,7 +248,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_aborts(self, monkeypatch, bad):
-        # map route: poison the coordinates after collision 70, past the first batch
+        # map route: collisions 70..100 run a poisoned copy of the map, so the
+        # coordinates after collision 70 are the first non-finite ones, past
+        # the first batch; both segments run a block at a time
         propagate, built = qcollide.collision._propagate, [0]
         column_map = qcollide.collision._column_map
 
@@ -243,12 +258,12 @@ class TestSimulate:
             built[0] += 1
             return column_map(cfg)
 
-        def poisoned(rho0, dt, n_steps, record_stride, step):
-            def bad_step(k, s, out):
-                step(k, s, out)
-                if k == 70:
-                    out[3] = bad  # S[1, 1]
-            return propagate(rho0, dt, n_steps, record_stride, bad_step)
+        def poisoned(rho0, dt, record_stride, segments):
+            [(n, phi)] = segments
+            assert n >= len(phi)
+            bad_phi = phi.copy()
+            bad_phi[3, 3] = bad  # S[1, 1] <- S[1, 1]
+            return propagate(rho0, dt, record_stride, [(69, phi), (n - 69, bad_phi)])
 
         monkeypatch.setattr(qcollide.collision, "_column_map", counted_map)
         monkeypatch.setattr(qcollide.collision, "_propagate", poisoned)

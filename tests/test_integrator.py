@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import random_cpt_channel, random_hermitian, random_state
 from qcollide.channels import DensityMatrix, identity_channel, lossy_bosonic_channel
-from qcollide.collision import CouplingSpec
+from qcollide.collision import CollisionConfig, CouplingSpec, _column_map
 from qcollide.generators import full_generator
 import qcollide.integrator
-from qcollide.integrator import integrate, reduced_trajectory, trace_distance
+from qcollide.integrator import _real_map, _rk4_propagator, integrate, reduced_trajectory, trace_distance
 from qcollide.ops import Operator, Superoperator, hermitize, pauli, projector, unvec, vec
 from qcollide.trajectory import SAMPLE_BATCH
 
@@ -222,6 +224,105 @@ class TestPropagatorAgainstStagedRK4:
                     (0.05, random_lindblad(rng, self.DIMS)),
                     (0.12, random_lindblad(rng, self.DIMS))]
         self._check(schedule, schedule, rng)
+
+
+def horner_rk4_propagator(r, h):
+    """T4(hR) = I + hR(I + hR/2(I + hR/3(I + hR/4))) by Horner's rule."""
+    p = r * (h / 4.0)
+    p.flat[:: r.shape[0] + 1] += 1.0
+    for k in (3.0, 2.0, 1.0):
+        p = r @ p
+        p *= h / k
+        p.flat[:: r.shape[0] + 1] += 1.0
+    return p
+
+
+def random_column_map(rng, carrier_dims, env_dim=2):
+    """The real map of one collision column with random couplings, channel
+    and environment state."""
+    couplings = CouplingSpec.uniform(
+        [[random_hermitian(rng, (d,))] for d in carrier_dims], [random_hermitian(rng, (env_dim,))]
+    )
+    cfg = CollisionConfig(
+        carrier_dims=carrier_dims,
+        env_dim=env_dim,
+        g=1.0,
+        dt=0.3,
+        n_collisions=1,
+        eta=random_state(rng, (env_dim,)),
+        channel=random_cpt_channel(rng, env_dim),
+        couplings=couplings,
+    )
+    return _real_map(_column_map(cfg))
+
+
+class TestPropagatorBuild:
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 3), (3, 3)])
+    def test_paterson_stockmeyer_matches_horner(self, rng, dims):
+        for scale in (1e-3, 0.1, 0.5, 1.0):
+            r = _real_map(random_lindblad(rng, dims).matrix)
+            h = scale / np.linalg.norm(r, 2)
+            want = horner_rk4_propagator(r, h)
+            got = _rk4_propagator(r.copy(), h)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.linalg.norm(want, 2)
+
+
+class TestBlockPropagation:
+    """A fixed map advances a block of SAMPLE_BATCH steps per product once a
+    segment has at least D^2 steps; the samples match one matvec per step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(2,), (2, 2), (2, 3)]),
+        kind=st.sampled_from(["gksl", "column"]),
+        lengths=st.lists(st.integers(1, 300), min_size=1, max_size=2),
+        stride=st.integers(1, 70),
+    )
+    @example(seed=0, dims=(2, 3), kind="gksl", lengths=[35], stride=1)
+    @example(seed=0, dims=(2, 3), kind="column", lengths=[36], stride=1)
+    @example(seed=0, dims=(2, 3), kind="gksl", lengths=[300, 35], stride=7)
+    @example(seed=0, dims=(2,), kind="column", lengths=[3, 130], stride=SAMPLE_BATCH + 1)
+    def test_blocks_match_the_serial_loop(self, seed, dims, kind, lengths, stride):
+        rng = np.random.default_rng(seed)
+        if kind == "gksl":
+            maps = [_rk4_propagator(_real_map(random_lindblad(rng, dims).matrix), 1e-2) for _ in lengths]
+        else:
+            maps = [random_column_map(rng, dims) for _ in lengths]
+        rho0 = random_state(rng, dims)
+        traj = qcollide.integrator._propagate(rho0, 0.1, stride, list(zip(lengths, maps))).trajectory([], [])
+
+        s = qcollide.integrator._real_coordinates(rho0.entries)
+        serial = [s]
+        for n, m in zip(lengths, maps):
+            for _ in range(n):
+                s = m @ s
+                serial.append(s)
+        total = sum(lengths)
+        steps = sorted(set(range(0, total + 1, stride)) | {total})
+        assert traj.steps.tolist() == steps
+        want = qcollide.integrator._hermitian(np.array(serial)[steps], rho0.side)
+        assert np.max(np.abs(np.array(traj.states) - want)) <= 1e-13
+
+
+    @pytest.mark.parametrize("dims, n_steps, products", [((2, 2), 200, 64), ((4, 4), 255, 255), ((4, 4), 256, 64)])
+    def test_mode_rule(self, rng, dims, n_steps, products):
+        # one product with M per step below n_steps = D^2; from there on
+        # SAMPLE_BATCH - 1 matvecs and the first squaring, then only Q
+        calls = []
+
+        class CountedMap(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                calls.append(ufunc.__name__)
+                inputs = [np.asarray(x) for x in inputs]
+                if out is not None:
+                    kwargs["out"] = tuple(np.asarray(x) for x in out)
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        m = _rk4_propagator(_real_map(random_lindblad(rng, dims).matrix), 1e-3).view(CountedMap)
+        rho0 = random_state(rng, dims)
+        qcollide.integrator._propagate(rho0, 0.1, n_steps, [(n_steps, m)])
+        assert calls == ["matmul"] * products
 
 
 class TestReducedTrajectory:

@@ -519,6 +519,18 @@ class TestCLI:
             ({"scenario": "ad-chain-2q", "env_dim": -1}, "env_dim must be at least 1, got -1"),
             ({"scenario": "ad-chain-2q", "carrier_dims": [2, 0]}, "carrier_dims[1] must be at least 1, got 0"),
             ({"scenario": "bosonic-fiber", "params": {"d": 1}}, "params.d must be at least 2, got 1"),
+            (
+                {
+                    "scenario": "ad-chain-2q",
+                    "n_collisions": 10,
+                    "couplings": {
+                        "system": [["sx"], ["sx"]],
+                        "environment": ["sx"],
+                        "collision_system": [[["sz"], ["sz"]]] * 6,
+                    },
+                },
+                "couplings: unknown keys ['collision_system']",
+            ),
             (None, "bad.json cannot be read"),
             (b'{"scenario": "dephasing-1q", "t_end": "\xff"}', "bad.json cannot be read"),
         ],
@@ -532,7 +544,8 @@ class TestCLI:
              "custom-params", "params-list", "builtin-couplings-junk", "builtin-channel-dim",
              "lossy-no-kappa", "eta-no-matrix", "product-no-factors", "product-short-entry", "unitary-triple-entry",
              "unitary-ragged", "kraus-ragged", "observable-matrix-entry", "env-dim-zero", "env-dim-negative",
-             "carrier-dim-zero", "params-d-one", "config-directory", "config-not-utf8"],
+             "carrier-dim-zero", "params-d-one", "couplings-collision-table", "config-directory",
+             "config-not-utf8"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"

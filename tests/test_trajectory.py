@@ -1,5 +1,6 @@
 """Recorded samples: a trajectory keeps the rows of its checked batch stacks
-as read-only arrays, and the check's traces and minimum eigenvalues."""
+as read-only arrays and the check's traces; their minimum eigenvalues are
+computed when read."""
 
 import numpy as np
 import pytest
@@ -71,12 +72,31 @@ class TestSamples:
             assert stack.ndim == 3 and not stack.flags.writeable
 
     def test_traces_and_min_eigenvalues_come_from_the_check(self, long_run):
+        # traces are the check's; minimum eigenvalues are those of the checked
+        # stacks, computed once, when first read
         traj = long_run
-        traces, min_eigs = zip(*(check_states(s, SAMPLE_ATOL) for s in batches(traj)))
+        traces = [check_states(s, SAMPLE_ATOL) for s in batches(traj)]
         assert np.array_equal(traj.traces, np.concatenate(traces))
-        assert np.array_equal(traj.min_eigenvalues, np.concatenate(min_eigs))
         assert np.array_equal(traj.traces, [complex(np.trace(x)).real for x in traj.states])
-        assert np.array_equal(traj.min_eigenvalues, [np.linalg.eigvalsh(x)[0] for x in traj.states])
+        assert "min_eigenvalues" not in vars(traj)
+        min_eigs = traj.min_eigenvalues
+        assert np.array_equal(min_eigs, np.concatenate([np.linalg.eigvalsh(s)[:, 0] for s in batches(traj)]))
+        assert np.array_equal(min_eigs, [np.linalg.eigvalsh(x)[0] for x in traj.states])
+        assert traj.min_eigenvalues is min_eigs
+
+    def test_runs_compute_no_eigenvalues(self, monkeypatch, rng):
+        rho0 = random_state(rng, (2, 2, 2))
+        generator = chain_generator()  # its rate check reads eigenvalues
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        for traj in (
+            simulate(chain_collisions(150), rho0),
+            integrate(generator, rho0, t_end=0.3, dt=2e-3),
+        ):
+            reduced_trajectory(traj, keep=[2])
 
     def test_step_zero_is_recorded_like_every_sample(self, rng):
         rho0 = random_state(rng, (2, 2, 2))
@@ -137,6 +157,7 @@ class TestReducedTrajectory:
             assert np.array_equal(r, want)
             assert not r.flags.writeable and r.base is red.states[0].base
         assert np.array_equal(red.traces, [complex(np.trace(x)).real for x in red.states])
+        assert "min_eigenvalues" not in vars(red)
         assert np.array_equal(red.min_eigenvalues, [np.linalg.eigvalsh(x)[0] for x in red.states])
 
     def test_invalid_reduced_sample_names_its_step(self, rng):
