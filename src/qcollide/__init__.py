@@ -8,7 +8,7 @@ from .channels import (
     fixed_point_distance,
     identity_channel,
     lossy_bosonic_channel,
-    power,
+    orbit,
     replacer_channel,
     unitary_channel,
     validate_cpt,
@@ -41,7 +41,6 @@ from .integrator import integrate, reduced_trajectory, trace_distance
 from .ops import (
     Operator,
     Superoperator,
-    bracket,
     embed,
     expm_hermitian,
     kron,

@@ -1,8 +1,9 @@
 """CPT maps in Kraus form, density matrices, and the built-in environments.
 
 The relaxation channel acting on a sub-environment between collisions is
-always represented by a finite Kraus list; channel powers are materialized
-as superoperator matrices (environment sides here are small).
+always represented by a finite Kraus list, and its superoperator matrix is
+the Kraus sandwich form materialized once per channel (environment sides
+here are small).  The relaxation orbit M^k(x) is k applications (`orbit`).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 from .ops import (
     DEFAULT_TOL,
     Operator,
+    SandwichForm,
     Superoperator,
     apply_on_factor,
-    kraus_superop,
     max_abs,
 )
 
@@ -159,7 +160,10 @@ class KrausChannel:
     @cached_property
     def superop_matrix(self) -> np.ndarray:
         """Read-only column-stacked matrix of X -> sum_k K_k X K_k^dag."""
-        return kraus_superop(self.kraus).matrix
+        kraus = [k.entries for k in self.kraus]
+        matrix = SandwichForm(self.dims, kraus, [k.conj().T for k in kraus]).matrix()
+        matrix.setflags(write=False)
+        return matrix
 
     def apply(self, x: Operator) -> Operator:
         """sum_k K_k x K_k^dag; x need not be a state."""
@@ -192,13 +196,13 @@ def validate_cpt(c: KrausChannel, tol: float = STATE_TOL) -> CPTReport:
     return CPTReport(residual=residual, tol=tol, passed=residual <= tol)
 
 
-def power(c: KrausChannel, m: int) -> Superoperator:
-    """Superoperator matrix of the m-fold composition; m = 0 is the identity."""
-    if m < 0:
-        raise ValueError("channel power must be nonnegative")
-    if m == 0:
-        return Superoperator.identity(c.dims)
-    return Superoperator(c.dims, np.linalg.matrix_power(c.superop_matrix, m))
+def orbit(c: KrausChannel, x: Operator, k: int) -> Operator:
+    """M^k(x): the channel applied k times; k = 0 returns x."""
+    if k < 0:
+        raise ValueError("the number of channel applications must be nonnegative")
+    for _ in range(k):
+        x = c.apply(x)
+    return x
 
 
 def lossy_bosonic_channel(d: int, kappa: float) -> KrausChannel:

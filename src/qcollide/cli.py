@@ -8,8 +8,11 @@ errors, expansion identity failures, or state-invariant blowups).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+
+import numpy as np
 
 from .jsonio import write_json
 from .scenarios import (
@@ -61,6 +64,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sc = load_scenario(args.config)
+        if getattr(args, "seed", None) is not None:
+            sc = dataclasses.replace(sc, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -76,7 +81,7 @@ def main(argv=None) -> int:
             traj = run_simulate(sc, out_dir=args.out, fmt=args.fmt)
             print(
                 f"simulate {sc.name}: {len(traj)} samples, final trace {traj.traces[-1]:.12f}, "
-                f"min eigenvalue {traj.min_eigenvalues[-1]:.3e}"
+                f"min eigenvalue {np.linalg.eigvalsh(traj.states[-1])[0]:.3e}"
             )
             return EXIT_OK
 
@@ -113,8 +118,6 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            if args.seed is not None:
-                sc.seed = args.seed
             report = run_verify(sc)
             if args.out is not None:
                 write_json(os.path.join(args.out, "verify.json"), report.to_dict())

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel, power
+from .channels import DensityMatrix, KrausChannel
 from .ops import (
     DEFAULT_TOL,
     Operator,
@@ -324,17 +324,18 @@ def check_assumption(cfg: CollisionConfig, m_max: int, tol: float = DEFAULT_TOL)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     uniform = cfg.couplings.env_shared
-    if uniform:  # (label, channel power, operators)
-        points = [(k, k, cfg.couplings.b_ops(1)) for k in range(m_max + 1)]
+    if uniform:  # (label, operators); point i is read on M^i(eta)
+        points = [(k, cfg.couplings.b_ops(1)) for k in range(m_max + 1)]
     else:
         m_top = min(m_max, cfg.n_carriers)
-        points = [(m, m - 1, cfg.couplings.b_ops(m)) for m in range(1, m_top + 1)]
+        points = [(m, cfg.couplings.b_ops(m)) for m in range(1, m_top + 1)]
     entries = []
-    for label, k, b_ops in points:
-        sigma = power(cfg.channel, k).apply(cfg.eta.op).entries
+    sigma = cfg.eta.op
+    for label, b_ops in points:
         for l, b in enumerate(b_ops):
-            value = abs(np.einsum("ij,ji->", b.entries, sigma))
+            value = abs(np.einsum("ij,ji->", b.entries, sigma.entries))
             entries.append((label, l, float(value)))
+        sigma = cfg.channel.apply(sigma)
     max_violation = max(v for (_, _, v) in entries)
     return AssumptionReport(
         entries=tuple(entries),

@@ -32,15 +32,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel, fixed_point_distance, power
+from .channels import DensityMatrix, KrausChannel, fixed_point_distance, orbit
 from .collision import CouplingSpec
 from .ops import (
     DEFAULT_TOL,
     Operator,
+    SandwichForm,
     Superoperator,
     embed,
     max_abs,
-    multiplier_matrix,
     partial_trace,
 )
 
@@ -80,10 +80,9 @@ def _propagated_rates(
     gamma: float,
 ) -> np.ndarray:
     """gamma * tr(B'_l' M^distance(B_l sigma)) for every pair (l, l')."""
-    orbit = power(channel, distance)
     rates = np.empty((len(b_from), len(b_to)), dtype=complex)
     for l, bl in enumerate(b_from):
-        propagated = orbit.apply(Operator(bl.dims, bl.entries @ sigma)).entries
+        propagated = orbit(channel, Operator(bl.dims, bl.entries @ sigma), distance).entries
         for lp, blp in enumerate(b_to):
             rates[l, lp] = gamma * _expect(blp.entries, propagated)
     return rates
@@ -102,7 +101,7 @@ def local_rates(
     b_ops = spec.b_ops(m)
     if b_ops[0].side != eta.side:
         raise ValueError("environment operator side does not match eta")
-    sigma = power(channel, m - 1).apply(eta.op).entries
+    sigma = orbit(channel, eta.op, m - 1).entries
     _warn_if_nonzero_mean(b_ops, sigma)
     rates = _two_point_rates(b_ops, sigma, gamma)
     if max_abs(rates - rates.conj().T) > PSD_TOL:
@@ -132,7 +131,7 @@ def cross_rates(
         raise ValueError("cross rates are directional: need m' > m")
     if not 1 <= m <= spec.n_carriers or not 1 <= m_prime <= spec.n_carriers:
         raise ValueError("carrier index out of range")
-    sigma = power(channel, m - 1).apply(eta.op).entries
+    sigma = orbit(channel, eta.op, m - 1).entries
     return _propagated_rates(spec.b_ops(m), spec.b_ops(m_prime), sigma, channel, m_prime - m, gamma)
 
 
@@ -188,38 +187,16 @@ def _kossakowski(
     return np.block(blocks)
 
 
-@dataclass(frozen=True, eq=False)
-class _Form:
-    """The data of one GKSL form on `dims`: the sandwich multipliers
-    S_a = sum_b Gamma_ab F_b, the operators F_a and K.  It is consumed as a
-    matrix or applied directly; both read the same arrays."""
-
-    dims: tuple[int, ...]
-    sandwich: np.ndarray
-    ops: np.ndarray
-    k: np.ndarray
-
-    def superoperator(self) -> Superoperator:
-        pairs = list(zip(self.sandwich, self.ops))
-        return Superoperator(self.dims, multiplier_matrix(pairs, -self.k, -self.k.conj().T))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """sum_a (S_a X) F_a - K X - X K^dag, as one product over the stacked a."""
-        out = np.hstack(self.sandwich @ x) @ np.vstack(self.ops)
-        out -= self.k @ x
-        out -= x @ self.k.conj().T
-        return out
-
-
 def _gksl(
     spec: CouplingSpec,
     kossakowski: np.ndarray,
     carriers: Sequence[int],
     dims: tuple[int, ...],
     first: int = 1,
-) -> _Form:
+) -> SandwichForm:
     """The GKSL form of `kossakowski` (module docstring) on `dims`, over the
-    operators of `carriers`, carrier m on factor m - first."""
+    operators of `carriers`, carrier m on factor m - first: the sandwich
+    multipliers are S_a = sum_b Gamma_ab F_b."""
     ops, owner = [], []
     for m in carriers:
         for a in spec.a_ops(m):
@@ -229,7 +206,7 @@ def _gksl(
     t = kossakowski * ((np.sign(np.subtract.outer(owner, owner)) + 1) / 2)
     sandwich = np.tensordot(kossakowski, f, axes=1)  # sum_b Gamma_ab F_b
     k = np.hstack(f) @ np.vstack(np.tensordot(t, f, axes=1))
-    return _Form(dims, sandwich, f, k)
+    return SandwichForm(dims, sandwich, f, k)
 
 
 def local_dissipator(
@@ -327,16 +304,16 @@ class GeneratorSet:
         }
         return MappingProxyType(terms)
 
-    def _form_of(self, kossakowski: np.ndarray) -> _Form:
+    def _form_of(self, kossakowski: np.ndarray) -> SandwichForm:
         carriers = range(1, self.n_carriers + 1)
         return _gksl(self.spec, kossakowski, carriers, self.carrier_dims)
 
     @cached_property
-    def _form(self) -> _Form:
+    def _form(self) -> SandwichForm:
         return self._form_of(self.kossakowski)
 
     @cached_property
-    def _split(self) -> tuple[_Form, _Form]:
+    def _split(self) -> tuple[SandwichForm, SandwichForm]:
         """The forms of Gamma's block-diagonal part (the sum of `local_terms`)
         and of its off-diagonal part (the sum of `cross_terms`); the form is
         linear in Gamma, so the two add up to `total`."""

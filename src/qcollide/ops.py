@@ -137,16 +137,6 @@ def expm_hermitian(h: Operator, s: float, tol: float = DEFAULT_TOL) -> Operator:
     return Operator(h.dims, (v * phases) @ v.conj().T)
 
 
-def bracket(a: Operator, b: Operator, kind: str = "commutator") -> Operator:
-    """Commutator ab - ba or anticommutator ab + ba."""
-    a._binary_check(b)
-    if kind == "commutator":
-        return Operator(a.dims, a.entries @ b.entries - b.entries @ a.entries)
-    if kind == "anticommutator":
-        return Operator(a.dims, a.entries @ b.entries + b.entries @ a.entries)
-    raise ValueError(f"unknown bracket kind {kind!r}")
-
-
 def embed(op: Operator, full_dims: Sequence[int], positions: Sequence[int]) -> Operator:
     """Embed `op` into a larger tensor space, acting as identity elsewhere.
 
@@ -205,12 +195,6 @@ class Superoperator:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", matrix)
 
-    @classmethod
-    def identity(cls, dims: Sequence[int]) -> "Superoperator":
-        dims = tuple(dims)
-        side = math.prod(dims)
-        return cls(dims, np.eye(side * side))
-
     @property
     def side(self) -> int:
         return math.prod(self.dims)
@@ -224,53 +208,81 @@ class Superoperator:
         return f"Superoperator(dims={self.dims})"
 
 
-def multiplier_matrix(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    left: np.ndarray | None = None,
-    right: np.ndarray | None = None,
-) -> np.ndarray:
-    """Column-stacked matrix of X -> sum_k L_k X R_k + left X + X right.
-
-    `pairs` lists the (L_k, R_k) sandwiches; all matrices share one side D.
-    Since vec(L X R) = (R^T kron L) vec(X), the (D, D, D, D) view [j, i, l, k]
-    of the result holds sum_k R_k[l, j] L_k[i, k]: each term is one outer
-    product added into that view, in order, one j-row at a time through a
-    reused D^3 buffer, so the result is the ordered sum of the np.kron
-    terms bit for bit.  The one-sided pieces only touch the block
-    diagonals j = l (left) and i = k (right), at O(D^3) cost.
+@dataclass(frozen=True, eq=False)
+class SandwichForm:
+    """The map X -> sum_a S_a X F_a - K X - X K^dag on operators on `dims`,
+    the one form of every superoperator here: a Kraus channel (S_a = K_a,
+    F_a = K_a^dag, no K), a GKSL generator, and the collision expansion
+    terms.  `sandwich` stacks the S_a and `ops` the F_a; `k` is K, or None
+    for none.  The form is applied directly or materialized, and both read
+    the same arrays.
     """
-    mats = [m for pair in pairs for m in pair] + [m for m in (left, right) if m is not None]
-    if not mats:
-        raise ValueError("need at least one multiplier")
-    side = mats[0].shape[0]
-    if any(m.shape != (side, side) for m in mats):
-        raise ValueError("multipliers must be square and share one side")
-    mat = np.zeros((side * side, side * side), dtype=complex)
-    t = mat.reshape(side, side, side, side)
-    if pairs:
-        view, row = t.transpose(0, 2, 1, 3), np.empty((side,) * 3, dtype=complex)
-        for j in range(side):
-            for l_k, r_k in pairs:
-                view[j] += np.multiply.outer(r_k[:, j], l_k, out=row)
-    diag = np.arange(side)
-    if left is not None:
-        t[diag, :, diag, :] += left
-    if right is not None:
-        t[:, diag, :, diag] += right.T
-    return mat
 
+    dims: tuple[int, ...]
+    sandwich: np.ndarray
+    ops: np.ndarray
+    k: np.ndarray | None = None
 
-def commutator_superop(h: Operator) -> Superoperator:
-    """Superoperator X -> [h, X]."""
-    return Superoperator(h.dims, multiplier_matrix([], h.entries, -h.entries))
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
+        side = math.prod(dims)
 
+        def stack(mats):
+            arr = np.asarray(mats, dtype=complex)
+            return arr if arr.size else np.zeros((0, side, side), dtype=complex)
 
-def kraus_superop(kraus: Sequence[Operator]) -> Superoperator:
-    """Superoperator X -> sum_k K_k X K_k^dag."""
-    if not kraus:
-        raise ValueError("need at least one Kraus operator")
-    pairs = [(k.entries, k.entries.conj().T) for k in kraus]
-    return Superoperator(kraus[0].dims, multiplier_matrix(pairs))
+        sandwich, ops = stack(self.sandwich), stack(self.ops)
+        k = None if self.k is None else np.asarray(self.k, dtype=complex)
+        if not len(sandwich) and k is None:
+            raise ValueError("need at least one multiplier")
+        if sandwich.shape[1:] != (side, side) or ops.shape != sandwich.shape or (
+            k is not None and k.shape != (side, side)
+        ):
+            raise ValueError(f"multipliers must pair up, be square and share the side {side}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "sandwich", sandwich)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "k", k)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The form on a matrix or a stack shaped (..., D, D), with one
+        product over the stacked a."""
+        if len(self.sandwich):
+            stacked = (self.sandwich @ x[..., None, :, :]).swapaxes(-3, -2)
+            out = stacked.reshape(x.shape[:-1] + (-1,)) @ self.ops.reshape(-1, x.shape[-1])
+        else:
+            out = np.zeros(x.shape, dtype=complex)
+        if self.k is not None:
+            out -= self.k @ x
+            out -= x @ self.k.conj().T
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """The column-stacked D^2 x D^2 matrix of the form.
+
+        Since vec(S X F) = (F^T kron S) vec(X), the (D, D, D, D) view
+        [j, i, l, k] of the result holds sum_a F_a[l, j] S_a[i, k]: each term
+        is one outer product added into that view, in order, one j-row at a
+        time through a reused D^3 buffer, so the result is the ordered sum of
+        the np.kron terms bit for bit.  The K terms only touch the block
+        diagonals j = l and i = k, at O(D^3) cost.
+        """
+        side = math.prod(self.dims)
+        mat = np.zeros((side * side, side * side), dtype=complex)
+        t = mat.reshape(side, side, side, side)
+        if len(self.sandwich):
+            view, row = t.transpose(0, 2, 1, 3), np.empty((side,) * 3, dtype=complex)
+            for j in range(side):
+                for s_a, f_a in zip(self.sandwich, self.ops):
+                    view[j] += np.multiply.outer(f_a[:, j], s_a, out=row)
+        if self.k is not None:
+            diag = np.arange(side)
+            t[diag, :, diag, :] -= self.k
+            t[:, diag, :, diag] -= self.k.conj()
+        return mat
+
+    def superoperator(self) -> Superoperator:
+        return Superoperator(self.dims, self.matrix())
 
 
 def apply_on_factor(p: np.ndarray, x: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:

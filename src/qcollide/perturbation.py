@@ -23,9 +23,10 @@ own column (`collision._column`), so those checks test the map `simulate`
 runs.  Every function here takes one column's couplings: collision-indexed
 configurations are resolved first (`cfg.at(n)`).  This module verifies the
 identities numerically and measures the order of the neglected remainders
-by halving g.  Every map acts on stacks of matrices, so materializing a
-superoperator is just feeding the matrix unit basis through; no dense
-superoperator products are ever formed.
+by halving g.  U'_m and U''_m are sandwich forms (`ops.SandwichForm`), built
+once per carrier.  Every map acts on stacks of matrices, so the column
+expansion maps are materialized by feeding the matrix unit basis through;
+no dense superoperator products are ever formed.
 """
 
 from __future__ import annotations
@@ -44,32 +45,30 @@ from .collision import (
     collision_hamiltonian,
 )
 from .generators import GeneratorSet, full_generator
-from .ops import Operator, Superoperator, embed, expm_hermitian
+from .ops import Operator, SandwichForm, Superoperator, embed, expm_hermitian
 
 
 def _frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-# --- batched primitives (arrays shaped (..., D, D)) -------------------------
-
-
-def _u_prime(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return -1j * (h @ x - x @ h)
-
-
-def _u_second(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    h2 = h @ h
-    return h @ x @ h - 0.5 * (h2 @ x + x @ h2)
+def _expansion_forms(h: np.ndarray, dims: tuple[int, ...]) -> tuple[SandwichForm, SandwichForm]:
+    """U' = -i[H, .] (K = iH) and U'' = H . H - (1/2){H^2, .} (S = F = H,
+    K = H^2/2) as sandwich forms."""
+    return SandwichForm(dims, [], [], 1j * h), SandwichForm(dims, [h], [h], 0.5 * (h @ h))
 
 
 class _ColumnExpansion:
-    """Embedded collision Hamiltonians of one column and its expansion orders."""
+    """Expansion terms of the embedded collision Hamiltonians of one column,
+    built once per carrier, and the column's expansion orders."""
 
     def __init__(self, cfg: CollisionConfig):
         self.cfg = cfg
-        self.h = [
-            embed(collision_hamiltonian(cfg, m), cfg.joint_dims, (m - 1, cfg.n_carriers)).entries
+        self.terms = [
+            _expansion_forms(
+                embed(collision_hamiltonian(cfg, m), cfg.joint_dims, (m - 1, cfg.n_carriers)).entries,
+                cfg.joint_dims,
+            )
             for m in range(1, cfg.n_carriers + 1)
         ]
 
@@ -82,46 +81,36 @@ class _ColumnExpansion:
 
         zero = np.zeros_like(x, dtype=complex)
         y0, y1, y2a, y2b = x, zero, zero, zero
-        for h in self.h:
+        for u1, u2 in self.terms:
             y0, y1, y2a, y2b = (
                 relax(y0),
-                relax(y1 + _u_prime(h, y0)),
-                relax(y2a + _u_second(h, y0)),
-                relax(y2b + _u_prime(h, y1)),
+                relax(y1 + u1.apply(y0)),
+                relax(y2a + u2.apply(y0)),
+                relax(y2b + u1.apply(y1)),
             )
         return y0, y1, y2a, y2b
-
-
-def _matrix_units(side: int) -> np.ndarray:
-    """Stack of matrix units enumerated in column-stacking order."""
-    units = np.zeros((side * side, side, side), dtype=complex)
-    idx = np.arange(side * side)
-    units[idx, idx % side, idx // side] = 1.0
-    return units
-
-
-def _materialize(dims: tuple[int, ...], images: np.ndarray) -> Superoperator:
-    """Superoperator whose images of the matrix units are `images`."""
-    side = math.prod(dims)
-    matrix = images.transpose(0, 2, 1).reshape(side * side, side * side).T
-    return Superoperator(dims, matrix)
 
 
 def unitary_expansion_terms(h: Operator) -> tuple[Superoperator, Superoperator]:
     """First and second expansion terms of X -> e^(-isH) X e^(isH) in s:
     U'(X) = -i[H, X] and U''(X) = H X H - (1/2){H^2, X}."""
-    units = _matrix_units(h.side)
-    return (
-        _materialize(h.dims, _u_prime(h.entries, units)),
-        _materialize(h.dims, _u_second(h.entries, units)),
-    )
+    u1, u2 = _expansion_forms(h.entries, h.dims)
+    return u1.superoperator(), u2.superoperator()
 
 
 def column_expansion(cfg: CollisionConfig) -> tuple[Superoperator, Superoperator, Superoperator]:
-    """Materialize C', C''a and C''b on carriers (x) one environment site."""
-    units = _matrix_units(math.prod(cfg.joint_dims))
-    _, c1, c2a, c2b = _ColumnExpansion(cfg).orders(units)
-    return tuple(_materialize(cfg.joint_dims, c) for c in (c1, c2a, c2b))
+    """Materialize C', C''a and C''b on carriers (x) one environment site:
+    column j of each matrix is the image of the j-th matrix unit in
+    column-stacking order."""
+    side = math.prod(cfg.joint_dims)
+    units = np.zeros((side * side, side, side), dtype=complex)
+    idx = np.arange(side * side)
+    units[idx, idx % side, idx // side] = 1.0
+    _, *images = _ColumnExpansion(cfg).orders(units)
+    return tuple(
+        Superoperator(cfg.joint_dims, c.transpose(0, 2, 1).reshape(side * side, side * side).T)
+        for c in images
+    )
 
 
 @dataclass(frozen=True)
@@ -198,7 +187,8 @@ def unitary_remainder(h: Operator, s: float, x: Operator) -> float:
     """Norm of e^(-isH) X e^(isH) minus (I + sU' + s^2 U'')(X); O(s^3)."""
     u = expm_hermitian(h, s).entries
     exact = u @ x.entries @ u.conj().T
-    approx = x.entries + s * _u_prime(h.entries, x.entries) + s * s * _u_second(h.entries, x.entries)
+    u1, u2 = _expansion_forms(h.entries, h.dims)
+    approx = x.entries + s * u1.apply(x.entries) + s * s * u2.apply(x.entries)
     return _frob(exact - approx)
 
 

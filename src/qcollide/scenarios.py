@@ -141,6 +141,8 @@ class ScenarioConfig:
             raise ConfigError("n_collisions must be nonnegative")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 def collision_config(sc: ScenarioConfig, n: int) -> CollisionConfig:
@@ -601,7 +603,7 @@ def run_simulate(sc: ScenarioConfig, out_dir: str | None = None, fmt: str = "csv
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if fmt == "json":
-            traj.to_json(os.path.join(out_dir, "trajectory.json"), include_states=True)
+            traj.to_json(os.path.join(out_dir, "trajectory.json"))
         else:
             traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
     return traj

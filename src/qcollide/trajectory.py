@@ -94,7 +94,7 @@ class Trajectory:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def to_json(self, path, include_states: bool = False) -> None:
+    def to_json(self, path) -> None:
         payload = {
             "metadata": self.metadata,
             "observable_names": list(self.observable_names),
@@ -105,13 +105,11 @@ class Trajectory:
                     "observables": [[float(v.real), float(v.imag)] for v in self.observable_values[i]],
                     "trace": float(self.traces[i]),
                     "min_eigenvalue": float(self.min_eigenvalues[i]),
+                    "state": self.states[i],
                 }
                 for i in range(len(self))
             ],
         }
-        if include_states:
-            for i, sample in enumerate(payload["samples"]):
-                sample["state"] = self.states[i]
         write_json(path, payload)
 
 

@@ -13,13 +13,13 @@ from qcollide.channels import (
     fixed_point_distance,
     identity_channel,
     lossy_bosonic_channel,
-    power,
+    orbit,
     replacer_channel,
     unitary_channel,
     validate_cpt,
 )
 from qcollide.jsonio import complex_matrix_to_json
-from qcollide.ops import Operator, expm_hermitian, pauli
+from qcollide.ops import Operator, expm_hermitian, pauli, unvec, vec
 from qcollide.scenarios import ConfigError, parse_channel
 from qcollide.trajectory import build_trajectory
 
@@ -228,41 +228,47 @@ class TestApply:
 
 
 class TestPower:
+    """The relaxation orbit M^k(x), k applications of the channel, against
+    powers of the superoperator matrix."""
+
     def test_zeroth_power_is_identity(self, rng):
         chan = random_cpt_channel(rng, 2)
-        assert np.allclose(power(chan, 0).matrix, np.eye(4))
+        x = random_hermitian(rng, (2,))
+        assert np.array_equal(orbit(chan, x, 0).entries, x.entries)
 
     def test_unitary_rotation_squares(self, rng):
         theta = 0.37
         u1 = unitary_channel(expm_hermitian(SZ, theta))
         u2 = unitary_channel(expm_hermitian(SZ, 2 * theta))
-        p2 = power(u1, 2)
+        p2 = np.linalg.matrix_power(u1.superop_matrix, 2)
         for _ in range(3):
             x = random_hermitian(rng, (2,))
-            got = p2.apply(x).entries
-            want = u1.apply(u1.apply(x)).entries  # oracle: apply twice
-            assert np.allclose(got, want, atol=1e-12)
+            got = orbit(u1, x, 2).entries
+            assert np.allclose(got, unvec(p2 @ vec(x.entries), 2), atol=1e-12)
             assert np.allclose(got, u2.apply(x).entries, atol=1e-12)
-        assert np.allclose(p2.matrix, u2.superoperator().matrix, atol=1e-12)
 
     def test_replacer_idempotent(self, rng):
         eta = random_state(rng, (2,))
         rep = replacer_channel(eta)
-        p1 = power(rep, 1).matrix
-        for m in (2, 3, 5):
-            assert np.allclose(power(rep, m).matrix, p1, atol=1e-12)
+        x = random_state(rng, (2,)).op
+        for m in (1, 2, 3, 5):
+            assert np.allclose(orbit(rep, x, m).entries, eta.entries, atol=1e-12)
         # oracle: composition of superoperator matrices
+        p1 = rep.superop_matrix
         assert np.allclose(p1 @ p1, p1, atol=1e-12)
 
     def test_power_additivity(self, rng):
         chan = random_cpt_channel(rng, 2)
-        lhs = power(chan, 5).matrix
-        rhs = power(chan, 2).matrix @ power(chan, 3).matrix
+        x = random_hermitian(rng, (2,))
+        lhs = orbit(chan, x, 5).entries
+        rhs = orbit(chan, orbit(chan, x, 2), 3).entries
         assert np.max(np.abs(lhs - rhs)) <= 1e-11
+        p5 = np.linalg.matrix_power(chan.superop_matrix, 5)
+        assert np.max(np.abs(lhs - unvec(p5 @ vec(x.entries), 2))) <= 1e-11
 
     def test_rejects_negative(self, rng):
         with pytest.raises(ValueError, match="nonnegative"):
-            power(random_cpt_channel(rng, 2), -1)
+            orbit(random_cpt_channel(rng, 2), random_hermitian(rng, (2,)), -1)
 
 
 class TestLossyBosonic:

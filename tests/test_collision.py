@@ -677,7 +677,7 @@ class TestTrajectoryExport(object):
         cfg = qubit_config(n_collisions=2)
         traj = simulate(cfg, GROUND)
         path = tmp_path / "traj.json"
-        traj.to_json(path, include_states=True)
+        traj.to_json(path)
         data = json.loads(path.read_text())
         assert len(data["samples"]) == 3
         assert "state" in data["samples"][0]

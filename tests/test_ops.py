@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cpt_channel, random_hermitian
+from qcollide.channels import KrausChannel
+from qcollide.perturbation import _expansion_forms
 from qcollide.ops import (
     Operator,
+    SandwichForm,
     Superoperator,
     apply_on_factor,
-    bracket,
-    commutator_superop,
     embed,
     expm_hermitian,
     identity,
     kron,
-    kraus_superop,
-    multiplier_matrix,
     partial_trace,
     pauli,
     unvec,
@@ -187,30 +188,6 @@ class TestExpmHermitian:
             expm_hermitian(bad, 1.0)
 
 
-class TestBracket:
-    def test_self_commutator_vanishes(self, rng):
-        x = random_hermitian(rng, (3,))
-        assert np.allclose(bracket(x, x).entries, 0)
-
-    def test_pauli_algebra(self):
-        got = bracket(SX, SY, "commutator").entries
-        want = SX.entries @ SY.entries - SY.entries @ SX.entries
-        assert np.allclose(got, want)
-        assert np.allclose(got, 2j * SZ.entries)
-
-    def test_anticommutator(self):
-        got = bracket(SX, SX, "anticommutator").entries
-        assert np.allclose(got, 2 * np.eye(2))
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            bracket(SX, identity((3,)))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="bracket kind"):
-            bracket(SX, SY, "poisson")
-
-
 class TestEmbed:
     def test_single_factor_positions(self, rng):
         op = random_hermitian(rng, (2,))
@@ -272,8 +249,10 @@ class TestApplyOnFactor:
 
 
 class TestMultiplierMatrix:
-    """The one multipliers-to-matrix helper against the kron formula it
-    replaced and against applying the multipliers directly."""
+    """The sandwich form's matrix against the kron formula and against
+    applying the form directly.  `one_sided` adds a left multiplier X -> L X
+    (the pair (L, I)), a right one X -> X R (the pair (I, R)), or the K
+    terms X -> -K X - X K^dag ("both")."""
 
     @pytest.mark.parametrize("side", [1, 5, 6])
     @pytest.mark.parametrize(
@@ -285,22 +264,26 @@ class TestMultiplierMatrix:
         def rand():
             return rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
 
-        pairs = [(rand(), rand()) for _ in range(n_pairs)]
-        left = rand() if one_sided in ("left", "both") else None
-        right = rand() if one_sided in ("right", "both") else None
         eye = np.eye(side)
+        pairs = [(rand(), rand()) for _ in range(n_pairs)]
+        k = rand() if one_sided == "both" else None
+        if one_sided == "left":
+            pairs.append((rand(), eye))
+        if one_sided == "right":
+            pairs.append((eye, rand()))
+        form = SandwichForm((side,), [l for l, _ in pairs], [r for _, r in pairs], k)
         want = sum((np.kron(r.T, l) for l, r in pairs), np.zeros((side**2, side**2)))
-        if left is not None:
-            want = want + np.kron(eye, left)
-        if right is not None:
-            want = want + np.kron(right.T, eye)
-        got = multiplier_matrix(pairs, left, right)
+        if k is not None:
+            want = want - np.kron(eye, k) - np.kron(k.conj(), eye)
+        got = form.matrix()
         assert got.shape == (side**2, side**2)
         assert np.max(np.abs(got - want)) <= 1e-12
         x = rand()
         direct = sum((l @ x @ r for l, r in pairs), np.zeros((side, side)))
-        direct = direct + (left @ x if left is not None else 0) + (x @ right if right is not None else 0)
+        if k is not None:
+            direct = direct - k @ x - x @ k.conj().T
         assert np.max(np.abs(unvec(got @ vec(x), side) - direct)) <= 1e-12
+        assert np.max(np.abs(form.apply(x) - direct)) <= 1e-12
 
     @pytest.mark.parametrize("side", [1, 5, 27])
     def test_terms_are_the_ordered_kron_sum_bit_for_bit(self, rng, side):
@@ -311,15 +294,64 @@ class TestMultiplierMatrix:
         want = np.zeros((side**2, side**2), dtype=complex)
         for l, r in pairs:
             want += np.kron(r.T, l)
-        assert np.array_equal(multiplier_matrix(pairs), want)
+        form = SandwichForm((side,), [l for l, _ in pairs], [r for _, r in pairs])
+        assert np.array_equal(form.matrix(), want)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            multiplier_matrix([])
+            SandwichForm((2,), [], [])
 
     def test_rejects_mixed_sides(self):
-        with pytest.raises(ValueError, match="share one side"):
-            multiplier_matrix([(np.eye(2), np.eye(2))], np.eye(3))
+        with pytest.raises(ValueError, match="share the side"):
+            SandwichForm((2,), [np.eye(2)], [np.eye(2)], np.eye(3))
+        with pytest.raises(ValueError, match="pair up"):
+            SandwichForm((2,), [np.eye(2)] * 2, [np.eye(2)])
+
+
+def random_form(rng, dims, kind) -> SandwichForm:
+    """A Kraus form, a GKSL form (S_a = sum_b Gamma_ab F_b with Gamma PSD,
+    K = (1/2) sum_ab Gamma_ab F_a F_b + iH) or the U'/U'' of a random H."""
+    side = math.prod(dims)
+
+    def rand(*lead):
+        m = rng.normal(size=lead + (side, side)) + 1j * rng.normal(size=lead + (side, side))
+        return m / np.linalg.norm(m)
+
+    n = int(rng.integers(1, 4))
+    if kind == "kraus":
+        ks = rand(n)
+        return SandwichForm(dims, ks, ks.conj().swapaxes(-2, -1))
+    h = random_hermitian(rng, dims).entries
+    if kind == "gksl":
+        root = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        gamma = root @ root.conj().T / n
+        f = rand(n)
+        k = 0.5 * np.einsum("ab,aij,bjk->ik", gamma, f, f) + 1j * h
+        return SandwichForm(dims, np.tensordot(gamma, f, axes=1), f, k)
+    return _expansion_forms(h, dims)[kind == "u2"]
+
+
+class TestSandwichForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(1,), (2,), (3,), (2, 2), (2, 3)]),
+        kind=st.sampled_from(["kraus", "gksl", "u1", "u2"]),
+        lead=st.sampled_from([(1,), (4,), (2, 3)]),
+    )
+    def test_matrix_matches_apply(self, seed, dims, kind, lead):
+        rng = np.random.default_rng(seed)
+        form = random_form(rng, dims, kind)
+        side = math.prod(dims)
+        mat = form.matrix()
+        stack = rng.normal(size=lead + (side, side)) + 1j * rng.normal(size=lead + (side, side))
+        got = form.apply(stack)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(lead):
+            x = stack[idx]
+            want = unvec(mat @ vec(x), side)
+            assert np.max(np.abs(form.apply(x) - want)) <= 1e-12
+            assert np.max(np.abs(got[idx] - want)) <= 1e-12
 
 
 class TestSuperoperator:
@@ -334,19 +366,21 @@ class TestSuperoperator:
     def test_commutator_superop(self, rng):
         h = random_hermitian(rng, (4,))
         x = random_hermitian(rng, (4,))
-        got = commutator_superop(h).apply(x).entries
+        form = SandwichForm(h.dims, [], [], 1j * h.entries)  # X -> -i[h, X]
+        got = 1j * form.superoperator().apply(x).entries
         want = h.entries @ x.entries - x.entries @ h.entries
         assert np.allclose(got, want)
+        assert np.allclose(1j * form.apply(x.entries), want)
 
     def test_kraus_superop_matches_sandwich_sum(self, rng):
         ks = [random_hermitian(rng, (3,)) for _ in range(2)]
         x = random_hermitian(rng, (3,))
-        got = kraus_superop(ks).apply(x).entries
+        got = KrausChannel(tuple(ks)).superoperator().apply(x).entries
         want = sum(k.entries @ x.entries @ k.entries.conj().T for k in ks)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_apply_preserves_side(self, rng):
-        s = Superoperator.identity((2, 3))
+        s = Superoperator((2, 3), np.eye(36))
         x = random_hermitian(rng, (2, 3))
         assert s.apply(x).side == 6
 

@@ -9,7 +9,6 @@ from qcollide.channels import (
     DensityMatrix,
     identity_channel,
     lossy_bosonic_channel,
-    power,
     replacer_channel,
     unitary_channel,
 )
@@ -26,7 +25,6 @@ from qcollide.generators import full_generator
 from qcollide.ops import (
     Operator,
     apply_on_factor,
-    commutator_superop,
     embed,
     expm_hermitian,
     pauli,
@@ -116,7 +114,8 @@ class TestUnitaryExpansionTerms:
     def test_first_term_is_commutator(self, rng):
         h = random_hermitian(rng, (2,))
         u1, _ = unitary_expansion_terms(h)
-        want = (-1j) * commutator_superop(h).matrix
+        eye = np.eye(h.side)
+        want = (-1j) * (np.kron(eye, h.entries) - np.kron(h.entries.T, eye))
         assert np.allclose(u1.matrix, want)
 
     def test_remainder_is_cubic(self, rng):
@@ -146,7 +145,8 @@ class TestColumnExpansion:
         h2 = embed(
             Operator((2, 2), np.kron(SY.entries, SX.entries)), dims, (1, 2)
         )
-        want = (-1j) * (commutator_superop(h1).matrix + commutator_superop(h2).matrix)
+        eye = np.eye(8)
+        want = (-1j) * sum(np.kron(eye, h.entries) - np.kron(h.entries.T, eye) for h in (h1, h2))
         assert np.max(np.abs(c1.matrix - want)) <= 1e-13
 
     def test_materialized_matches_application(self, rng):
@@ -172,14 +172,15 @@ class TestColumnExpansion:
 
 def per_order_loops(cfg, x):
     """(C0 x, C'x, C''a x, C''b x) from one loop per order, threading x
-    through channel powers M^k taken from `channels.power`: the pair term
+    through channel powers M^k, the powers of the channel's superoperator
+    matrix: the pair term
     sums E^(M-m'+1) U'_m' E^(m'-m) U'_m E^(m-1) over m < m' explicitly."""
     dims, m_count = cfg.joint_dims, cfg.n_carriers
     hs = [
         embed(collision_hamiltonian(cfg, m), dims, (m - 1, m_count)).entries
         for m in range(1, m_count + 1)
     ]
-    powers = [power(cfg.channel, k).matrix for k in range(m_count + 2)]
+    powers = [np.linalg.matrix_power(cfg.channel.superop_matrix, k) for k in range(m_count + 2)]
 
     def env(k, y):
         return y if k == 0 else apply_on_factor(powers[k], y, dims, m_count)

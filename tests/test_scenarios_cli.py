@@ -531,6 +531,7 @@ class TestCLI:
                 },
                 "couplings: unknown keys ['collision_system']",
             ),
+            ({"scenario": "dephasing-1q", "seed": -3}, "seed must be nonnegative"),
             (None, "bad.json cannot be read"),
             (b'{"scenario": "dephasing-1q", "t_end": "\xff"}', "bad.json cannot be read"),
         ],
@@ -544,7 +545,8 @@ class TestCLI:
              "custom-params", "params-list", "builtin-couplings-junk", "builtin-channel-dim",
              "lossy-no-kappa", "eta-no-matrix", "product-no-factors", "product-short-entry", "unitary-triple-entry",
              "unitary-ragged", "kraus-ragged", "observable-matrix-entry", "env-dim-zero", "env-dim-negative",
-             "carrier-dim-zero", "params-d-one", "couplings-collision-table", "config-directory",
+             "carrier-dim-zero", "params-d-one", "couplings-collision-table", "seed-negative",
+             "config-directory",
              "config-not-utf8"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
@@ -675,6 +677,29 @@ class TestCLI:
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--seed", "9"])
         assert code == 0
         assert json.loads((tmp_path / "verify.json").read_text())["seed"] == 9
+
+    def test_negative_seed_override_exit_one(self, tmp_path, capsys):
+        code = main(["verify", "--config", "dephasing-1q", "--out", str(tmp_path), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: seed must be nonnegative")
+        assert "Traceback" not in err
+        assert not (tmp_path / "verify.json").exists()
+
+    def test_simulate_summary_runs_one_eigvalsh_on_the_final_sample(self, capsys, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert main(["simulate", "--config", "bosonic-fiber"]) == 0
+        assert len(calls) == 1 and len(calls[0]) == 2
+        monkeypatch.undo()
+        traj = run_simulate(load_scenario("bosonic-fiber"))
+        assert f"min eigenvalue {traj.min_eigenvalues[-1]:.3e}\n" in capsys.readouterr().out
 
 
 class TestScenarioPhysics:
