@@ -187,6 +187,24 @@ class TestCheckAssumption:
         d = check_assumption(qubit_config(), m_max=2).to_dict()
         assert d["passed"] and len(d["entries"]) == 3
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["uniform", "per-carrier"])
+    def test_entries_follow_the_orbit(self, rng, shared):
+        # oracle: |tr(B M^k(eta))| from powers of the superoperator matrix, on a
+        # random channel and an eta that is not its fixed point; uniform points
+        # are the powers k = 0..m_max, per-carrier points the carriers m at k = m - 1
+        chan = random_cpt_channel(rng, 2)
+        b = [random_hermitian(rng, (2,)) for _ in range(3)]
+        env = ((b[0], b[1]),) * 3 if shared else tuple((b[m], b[(m + 1) % 3]) for m in range(3))
+        spec = CouplingSpec(((SX, SY),) * 3, env, env_shared=shared)
+        cfg = replace(qubit_config(channel=chan, m_carriers=3, couplings=spec), eta=random_state(rng, (2,)))
+        report = check_assumption(cfg, m_max=4)
+        labels = [0, 1, 2, 3, 4] if shared else [1, 2, 3]
+        assert [label for label, _, _ in report.entries] == [x for x in labels for _ in range(2)]
+        for label, l, value in report.entries:
+            k, m = (label, 1) if shared else (label - 1, label)
+            sigma = (np.linalg.matrix_power(chan.superop_matrix, k) @ vec(cfg.eta.entries)).reshape(2, 2).T
+            assert abs(value - abs(np.trace(spec.b_ops(m)[l].entries @ sigma))) <= 1e-12
+
 
 class TestColumnStep:
     def test_zero_coupling_returns_input(self, rng):

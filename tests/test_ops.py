@@ -309,8 +309,9 @@ class TestMultiplierMatrix:
 
 
 def random_form(rng, dims, kind) -> SandwichForm:
-    """A Kraus form, a GKSL form (S_a = sum_b Gamma_ab F_b with Gamma PSD,
-    K = (1/2) sum_ab Gamma_ab F_a F_b + iH) or the U'/U'' of a random H."""
+    """A Kraus form, a GKSL form (Hermitian F_a, S_a = sum_b Gamma_ab F_b with
+    Gamma PSD, K = (1/2) sum_ab Gamma_ab F_a F_b + iH) or the U'/U'' of a
+    random H."""
     side = math.prod(dims)
 
     def rand(*lead):
@@ -326,6 +327,7 @@ def random_form(rng, dims, kind) -> SandwichForm:
         root = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         gamma = root @ root.conj().T / n
         f = rand(n)
+        f = f + f.conj().swapaxes(-2, -1)  # Hermitian operators, as on the carriers
         k = 0.5 * np.einsum("ab,aij,bjk->ik", gamma, f, f) + 1j * h
         return SandwichForm(dims, np.tensordot(gamma, f, axes=1), f, k)
     return _expansion_forms(h, dims)[kind == "u2"]
