@@ -1,9 +1,10 @@
 """CPT maps in Kraus form, density matrices, and the built-in environments.
 
 The relaxation channel acting on a sub-environment between collisions is
-always represented by a finite Kraus list, and its superoperator matrix is
-the Kraus sandwich form materialized once per channel (environment sides
-here are small).  The relaxation orbit M^k(x) is k applications (`orbit`).
+always represented by a finite Kraus list and applied as its Kraus sandwich
+form (`KrausChannel.form`), on its own or on one factor of a larger space;
+its superoperator matrix is built only when asked for.  The relaxation
+orbit M^k(x) is k applications (`orbit`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .ops import (
     Operator,
     SandwichForm,
     Superoperator,
-    apply_on_factor,
+    hermitize,
     max_abs,
 )
 
@@ -124,18 +125,14 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dims})"
 
 
-def _trace_norm_hermitian(delta: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
-
-
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPT map as a finite Kraus-operator list.
 
     Construction only checks shapes; completeness is reported by
     `validate_cpt` so that broken channels can still be inspected.
-    Every application goes through the superoperator matrix, which is
-    computed once per channel.
+    Every application goes through the Kraus form X -> sum_k K_k X K_k^dag
+    (`form`), built once per channel.
     """
 
     kraus: tuple[Operator, ...]
@@ -158,26 +155,19 @@ class KrausChannel:
         return self.kraus[0].dims
 
     @cached_property
-    def superop_matrix(self) -> np.ndarray:
-        """Read-only column-stacked matrix of X -> sum_k K_k X K_k^dag."""
+    def form(self) -> SandwichForm:
+        """X -> sum_k K_k X K_k^dag as a sandwich form on the channel's space."""
         kraus = [k.entries for k in self.kraus]
-        matrix = SandwichForm(self.dims, kraus, [k.conj().T for k in kraus]).matrix()
-        matrix.setflags(write=False)
-        return matrix
+        return SandwichForm(self.dims, kraus, [k.conj().T for k in kraus])
 
     def apply(self, x: Operator) -> Operator:
         """sum_k K_k x K_k^dag; x need not be a state."""
         if x.side != self.side:
             raise ValueError(f"operator side {x.side} does not match channel side {self.side}")
-        return Operator(x.dims, self.apply_on_factor(x.entries, (self.side,), 0))
-
-    def apply_on_factor(self, x: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
-        """Apply the channel to factor `pos` of x, a matrix or a stack
-        shaped (..., D, D) on the tensor space `dims`."""
-        return apply_on_factor(self.superop_matrix, x, dims, pos)
+        return Operator(x.dims, self.form.apply(x.entries))
 
     def superoperator(self) -> Superoperator:
-        return Superoperator(self.dims, self.superop_matrix)
+        return self.form.superoperator()
 
 
 @dataclass(frozen=True)
@@ -261,5 +251,5 @@ def fixed_point_distance(c: KrausChannel, eta: DensityMatrix) -> float:
     if c.side != eta.side:
         raise ValueError("channel and state sides differ")
     delta = c.apply(eta.op).entries - eta.entries
-    return 0.5 * _trace_norm_hermitian(0.5 * (delta + delta.conj().T))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(delta)))))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -31,7 +32,7 @@ from .channels import DensityMatrix, KrausChannel
 from .ops import (
     DEFAULT_TOL,
     Operator,
-    embed,
+    SandwichForm,
     expm_hermitian,
     kron,
     partial_trace,
@@ -277,13 +278,7 @@ def collision_hamiltonian(cfg: CollisionConfig, m: int) -> Operator:
     """Coupling Hamiltonian sum_l A_l (x) B_l on carrier m and one sub-environment."""
     if not 1 <= m <= cfg.n_carriers:
         raise ValueError(f"carrier index {m} out of range")
-    a_ops = cfg.couplings.a_ops(m)
-    b_ops = cfg.couplings.b_ops(m)
-    total = None
-    for a, b in zip(a_ops, b_ops):
-        term = kron(a, b)
-        total = term if total is None else total + term
-    return total
+    return functools.reduce(Operator.__add__, map(kron, cfg.couplings.a_ops(m), cfg.couplings.b_ops(m)))
 
 
 def collision_unitary(cfg: CollisionConfig, m: int) -> Operator:
@@ -356,25 +351,22 @@ def _trace_env(x: np.ndarray, de: int) -> np.ndarray:
     return np.einsum("...iaja->...ij", x.reshape(x.shape[:-2] + (ds, de, ds, de)))
 
 
-def _embedded_unitaries(cfg: CollisionConfig) -> list[np.ndarray]:
-    """The collision unitaries of one column, carrier m's embedded on
-    carriers (x) the environment site."""
-    return [
-        embed(collision_unitary(cfg, m), cfg.joint_dims, (m - 1, cfg.n_carriers)).entries
-        for m in range(1, cfg.n_carriers + 1)
-    ]
+def _collision_forms(cfg: CollisionConfig) -> list[SandwichForm]:
+    """The collisions of one column, X -> U_m X U_m^dag, as forms on
+    (carrier m, one sub-environment)."""
+    us = [collision_unitary(cfg, m) for m in range(1, cfg.n_carriers + 1)]
+    return [SandwichForm(u.dims, [u.entries], [u.entries.conj().T]) for u in us]
 
 
-def _column(joint: np.ndarray, cfg: CollisionConfig, unitaries: Sequence[np.ndarray]) -> np.ndarray:
+def _column(joint: np.ndarray, cfg: CollisionConfig, collisions: Sequence[SandwichForm]) -> np.ndarray:
     """Joint carriers (x) environment-site matrix after one collision: for
-    m = 1..M collide carrier m with the site (`unitaries[m-1]`, from
-    `_embedded_unitaries`), then relax the site.  The environment is not
-    traced out."""
-    arr = joint
-    for u in unitaries:
-        arr = u @ arr @ u.conj().T
-        arr = cfg.channel.apply_on_factor(arr, cfg.joint_dims, cfg.n_carriers)
-    return arr
+    m = 1..M collide carrier m with the site (`collisions[m-1]`, from
+    `_collision_forms`, on the factors (m, E)), then relax the site (the
+    channel's Kraus form on E).  The environment is not traced out."""
+    dims, env = cfg.joint_dims, cfg.n_carriers
+    for m, collide in enumerate(collisions):
+        joint = cfg.channel.form.on_factors(collide.on_factors(joint, dims, (m, env)), dims, (env,))
+    return joint
 
 
 def evolve_column_step(joint: DensityMatrix, cfg: CollisionConfig) -> DensityMatrix:
@@ -387,23 +379,25 @@ def evolve_column_step(joint: DensityMatrix, cfg: CollisionConfig) -> DensityMat
         raise ValueError(
             f"joint state dims {joint.dims} do not match carriers+environment {cfg.joint_dims}"
         )
-    out = _column(joint.entries, cfg, _embedded_unitaries(cfg))
+    out = _column(joint.entries, cfg, _collision_forms(cfg))
     return DensityMatrix(Operator(cfg.carrier_dims, _trace_env(out, cfg.env_dim)), atol=1e-8)
 
 
 def _free_evolution_unitary(cfg: CollisionConfig, t0: float, t1: float) -> np.ndarray | None:
     if cfg.local_hamiltonians is None:
         return None
-    blocks = []
-    for m, sched in enumerate(cfg.local_hamiltonians):
-        if sched is None:
-            blocks.append(np.eye(cfg.carrier_dims[m], dtype=complex))
-        else:
-            blocks.append(sched.propagator(t0, t1))
-    full = blocks[0]
-    for b in blocks[1:]:
-        full = np.kron(full, b)
-    return full
+    blocks = (
+        np.eye(d, dtype=complex) if sched is None else sched.propagator(t0, t1)
+        for d, sched in zip(cfg.carrier_dims, cfg.local_hamiltonians)
+    )
+    return functools.reduce(np.kron, blocks)
+
+
+def _kraus_term(w: np.ndarray, u: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """W[p, f, f'] contracted with V[s e, t f] = sum_g K[e, g] U[s g, t f]
+    and conj(V[s' e', t' f']), axes (p, t, t', s, s', e, e') in C order."""
+    v = np.einsum("eg,sgtf->setf", k, u)
+    return np.einsum("pFtse,SETF->ptTsSeE", np.einsum("pfF,setf->pFtse", w, v), v.conj(), order="C")
 
 
 def _column_map(cfg: CollisionConfig) -> np.ndarray:
@@ -415,31 +409,31 @@ def _column_map(cfg: CollisionConfig) -> np.ndarray:
 
     The row W starts as eta and takes one carrier at a time.  For carrier m
     the environment site's (f, f') goes to (e, e') while carrier m's (t, t')
-    goes to (s, s'): W is contracted with U_m[s g, t f], then with
-    conj(U_m[s' g', t' f']), then with the relaxation channel's tensor
-    R[e e', g g'], one factor at a time, so that every array of the build is
-    at most as large as the next W.  For the last carrier, E is traced out of
-    R first and W meets the small tensor sum_(g g') tr_E R[., g g'] U_M
-    conj(U_M) in one product, which writes the map itself.  All contractions
-    except that product run in einsum's own loops: threaded BLAS can stall
-    on such thin products; outputs that are reshaped are written in C order
-    so the reshape is a view.  `_column_map_entries` gives the largest array.
+    goes to (s, s'), and the relaxation is taken k by k into the collision:
+    W is contracted with V_k = (1 (x) K_k) U_m, then with conj(V_k)
+    (`_kraus_term`), and the terms are added into the first, so that no
+    array of the build is larger than the next W.  For the last carrier, E
+    is traced out of the relaxation first, sum_k K_k^T conj(K_k), and W
+    meets it, U_M and conj(U_M) in one product, which writes the map
+    itself.  All contractions except that product run in einsum's own
+    loops: threaded BLAS can stall on such thin products; outputs that are
+    reshaped are written in C order so the reshape is a view.
+    `_column_map_entries` gives the largest array.
     """
     de = cfg.env_dim
-    # r[e', e, g', g] = R[e + de e', g + de g'], the column-stacked channel matrix
-    r = cfg.channel.superop_matrix.reshape(de, de, de, de)
+    kraus = [k.entries for k in cfg.channel.kraus]
     us = [
         collision_unitary(cfg, m).entries.reshape(d, de, d, de)
         for m, d in enumerate(cfg.carrier_dims, start=1)
     ]
     w = cfg.eta.entries.reshape(1, de, de)
     for u in us[:-1]:
-        wu = np.einsum("pfF,sgtf->pFtsg", w, u)
-        wuu = np.einsum("pFtsg,SGTF->ptTsSGg", wu, u.conj())
-        del wu
-        w = np.einsum("ptTsSGg,EeGg->ptTsSeE", wuu, r, order="C").reshape(-1, de, de)
-        del wuu
-    ru = np.einsum("Gg,sgtf->ftGs", np.einsum("eeGg->Gg", r), us[-1])
+        acc = _kraus_term(w, u, kraus[0])
+        for k in kraus[1:]:
+            acc += _kraus_term(w, u, k)
+        w = acc.reshape(-1, de, de)
+    traced = sum(k.T @ k.conj() for k in kraus)
+    ru = np.einsum("gG,sgtf->ftGs", traced, us[-1])
     t = np.einsum("ftGs,SGTF->fFtTsS", ru, us[-1].conj(), order="C")
     w = w.reshape(-1, de * de) @ t.reshape(de * de, -1)
     # axes (t_1, t'_1, s_1, s'_1, ..., t_M, t'_M, s_M, s'_M) -> (s', s, t', t):
@@ -450,10 +444,10 @@ def _column_map(cfg: CollisionConfig) -> np.ndarray:
 
 def _column_map_entries(cfg: CollisionConfig) -> int:
     """Complex entries of the largest array `_column_map` allocates: the map
-    (D_c^4), the row W after each carrier but the last and the array it is
-    contracted from (at most D_(<M)^4 d_e^2), or the last carrier's tensor
-    (d_M^4 d_e^2).  The relaxation channel's own d_e^4 matrix is cached on
-    the channel, which the direct column uses as well."""
+    (D_c^4), the row W after each carrier but the last and each Kraus term
+    added into it (at most D_(<M)^4 d_e^2), or the last carrier's tensor
+    (d_M^4 d_e^2).  The relaxation enters through its Kraus operators, and
+    no array of d_e^4 entries is built."""
     head = math.prod(cfg.carrier_dims[:-1]) ** 4
     return max(math.prod(cfg.carrier_dims) ** 4, max(head, cfg.carrier_dims[-1] ** 4) * cfg.env_dim**2)
 
@@ -478,10 +472,10 @@ def simulate(
     8 D_c^4 bytes (at most 8 MiB; three times that while the block mode
     squares it).
     Otherwise each collision runs the direct column (`_column` on
-    rho (x) eta, then `_trace_env`) with one list of embedded unitaries,
-    or with the list of `cfg.at(n)` when the couplings are
-    collision-indexed.  Both routes go through the integrator's one
-    propagation loop, so recorded samples are exactly Hermitian.
+    rho (x) eta, then `_trace_env`) with one list of collision forms, or
+    with the list of `cfg.at(n)` when the couplings are collision-indexed.
+    Both routes go through the integrator's one propagation loop, so
+    recorded samples are exactly Hermitian.
 
     Local free evolution, when configured, is applied to the carriers over
     [tau_(n-1), tau_n] before collision n.  Samples are recorded at step 0,
@@ -501,7 +495,7 @@ def simulate(
         advance = _real_map(_column_map(cfg))
     else:
         indexed = cfg.couplings.collision_system_ops is not None
-        unitaries = None if indexed else _embedded_unitaries(cfg)
+        collisions = None if indexed else _collision_forms(cfg)
         side = rho0.side
 
         def advance(n: int, s: np.ndarray, out: np.ndarray) -> None:
@@ -510,8 +504,8 @@ def simulate(
             if v is not None:
                 arr = v @ arr @ v.conj().T
             joint = np.kron(arr, cfg.eta.entries)
-            us = _embedded_unitaries(cfg.at(n)) if indexed else unitaries
-            out[:] = _real_coordinates(_trace_env(_column(joint, cfg, us), cfg.env_dim))
+            forms = _collision_forms(cfg.at(n)) if indexed else collisions
+            out[:] = _real_coordinates(_trace_env(_column(joint, cfg, forms), cfg.env_dim))
 
     recorder = _propagate(rho0, cfg.dt, record_stride, [(cfg.n_collisions, advance)])
     metadata = {
@@ -548,12 +542,12 @@ def evolve_row(cfg: CollisionConfig, rho0: DensityMatrix, n_sites: int) -> Densi
     for _ in range(n_sites):
         arr = np.kron(arr, cfg.eta.entries)
     n_carr = cfg.n_carriers
+    forms = [_collision_forms(cfg.at(j)) for j in range(1, n_sites + 1)]
     for m in range(1, n_carr + 1):
         for j in range(1, n_sites + 1):
-            u = embed(collision_unitary(cfg.at(j), m), dims, (m - 1, n_carr - 1 + j)).entries
-            arr = u @ arr @ u.conj().T
+            arr = forms[j - 1][m - 1].on_factors(arr, dims, (m - 1, n_carr - 1 + j))
         for j in range(1, n_sites + 1):
-            arr = cfg.channel.apply_on_factor(arr, dims, n_carr - 1 + j)
+            arr = cfg.channel.form.on_factors(arr, dims, (n_carr - 1 + j,))
     reduced = partial_trace(Operator(dims, arr), keep=range(n_carr))
     return DensityMatrix(reduced, atol=1e-8)
 

@@ -8,6 +8,7 @@ The column-stacking convention is fixed here and used everywhere else.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -137,6 +138,18 @@ def expm_hermitian(h: Operator, s: float, tol: float = DEFAULT_TOL) -> Operator:
     return Operator(h.dims, (v * phases) @ v.conj().T)
 
 
+def _check_positions(sub_dims: tuple[int, ...], dims: tuple[int, ...], positions: tuple[int, ...]):
+    """Factor i of a space `sub_dims` goes to factor positions[i] of `dims`:
+    the positions must be distinct, in range and of matching dimension."""
+    if len(positions) != len(sub_dims):
+        raise ValueError("positions must match the operator's factor count")
+    if len(set(positions)) != len(positions) or any(p < 0 or p >= len(dims) for p in positions):
+        raise ValueError(f"invalid positions {positions} for {len(dims)} factors")
+    for i, p in enumerate(positions):
+        if dims[p] != sub_dims[i]:
+            raise ValueError(f"factor {p} has dim {dims[p]}, operator factor {i} has dim {sub_dims[i]}")
+
+
 def embed(op: Operator, full_dims: Sequence[int], positions: Sequence[int]) -> Operator:
     """Embed `op` into a larger tensor space, acting as identity elsewhere.
 
@@ -145,15 +158,7 @@ def embed(op: Operator, full_dims: Sequence[int], positions: Sequence[int]) -> O
     full_dims = tuple(int(d) for d in full_dims)
     positions = tuple(int(p) for p in positions)
     n = len(full_dims)
-    if len(positions) != len(op.dims):
-        raise ValueError("positions must match the operator's factor count")
-    if len(set(positions)) != len(positions) or any(p < 0 or p >= n for p in positions):
-        raise ValueError(f"invalid positions {positions} for {n} factors")
-    for i, p in enumerate(positions):
-        if full_dims[p] != op.dims[i]:
-            raise ValueError(
-                f"factor {p} has dim {full_dims[p]}, operator factor {i} has dim {op.dims[i]}"
-            )
+    _check_positions(op.dims, full_dims, positions)
     others = [i for i in range(n) if i not in positions]
     order = list(positions) + others
     rest = math.prod(full_dims[i] for i in others) if others else 1
@@ -208,14 +213,28 @@ class Superoperator:
         return f"Superoperator(dims={self.dims})"
 
 
+@functools.lru_cache(maxsize=256)
+def _factor_layout(form_dims: tuple[int, ...], dims: tuple[int, ...], positions: tuple[int, ...], lead: int):
+    """The axis order that moves the factors `positions` of (`lead` leading
+    axes, row factors, column factors) to the front of the rows and the back
+    of the columns, the order that undoes it, and the moved dimensions."""
+    _check_positions(form_dims, dims, positions)
+    rest = [i for i in range(len(dims)) if i not in positions]
+    rows, cols = list(positions) + rest, rest + list(positions)
+    perm = list(range(lead)) + [lead + i for i in rows] + [lead + len(dims) + i for i in cols]
+    moved = tuple(dims[i] for i in rows + cols)
+    return tuple(perm), tuple(int(i) for i in np.argsort(perm)), moved
+
+
 @dataclass(frozen=True, eq=False)
 class SandwichForm:
     """The map X -> sum_a S_a X F_a - K X - X K^dag on operators on `dims`,
     the one form of every superoperator here: a Kraus channel (S_a = K_a,
-    F_a = K_a^dag, no K), a GKSL generator, and the collision expansion
-    terms.  `sandwich` stacks the S_a and `ops` the F_a; `k` is K, or None
-    for none.  The form is applied directly or materialized, and both read
-    the same arrays.
+    F_a = K_a^dag, no K; a collision is the one-term channel of its
+    unitary), a GKSL generator, and the collision expansion terms.  `sandwich` stacks the S_a and `ops` the F_a; `k` is K, or None
+    for none.  The form is applied directly, on its own space or on some
+    factors of a larger one (`on_factors`), or materialized, and every way
+    reads the same arrays.
     """
 
     dims: tuple[int, ...]
@@ -245,17 +264,39 @@ class SandwichForm:
         object.__setattr__(self, "k", k)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The form on a matrix or a stack shaped (..., D, D), with one
-        product over the stacked a."""
-        if len(self.sandwich):
-            stacked = (self.sandwich @ x[..., None, :, :]).swapaxes(-3, -2)
-            out = stacked.reshape(x.shape[:-1] + (-1,)) @ self.ops.reshape(-1, x.shape[-1])
+        """The form on a matrix or a stack shaped (..., D, D), one product
+        per multiplier, each term added into the first.  x may also be
+        shaped (..., D, N D), the columns pairing an outer index with the
+        form's (`on_factors`): the F_a and K^dag act on the form's."""
+        rows = x.shape[:-2] + (-1, x.shape[-2])
+
+        def right(y, f):
+            return (y.reshape(rows) @ f).reshape(x.shape)
+
+        pairs = zip(self.sandwich, self.ops)
+        if self.k is None:
+            s, f = next(pairs)
+            out = right(s @ x, f)
         else:
-            out = np.zeros(x.shape, dtype=complex)
-        if self.k is not None:
-            out -= self.k @ x
-            out -= x @ self.k.conj().T
+            out = self.k @ x
+            out += right(x, self.k.conj().T)
+            np.negative(out, out=out)
+        for s, f in pairs:
+            out += right(s @ x, f)
         return out
+
+    def on_factors(self, x: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
+        """The form on the factors `positions` of the tensor space `dims`
+        (form factor i on positions[i], as in `embed`) of a matrix or a
+        stack shaped (..., D, D).  The form's factors move to the front of
+        the rows and the back of the columns, so that `apply` runs as one
+        product per multiplier on x viewed as (..., P, R R P); a form on
+        all factors, in order, moves nothing."""
+        lead = x.shape[:-2]
+        dims = tuple(dims)
+        perm, back, moved = _factor_layout(self.dims, dims, tuple(positions), len(lead))
+        z = x.reshape(lead + dims + dims).transpose(perm).reshape(lead + (self.sandwich.shape[-1], -1))
+        return self.apply(z).reshape(lead + moved).transpose(back).reshape(x.shape)
 
     def matrix(self) -> np.ndarray:
         """The column-stacked D^2 x D^2 matrix of the form.
@@ -283,30 +324,6 @@ class SandwichForm:
 
     def superoperator(self) -> Superoperator:
         return Superoperator(self.dims, self.matrix())
-
-
-def apply_on_factor(p: np.ndarray, x: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
-    """Apply the column-stacked superoperator matrix p (side d^2, d = dims[pos])
-    to factor `pos` of x, a matrix or a stack shaped (..., D, D) on `dims`.
-
-    The factor's (column, row) index pair is moved last so that the whole
-    contraction is one matrix product with p^T.
-    """
-    dims = tuple(dims)
-    d = dims[pos]
-    if p.shape != (d * d, d * d):
-        raise ValueError(f"superoperator shape {p.shape} does not match factor dimension {d}")
-    left = math.prod(dims[:pos])
-    right = math.prod(dims[pos + 1 :])
-    lead = x.shape[:-2]
-    k = len(lead)
-    keep = tuple(range(k))
-    # axes after the reshape: row (i, a, r), column (j, b, s); a, b on the factor
-    t = x.reshape(lead + (left, d, right, left, d, right))
-    t = t.transpose(keep + (k, k + 2, k + 3, k + 5, k + 4, k + 1))
-    y = t.reshape(lead + (-1, d * d)) @ p.T
-    y = y.reshape(lead + (left, right, left, right, d, d))
-    return y.transpose(keep + (k, k + 5, k + 1, k + 2, k + 4, k + 3)).reshape(x.shape)
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

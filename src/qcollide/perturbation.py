@@ -23,14 +23,16 @@ own column (`collision._column`), so those checks test the map `simulate`
 runs.  Every function here takes one column's couplings: collision-indexed
 configurations are resolved first (`cfg.at(n)`).  This module verifies the
 identities numerically and measures the order of the neglected remainders
-by halving g.  U'_m and U''_m are sandwich forms (`ops.SandwichForm`), built
-once per carrier.  Every map acts on stacks of matrices, so the column
-expansion maps are materialized by feeding the matrix unit basis through;
-no dense superoperator products are ever formed.
+by halving g.  U'_m and U''_m are sandwich forms (`ops.SandwichForm`) on
+(carrier m, E), built once per carrier and applied on those factors like
+the column's collisions.  Every map acts on stacks of matrices, so the
+column expansion maps are materialized by feeding the matrix unit basis
+through; no dense superoperator products are ever formed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -39,13 +41,13 @@ import numpy as np
 from .channels import DensityMatrix
 from .collision import (
     CollisionConfig,
+    _collision_forms,
     _column,
-    _embedded_unitaries,
     _trace_env,
     collision_hamiltonian,
 )
 from .generators import GeneratorSet, full_generator
-from .ops import Operator, SandwichForm, Superoperator, embed, expm_hermitian
+from .ops import Operator, SandwichForm, Superoperator, expm_hermitian
 
 
 def _frob(x: np.ndarray) -> float:
@@ -59,34 +61,28 @@ def _expansion_forms(h: np.ndarray, dims: tuple[int, ...]) -> tuple[SandwichForm
 
 
 class _ColumnExpansion:
-    """Expansion terms of the embedded collision Hamiltonians of one column,
-    built once per carrier, and the column's expansion orders."""
+    """Expansion terms of the collision Hamiltonians of one column, forms on
+    (carrier m, E) built once per carrier, and the column's expansion
+    orders."""
 
     def __init__(self, cfg: CollisionConfig):
         self.cfg = cfg
-        self.terms = [
-            _expansion_forms(
-                embed(collision_hamiltonian(cfg, m), cfg.joint_dims, (m - 1, cfg.n_carriers)).entries,
-                cfg.joint_dims,
-            )
-            for m in range(1, cfg.n_carriers + 1)
-        ]
+        hs = [collision_hamiltonian(cfg, m) for m in range(1, cfg.n_carriers + 1)]
+        self.terms = [_expansion_forms(h.entries, h.dims) for h in hs]
 
     def orders(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(C0 x, C'x, C''a x, C''b x) for a matrix or a stack, in one pass."""
-        cfg = self.cfg
-
-        def relax(y):
-            return cfg.channel.apply_on_factor(y, cfg.joint_dims, cfg.n_carriers)
-
+        dims, env = self.cfg.joint_dims, self.cfg.n_carriers
+        relax = functools.partial(self.cfg.channel.form.on_factors, dims=dims, positions=(env,))
         zero = np.zeros_like(x, dtype=complex)
         y0, y1, y2a, y2b = x, zero, zero, zero
-        for u1, u2 in self.terms:
+        for m, (u1, u2) in enumerate(self.terms):
+            pair = (m, env)
             y0, y1, y2a, y2b = (
                 relax(y0),
-                relax(y1 + u1.apply(y0)),
-                relax(y2a + u2.apply(y0)),
-                relax(y2b + u1.apply(y1)),
+                relax(y1 + u1.on_factors(y0, dims, pair)),
+                relax(y2a + u2.on_factors(y0, dims, pair)),
+                relax(y2b + u1.on_factors(y1, dims, pair)),
             )
         return y0, y1, y2a, y2b
 
@@ -201,7 +197,7 @@ def column_remainder(cfg: CollisionConfig, x: Operator) -> float:
     environment trace).
     """
     u = cfg.g * cfg.dt
-    exact = _column(x.entries, cfg, _embedded_unitaries(cfg))
+    exact = _column(x.entries, cfg, _collision_forms(cfg))
     c0, c1, c2a, c2b = _ColumnExpansion(cfg).orders(x.entries)
     return _frob(exact - (c0 + u * c1 + u * u * (c2a + c2b)))
 
@@ -210,7 +206,7 @@ def collision_step_defect(cfg: CollisionConfig, rho: DensityMatrix) -> float:
     """Norm of the one-step finite difference against the weak-coupling
     generator built at gamma = g^2 dt; O(g^3 dt^2)."""
     joint = np.kron(rho.entries, cfg.eta.entries)
-    stepped = _trace_env(_column(joint, cfg, _embedded_unitaries(cfg)), cfg.env_dim)
+    stepped = _trace_env(_column(joint, cfg, _collision_forms(cfg)), cfg.env_dim)
     diff = (stepped - rho.entries) / cfg.dt
     gen = full_generator(cfg.couplings, cfg.eta, cfg.channel, cfg.gamma, cfg.carrier_dims)
     return _frob(diff - gen.apply(rho.entries))

@@ -240,7 +240,7 @@ class TestPower:
         theta = 0.37
         u1 = unitary_channel(expm_hermitian(SZ, theta))
         u2 = unitary_channel(expm_hermitian(SZ, 2 * theta))
-        p2 = np.linalg.matrix_power(u1.superop_matrix, 2)
+        p2 = np.linalg.matrix_power(u1.superoperator().matrix, 2)
         for _ in range(3):
             x = random_hermitian(rng, (2,))
             got = orbit(u1, x, 2).entries
@@ -254,7 +254,7 @@ class TestPower:
         for m in (1, 2, 3, 5):
             assert np.allclose(orbit(rep, x, m).entries, eta.entries, atol=1e-12)
         # oracle: composition of superoperator matrices
-        p1 = rep.superop_matrix
+        p1 = rep.superoperator().matrix
         assert np.allclose(p1 @ p1, p1, atol=1e-12)
 
     def test_power_additivity(self, rng):
@@ -263,7 +263,7 @@ class TestPower:
         lhs = orbit(chan, x, 5).entries
         rhs = orbit(chan, orbit(chan, x, 2), 3).entries
         assert np.max(np.abs(lhs - rhs)) <= 1e-11
-        p5 = np.linalg.matrix_power(chan.superop_matrix, 5)
+        p5 = np.linalg.matrix_power(chan.superoperator().matrix, 5)
         assert np.max(np.abs(lhs - unvec(p5 @ vec(x.entries), 2))) <= 1e-11
 
     def test_rejects_negative(self, rng):

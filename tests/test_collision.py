@@ -28,12 +28,12 @@ from qcollide.collision import (
     simulate,
     _column,
     _column_map,
+    _collision_forms,
     _column_map_entries,
-    _embedded_unitaries,
     _trace_env,
 )
-from qcollide.ops import Operator, expm_hermitian, kron, partial_trace, pauli, projector, vec
-from qcollide.scenarios import BUILTIN_NAMES, collision_config, load_scenario
+from qcollide.ops import Operator, SandwichForm, expm_hermitian, kron, partial_trace, pauli, projector, vec
+from qcollide.scenarios import BUILTIN_NAMES, collision_config, load_scenario, run_verify
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 GROUND = DensityMatrix.ground(2)
@@ -202,7 +202,7 @@ class TestCheckAssumption:
         assert [label for label, _, _ in report.entries] == [x for x in labels for _ in range(2)]
         for label, l, value in report.entries:
             k, m = (label, 1) if shared else (label - 1, label)
-            sigma = (np.linalg.matrix_power(chan.superop_matrix, k) @ vec(cfg.eta.entries)).reshape(2, 2).T
+            sigma = (np.linalg.matrix_power(chan.superoperator().matrix, k) @ vec(cfg.eta.entries)).reshape(2, 2).T
             assert abs(value - abs(np.trace(spec.b_ops(m)[l].entries @ sigma))) <= 1e-12
 
 
@@ -426,7 +426,7 @@ class TestColumnMap:
             )
             rho = random_state(rng, dims).entries
             joint = np.kron(rho, cfg.eta.entries)
-            direct = _trace_env(_column(joint, cfg, _embedded_unitaries(cfg)), de)
+            direct = _trace_env(_column(joint, cfg, _collision_forms(cfg)), de)
             phi = _column_map(cfg).reshape(rho.size, rho.size)
             assert np.max(np.abs(phi @ vec(rho) - vec(direct))) <= 1e-12, kind
 
@@ -480,12 +480,11 @@ class TestColumnMap:
 
     @pytest.mark.parametrize("dims, de", [((2, 2), 32), ((2, 2, 2), 8), ((3, 3, 3), 3)])
     def test_build_memory_follows_entry_count(self, dims, de):
-        # no tensor of d_m^4 d_e^4 entries: the build holds two arrays of at
-        # most `_column_map_entries` at once, plus the collision unitaries
-        # and einsum's buffers (the channel's own d_e^4 matrix is cached
-        # before tracing starts)
+        # no tensor of d_m^4 d_e^4 entries and no d_e^4 channel matrix: the
+        # build holds two arrays of at most `_column_map_entries` at once,
+        # plus the collision unitaries, the Kraus operators and einsum's
+        # buffers
         cfg = lossy_env_config(dims, de)
-        cfg.channel.superop_matrix
         tracemalloc.start()
         try:
             _column_map(cfg)
@@ -493,6 +492,27 @@ class TestColumnMap:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 16 * _column_map_entries(cfg)
+
+    def test_no_form_is_materialized(self, monkeypatch, rng):
+        # both simulate routes, one column, the row oracle and verify apply
+        # every form (collisions, the Kraus relaxation, the expansion terms
+        # and the generators) without its superoperator matrix
+        def refuse(form):
+            raise AssertionError(f"SandwichForm.matrix called on dims {form.dims}")
+
+        monkeypatch.setattr(SandwichForm, "matrix", refuse)
+        cfg = lossy_env_config((2, 2), 8, n_collisions=4)
+        rho = random_state(rng, cfg.carrier_dims)
+        assert _column_map_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES
+        mapped = simulate(cfg, rho)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
+        direct = simulate(cfg, rho)
+        assert np.max(np.abs(np.array(mapped.states) - np.array(direct.states))) <= 1e-12
+        joint = DensityMatrix.from_matrix(np.kron(rho.entries, cfg.eta.entries), cfg.joint_dims)
+        column = evolve_column_step(joint, cfg)
+        row = evolve_row(cfg, rho, 1)
+        assert np.max(np.abs(row.entries - column.entries)) <= 1e-12
+        assert run_verify(load_scenario("bosonic-fiber")).passed
 
     def test_wide_environment_map_matches_direct_column(self, monkeypatch, rng):
         cfg = lossy_env_config((2, 2), 24, n_collisions=30)

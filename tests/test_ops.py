@@ -12,7 +12,6 @@ from qcollide.ops import (
     Operator,
     SandwichForm,
     Superoperator,
-    apply_on_factor,
     embed,
     expm_hermitian,
     identity,
@@ -217,8 +216,9 @@ class TestEmbed:
 
 
 class TestApplyOnFactor:
-    """The one channel-on-factor kernel against the Kraus-sum oracle
-    sum_k embed(K_k) X embed(K_k)^dag; the column and row paths both use it."""
+    """A channel's Kraus form on one factor (`KrausChannel.form.on_factors`)
+    against the Kraus-sum oracle sum_k embed(K_k) X embed(K_k)^dag; the
+    column and row paths both relax the environment this way."""
 
     @pytest.mark.parametrize("dims", [(2, 3, 2), (4, 4)], ids=["2x3x2", "4x4"])
     @pytest.mark.parametrize("n_kraus", [1, 3])
@@ -230,22 +230,21 @@ class TestApplyOnFactor:
             chan = random_cpt_channel(rng, d, n_kraus)
             big = [embed(k, dims, (pos,)).entries for k in chan.kraus]
             want = sum(k @ x @ k.conj().T for k in big)
-            got = apply_on_factor(chan.superop_matrix, x, dims, pos)
+            got = chan.form.on_factors(x, dims, (pos,))
+            assert got.shape == x.shape
             assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.max(np.abs(chan.apply_on_factor(x, dims, pos) - want)) <= 1e-12
-
-    def test_cached_matrix_read_only(self, rng):
-        chan = random_cpt_channel(rng, 3)
-        mat = chan.superop_matrix
-        assert chan.superop_matrix is mat
-        assert not mat.flags.writeable
-        with pytest.raises(ValueError):
-            mat[0, 0] = 0.0
 
     def test_rejects_mismatched_factor(self, rng):
-        chan = random_cpt_channel(rng, 2)
-        with pytest.raises(ValueError, match="factor dimension"):
-            apply_on_factor(chan.superop_matrix, np.eye(6), (2, 3), 1)
+        form = random_cpt_channel(rng, 2).form
+        with pytest.raises(ValueError, match="factor 1 has dim 3"):
+            form.on_factors(np.eye(6), (2, 3), (1,))
+        with pytest.raises(ValueError, match="invalid positions"):
+            form.on_factors(np.eye(6), (2, 3), (2,))
+        with pytest.raises(ValueError, match="factor count"):
+            form.on_factors(np.eye(6), (2, 3), (0, 1))
+        pair = SandwichForm((2, 2), [np.eye(4)], [np.eye(4)])
+        with pytest.raises(ValueError, match="invalid positions"):
+            pair.on_factors(np.eye(8), (2, 2, 2), (1, 1))
 
 
 class TestMultiplierMatrix:
@@ -354,6 +353,72 @@ class TestSandwichForm:
             want = unvec(mat @ vec(x), side)
             assert np.max(np.abs(form.apply(x) - want)) <= 1e-12
             assert np.max(np.abs(got[idx] - want)) <= 1e-12
+
+
+def random_factor_form(rng, dims, kind, n_terms=2) -> SandwichForm:
+    """A form with random complex multipliers of unit norm: a sandwich and
+    no K ("sandwich"), K only ("k"), or both."""
+    side = math.prod(dims)
+
+    def mats(n):
+        m = rng.normal(size=(n, side, side)) + 1j * rng.normal(size=(n, side, side))
+        return m / np.linalg.norm(m, axis=(-2, -1), keepdims=True)
+
+    pairs = (mats(n_terms), mats(n_terms)) if kind != "k" else ([], [])
+    return SandwichForm(dims, *pairs, None if kind == "sandwich" else mats(1)[0])
+
+
+def embedded_form(form, full_dims, positions) -> SandwichForm:
+    """The form with every multiplier embedded into `full_dims`."""
+    def up(a):
+        return embed(Operator(form.dims, a), full_dims, positions).entries
+
+    k = None if form.k is None else up(form.k)
+    return SandwichForm(full_dims, [up(a) for a in form.sandwich], [up(a) for a in form.ops], k)
+
+
+class TestOnFactors:
+    """`on_factors` against the same form with embedded multipliers applied
+    on the whole space."""
+
+    def check(self, rng, dims, positions, kind, lead):
+        form = random_factor_form(rng, tuple(dims[p] for p in positions), kind)
+        side = math.prod(dims)
+        x = rng.normal(size=lead + (side, side)) + 1j * rng.normal(size=lead + (side, side))
+        x /= np.linalg.norm(x)
+        got = form.on_factors(x, dims, positions)
+        want = embedded_form(form, dims, positions).apply(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+        data=st.data(),
+        kind=st.sampled_from(["sandwich", "k", "both"]),
+        lead=st.sampled_from([(), (3,)]),
+    )
+    def test_matches_embedded_form(self, seed, dims, data, kind, lead):
+        order = data.draw(st.permutations(range(len(dims))))
+        positions = tuple(order[: data.draw(st.integers(1, len(dims)))])
+        self.check(np.random.default_rng(seed), dims, positions, kind, lead)
+
+    @pytest.mark.parametrize(
+        "positions", [(0, 1), (1, 2), (0, 2), (2, 0), (2, 1, 0), (1,)],
+        ids=["adjacent", "trailing", "non-adjacent", "reversed", "all-reversed", "middle"],
+    )
+    @pytest.mark.parametrize("kind", ["sandwich", "k", "both"])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
+    def test_position_patterns(self, rng, positions, kind, lead):
+        self.check(rng, (2, 3, 4), positions, kind, lead)
+
+    def test_all_factors_in_order_is_apply(self, rng):
+        # a form on every factor, in order, moves no axis: the products are
+        # those of `apply`, bit for bit
+        form = random_factor_form(rng, (2, 3), "both")
+        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        assert np.array_equal(form.on_factors(x, (2, 3), (0, 1)), form.apply(x))
 
 
 class TestSuperoperator:

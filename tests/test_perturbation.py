@@ -24,7 +24,6 @@ from qcollide.collision import (
 from qcollide.generators import full_generator
 from qcollide.ops import (
     Operator,
-    apply_on_factor,
     embed,
     expm_hermitian,
     pauli,
@@ -173,17 +172,24 @@ class TestColumnExpansion:
 def per_order_loops(cfg, x):
     """(C0 x, C'x, C''a x, C''b x) from one loop per order, threading x
     through channel powers M^k, the powers of the channel's superoperator
-    matrix: the pair term
-    sums E^(M-m'+1) U'_m' E^(m'-m) U'_m E^(m-1) over m < m' explicitly."""
-    dims, m_count = cfg.joint_dims, cfg.n_carriers
+    matrix contracted with the environment factor, and the embedded joint
+    collision Hamiltonians: the pair term sums
+    E^(M-m'+1) U'_m' E^(m'-m) U'_m E^(m-1) over m < m' explicitly."""
+    dims, m_count, de = cfg.joint_dims, cfg.n_carriers, cfg.env_dim
     hs = [
         embed(collision_hamiltonian(cfg, m), dims, (m - 1, m_count)).entries
         for m in range(1, m_count + 1)
     ]
-    powers = [np.linalg.matrix_power(cfg.channel.superop_matrix, k) for k in range(m_count + 2)]
+    # p[E, e, G, g] = P[e + de E, g + de G] for the column-stacked power P
+    superop = cfg.channel.superoperator().matrix
+    powers = [np.linalg.matrix_power(superop, k).reshape(de, de, de, de) for k in range(m_count + 2)]
 
     def env(k, y):
-        return y if k == 0 else apply_on_factor(powers[k], y, dims, m_count)
+        if k == 0:
+            return y
+        ds = y.shape[-1] // de
+        y4 = y.reshape(y.shape[:-2] + (ds, de, ds, de))
+        return np.einsum("EeGg,...igjG->...iejE", powers[k], y4).reshape(y.shape)
 
     def u1(h, y):
         return -1j * (h @ y - y @ h)
