@@ -63,7 +63,6 @@ from .scenarios import (
     collision_config,
     load_scenario,
     run_converge,
-    run_generators,
     run_simulate,
     run_verify,
 )

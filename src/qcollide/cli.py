@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: runs a command's driver, writes its files under
+--out from one table (`OUTPUTS`), and prints its summary.
 
 Exit codes: 0 on success, 1 on configuration and usage errors, 2 when a
 property check fails (assumption violation, non-decreasing convergence
@@ -19,9 +20,9 @@ from .scenarios import (
     ConfigError,
     load_scenario,
     run_converge,
-    run_generators,
     run_simulate,
     run_verify,
+    scenario_generator,
 )
 
 EXIT_OK = 0
@@ -55,9 +56,27 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output directory")
         if name == "verify":
             cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+            cmd.set_defaults(fmt="json")  # verify writes JSON only
         else:
             cmd.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     return parser
+
+
+def _json(result, path) -> None:
+    write_json(path, result.to_dict())
+
+
+# The files a command writes under --out, by (command, --format): file name ->
+# writer(result, path).  Methods are read off the result, so a wrapped one runs.
+OUTPUTS = {
+    ("simulate", "csv"): {"trajectory.csv": lambda traj, path: traj.to_csv(path)},
+    ("simulate", "json"): {"trajectory.json": lambda traj, path: traj.to_json(path)},
+    ("generators", "csv"): {"rates.csv": lambda gen, path: gen.rates.to_csv(path), "generators.json": _json},
+    ("generators", "json"): {"rates.json": lambda gen, path: _json(gen.rates, path), "generators.json": _json},
+    ("converge", "csv"): {"convergence.csv": lambda report, path: report.to_csv(path)},
+    ("converge", "json"): {"convergence.json": _json},
+    ("verify", "json"): {"verify.json": _json},
+}
 
 
 def main(argv=None) -> int:
@@ -76,67 +95,44 @@ def main(argv=None) -> int:
             print(f"qcollide: error: --out {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_CONFIG
 
+    # named when the command runs, so a wrapped driver is the one called
+    drivers = dict(simulate=run_simulate, generators=scenario_generator, converge=run_converge, verify=run_verify)
     try:
+        result = drivers[args.command](sc)
+        if args.out is not None:
+            for name, write in OUTPUTS[args.command, args.fmt].items():
+                write(result, os.path.join(args.out, name))
+
         if args.command == "simulate":
-            traj = run_simulate(sc, out_dir=args.out, fmt=args.fmt)
             print(
-                f"simulate {sc.name}: {len(traj)} samples, final trace {traj.traces[-1]:.12f}, "
-                f"min eigenvalue {np.linalg.eigvalsh(traj.states[-1])[0]:.3e}"
+                f"simulate {sc.name}: {len(result)} samples, final trace {result.traces[-1]:.12f}, "
+                f"min eigenvalue {np.linalg.eigvalsh(result.states[-1])[0]:.3e}"
             )
-            return EXIT_OK
-
-        if args.command == "generators":
-            gen = run_generators(sc, out_dir=args.out, fmt=args.fmt)
-            n_cross = len(gen.rates.cross)
+        elif args.command == "generators":
+            rates = result.rates
             print(
-                f"generators {sc.name}: {len(gen.rates.local)} local terms, "
-                f"{n_cross} cross terms, gamma {gen.rates.gamma:g}"
+                f"generators {sc.name}: {len(rates.local)} local terms, "
+                f"{len(rates.cross)} cross terms, gamma {rates.gamma:g}"
             )
-            return EXIT_OK
-
-        if args.command == "converge":
-            report = run_converge(sc)
-            if args.out is not None:
-                if args.fmt == "json":
-                    write_json(os.path.join(args.out, "convergence.json"), report.to_dict())
-                else:
-                    report.to_csv(os.path.join(args.out, "convergence.csv"))
-            for e in report.entries:
+        elif args.command == "converge":
+            for e in result.entries:
                 print(f"n={e['n']:6d}  dt={e['dt']:.6g}  g={e['g']:.6g}  error={e['error']:.6e}")
-            if report.fitted_order is not None:
-                print(f"fitted order: {report.fitted_order:.3f}")
-            if not report.assumption["passed"]:
-                print(
-                    "assumption check failed: max first moment "
-                    f"{report.assumption['max_violation']:.3e}",
-                    file=sys.stderr,
-                )
-                return EXIT_PROPERTY
-            if not report.passed:
+            if result.fitted_order is not None:
+                print(f"fitted order: {result.fitted_order:.3f}")
+            if not result.assumption["passed"]:
+                worst = result.assumption["max_violation"]
+                print(f"assumption check failed: max first moment {worst:.3e}", file=sys.stderr)
+            elif not result.passed:
                 print("convergence errors are not strictly decreasing", file=sys.stderr)
-                return EXIT_PROPERTY
-            return EXIT_OK
-
-        if args.command == "verify":
-            report = run_verify(sc)
-            if args.out is not None:
-                write_json(os.path.join(args.out, "verify.json"), report.to_dict())
-            worst_first = max(e["residual"] for e in report.first_order)
-            worst_second = max(
-                max(e["residual_a"], e["residual_b"]) for e in report.second_order
-            )
-            print(
-                f"verify {sc.name}: first-order {worst_first:.3e}, "
-                f"second-order {worst_second:.3e}, ratios "
-                f"u={report.halving['unitary']['ratio']:.2f} "
-                f"c={report.halving['column']['ratio']:.2f} "
-                f"s={report.halving['step']['ratio']:.2f}"
-            )
-            return EXIT_OK if report.passed else EXIT_PROPERTY
+        else:
+            first = max(e["residual"] for e in result.first_order)
+            second = max(max(e["residual_a"], e["residual_b"]) for e in result.second_order)
+            ratios = " ".join(f"{key[0]}={result.halving[key]['ratio']:.2f}" for key in ("unitary", "column", "step"))
+            print(f"verify {sc.name}: first-order {first:.3e}, second-order {second:.3e}, ratios {ratios}")
+        return EXIT_PROPERTY if args.command in ("converge", "verify") and not result.passed else EXIT_OK
     except RuntimeError as exc:
         print(f"property check failed: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":  # pragma: no cover

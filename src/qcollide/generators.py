@@ -34,6 +34,7 @@ import numpy as np
 
 from .channels import DensityMatrix, KrausChannel, fixed_point_distance, orbit
 from .collision import CouplingSpec
+from .jsonio import write_csv
 from .ops import (
     DEFAULT_TOL,
     Operator,
@@ -263,6 +264,9 @@ class CorrelationTensor:
             for (m, mp), mat in blocks + sorted(self.cross.items())
             for (l, lp), z in np.ndenumerate(mat)
         ]
+
+    def to_csv(self, path) -> None:
+        write_csv(path, ["m", "m_prime", "l", "l_prime", "re", "im"], self.rate_table_rows())
 
 
 @dataclass(frozen=True, eq=False)

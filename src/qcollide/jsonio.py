@@ -1,4 +1,4 @@
-"""JSON encoding helpers: complex matrices as nested [re, im] pairs.
+"""File writers, and complex matrices as nested [re, im] JSON pairs.
 
 ``write_json`` is the one JSON writer of the package.  Its output is byte for
 byte the compact ``json.dumps`` of the payload with each complex ndarray as
@@ -70,6 +70,19 @@ def write_json(path, data) -> None:
             fh.write(formats[a.shape] % tuple(tokens[index[start:stop]].tolist()))
             fh.write(part)
             start = stop
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: a header line, then one line per row.  Integers
+    are written bare, every other number with 17 significant digits
+    (``.17g``), which parse back to the same float64."""
+    lines = [",".join(header)]
+    lines += [
+        ",".join([str(x) if isinstance(x, (int, np.integer)) else format(float(x), ".17g") for x in row])
+        for row in rows
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _complex_entry(pair) -> complex:

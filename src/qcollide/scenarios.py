@@ -6,7 +6,8 @@ A builtin name stands for a custom config document (`_builtin_document`);
 keys given next to it replace that document's keys, and one parser builds
 every scenario.  For every sweep entry n the scaling dt = t_end/n,
 g = sqrt(gamma/dt) is derived here and never user-supplied: the
-weak-coupling limit is walked along the line g^2 dt = gamma.
+weak-coupling limit is walked along the line g^2 dt = gamma.  The drivers
+return their results and write no file; `cli` writes the outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .collision import (
 )
 from .generators import GeneratorSet, full_generator
 from .integrator import integrate, trace_distance
-from .jsonio import complex_matrix_from_json, complex_matrix_to_json, write_json
+from .jsonio import complex_matrix_from_json, complex_matrix_to_json, write_csv
 from .ops import (
     Operator,
     annihilation,
@@ -56,7 +57,7 @@ from .perturbation import (
     verify_first_order,
     verify_second_order,
 )
-from .trajectory import Trajectory, _fmt
+from .trajectory import Trajectory
 
 class ConfigError(Exception):
     """Raised for malformed or inconsistent scenario configuration."""
@@ -88,12 +89,16 @@ def _key(spec: dict, key: str, what: str):
     return spec[key]
 
 
-def _matrix(payload, what: str) -> np.ndarray:
-    """complex_matrix_from_json with the config key path in its error message."""
+def _keyed(what: str, build):
+    """build(), with the config key path `what` in the message of a ValueError."""
     try:
-        return complex_matrix_from_json(payload)
+        return build()
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _matrix(payload, what: str) -> np.ndarray:
+    return _keyed(what, lambda: complex_matrix_from_json(payload))
 
 
 def _real(value, what: str) -> float:
@@ -165,6 +170,7 @@ def collision_config(sc: ScenarioConfig, n: int) -> CollisionConfig:
 
 
 def scenario_generator(sc: ScenarioConfig) -> GeneratorSet:
+    """Rate tables and generator matrices for the configured scenario."""
     return full_generator(sc.couplings, sc.eta, sc.channel, sc.gamma, sc.carrier_dims)
 
 
@@ -248,15 +254,12 @@ def parse_state(spec, dims: Sequence[int], what: str = "state") -> DensityMatrix
         amps = _matrix([_key(spec, "amplitudes", what)], f"{what}.amplitudes")[0]
         if amps.size != side:
             raise ConfigError(f"{what}: ket length {amps.size} does not match dimension {side}")
-        return DensityMatrix.from_ket(amps, dims)
+        return _keyed(what, lambda: DensityMatrix.from_ket(amps, dims))
     if kind == "matrix":
         mat = _matrix(_key(spec, "matrix", what), f"{what}.matrix")
         if mat.shape[0] != side:
             raise ConfigError(f"{what}: state matrix side {mat.shape[0]} does not match dimension {side}")
-        try:
-            return DensityMatrix.from_matrix(mat, dims)
-        except ValueError as exc:
-            raise ConfigError(f"{what}: invalid density matrix: {exc}") from exc
+        return _keyed(f"{what}: invalid density matrix", lambda: DensityMatrix.from_matrix(mat, dims))
     if kind == "product":
         factors = _list(_key(spec, "factors", what), f"{what}.factors")
         if len(factors) != len(dims):
@@ -265,10 +268,7 @@ def parse_state(spec, dims: Sequence[int], what: str = "state") -> DensityMatrix
         full = mats[0]
         for m in mats[1:]:
             full = np.kron(full, m)
-        try:
-            return DensityMatrix.from_matrix(full, dims)
-        except ValueError as exc:
-            raise ConfigError(f"{what}: invalid product state: {exc}") from exc
+        return _keyed(f"{what}: invalid product state", lambda: DensityMatrix.from_matrix(full, dims))
     raise ConfigError(f"{what}: unknown state kind {kind!r}")
 
 
@@ -280,17 +280,18 @@ def parse_channel(spec, what: str = "channel") -> KrausChannel:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "lossy":
         dim = _integer(_key(spec, "dim", what), f"{what} dim")
-        return lossy_bosonic_channel(dim, _real(_key(spec, "kappa", what), f"{what} kappa"))
+        kappa = _real(_key(spec, "kappa", what), f"{what} kappa")
+        return _keyed(what, lambda: lossy_bosonic_channel(dim, kappa))
     if kind == "replacer":
         eta = _matrix(_key(spec, "eta", what), f"{what}.eta")
-        return replacer_channel(DensityMatrix.from_matrix(eta, (eta.shape[0],)))
+        return replacer_channel(_keyed(f"{what}.eta", lambda: DensityMatrix.from_matrix(eta, (eta.shape[0],))))
     if kind == "unitary":
         mat = _matrix(_key(spec, "matrix", what), f"{what}.matrix")
-        return unitary_channel(Operator((mat.shape[0],), mat))
+        return _keyed(f"{what}.matrix", lambda: unitary_channel(Operator((mat.shape[0],), mat)))
     if kind == "kraus":
         operators = _list(_key(spec, "operators", what), f"{what}.operators")
         ops = [_matrix(m, f"{what}.operators[{i}]") for i, m in enumerate(operators)]
-        chan = KrausChannel(tuple(Operator((m.shape[0],), m) for m in ops))
+        chan = _keyed(f"{what}.operators", lambda: KrausChannel(tuple(Operator((m.shape[0],), m) for m in ops)))
         report = validate_cpt(chan)
         if not report.passed:
             warnings.warn(
@@ -305,20 +306,26 @@ def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...
     parsed = []
     side = math.prod(carrier_dims)
     for i, entry in enumerate(_list(entries, "observables")):
-        if "name" not in _object(entry, f"observables[{i}]"):
-            raise ConfigError("each observable needs a 'name'")
-        name = str(entry["name"])
+        what = f"observables[{i}]"
+        name = _key(_object(entry, what), "name", what)
+        # a name heads two CSV columns, <name>_re and <name>_im
+        if not isinstance(name, str) or not name or any(c in name for c in ',"\r\n'):
+            raise ConfigError(
+                f"{what}.name: expected a nonempty string without commas, double quotes or line breaks, got {name!r}"
+            )
+        if name in {n for n, _ in parsed}:
+            raise ConfigError(f"{what}.name: duplicate observable name {name!r}")
         if "carrier" in entry:
             m = _integer(entry["carrier"], f"observable {name!r}: carrier")
             if not 1 <= m <= len(carrier_dims):
                 raise ConfigError(f"observable {name!r}: carrier {m} out of range")
-            local = _operator(entry["op"], carrier_dims[m - 1], f"observables[{i}].op")
+            local = _operator(_key(entry, "op", what), carrier_dims[m - 1], f"{what}.op")
             parsed.append((name, embed(local, carrier_dims, (m - 1,))))
         elif "matrix" in entry:
-            mat = _matrix(entry["matrix"], f"observables[{i}].matrix")
+            mat = _matrix(entry["matrix"], f"{what}.matrix")
             if mat.shape[0] != side:
                 raise ConfigError(f"observable {name!r}: matrix side mismatch")
-            parsed.append((name, Operator(tuple(carrier_dims), mat)))
+            parsed.append((name, _keyed(f"{what}.matrix", lambda: Operator(tuple(carrier_dims), mat))))
         else:
             raise ConfigError(f"observable {name!r} needs 'carrier'+'op' or 'matrix'")
     return tuple(parsed)
@@ -533,12 +540,9 @@ class ConvergeReport:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_csv(self, path):
-        lines = ["n,dt,g,error"]
-        for e in self.entries:
-            lines.append(f"{e['n']},{_fmt(e['dt'])},{_fmt(e['g'])},{_fmt(e['error'])}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    def to_csv(self, path) -> None:
+        columns = ("n", "dt", "g", "error")
+        write_csv(path, columns, [[e[key] for key in columns] for e in self.entries])
 
 
 def run_converge(sc: ScenarioConfig) -> ConvergeReport:
@@ -590,7 +594,7 @@ def run_converge(sc: ScenarioConfig) -> ConvergeReport:
     )
 
 
-def run_simulate(sc: ScenarioConfig, out_dir: str | None = None, fmt: str = "csv") -> Trajectory:
+def run_simulate(sc: ScenarioConfig) -> Trajectory:
     """Collision-model trajectory at the configured n_collisions.
 
     n_collisions = 0 emits a single-sample trajectory holding rho0."""
@@ -599,32 +603,7 @@ def run_simulate(sc: ScenarioConfig, out_dir: str | None = None, fmt: str = "csv
         cfg = dataclasses.replace(cfg, n_collisions=0)
     names = [name for name, _ in sc.observables]
     obs = [op for _, op in sc.observables]
-    traj = simulate(cfg, sc.rho0, observables=obs, record_stride=sc.record_stride, observable_names=names)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if fmt == "json":
-            traj.to_json(os.path.join(out_dir, "trajectory.json"))
-        else:
-            traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
-    return traj
-
-
-def run_generators(sc: ScenarioConfig, out_dir: str | None = None, fmt: str = "csv") -> GeneratorSet:
-    """Rate tables and generator matrices for the configured scenario."""
-    gen = scenario_generator(sc)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        rows = gen.rates.rate_table_rows()
-        if fmt == "json":
-            write_json(os.path.join(out_dir, "rates.json"), gen.rates.to_dict())
-        else:
-            lines = ["m,m_prime,l,l_prime,re,im"]
-            for (m, mp, l, lp, re, im) in rows:
-                lines.append(f"{m},{mp},{l},{lp},{_fmt(re)},{_fmt(im)}")
-            with open(os.path.join(out_dir, "rates.csv"), "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        write_json(os.path.join(out_dir, "generators.json"), gen.to_dict())
-    return gen
+    return simulate(cfg, sc.rho0, observables=obs, record_stride=sc.record_stride, observable_names=names)
 
 
 RATIO_WINDOW = (6.0, 10.0)
@@ -643,20 +622,12 @@ class VerifyReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "assumption": self.assumption,
-            "first_order": self.first_order,
-            "second_order": self.second_order,
-            "halving": self.halving,
-            "tolerances": {
-                "first_order": FIRST_ORDER_TOL,
-                "second_order": SECOND_ORDER_TOL,
-                "ratio_window": list(RATIO_WINDOW),
-            },
-            "passed": self.passed,
+        d = dataclasses.asdict(self)
+        d["tolerances"] = {
+            "first_order": FIRST_ORDER_TOL, "second_order": SECOND_ORDER_TOL, "ratio_window": list(RATIO_WINDOW)
         }
+        d["passed"] = d.pop("passed")  # last, after the tolerances
+        return d
 
 
 def _random_state(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:

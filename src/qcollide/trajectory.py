@@ -13,16 +13,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import DensityMatrix, StateViolation, check_states
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 from .ops import Operator
 
 SAMPLE_ATOL = 1e-8
 # recorded samples are validated in stacks of this many
 SAMPLE_BATCH = 64
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(eq=False)
@@ -80,19 +76,11 @@ class Trajectory:
         return self.observable_values[:, idx]
 
     def to_csv(self, path) -> None:
-        header = ["step", "t"]
-        for name in self.observable_names:
-            header += [f"{name}_re", f"{name}_im"]
-        header += ["trace", "min_eigenvalue"]
-        lines = [",".join(header)]
-        for i in range(len(self)):
-            row = [str(int(self.steps[i])), _fmt(self.times[i])]
-            for v in self.observable_values[i]:
-                row += [_fmt(v.real), _fmt(v.imag)]
-            row += [_fmt(self.traces[i]), _fmt(self.min_eigenvalues[i])]
-            lines.append(",".join(row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = [f"{name}_{part}" for name in self.observable_names for part in ("re", "im")]
+        header = ["step", "t", *columns, "trace", "min_eigenvalue"]
+        reim = np.ascontiguousarray(self.observable_values).view(np.float64).tolist()  # re, im side by side
+        rows = zip(self.steps.tolist(), self.times.tolist(), reim, self.traces.tolist(), self.min_eigenvalues.tolist())
+        write_csv(path, header, [[step, t, *v, trace, low] for step, t, v, trace, low in rows])
 
     def to_json(self, path) -> None:
         payload = {

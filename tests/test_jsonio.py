@@ -8,9 +8,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcollide.cli import main
-from qcollide.jsonio import complex_matrix_from_json, complex_matrix_to_json, write_json
+from qcollide.jsonio import complex_matrix_from_json, complex_matrix_to_json, write_csv, write_json
 from qcollide.scenarios import (
     BUILTIN_NAMES,
     load_scenario,
@@ -231,6 +233,43 @@ class TestBytesAgainstOldWriter:
         for doc in ({}, [], "x", 1.5, {"a": [1, 2.5, None, True]}):
             write_json(tmp_path / "a.json", doc)
             assert (tmp_path / "a.json").read_bytes() == old_bytes(doc)
+
+
+cells = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rows=st.lists(st.lists(cells, min_size=1, max_size=5), max_size=6))
+    @example(rows=[[-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-320, 0]])
+    @example(rows=[[np.float64(-0.0), 1e300 * 1e10, -math.inf, 0.1 + 0.2, 1e22, 2**80, np.int64(-7)]])
+    def test_float_cells_keep_their_bits_and_integers_are_bare(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "a.csv"
+        write_csv(path, ["c"] * 7, rows)
+        lines = path.read_text().split("\n")
+        assert lines[0] == "c,c,c,c,c,c,c" and lines[-1] == ""
+        for row, line in zip(rows, lines[1:-1], strict=True):
+            for value, cell in zip(row, line.split(","), strict=True):
+                if isinstance(value, (int, np.integer)):
+                    assert cell == str(int(value))
+                else:
+                    assert np.float64(float(cell)).view(np.int64) == np.float64(value).view(np.int64)
+
+    def test_trajectory_csv_is_the_per_row_spelling(self, tmp_path):
+        # the writer the one CSV writer replaced: one .17g token per cell, row by row
+        traj = run_simulate(load_scenario({"scenario": "rotating-env-2q", "n_collisions": 7}))
+        old = ["step,t,pe_c1_re,pe_c1_im,pe_c2_re,pe_c2_im,trace,min_eigenvalue"]
+        for i in range(len(traj)):
+            values = [traj.times[i], *[p for v in traj.observable_values[i] for p in (v.real, v.imag)]]
+            values += [traj.traces[i], traj.min_eigenvalues[i]]
+            old.append(",".join([str(int(traj.steps[i]))] + [format(float(x), ".17g") for x in values]))
+        traj.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == "\n".join(old) + "\n"
 
 
 class TestComplexMatrixFromJson:

@@ -17,6 +17,7 @@ from qcollide.channels import (
 import qcollide.cli
 from qcollide.cli import main
 from qcollide.integrator import integrate
+from qcollide.jsonio import write_json
 from qcollide.ops import embed, expm_hermitian, momentum_op, number_op, pauli, position_op, projector
 from qcollide.scenarios import (
     BUILTIN_NAMES,
@@ -27,7 +28,6 @@ from qcollide.scenarios import (
     parse_operator,
     parse_state,
     run_converge,
-    run_generators,
     run_simulate,
     run_verify,
     scenario_generator,
@@ -275,7 +275,8 @@ class TestRunConverge:
 class TestRunSimulate:
     def test_zero_collisions_single_sample(self, tmp_path):
         sc = load_scenario({"scenario": "replacer", "n_collisions": 0})
-        traj = run_simulate(sc, out_dir=str(tmp_path))
+        traj = run_simulate(sc)
+        traj.to_csv(tmp_path / "trajectory.csv")
         assert len(traj) == 1
         assert (tmp_path / "trajectory.csv").exists()
 
@@ -294,14 +295,15 @@ class TestRunSimulate:
 
     def test_json_format(self, tmp_path):
         sc = load_scenario({"scenario": "dephasing-1q", "n_collisions": 5})
-        run_simulate(sc, out_dir=str(tmp_path), fmt="json")
+        run_simulate(sc).to_json(tmp_path / "trajectory.json")
         data = json.loads((tmp_path / "trajectory.json").read_text())
         assert len(data["samples"]) == 6
 
 
 class TestRunGenerators:
     def test_replacer_zero_cross_table(self, tmp_path):
-        gen = run_generators(load_scenario("replacer"), out_dir=str(tmp_path))
+        gen = scenario_generator(load_scenario("replacer"))
+        gen.rates.to_csv(tmp_path / "rates.csv")
         rows = [r.split(",") for r in (tmp_path / "rates.csv").read_text().strip().splitlines()[1:]]
         cross_rows = [r for r in rows if r[0] != r[1]]
         assert cross_rows, "cross entries must be listed"
@@ -310,7 +312,7 @@ class TestRunGenerators:
 
     def test_bosonic_sqrt_kappa_scaling(self):
         sc = load_scenario({"scenario": "bosonic-fiber", "params": {"d": 4, "kappa": 0.25}})
-        gen = run_generators(sc)
+        gen = scenario_generator(sc)
         g12 = gen.rates.cross[(1, 2)]
         # magnitudes scale as 0.5 = sqrt(kappa) per unit distance
         from qcollide.generators import stationary_rates
@@ -320,7 +322,9 @@ class TestRunGenerators:
         assert abs(ratio - 0.5) <= 1e-10
 
     def test_generator_json(self, tmp_path):
-        run_generators(load_scenario("dephasing-1q"), out_dir=str(tmp_path), fmt="json")
+        gen = scenario_generator(load_scenario("dephasing-1q"))
+        write_json(tmp_path / "rates.json", gen.rates.to_dict())
+        write_json(tmp_path / "generators.json", gen.to_dict())
         data = json.loads((tmp_path / "rates.json").read_text())
         assert data["gamma"] == 1.0
         gen_data = json.loads((tmp_path / "generators.json").read_text())
@@ -337,6 +341,14 @@ class TestRunVerify:
         report = run_verify(load_scenario("replacer"), n_states=1)
         d = report.to_dict()
         assert set(d) >= {"scenario", "assumption", "first_order", "second_order", "halving", "passed"}
+
+    def test_report_keys_in_file_order(self):
+        # verify.json spells the keys in this order; reruns compare it byte for byte
+        d = run_verify(load_scenario("replacer"), n_states=1).to_dict()
+        assert list(d) == [
+            "scenario", "seed", "assumption", "first_order", "second_order", "halving", "tolerances", "passed",
+        ]
+        assert d["tolerances"] == {"first_order": 1e-12, "second_order": 1e-10, "ratio_window": [6.0, 10.0]}
 
 
 class TestCLI:
@@ -534,6 +546,64 @@ class TestCLI:
             ({"scenario": "dephasing-1q", "seed": -3}, "seed must be nonnegative"),
             (None, "bad.json cannot be read"),
             (b'{"scenario": "dephasing-1q", "t_end": "\xff"}', "bad.json cannot be read"),
+            (
+                {"scenario": "dephasing-1q", "observables": [{"name": "a,b", "carrier": 1, "op": "proj0"}]},
+                "observables[0].name: expected a nonempty string without commas, double quotes or line breaks, "
+                "got 'a,b'",
+            ),
+            (
+                {"scenario": "dephasing-1q", "observables": [{"name": 'a"b', "carrier": 1, "op": "proj0"}]},
+                "observables[0].name: expected a nonempty string",
+            ),
+            (
+                {"scenario": "dephasing-1q", "observables": [{"name": "a\nb", "carrier": 1, "op": "proj0"}]},
+                "observables[0].name: expected a nonempty string",
+            ),
+            (
+                {"scenario": "dephasing-1q", "observables": [{"name": "a\rb", "carrier": 1, "op": "proj0"}]},
+                "observables[0].name: expected a nonempty string",
+            ),
+            (
+                {
+                    "scenario": "dephasing-1q",
+                    "observables": [{"name": "x", "carrier": 1, "op": "proj0"}, {"name": "x", "carrier": 1, "op": "sz"}],
+                },
+                "observables[1].name: duplicate observable name 'x'",
+            ),
+            (
+                {"scenario": "dephasing-1q", "observables": [{"name": 5, "carrier": 1, "op": "proj0"}]},
+                "observables[0].name: expected a nonempty string without commas, double quotes or line breaks, got 5",
+            ),
+            (
+                {"scenario": "dephasing-1q", "observables": [{"name": "", "carrier": 1, "op": "proj0"}]},
+                "observables[0].name: expected a nonempty string without commas, double quotes or line breaks, got ''",
+            ),
+            ({"scenario": "dephasing-1q", "observables": [{"carrier": 1, "op": "proj0"}]}, "observables[0]: missing key 'name'"),
+            ({"scenario": "dephasing-1q", "observables": [{"name": "p", "carrier": 1}]}, "observables[0]: missing key 'op'"),
+            (
+                {"scenario": "dephasing-1q", "channel": {"kind": "lossy", "dim": 2, "kappa": 2}},
+                "config error: channel: transmissivity must lie in [0, 1], got 2.0",
+            ),
+            (
+                {"scenario": "dephasing-1q", "channel": {"kind": "lossy", "dim": 1, "kappa": 0.5}},
+                "config error: channel: need at least two Fock levels",
+            ),
+            (
+                {"scenario": "dephasing-1q", "channel": {"kind": "replacer", "eta": [[[-1, 0], [0, 0]], [[0, 0], [2, 0]]]}},
+                "config error: channel.eta: minimum eigenvalue -1.0 below -1e-10",
+            ),
+            (
+                {"scenario": "dephasing-1q", "channel": {"kind": "unitary", "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}},
+                "config error: channel.matrix: matrix is not unitary within tolerance",
+            ),
+            (
+                {"scenario": "dephasing-1q", "rho0": {"kind": "ket", "amplitudes": [[0, 0], [0, 0]]}},
+                "config error: rho0: zero vector is not a state",
+            ),
+            (
+                {"scenario": "dephasing-1q", "observables": [{"name": "m", "matrix": [[[1, 0], [0, 0], [0, 0]]] * 2}]},
+                "config error: observables[0].matrix: expected a square matrix, got shape (2, 3)",
+            ),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
              "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity",
@@ -547,7 +617,10 @@ class TestCLI:
              "unitary-ragged", "kraus-ragged", "observable-matrix-entry", "env-dim-zero", "env-dim-negative",
              "carrier-dim-zero", "params-d-one", "couplings-collision-table", "seed-negative",
              "config-directory",
-             "config-not-utf8"],
+             "config-not-utf8", "observable-name-comma", "observable-name-quote", "observable-name-newline",
+             "observable-name-return", "observable-name-duplicate", "observable-name-number", "observable-name-empty",
+             "observable-no-name", "observable-no-op", "lossy-kappa-factory", "lossy-one-level", "replacer-eta-not-state",
+             "unitary-not-unitary", "ket-zero", "observable-matrix-not-square"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"
@@ -594,7 +667,7 @@ class TestCLI:
         # rejected before the command runs, with one error line
         out = tmp_path / "taken"
         out.write_text("keep")
-        monkeypatch.setattr(qcollide.cli, f"run_{command}", None)
+        monkeypatch.setattr(qcollide.cli, "scenario_generator" if command == "generators" else f"run_{command}", None)
         code = main([command, "--config", "dephasing-1q", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
@@ -700,6 +773,48 @@ class TestCLI:
         monkeypatch.undo()
         traj = run_simulate(load_scenario("bosonic-fiber"))
         assert f"min eigenvalue {traj.min_eigenvalues[-1]:.3e}\n" in capsys.readouterr().out
+
+
+class TestOutputTable:
+    """The files each command writes under --out, and that the library
+    writers give the same bytes as the CLI."""
+
+    FILES = {
+        ("simulate", "csv"): ["trajectory.csv"],
+        ("simulate", "json"): ["trajectory.json"],
+        ("generators", "csv"): ["generators.json", "rates.csv"],
+        ("generators", "json"): ["generators.json", "rates.json"],
+        ("converge", "csv"): ["convergence.csv"],
+        ("converge", "json"): ["convergence.json"],
+        ("verify", None): ["verify.json"],
+    }
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenario": "ad-chain-2q", "n_collisions": 20, "sweep": [25, 50]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command, fmt", list(FILES), ids=[f"{c}-{f}" for c, f in FILES])
+    def test_out_holds_the_documented_files(self, tmp_path, config, command, fmt):
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--out", str(out)] + (["--format", fmt] if fmt else [])
+        assert main(argv) == 0
+        assert sorted(os.listdir(out)) == self.FILES[command, fmt]
+
+    @pytest.mark.parametrize(
+        "command, name, write",
+        [
+            ("simulate", "trajectory.csv", lambda sc, path: run_simulate(sc).to_csv(path)),
+            ("generators", "rates.csv", lambda sc, path: scenario_generator(sc).rates.to_csv(path)),
+            ("converge", "convergence.csv", lambda sc, path: run_converge(sc).to_csv(path)),
+        ],
+        ids=["simulate", "generators", "converge"],
+    )
+    def test_library_writer_gives_the_cli_bytes(self, tmp_path, config, command, name, write):
+        assert main([command, "--config", config, "--out", str(tmp_path / "cli")]) == 0
+        write(load_scenario(config), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
 class TestScenarioPhysics:
