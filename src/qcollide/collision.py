@@ -5,9 +5,10 @@ sub-environments; between collisions each sub-environment relaxes under a
 CPT channel.  The main simulation path is the column recursion.  When every
 column is the same linear map Phi on the carriers (no collision index, no
 local schedule) and its build fits the entry budget COLUMN_MAP_MAX_ENTRIES,
-`simulate` materializes Phi once, by contraction, and the stream is Phi^n:
-one real matrix-vector product per collision (or per block of collisions,
-`integrator._propagate`), with D_c^4 entries held.
+`simulate` materializes Phi once, by contraction, and the stream is Phi^n,
+advanced on each invariant sector of Phi on its own: one real
+matrix-vector product per sector and collision, or per sector and block of
+collisions (`integrator._propagate`), with at most D_c^4 entries held.
 Otherwise each collision runs the direct column on the carriers plus one
 environment site.  The direct column also serves `evolve_column_step` and
 the expansion's exact side, and the row decomposition is kept as a
@@ -37,7 +38,7 @@ from .ops import (
     kron,
     partial_trace,
 )
-from .integrator import _hermitian, _propagate, _real_coordinates, _real_map
+from .integrator import _hermitian, _propagate, _real_coordinates, _real_map, _split
 from .trajectory import Trajectory, observable_arrays
 
 ROW_PATH_MAX_SIDE = 256
@@ -45,8 +46,20 @@ ROW_PATH_MAX_SIDE = 256
 # more complex entries than this (`_column_map_entries`; 16 MiB each)
 COLUMN_MAP_MAX_ENTRIES = 2**20
 # and the one loop, `integrator._propagate`, then advances that map, like
-# any fixed map, SAMPLE_BATCH steps per matrix product when the run has at
-# least as many steps as the map's side (n_collisions >= D_c^2)
+# any fixed map, by its invariant sectors (`integrator._split`): the
+# connected components of its entries above SECTOR_CUT = 1e-13 of the
+# largest.  The split is kept only when it is stable, the components at
+# SECTOR_FLOOR = 1e-16 of the largest being the same (the dropped entries
+# are rounding residue), and when it pays over the n = n_collisions steps:
+# a block of side b costs n (b^2 + SECTOR_STEP_COST) + SECTOR_BLOCK_COST
+# (2^10 per step for its calls, 2^20 once for its detection share, first
+# window and squarings, in entries of one matvec), the whole map is one
+# such block of side D_c^2, and the blocks together must cost less.  So
+# bosonic-fiber's map (13 sectors) splits from 279 collisions on, and
+# maps of side at most 45 never do (half their entries do not repay
+# SECTOR_STEP_COST per step).  Each block runs SAMPLE_BATCH steps
+# per matrix product when the run has at least as many steps as the
+# block's side (n_collisions >= b), else one matvec per step.
 
 
 def _check_coupling_list(ops: Sequence[Operator], dim: int, label: str):
@@ -465,12 +478,13 @@ def simulate(
     collision-indexed, no local schedule) and no array of its build has more
     than COLUMN_MAP_MAX_ENTRIES complex entries (`_column_map_entries`), the
     traced column is materialized once (`_column_map`) in real Hermitian
-    coordinates and every collision is one real D_c^2 x D_c^2 matvec, or,
-    when n_collisions >= D_c^2, every SAMPLE_BATCH collisions are one matrix
-    product (`integrator._propagate`).  The build holds at most two arrays
-    of that size at once (32 MiB at the bound), and the iterated map takes
+    coordinates and split into its invariant sectors (`integrator._split`);
+    every collision is one real matvec per block, or, for a block of side
+    b <= n_collisions, every SAMPLE_BATCH collisions are one matrix product
+    (`integrator._propagate`).  The build holds at most two arrays of that
+    size at once (32 MiB at the bound), and the iterated map takes
     8 D_c^4 bytes (at most 8 MiB; three times that while the block mode
-    squares it).
+    squares it), its blocks less.
     Otherwise each collision runs the direct column (`_column` on
     rho (x) eta, then `_trace_env`) with one list of collision forms, or
     with the list of `cfg.at(n)` when the couplings are collision-indexed.
@@ -492,7 +506,7 @@ def simulate(
 
     uniform = cfg.couplings.collision_system_ops is None and cfg.local_hamiltonians is None
     if uniform and _column_map_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES:
-        advance = _real_map(_column_map(cfg))
+        advance = _split(_real_map(_column_map(cfg)), cfg.n_collisions)
     else:
         indexed = cfg.couplings.collision_system_ops is not None
         collisions = None if indexed else _collision_forms(cfg)

@@ -9,9 +9,16 @@ generator one RK4 step of size h is exactly s <- T4(hR) s, with T4 the
 degree-4 Taylor polynomial, built once per generator segment in two matrix
 products (Paterson-Stockmeyer).  The conversion holds for any
 Hermiticity-preserving linear map, and the loop (`_propagate`) is the one
-`collision.simulate` runs too: one matvec per step, or, when a fixed map
-runs at least as many steps as its side (n >= D^2), one matrix product per
-SAMPLE_BATCH steps with the map's power.  Recorded steps are rows of the
+`collision.simulate` runs too.
+
+A fixed map is advanced by its invariant sectors (`_sectors`): the connected
+components of its entry graph, which a weak symmetry of the generator makes
+many (coherence order n_row - n_col for beam-splitter couplings, parity for
+sigma_x chains).  R is split before T4 is built, so T4 and its powers exist
+only per block, and a map that does not split is one block in the natural
+coordinate order.  Each block runs one matvec per step, or, when the segment
+runs at least as many steps as the block's side, one matrix product per
+SAMPLE_BATCH steps with the block's power.  Recorded steps are rows of the
 computed ones, so the record stride never changes a sample.  A recorded
 step only copies its real coordinates into a small batch buffer
 (`trajectory.SampleRecorder`); each full batch, and the last one, becomes
@@ -27,7 +34,7 @@ shows up instead of being masked.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +54,88 @@ GeneratorLike = Superoperator | Sequence[tuple[float, Superoperator]]
 # a segment start t is on the step grid when t / dt is an integer within this
 # relative tolerance
 GRID_RTOL = 1e-9
+
+# A fixed map's sectors are the connected components of the graph of its
+# entries above SECTOR_CUT * max|M|.  The split is kept only when it is
+# stable: the components at SECTOR_FLOOR * max|M| are the same, so no entry
+# between two sectors exceeds that floor and every dropped entry is
+# rounding residue.  And only when it pays over the n steps the map runs:
+# in units of one entry of one matvec, a block of side b costs
+# n (b^2 + SECTOR_STEP_COST) + SECTOR_BLOCK_COST, SECTOR_STEP_COST for
+# its calls in each step and SECTOR_BLOCK_COST once (its share of the
+# detection, its first window and its squarings), the whole map is one
+# such block, and the blocks together must cost less.
+SECTOR_CUT = 1e-13
+SECTOR_FLOOR = 1e-16
+SECTOR_STEP_COST = 2**10
+SECTOR_BLOCK_COST = 2**20
+
+
+class SectorMap(NamedTuple):
+    """A fixed real map as independent blocks: in the coordinate order
+    `order` (None: the natural order), block k maps the next
+    len(blocks[k]) coordinates after those of the blocks before it."""
+
+    order: np.ndarray | None
+    blocks: list[np.ndarray]
+
+
+def _components(adj: np.ndarray) -> np.ndarray:
+    """Component labels of the undirected graph adj | adj^T, numbered in the
+    order of their smallest vertex; each component grows from that vertex
+    by all its members' neighbours at once until it stops growing."""
+    adj = adj | adj.T
+    labels = np.full(len(adj), -1)
+    count = 0
+    for seed in range(len(adj)):
+        if labels[seed] >= 0:
+            continue
+        members = np.zeros(len(adj), dtype=bool)
+        members[seed] = True
+        size = 1
+        while True:
+            members |= adj[members].any(axis=0)
+            if (grown := np.count_nonzero(members)) == size:
+                break
+            size = grown
+        labels[members] = count
+        count += 1
+    return labels
+
+
+def _sectors(m: np.ndarray, n: int) -> list[np.ndarray]:
+    """The invariant sectors of a square real map that runs n steps, as
+    ascending index arrays in the order of their smallest index: the
+    components at SECTOR_CUT, or the one sector of all indices when the map
+    has a non-finite entry or the split is not stable or does not pay (the
+    rule above).  k blocks save at most (1 - 1/k) of the entries, so a map
+    whose run cannot repay a second block that saves half of them is not
+    searched."""
+    whole = [np.arange(len(m))]
+    if not n * (m.size / 2 - SECTOR_STEP_COST) > SECTOR_BLOCK_COST:
+        return whole
+    a = np.abs(m)
+    top = a.max()
+    if not np.isfinite(top):
+        return whole
+    labels = _components(a > SECTOR_CUT * top)
+    sizes = np.bincount(labels)
+    extra = len(sizes) - 1
+    if not n * (m.size - np.sum(sizes**2) - extra * SECTOR_STEP_COST) > extra * SECTOR_BLOCK_COST:
+        return whole
+    if not np.array_equal(labels, _components(a > SECTOR_FLOOR * top)):
+        return whole
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def _split(m: np.ndarray, n: int, build: Callable[[np.ndarray], np.ndarray] = np.asarray) -> SectorMap | np.ndarray:
+    """m, which runs n steps, as a SectorMap of its sectors (`_sectors`),
+    each block passed through `build`; a map of one sector stays whole,
+    build(m) itself."""
+    sectors = _sectors(m, n)
+    if len(sectors) == 1:
+        return build(m)
+    return SectorMap(np.concatenate(sectors), [build(m[np.ix_(idx, idx)]) for idx in sectors])
 
 
 def _segments(generator: GeneratorLike, dt: float):
@@ -124,72 +213,100 @@ def _real_coordinates(x: np.ndarray) -> np.ndarray:
     return vec(0.5 * (x.real + x.imag + (x.real - x.imag).T))
 
 
+def _power(m: np.ndarray) -> np.ndarray:
+    """m^SAMPLE_BATCH by log2(SAMPLE_BATCH) squarings."""
+    q = m @ m
+    scratch = np.empty_like(q)
+    for _ in range(SAMPLE_BATCH.bit_length() - 2):
+        np.matmul(q, q, out=scratch)
+        q, scratch = scratch, q
+    return q
+
+
 def _propagate(
     rho0: DensityMatrix,
     dt: float,
     record_stride: int,
-    segments: Iterable[tuple[int, np.ndarray | Callable[[int, np.ndarray, np.ndarray], None]]],
+    segments: Iterable[tuple[int, SectorMap | np.ndarray | Callable[[int, np.ndarray, np.ndarray], None]]],
 ) -> SampleRecorder:
     """The one propagation loop of `integrate` and `collision.simulate`.
 
     From rho0, in real Hermitian coordinates, each `(n, advance)` of
-    `segments` advances the state by n steps: `advance` is a fixed real map
-    M (s <- M s), or `advance(k, s, out)`, which writes the coordinates
+    `segments` advances the state by n steps: `advance` is a fixed real map,
+    given as a SectorMap or as one matrix M (the one-block SectorMap of M in
+    the natural order), or `advance(k, s, out)`, which writes the coordinates
     after step k into `out`.  Steps are recorded at t = k dt: step 0, every
     `record_stride` steps and the last step.
 
-    A fixed map runs one matvec per step unless its segment has at least as
-    many steps as its side, n >= D^2.  Then the loop works a block at a
-    time: the segment's first state and the next SAMPLE_BATCH - 1 steps
-    (matvecs) fill a block of SAMPLE_BATCH states; Q = M^SAMPLE_BATCH is
-    built by squaring, the loop drops its reference to M, and each further
-    block of SAMPLE_BATCH steps is one product, block @ Q^T.  The squarings
-    cost about log2(SAMPLE_BATCH) D^2 matvecs, which shorter segments would
-    not repay.  Recorded steps are rows of the computed ones, so the stride
-    never changes a sample.
+    A fixed map's segment runs in the map's coordinate order, permuted once
+    at its start and back at its end, and a window of SAMPLE_BATCH states at
+    a time.  The segment's first state and the next SAMPLE_BATCH - 1 steps,
+    one matvec per block and step, fill the first window.  Each block then
+    advances on its own: one matvec per step, unless the segment has at
+    least as many steps as the block's side, n >= b.  Then
+    Q = B^SAMPLE_BATCH, built by squaring, replaces the block B, and the
+    block's columns of each further window of SAMPLE_BATCH steps are one
+    product, window @ Q^T.  The squarings cost about log2(SAMPLE_BATCH) b
+    matvecs, which shorter segments would not repay.  Recorded steps are
+    rows of the computed ones, gathered back into the natural order, so the
+    stride never changes a sample; a map passed whole is one block in the
+    natural order, which nothing permutes or gathers.
     """
     side = rho0.side
     recorder = SampleRecorder(rho0.dims, lambda rows: _hermitian(rows, side))
 
-    def record(rows: np.ndarray, first: int) -> None:
-        # rows[i] holds the coordinates after step first + i
-        for i in range(-first % record_stride, len(rows), record_stride):
-            recorder.record(first + i, (first + i) * dt, rows[i])
+    def record(rows: np.ndarray, first: int, back: np.ndarray | None) -> None:
+        # rows[i] holds the coordinates after step first + i, in the natural
+        # order taken by `back`
+        start = -first % record_stride
+        picked = rows[start::record_stride]
+        if back is not None:
+            picked = picked[:, back]
+        for step, row in zip(range(first + start, first + len(rows), record_stride), picked):
+            recorder.record(step, step * dt, row)
 
     s = _real_coordinates(rho0.entries)
     recorder.record(0, 0.0, s)
     k = 0
     for n, advance in segments:
-        if callable(advance) or n < len(advance):
-            step = advance if callable(advance) else lambda _, x, out, m=advance: np.matmul(m, x, out=out)
+        if callable(advance):
             buf = np.empty_like(s)
             for k in range(k + 1, k + n + 1):
-                step(k, s, buf)
+                advance(k, s, buf)
                 s, buf = buf, s
                 if k % record_stride == 0:
                     recorder.record(k, k * dt, s)
             continue
-        block = np.empty((SAMPLE_BATCH, s.size))
-        block[0] = s
+        order, blocks = advance if isinstance(advance, SectorMap) else SectorMap(None, [advance])
+        del advance  # only the blocks, or their powers, are needed from here
+        back = None if order is None else np.argsort(order)
+        bounds = np.cumsum([0] + [len(b) for b in blocks]).tolist()
+        spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        window = np.empty((SAMPLE_BATCH, s.size))
+        window[0] = s if order is None else s[order]
         head = min(n, SAMPLE_BATCH - 1)
-        for j in range(1, head + 1):
-            np.matmul(advance, block[j - 1], out=block[j])
-        record(block[1 : head + 1], k + 1)
-        s, k, n = block[head], k + head, n - head
+        for cols, m in zip(spans, blocks):
+            for j in range(1, head + 1):
+                np.matmul(m, window[j - 1, cols], out=window[j, cols])
+        record(window[1 : head + 1], k + 1, back)
+        powered = [n >= len(m) for m in blocks]
+        last, k, n = head, k + head, n - head
         if n > 0:
-            q = advance @ advance
-            del advance  # only its power is needed from here
-            scratch = np.empty_like(q)
-            for _ in range(SAMPLE_BATCH.bit_length() - 2):
-                np.matmul(q, q, out=scratch)
-                q, scratch = scratch, q
-            scratch = np.empty_like(block)
+            blocks = [_power(m) if p else m for m, p in zip(blocks, powered)]
+            scratch = np.empty_like(window)
         while n > 0:
             rows = min(n, SAMPLE_BATCH)
-            np.matmul(block[:rows], q.T, out=scratch[:rows])
-            block, scratch = scratch, block
-            record(block[:rows], k + 1)
-            s, k, n = block[rows - 1], k + rows, n - rows
+            for cols, m, power in zip(spans, blocks, powered):
+                if power:
+                    np.matmul(window[:rows, cols], m.T, out=scratch[:rows, cols])
+                    continue
+                np.matmul(m, window[-1, cols], out=scratch[0, cols])
+                for j in range(1, rows):
+                    np.matmul(m, scratch[j - 1, cols], out=scratch[j, cols])
+            window, scratch = scratch, window
+            record(window[:rows], k + 1, back)
+            last, k, n = rows - 1, k + rows, n - rows
+        s = window[last] if back is None else window[last, back]
     if k % record_stride:
         recorder.record(k, k * dt, s)
     return recorder
@@ -222,12 +339,13 @@ def integrate(
     def segments():
         # a segment runs the steps after its start up to the next start:
         # starts lie on the step grid, so no step straddles a boundary, and
-        # a segment that runs no step builds no propagator
+        # a segment that runs no step builds no propagator; R is split into
+        # its sectors first, so T4 is built per block and never whole
         done = 0
         for mat, end in zip(mats, [round(t / dt) for t in starts[1:]] + [n_steps]):
             end = min(end, n_steps)
             if end > done:
-                yield end - done, _rk4_propagator(_real_map(mat), dt)
+                yield end - done, _split(_real_map(mat), end - done, lambda block: _rk4_propagator(block, dt))
                 done = end
 
     recorder = _propagate(rho0, dt, record_stride, segments())

@@ -57,7 +57,7 @@ from .perturbation import (
     verify_first_order,
     verify_second_order,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, check_observable_name
 
 class ConfigError(Exception):
     """Raised for malformed or inconsistent scenario configuration."""
@@ -308,13 +308,7 @@ def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...
     for i, entry in enumerate(_list(entries, "observables")):
         what = f"observables[{i}]"
         name = _key(_object(entry, what), "name", what)
-        # a name heads two CSV columns, <name>_re and <name>_im
-        if not isinstance(name, str) or not name or any(c in name for c in ',"\r\n'):
-            raise ConfigError(
-                f"{what}.name: expected a nonempty string without commas, double quotes or line breaks, got {name!r}"
-            )
-        if name in {n for n, _ in parsed}:
-            raise ConfigError(f"{what}.name: duplicate observable name {name!r}")
+        _keyed(f"{what}.name", lambda: check_observable_name(name, [n for n, _ in parsed]))
         if "carrier" in entry:
             m = _integer(entry["carrier"], f"observable {name!r}: carrier")
             if not 1 <= m <= len(carrier_dims):

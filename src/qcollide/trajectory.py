@@ -172,17 +172,29 @@ class SampleRecorder:
         )
 
 
+def check_observable_name(name, taken) -> None:
+    """A ValueError unless `name` can head the two CSV columns <name>_re and
+    <name>_im: a nonempty string without commas, double quotes or line
+    breaks, and not one of the names `taken`."""
+    if not isinstance(name, str) or not name or any(c in name for c in ',"\r\n'):
+        raise ValueError(f"expected a nonempty string without commas, double quotes or line breaks, got {name!r}")
+    if name in taken:
+        raise ValueError(f"duplicate observable name {name!r}")
+
+
 def observable_arrays(
     observables: Sequence[Operator], side: int, observable_names: Sequence[str] | None
 ) -> tuple[list[np.ndarray], tuple[str, ...]]:
     """Observable matrices on a state space of the given side, with their
-    names (obs0, obs1, ... when none are given)."""
+    names (obs0, obs1, ... when none are given; `check_observable_name`)."""
     if any(o.side != side for o in observables):
         raise ValueError(f"observables must act on the state space (side {side})")
     if observable_names is None:
         observable_names = [f"obs{i}" for i in range(len(observables))]
     if len(observable_names) != len(observables):
         raise ValueError("one name per observable required")
+    for i, name in enumerate(observable_names):
+        check_observable_name(name, observable_names[:i])
     return [np.asarray(o.entries) for o in observables], tuple(observable_names)
 
 

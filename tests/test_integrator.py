@@ -10,7 +10,19 @@ from qcollide.channels import DensityMatrix, identity_channel, lossy_bosonic_cha
 from qcollide.collision import CollisionConfig, CouplingSpec, _column_map
 from qcollide.generators import full_generator
 import qcollide.integrator
-from qcollide.integrator import _real_map, _rk4_propagator, integrate, reduced_trajectory, trace_distance
+from qcollide.integrator import (
+    SectorMap,
+    _propagate,
+    _real_map,
+    _rk4_propagator,
+    _sectors,
+    _split,
+    integrate,
+    reduced_trajectory,
+    trace_distance,
+)
+from qcollide.jsonio import complex_matrix_to_json
+from qcollide.scenarios import collision_config, load_scenario, scenario_generator
 from qcollide.ops import Operator, Superoperator, hermitize, pauli, projector, unvec, vec
 from qcollide.trajectory import SAMPLE_BATCH
 
@@ -323,6 +335,181 @@ class TestBlockPropagation:
         rho0 = random_state(rng, dims)
         qcollide.integrator._propagate(rho0, 0.1, n_steps, [(n_steps, m)])
         assert calls == ["matmul"] * products
+
+
+def charged_lindblad(rng, charges):
+    """A random GKSL generator that conserves the coherence order q_i - q_j
+    of the basis charges q: H keeps the charge, one jump keeps it and one
+    lowers it by one.  Its real map has one sector per |q_i - q_j|."""
+    q = np.asarray(charges)
+    side = len(q)
+    eye = np.eye(side)
+    h = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    h = 0.5 * (h + h.conj().T) * (q[:, None] == q)
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for shift in (0, 1):
+        jump = 0.5 * (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))) * (q[:, None] == q - shift)
+        jj = jump.conj().T @ jump
+        mat += np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
+    return mat
+
+
+def hidden_sector_map(rng, side, count):
+    """The real map of `charged_lindblad` with the charges 0..count-1 spread
+    over the basis in a random order, so each sector's coordinates are
+    scattered; returns the map and the |order| of every coordinate
+    (coordinate i + side j holds S[i, j])."""
+    q = rng.permutation(np.arange(side) % count)
+    return _real_map(charged_lindblad(rng, q)), np.abs(np.subtract.outer(q, q)).ravel(order="F")
+
+
+def blocks_of(fixed):
+    return fixed.blocks if isinstance(fixed, SectorMap) else [fixed]
+
+
+def whole_map_loop(s, n, m):
+    """The coordinates after steps 0..n of the propagation loop for one
+    fixed map m, as it ran before maps were split: one matvec per step when
+    n < D^2, else SAMPLE_BATCH - 1 matvecs and then one product per
+    SAMPLE_BATCH steps with m^SAMPLE_BATCH built by six squarings."""
+    states = [s]
+    for _ in range(n if n < len(m) else min(n, SAMPLE_BATCH - 1)):
+        states.append(m @ states[-1])
+    if len(states) == n + 1:
+        return np.array(states)
+    q = m @ m
+    for _ in range(SAMPLE_BATCH.bit_length() - 2):
+        q = q @ q
+    block = np.array(states)
+    done, out = SAMPLE_BATCH - 1, [block]
+    while done < n:
+        rows = min(n - done, SAMPLE_BATCH)
+        block = block[:rows] @ q.T
+        out.append(block)
+        done += rows
+    return np.concatenate(out)
+
+
+CHAIN3 = {
+    "scenario": "custom",
+    "carrier_dims": [3, 3, 3],
+    "env_dim": 3,
+    "couplings": {"system": [["x", "p"]] * 3, "environment": ["x", "p"]},
+    "eta": "ground",
+    "channel": {"kind": "lossy", "dim": 3, "kappa": 0.25},
+    "rho0": {"kind": "product", "factors": [complex_matrix_to_json(np.diag([1.0, 0.0, 0.0]))] * 3},
+}
+
+
+class TestSectors:
+    """Fixed maps split into the connected components of their entries, when
+    the split is stable and pays, and the split loop gives the whole map's
+    samples."""
+
+    @pytest.mark.parametrize(
+        "config, n, count, largest",
+        [
+            # the `integrate` of the 3-carrier benchmark chain and the
+            # converge reference of bosonic-fiber run 2,000 steps
+            (CHAIN3, 2000, 13, 141),
+            ("bosonic-fiber", 2000, 13, 44),
+            # 12 more blocks first pay at 279 steps: bosonic-fiber's own
+            # 100 collisions run whole
+            ("bosonic-fiber", 100, 1, 256),
+            ("bosonic-fiber", 278, 1, 256),
+            ("bosonic-fiber", 279, 13, 44),
+            # side 16 or 4: no run repays a block, so the parity (2) and
+            # replacer (4) components stay whole
+            ("ad-chain-2q", 10**9, 1, 16),
+            ("rotating-env-2q", 10**9, 1, 16),
+            ("replacer", 10**9, 1, 16),
+            ("dephasing-1q", 10**9, 1, 4),
+        ],
+    )
+    @pytest.mark.parametrize("which", ["R", "Phi"])
+    def test_builtin_sector_counts(self, config, n, count, largest, which):
+        sc = load_scenario(config)
+        if which == "R":
+            m = _real_map(scenario_generator(sc).total.matrix)
+        else:
+            m = _real_map(_column_map(collision_config(sc, sc.n_collisions)))
+        sectors = _sectors(m, n)
+        assert len(sectors) == count
+        assert max(map(len, sectors)) == largest
+        order = np.concatenate(sectors)
+        assert sorted(order.tolist()) == list(range(len(m)))
+        assert all(np.all(np.diff(idx) > 0) for idx in sectors)
+
+    @pytest.mark.parametrize("config, components", [("ad-chain-2q", 2), ("replacer", 4), ("dephasing-1q", 2)])
+    def test_small_maps_have_components_the_pays_rule_keeps_whole(self, monkeypatch, config, components):
+        m = _real_map(scenario_generator(load_scenario(config)).total.matrix)
+        monkeypatch.setattr(qcollide.integrator, "SECTOR_STEP_COST", 0)
+        monkeypatch.setattr(qcollide.integrator, "SECTOR_BLOCK_COST", 0)
+        assert len(_sectors(m, 1)) == components
+
+    @pytest.mark.parametrize("scale, count", [(1e-12, 1), (1e-15, 1), (1e-17, 2)])
+    def test_cross_entry_between_the_cuts_keeps_the_map_whole(self, rng, scale, count):
+        # a genuine coupling (above SECTOR_CUT) joins the sectors; one between
+        # the cuts makes the split unstable; residue below SECTOR_FLOOR is dropped
+        r, order = hidden_sector_map(rng, 9, 2)
+        assert len(_sectors(r, 10**4)) == 2
+        i, j = np.flatnonzero(order == 0)[3], np.flatnonzero(order == 1)[5]
+        r[i, j] = scale * np.abs(r).max()
+        assert len(_sectors(r, 10**4)) == count
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_is_whole(self, rng, bad):
+        r, _ = hidden_sector_map(rng, 9, 2)
+        r[0, 1] = bad
+        assert len(_sectors(r, 10**4)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+        counts=st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True),
+        lengths=st.lists(st.integers(1, 300), min_size=2, max_size=2),
+        stride=st.integers(1, 70),
+    )
+    # two sectors of 41 and 40 coordinates: at n = 40 one block steps by
+    # matvecs and the other by products in the same segment
+    @example(seed=0, dims=(3, 3), counts=[2, 4], lengths=[40, 300], stride=1)
+    @example(seed=1, dims=(3, 3), counts=[1, 3], lengths=[64, 65], stride=SAMPLE_BATCH + 1)
+    def test_split_matches_the_whole_map_loop(self, seed, dims, counts, lengths, stride):
+        rng = np.random.default_rng(seed)
+        side = math.prod(dims)
+        wholes, splits = [], []
+        for count in counts:
+            r, order = hidden_sector_map(rng, side, count)
+            wholes.append(_rk4_propagator(r.copy(), 1e-2))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qcollide.integrator, "SECTOR_STEP_COST", 0)
+                mp.setattr(qcollide.integrator, "SECTOR_BLOCK_COST", 0)
+                splits.append(_split(r, 1, lambda block: _rk4_propagator(block, 1e-2)))
+            assert len(blocks_of(splits[-1])) == count
+            if count > 1:
+                # each block holds one |order| of the hidden charges
+                bounds = np.cumsum([len(b) for b in splits[-1].blocks])[:-1]
+                for idx in np.split(splits[-1].order, bounds):
+                    assert len(set(order[idx].tolist())) == 1
+        rho0 = random_state(rng, dims)
+        got = _propagate(rho0, 0.1, stride, list(zip(lengths, splits))).trajectory([], [])
+        want = _propagate(rho0, 0.1, stride, list(zip(lengths, wholes))).trajectory([], [])
+        assert np.array_equal(got.steps, want.steps)
+        assert np.max(np.abs(np.array(got.states) - np.array(want.states))) <= 1e-13
+
+    @pytest.mark.parametrize("dims, n_steps, stride", [((2, 2), 15, 1), ((2, 2), 16, 1), ((2, 3), 200, 7),
+                                                       ((3, 3), 80, 3), ((3, 3), 300, SAMPLE_BATCH + 1)])
+    def test_one_sector_map_takes_the_whole_map_loop_bit_for_bit(self, rng, dims, n_steps, stride):
+        gen = random_lindblad(rng, dims)
+        assert len(_sectors(_real_map(gen.matrix), n_steps)) == 1
+        m = _rk4_propagator(_real_map(gen.matrix), 1e-2)
+        rho0 = random_state(rng, dims)
+        traj = integrate(gen, rho0, t_end=n_steps * 1e-2, dt=1e-2, record_stride=stride)
+        steps = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
+        want = whole_map_loop(qcollide.integrator._real_coordinates(rho0.entries), n_steps, m)[steps]
+        assert traj.steps.tolist() == steps
+        assert np.array_equal(np.array(traj.states), qcollide.integrator._hermitian(want, rho0.side))
 
 
 class TestReducedTrajectory:

@@ -169,3 +169,45 @@ class TestReducedTrajectory:
         with pytest.raises(RuntimeError, match="at step 2, t=0.1: trace"):
             reduced_trajectory(traj, keep=[2])
 
+
+
+class TestObservableNames:
+    """Library runs take the names a config document may give: each heads
+    the two CSV columns <name>_re and <name>_im."""
+
+    P0, P1 = (Operator((2,), np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0]))
+
+    @staticmethod
+    def run(engine, names):
+        if engine == "simulate":
+            cfg = CollisionConfig(carrier_dims=(2,), env_dim=2, g=1.0, dt=0.1, n_collisions=3,
+                                  eta=GROUND, channel=DAMPING, couplings=CouplingSpec.uniform([[SX]], [SX]))
+            return simulate(cfg, GROUND, observables=[TestObservableNames.P0, TestObservableNames.P1],
+                            observable_names=names)
+        gen = full_generator(CouplingSpec.uniform([[SX]], [SX]), GROUND, DAMPING, 1.0, (2,)).total
+        return integrate(gen, GROUND, t_end=0.3, dt=0.1, observables=[TestObservableNames.P0, TestObservableNames.P1],
+                         observable_names=names)
+
+    @pytest.mark.parametrize("engine", ["simulate", "integrate"])
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["a,b", "a,b"], "without commas"),
+            (["p0", 'say "x"'], "double quotes"),
+            (["p0", "p\r1"], "line breaks"),
+            (["p\n0", "p1"], "line breaks"),
+            (["", "p1"], "nonempty string"),
+            ([0, "p1"], "got 0"),
+            (["p", "p"], "duplicate observable name 'p'"),
+        ],
+    )
+    def test_bad_name_rejected(self, engine, names, message):
+        with pytest.raises(ValueError, match=message):
+            self.run(engine, names)
+
+    @pytest.mark.parametrize("engine", ["simulate", "integrate"])
+    def test_header_has_two_fields_per_observable(self, engine, tmp_path):
+        self.run(engine, ["p 0", "p1"]).to_csv(tmp_path / "t.csv")
+        header, row = (tmp_path / "t.csv").read_text().splitlines()[:2]
+        assert header == "step,t,p 0_re,p 0_im,p1_re,p1_im,trace,min_eigenvalue"
+        assert len(row.split(",")) == 8
