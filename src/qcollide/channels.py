@@ -36,7 +36,7 @@ class StateViolation(ValueError):
         self.index = index
 
 
-def check_states(stack: np.ndarray, atol: float = STATE_TOL) -> np.ndarray:
+def check_states(stack: np.ndarray, atol: float = STATE_TOL, scratch: np.ndarray | None = None) -> np.ndarray:
     """The one state check, over an (n, D, D) stack: Hermiticity within
     max(atol, DEFAULT_TOL), then |trace - 1| <= atol, then minimum
     eigenvalue >= -atol.  Returns the traces, or raises StateViolation for
@@ -47,15 +47,27 @@ def check_states(stack: np.ndarray, atol: float = STATE_TOL) -> np.ndarray:
     the minimum eigenvalue is above -atol, up to a rounding of the order of
     D eps; only when it fails does one batched eigvalsh name the first row
     below -atol.
+
+    A caller whose stack is exactly Hermitian by construction (the recorded
+    samples, built by `integrator._hermitian` from the same entry pairs)
+    passes `scratch`, a reused complex buffer of at least n (D, D) matrices:
+    the Hermiticity defect is then not computed, a row with a non-finite
+    entry fails in its place with the same message, and X + atol I is
+    written into `scratch`.
     """
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails below
-        defect = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+        if scratch is None:
+            defect = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+            not_hermitian = ~(defect <= max(atol, DEFAULT_TOL))
+        else:
+            not_hermitian = ~np.isfinite(stack).all(axis=(-2, -1))
         traces = np.trace(stack, axis1=-2, axis2=-1)
-    not_hermitian = ~(defect <= max(atol, DEFAULT_TOL))
     bad = not_hermitian | ~(np.abs(traces - 1.0) <= atol)
     first = int(np.argmax(bad)) if bad.any() else len(stack)
+    shift = atol * np.eye(stack.shape[-1])
+    shifted = stack[:first] + shift if scratch is None else np.add(stack[:first], shift, out=scratch[:first])
     try:
-        np.linalg.cholesky(stack[:first] + atol * np.eye(stack.shape[-1]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         min_eigs = np.linalg.eigvalsh(stack[:first])[:, 0]
         negative = ~(min_eigs >= -atol)

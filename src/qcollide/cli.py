@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -79,8 +80,12 @@ OUTPUTS = {
 }
 
 
+# main's parser, built on its first call and reused: parsing keeps no state
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         sc = load_scenario(args.config)
         if getattr(args, "seed", None) is not None:
@@ -106,7 +111,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             print(
                 f"simulate {sc.name}: {len(result)} samples, final trace {result.traces[-1]:.12f}, "
-                f"min eigenvalue {np.linalg.eigvalsh(result.states[-1])[0]:.3e}"
+                f"min eigenvalue {np.linalg.eigvalsh(result.final_state().entries)[0]:.3e}"
             )
         elif args.command == "generators":
             rates = result.rates

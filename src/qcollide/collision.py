@@ -493,10 +493,13 @@ def simulate(
 
     Local free evolution, when configured, is applied to the carriers over
     [tau_(n-1), tau_n] before collision n.  Samples are recorded at step 0,
-    every `record_stride` collisions, and at the final collision; they are
-    validated in batches (`trajectory.SampleRecorder`), so an invalid state
-    aborts the run at most one batch after it was recorded; minimum
-    eigenvalues are computed only when `Trajectory.min_eigenvalues` is read.
+    every `record_stride` collisions, and at the final collision, the map
+    route handing over a window of them per call and the direct column one
+    per collision.  They are kept as real coordinate rows, 8 D^2 bytes each,
+    and validated in batches (`trajectory.SampleRecorder`), so an invalid
+    state aborts the run at most one batch after it was recorded; the
+    trajectory converts them to complex states when read, and computes
+    minimum eigenvalues only when `Trajectory.min_eigenvalues` is read.
     """
     if rho0.dims != cfg.carrier_dims:
         raise ValueError(f"initial state dims {rho0.dims} do not match carriers {cfg.carrier_dims}")

@@ -19,20 +19,26 @@ only per block, and a map that does not split is one block in the natural
 coordinate order.  Each block runs one matvec per step, or, when the segment
 runs at least as many steps as the block's side, one matrix product per
 SAMPLE_BATCH steps with the block's power.  Recorded steps are rows of the
-computed ones, so the record stride never changes a sample.  A recorded
-step only copies its real coordinates into a small batch buffer
-(`trajectory.SampleRecorder`); each full batch, and the last one, becomes
-complex states in one vectorized conversion and goes through the one state
-check in one call, whose positivity verdict is one batched Cholesky
-factorization.  Minimum eigenvalues are computed only when a trajectory's
-`min_eigenvalues` is read.  Recorded samples are exactly Hermitian by
-construction and are never re-symmetrized; trace and positivity are
-checked on every recorded sample but never enforced, so a broken generator
-shows up instead of being masked.
+computed ones, so the record stride never changes a sample.
+
+Recorded samples stay in real coordinates (`trajectory.SampleRecorder`),
+8 D^2 bytes each: a fixed map's segment hands over the recorded rows of
+each window in one call, a per-step function's segment one row per
+recorded step.  Each full batch of SAMPLE_BATCH rows, and the last one,
+becomes complex states in one vectorized conversion (`_hermitian`) only
+for the one state check, in one call, and those states are then dropped.
+They are exactly Hermitian by construction, so the check tests finiteness
+in place of the Hermiticity defect; its positivity verdict is one batched
+Cholesky factorization.  A trajectory converts its samples again when they
+are read (`trajectory.Samples`), and computes minimum eigenvalues only
+when its `min_eigenvalues` is read.  Samples are never re-symmetrized;
+trace and positivity are checked on every recorded sample but never
+enforced, so a broken generator shows up instead of being masked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -194,12 +200,13 @@ def _rk4_propagator(r: np.ndarray, h: float) -> np.ndarray:
     return t4
 
 
-def _hermitian(s: np.ndarray, side: int) -> np.ndarray:
+def _hermitian(s: np.ndarray, side: int, out: np.ndarray | None = None) -> np.ndarray:
     """X = ((1+i)S + (1-i)S^T)/2 = A + iB from the real coordinates s = vec(S),
-    for a stack of coordinate rows shaped (n, D^2); exactly Hermitian, since
-    A = (S + S^T)/2 and B = (S - S^T)/2 are built from the same entry pairs."""
+    for a stack of coordinate rows shaped (n, D^2), written into `out`
+    when given; exactly Hermitian, since A = (S + S^T)/2 and
+    B = (S - S^T)/2 are built from the same entry pairs."""
     m = s.reshape(-1, side, side).swapaxes(-2, -1)  # row-wise unvec
-    x = np.empty(m.shape, dtype=complex)
+    x = np.empty(m.shape, dtype=complex) if out is None else out
     np.add(m, m.swapaxes(-2, -1), out=x.real)
     np.subtract(m, m.swapaxes(-2, -1), out=x.imag)
     x *= 0.5
@@ -252,21 +259,17 @@ def _propagate(
     stride never changes a sample; a map passed whole is one block in the
     natural order, which nothing permutes or gathers.
     """
-    side = rho0.side
-    recorder = SampleRecorder(rho0.dims, lambda rows: _hermitian(rows, side))
+    recorder = SampleRecorder(rho0.dims, functools.partial(_hermitian, side=rho0.side))
 
     def record(rows: np.ndarray, first: int, back: np.ndarray | None) -> None:
         # rows[i] holds the coordinates after step first + i, in the natural
-        # order taken by `back`
+        # order taken by `back`; the recorded ones go over in one call
         start = -first % record_stride
-        picked = rows[start::record_stride]
-        if back is not None:
-            picked = picked[:, back]
-        for step, row in zip(range(first + start, first + len(rows), record_stride), picked):
-            recorder.record(step, step * dt, row)
+        steps = range(first + start, first + len(rows), record_stride)
+        recorder.record(steps, [step * dt for step in steps], rows[start::record_stride], back)
 
     s = _real_coordinates(rho0.entries)
-    recorder.record(0, 0.0, s)
+    recorder.record([0], [0.0], s[None])
     k = 0
     for n, advance in segments:
         if callable(advance):
@@ -275,7 +278,7 @@ def _propagate(
                 advance(k, s, buf)
                 s, buf = buf, s
                 if k % record_stride == 0:
-                    recorder.record(k, k * dt, s)
+                    recorder.record([k], [k * dt], s[None])
             continue
         order, blocks = advance if isinstance(advance, SectorMap) else SectorMap(None, [advance])
         del advance  # only the blocks, or their powers, are needed from here
@@ -308,7 +311,7 @@ def _propagate(
             last, k, n = rows - 1, k + rows, n - rows
         s = window[last] if back is None else window[last, back]
     if k % record_stride:
-        recorder.record(k, k * dt, s)
+        recorder.record([k], [k * dt], s[None])
     return recorder
 
 
@@ -361,7 +364,7 @@ def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
     stack = np.array([r for _, r in reduced])
     traces = check_samples(stack, traj.steps, traj.times)
     metadata = {**traj.metadata, "reduced_to": list(keep)}
-    return build_trajectory(traj.steps, traj.times, list(stack), traces, reduced[0][0], [], [], metadata)
+    return build_trajectory(traj.steps, traj.times, stack, traces, reduced[0][0], [], [], metadata)
 
 
 def trace_distance(a: DensityMatrix | Operator, b: DensityMatrix | Operator) -> float:

@@ -191,8 +191,19 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        self._own(np.asarray(self.matrix, dtype=complex).copy())
+
+    @classmethod
+    def _of_new(cls, dims: Sequence[int], matrix: np.ndarray) -> "Superoperator":
+        """The superoperator of a complex matrix that nothing else refers
+        to, such as one just built, taken without a copy."""
+        sup = object.__new__(cls)
+        object.__setattr__(sup, "dims", dims)
+        sup._own(matrix)
+        return sup
+
+    def _own(self, matrix: np.ndarray) -> None:
         dims = tuple(int(d) for d in self.dims)
-        matrix = np.asarray(self.matrix, dtype=complex).copy()
         want = (math.prod(dims) ** 2,) * 2
         if matrix.shape != want:
             raise ValueError(f"superoperator matrix shape {matrix.shape}, expected {want}")
@@ -323,7 +334,7 @@ class SandwichForm:
         return mat
 
     def superoperator(self) -> Superoperator:
-        return Superoperator(self.dims, self.matrix())
+        return Superoperator._of_new(self.dims, self.matrix())
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

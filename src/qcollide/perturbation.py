@@ -196,9 +196,15 @@ def column_remainder(cfg: CollisionConfig, x: Operator) -> float:
     environment factor (it reduces to the identity only under the
     environment trace).
     """
+    return _column_remainder(cfg, x, _ColumnExpansion(cfg).orders(x.entries))
+
+
+def _column_remainder(cfg: CollisionConfig, x: Operator, orders) -> float:
+    """`column_remainder` from the expansion orders of x, which do not
+    depend on g."""
     u = cfg.g * cfg.dt
     exact = _column(x.entries, cfg, _collision_forms(cfg))
-    c0, c1, c2a, c2b = _ColumnExpansion(cfg).orders(x.entries)
+    c0, c1, c2a, c2b = orders
     return _frob(exact - (c0 + u * c1 + u * u * (c2a + c2b)))
 
 
@@ -248,8 +254,9 @@ def remainder_halving_ratios(cfg: CollisionConfig, seed: int = 0) -> HalvingRepo
     u_lo = unitary_remainder(h, 0.5 * s, x_small)
 
     x_joint = _random_hermitian(rng, cfg.joint_dims)
-    c_hi = column_remainder(cfg, x_joint)
-    c_lo = column_remainder(half, x_joint)
+    orders = _ColumnExpansion(cfg).orders(x_joint.entries)
+    c_hi = _column_remainder(cfg, x_joint, orders)
+    c_lo = _column_remainder(half, x_joint, orders)
 
     rho = DensityMatrix.maximally_mixed(cfg.carrier_dims)
     mix = 0.35

@@ -6,9 +6,11 @@ trace, min_eigenvalue) so outputs can be diffed at the file level.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,19 +23,75 @@ SAMPLE_ATOL = 1e-8
 SAMPLE_BATCH = 64
 
 
+class Samples:
+    """The recorded states of a trajectory, kept as the read-only batches
+    their state check saw, with the conversion that turns a batch into
+    complex (b, D, D) states: `convert(batch)`, or `convert(batch, out=buf)`
+    into a given buffer.  The recorded runs keep (b, D^2) float64 rows of
+    real Hermitian coordinates, 8 D^2 bytes per sample, converted by
+    `integrator._hermitian`; states that arrive complex are one (n, D, D)
+    batch with the identity conversion (`_as_given`).  Each read converts
+    only what it needs: one row (`state`), one batch at a time into a
+    reused buffer (`stacks`), or the whole run once (`stack`).
+    """
+
+    def __init__(self, batches: list[np.ndarray], side: int, convert: Callable[..., np.ndarray]):
+        self.batches = batches
+        self.side = side
+        self._convert = convert
+        self._starts = np.cumsum([0] + [len(b) for b in batches]).tolist()
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def state(self, i: int) -> np.ndarray:
+        """Sample i (negative i counts from the end) as a complex (D, D) array."""
+        i = range(len(self))[i]
+        k = bisect.bisect_right(self._starts, i) - 1
+        return self._convert(self.batches[k][i - self._starts[k], None])[0]
+
+    def stacks(self) -> Iterator[np.ndarray]:
+        """The samples in order as complex stacks of at most SAMPLE_BATCH,
+        converted into one reused buffer: each stack is valid until the next
+        one is made."""
+        buf = np.empty((SAMPLE_BATCH, self.side, self.side), dtype=complex)
+        for batch in self.batches:
+            for i in range(0, len(batch), SAMPLE_BATCH):
+                rows = batch[i : i + SAMPLE_BATCH]
+                yield self._convert(rows, out=buf[: len(rows)])
+
+    def stack(self) -> np.ndarray:
+        """All samples as one new read-only complex (n, D, D) array."""
+        out = np.empty((len(self), self.side, self.side), dtype=complex)
+        for start, batch in zip(self._starts, self.batches):
+            self._convert(batch, out=out[start : start + len(batch)])
+        out.setflags(write=False)
+        return out
+
+
+def _as_given(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The identity conversion of complex states (copied into `out` when given)."""
+    if out is None:
+        return stack
+    out[...] = stack
+    return out
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Ordered samples of a state evolution with observable expectations.
 
-    `states` are read-only complex (D, D) arrays on the tensor space `dims`:
-    the rows of the stacks that passed the one state check, whose traces are
-    kept alongside.  The check certifies positivity without eigenvalues, so
-    `min_eigenvalues` are computed when first read.
+    `samples` holds the states on the tensor space `dims` as their state
+    check saw them (`Samples`: real Hermitian coordinates for `simulate`
+    and `integrate`), and `traces` are the check's.  States are converted
+    on read: `final_state()` converts one sample, `min_eigenvalues` one
+    batch at a time, computed when first read, since the check certifies
+    positivity without eigenvalues, and `states` the whole run once.
     """
 
     steps: np.ndarray
     times: np.ndarray
-    states: tuple[np.ndarray, ...]
+    samples: Samples
     dims: tuple[int, ...]
     observable_names: tuple[str, ...]
     observable_values: np.ndarray  # shape (n_samples, n_observables), complex
@@ -41,7 +99,7 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.states)
+        n = len(self.samples)
         self.steps = np.asarray(self.steps, dtype=int)
         self.times = np.asarray(self.times, dtype=float)
         self.observable_values = np.asarray(self.observable_values, dtype=complex).reshape(
@@ -54,22 +112,23 @@ class Trajectory:
             raise ValueError("sample times must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.samples)
+
+    @cached_property
+    def states(self) -> tuple[np.ndarray, ...]:
+        """Every sample as a read-only complex (D, D) array, the rows of one
+        stack of the whole run, converted when first read."""
+        return tuple(self.samples.stack())
 
     @cached_property
     def min_eigenvalues(self) -> np.ndarray:
         """The minimum eigenvalue of every sample, by one batched eigvalsh
         per SAMPLE_BATCH samples, computed once when first read."""
-        return np.concatenate(
-            [
-                np.linalg.eigvalsh(np.array(self.states[i : i + SAMPLE_BATCH]))[:, 0]
-                for i in range(0, len(self), SAMPLE_BATCH)
-            ]
-        )
+        return np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in self.samples.stacks()])
 
     def final_state(self) -> DensityMatrix:
         """The last sample as a DensityMatrix (checked again, at SAMPLE_ATOL)."""
-        return DensityMatrix(Operator(self.dims, self.states[-1]), SAMPLE_ATOL)
+        return DensityMatrix(Operator(self.dims, self.samples.state(-1)), SAMPLE_ATOL)
 
     def expectations(self, name: str) -> np.ndarray:
         idx = self.observable_names.index(name)
@@ -101,14 +160,17 @@ class Trajectory:
         write_json(path, payload)
 
 
-def check_samples(stack: np.ndarray, steps: Sequence[int], times: Sequence[float]) -> np.ndarray:
+def check_samples(
+    stack: np.ndarray, steps: Sequence[int], times: Sequence[float], scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Run the one state check (`channels.check_states`) over a complex
     (n, D, D) stack of the samples taken at `steps` and `times`, then make the
-    stack read-only; returns the traces.  A failing
-    sample aborts the run with a RuntimeError naming its step, so the CLI
-    reports a property failure."""
+    stack read-only; returns the traces.  `scratch` is passed on for a
+    stack that is exactly Hermitian by construction.  A failing sample
+    aborts the run with a RuntimeError naming its step, so the CLI reports a
+    property failure."""
     try:
-        traces = check_states(stack, SAMPLE_ATOL)
+        traces = check_states(stack, SAMPLE_ATOL) if scratch is None else check_states(stack, SAMPLE_ATOL, scratch)
     except StateViolation as exc:
         step, t = steps[exc.index], times[exc.index]
         raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
@@ -119,44 +181,66 @@ def check_samples(stack: np.ndarray, steps: Sequence[int], times: Sequence[float
 class SampleRecorder:
     """The recorded samples of one run, validated SAMPLE_BATCH at a time.
 
-    `record` copies a raw sample (the propagation loop of `simulate` and
-    `integrate` records real coordinates) into the next row of a reused
-    buffer of SAMPLE_BATCH samples.  A full batch, and the last one at
-    `trajectory`, is turned into a new complex (n, D, D) stack by `convert`
-    and checked in one call (`check_samples`); the recorder keeps the checked
-    stacks and the check's traces, and the trajectory's states are the rows
-    of those stacks.  A violation surfaces
-    at most one batch after the failing step was recorded.
+    `record` copies raw samples, the (D^2,) real coordinate rows of the
+    propagation loop of `simulate` and `integrate`, into the next rows of
+    the current batch: one row per call on a per-step route, a window's
+    rows in one call on a fixed map's route.  A full batch, and the last
+    one (only its filled rows) at `trajectory`, is kept as it is, read-only,
+    and checked in one call (`check_samples`) on the complex stack that
+    `convert` makes of it.  That stack is exactly Hermitian by
+    construction, so the check tests finiteness in place of the Hermiticity
+    defect, and it writes its shifted copy into one buffer reused across
+    batches; the stack itself is dropped after the check.  A violation
+    surfaces at most one batch after the failing step was recorded.
     """
 
-    def __init__(self, dims: tuple[int, ...], convert: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, dims: tuple[int, ...], convert: Callable[..., np.ndarray]):
         self.dims = dims
         self._convert = convert
         self._buf: np.ndarray | None = None
         self._pending = 0
+        self._scratch: np.ndarray | None = None
+        self._checked = 0
         self.steps: list[int] = []
         self.times: list[float] = []
-        self._stacks: list[np.ndarray] = []
+        self._batches: list[np.ndarray] = []
         self._traces: list[np.ndarray] = []
 
-    def record(self, step: int, t: float, sample: np.ndarray) -> None:
-        if self._buf is None:
-            self._buf = np.empty((SAMPLE_BATCH,) + sample.shape, dtype=sample.dtype)
-        self._buf[self._pending] = sample
-        self._pending += 1
-        self.steps.append(step)
-        self.times.append(t)
-        if self._pending == SAMPLE_BATCH:
-            self._flush()
+    def record(
+        self, steps: Sequence[int], times: Sequence[float], rows: np.ndarray, cols: np.ndarray | None = None
+    ) -> None:
+        """Record rows[i], taken at steps[i] and times[i], or rows[i, cols]
+        when the rows hold the coordinates in another order."""
+        self.steps.extend(steps)
+        self.times.extend(times)
+        done = 0
+        while done < len(rows):
+            if self._buf is None:
+                self._buf = np.empty((SAMPLE_BATCH, rows.shape[1]))
+            take = min(len(rows) - done, SAMPLE_BATCH - self._pending)
+            dest = self._buf[self._pending : self._pending + take]
+            if cols is None:
+                dest[...] = rows[done : done + take]
+            else:  # cols is a permutation; with mode "raise" numpy would buffer `out`
+                np.take(rows[done : done + take], cols, axis=1, out=dest, mode="clip")
+            self._pending += take
+            done += take
+            if self._pending == SAMPLE_BATCH:
+                self._flush()
 
     def _flush(self) -> None:
         if not self._pending:
             return
-        stack = self._convert(self._buf[: self._pending])
-        first = len(self.steps) - self._pending
-        self._pending = 0
-        self._traces.append(check_samples(stack, self.steps[first:], self.times[first:]))
-        self._stacks.append(stack)
+        rows = self._buf if self._pending == SAMPLE_BATCH else self._buf[: self._pending].copy()
+        self._buf, self._pending = None, 0
+        stack = self._convert(rows)
+        if self._scratch is None:
+            self._scratch = np.empty((SAMPLE_BATCH,) + stack.shape[1:], dtype=complex)
+        first, end = self._checked, self._checked + len(rows)
+        self._checked = end
+        self._traces.append(check_samples(stack, self.steps[first:end], self.times[first:end], self._scratch))
+        rows.setflags(write=False)
+        self._batches.append(rows)
 
     def trajectory(
         self,
@@ -165,9 +249,10 @@ class SampleRecorder:
         metadata: dict | None = None,
     ) -> Trajectory:
         self._flush()
-        rows = [row for stack in self._stacks for row in stack]
+        self._scratch = None
+        samples = Samples(self._batches, math.prod(self.dims), self._convert)
         return build_trajectory(
-            self.steps, self.times, rows, np.concatenate(self._traces), self.dims,
+            self.steps, self.times, samples, np.concatenate(self._traces), self.dims,
             observables, observable_names, metadata,
         )
 
@@ -201,23 +286,32 @@ def observable_arrays(
 def build_trajectory(
     steps: Sequence[int],
     times: Sequence[float],
-    raw_states: Sequence[np.ndarray],
+    raw_states: Samples | Sequence[np.ndarray],
     traces: np.ndarray,
     dims: tuple[int, ...],
     observables: Sequence[np.ndarray],
     observable_names: Sequence[str],
     metadata: dict | None = None,
 ) -> Trajectory:
-    """Assemble a Trajectory from checked samples (read-only complex arrays)
-    and the traces their check returned."""
-    values = np.zeros((len(raw_states), len(observables)), dtype=complex)
-    for i, state in enumerate(raw_states):
-        for j, obs in enumerate(observables):
-            values[i, j] = np.einsum("ij,ji->", obs, state)
+    """Assemble a Trajectory from checked samples, a `Samples` holder or
+    complex (D, D) states taken as they are, and the traces their check
+    returned.  Observable values are read one converted batch at a time."""
+    if isinstance(raw_states, Samples):
+        samples = raw_states
+    else:
+        samples = Samples([np.asarray(raw_states, dtype=complex)], math.prod(dims), _as_given)
+    values = np.zeros((len(samples), len(observables)), dtype=complex)
+    if observables:
+        i = 0
+        for stack in samples.stacks():
+            for state in stack:
+                for j, obs in enumerate(observables):
+                    values[i, j] = np.einsum("ij,ji->", obs, state)
+                i += 1
     return Trajectory(
         steps=np.asarray(steps),
         times=np.asarray(times),
-        states=tuple(raw_states),
+        samples=samples,
         dims=tuple(dims),
         observable_names=tuple(observable_names),
         observable_values=values,

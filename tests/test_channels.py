@@ -145,6 +145,42 @@ class TestCheckStates:
             check_states(stack, 1e-8)
         assert info.value.index == 4
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {},
+            {4: (0, 0, 1e-3)},
+            {4: (0, 0, np.nan), 7: (0, 0, 1e-3)},
+            {4: (1, 2, np.inf)},
+            {2: "negative", 6: (0, 0, 1e-3)},
+        ],
+    )
+    def test_scratch_check_of_a_hermitian_stack_gives_the_full_verdict(self, rng, rows):
+        # with a scratch buffer the defect is not computed: on exactly
+        # Hermitian stacks, a non-finite entry fails in its place with the
+        # same message, and every verdict, index and trace is the full check's
+        stack = self.stack(rng)
+        for i, bump in rows.items():
+            if bump == "negative":
+                stack[i] = np.diag([1.2, -0.2] + [0.0] * 7)
+                continue
+            j, k, delta = bump
+            stack[i, j, k] += delta
+            stack[i, k, j] = stack[i, j, k].conj()
+        scratch = np.full((12, 9, 9), np.nan, dtype=complex)
+        outcomes = []
+        for args in ((stack, 1e-8), (stack, 1e-8, scratch)):
+            try:
+                outcomes.append(("pass", check_states(*args).tolist()))
+            except StateViolation as exc:
+                outcomes.append((str(exc), exc.index))
+        assert outcomes[0] == outcomes[1]
+        if not rows:
+            assert np.array_equal(scratch[: len(stack)], stack + 1e-8 * np.eye(9))
+            off = stack.copy()
+            off[3, 0, 1] += 1e-3
+            check_states(off, 1e-8, scratch)
+
     def test_negative_eigenvalue_before_a_trace_failure_comes_first(self, rng):
         stack = self.stack(rng, dims=(2,))
         stack[3] = np.diag([1.2, -0.2])

@@ -1,4 +1,7 @@
+import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_cpt_channel, random_hermitian, random_state
 from qcollide.channels import DensityMatrix, identity_channel, lossy_bosonic_channel
-from qcollide.collision import CollisionConfig, CouplingSpec, _column_map
+from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedule, _column_map, simulate
 from qcollide.generators import full_generator
 import qcollide.integrator
 from qcollide.integrator import (
@@ -24,7 +27,7 @@ from qcollide.integrator import (
 from qcollide.jsonio import complex_matrix_to_json
 from qcollide.scenarios import collision_config, load_scenario, scenario_generator
 from qcollide.ops import Operator, Superoperator, hermitize, pauli, projector, unvec, vec
-from qcollide.trajectory import SAMPLE_BATCH
+from qcollide.trajectory import SAMPLE_BATCH, SampleRecorder
 
 SX = pauli("x")
 GROUND = DensityMatrix.ground(2)
@@ -510,6 +513,138 @@ class TestSectors:
         want = whole_map_loop(qcollide.integrator._real_coordinates(rho0.entries), n_steps, m)[steps]
         assert traj.steps.tolist() == steps
         assert np.array_equal(np.array(traj.states), qcollide.integrator._hermitian(want, rho0.side))
+
+
+def assert_same_samples(got, want):
+    """The same steps, times, states, traces, minimum eigenvalues and
+    observable values, bit for bit."""
+    assert got.steps.tolist() == want.steps.tolist()
+    assert got.times.tolist() == want.times.tolist()
+    assert np.array_equal(np.array(got.states), np.array(want.states))
+    assert got.traces.tolist() == want.traces.tolist()
+    assert got.min_eigenvalues.tolist() == want.min_eigenvalues.tolist()
+    assert np.array_equal(got.observable_values, want.observable_values)
+
+
+def one_row_per_call(mp):
+    """Have the recorder take every row in a call of its own, as a route
+    that records step by step hands them over."""
+    record = SampleRecorder.record
+
+    def per_step(self, steps, times, rows, cols=None):
+        for step, t, row in zip(steps, times, rows, strict=True):
+            record(self, [step], [t], (row if cols is None else row[cols])[None])
+
+    mp.setattr(SampleRecorder, "record", per_step)
+
+
+def observables_on(rng, dims, count=2):
+    return [np.asarray(random_hermitian(rng, dims).entries) for _ in range(count)], [f"o{i}" for i in range(count)]
+
+
+class TestRecording:
+    """A fixed map's route hands the recorder a window of rows per call, the
+    direct column one row per step; recorded samples are kept as real
+    coordinate rows and converted on read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+        counts=st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True),
+        lengths=st.lists(st.integers(1, 300), min_size=2, max_size=2),
+        stride=st.integers(1, 70),
+    )
+    @example(seed=0, dims=(3, 3), counts=[1, 3], lengths=[63, 129], stride=1)
+    @example(seed=1, dims=(2, 3), counts=[2, 1], lengths=[300, 65], stride=70)
+    def test_windows_match_per_step_recording(self, seed, dims, counts, lengths, stride):
+        # a two-segment schedule whose sectors differ (one segment may be
+        # whole, in the natural order), recorded a window per call and a row
+        # per call
+        rng = np.random.default_rng(seed)
+        side = math.prod(dims)
+        maps = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qcollide.integrator, "SECTOR_STEP_COST", 0)
+            mp.setattr(qcollide.integrator, "SECTOR_BLOCK_COST", 0)
+            for count, n in zip(counts, lengths):
+                r, _ = hidden_sector_map(rng, side, count)
+                maps.append(_split(r, n, lambda block: _rk4_propagator(block, 1e-2)))
+        assert [len(blocks_of(m)) for m in maps] == counts
+        rho0 = random_state(rng, dims)
+        obs, names = observables_on(rng, dims)
+        record, calls = SampleRecorder.record, []
+
+        def counted(self, steps, *rest):
+            calls.append(len(steps))
+            record(self, steps, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SampleRecorder, "record", counted)
+            windows = _propagate(rho0, 0.1, stride, list(zip(lengths, maps))).trajectory(obs, names)
+        with pytest.MonkeyPatch.context() as mp:
+            one_row_per_call(mp)
+            per_step = _propagate(rho0, 0.1, stride, list(zip(lengths, maps))).trajectory(obs, names)
+        assert_same_samples(windows, per_step)
+        # step 0, then one call per window (the first holds SAMPLE_BATCH - 1
+        # steps), and the last step when the stride skips it
+        per_segment = [1 + max(0, -(-(n - SAMPLE_BATCH + 1) // SAMPLE_BATCH)) for n in lengths]
+        assert len(calls) == 1 + sum(per_segment) + (sum(lengths) % stride != 0)
+        assert sum(calls) == len(windows)
+
+    @settings(max_examples=15, deadline=None)
+    @given(stride=st.integers(1, 70), chunks=st.lists(st.integers(1, 150), min_size=1, max_size=6))
+    def test_direct_column_records_per_step_like_windows(self, stride, chunks):
+        # a local Hamiltonian keeps rotating-env-2q on the direct column,
+        # which records a row per call; the same rows handed over in windows
+        # of the sizes `chunks` (repeated) give the same samples
+        sc = load_scenario("rotating-env-2q")
+        sched = HamiltonianSchedule.constant(Operator((2,), 0.4 * pauli("z").entries))
+        cfg = dataclasses.replace(collision_config(sc, 150), local_hamiltonians=(sched, None))
+        obs, names = [op for _, op in sc.observables], [name for name, _ in sc.observables]
+        record, rows = SampleRecorder.record, []
+
+        def logged(self, steps, times, batch, cols=None):
+            assert len(steps) == 1 and cols is None
+            rows.append(batch[0].copy())
+            record(self, steps, times, batch)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SampleRecorder, "record", logged)
+            traj = simulate(cfg, sc.rho0, observables=obs, record_stride=stride, observable_names=names)
+        assert len(rows) == len(traj)
+        replay = SampleRecorder(sc.rho0.dims, functools.partial(qcollide.integrator._hermitian, side=4))
+        done, sizes = 0, iter(chunks * len(rows))
+        while done < len(rows):
+            end = min(len(rows), done + next(sizes))
+            replay.record(traj.steps[done:end].tolist(), traj.times[done:end].tolist(), np.array(rows[done:end]))
+            done = end
+        assert_same_samples(replay.trajectory([o.entries for o in obs], names), traj)
+
+    def test_chain_run_holds_real_coordinates(self):
+        # 2,001 samples of the 3-carrier chain (D = 27) take 8 D^2 bytes
+        # each; the final state and the minimum eigenvalues are read without
+        # the run's complex stack, which takes 16 D^2 bytes per sample
+        sc = load_scenario(CHAIN3)
+        traj = integrate(scenario_generator(sc).total, sc.rho0, sc.t_end, sc.t_end / 2000)
+        assert len(traj) == 2001
+        kept = traj.samples.batches
+        assert all(b.dtype == np.float64 and b.base is None for b in kept)
+        assert sum(b.nbytes for b in kept) == 8 * 27**2 * 2001
+        stack = 16 * 27**2 * 2001
+        peaks = []
+        tracemalloc.start()
+        try:
+            for read in (traj.final_state, lambda: traj.min_eigenvalues, lambda: traj.states):
+                tracemalloc.reset_peak()
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                if len(peaks) == 2:
+                    assert "states" not in vars(traj)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < stack / 100 and peaks[1] < stack / 10
+        assert peaks[2] >= stack  # the measurement sees the stack when it is built
 
 
 class TestReducedTrajectory:

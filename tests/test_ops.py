@@ -454,3 +454,21 @@ class TestSuperoperator:
     def test_rejects_bad_matrix_shape(self):
         with pytest.raises(ValueError, match="shape"):
             Superoperator((2,), np.eye(3))
+
+    def test_form_hands_over_its_new_matrix_and_callers_arrays_are_copied(self, rng, monkeypatch):
+        h = random_hermitian(rng, (2, 2))
+        form = SandwichForm(h.dims, [], [], 1j * h.entries)
+        built, matrix = [], form.matrix
+
+        def kept(self):
+            built.append(matrix())
+            return built[-1]
+
+        monkeypatch.setattr(SandwichForm, "matrix", kept)
+        sup = form.superoperator()
+        assert sup.matrix is built[0] and not sup.matrix.flags.writeable
+        assert sup.dims == (2, 2) and isinstance(sup, Superoperator)
+        outside = np.eye(16, dtype=complex)
+        copied = Superoperator([2, 2], outside)
+        assert copied.dims == (2, 2) and not np.shares_memory(copied.matrix, outside)
+        assert outside.flags.writeable and not copied.matrix.flags.writeable

@@ -30,6 +30,7 @@ from qcollide.ops import (
 )
 from qcollide.perturbation import (
     _ColumnExpansion,
+    _random_hermitian,
     collision_step_defect,
     column_expansion,
     column_remainder,
@@ -406,6 +407,27 @@ class TestStepDefect:
         assert report.step[2] >= 10.0
         assert 6.0 <= report.unitary[2] <= 10.0
         assert 6.0 <= report.column[2] <= 10.0
+
+    def test_column_ratio_reads_one_expansion_pass(self, rng, monkeypatch):
+        # the expansion orders do not depend on g: the halved column reuses
+        # the probe's orders, and both remainders equal column_remainder's
+        cfg = compliant_random_cfg(rng, m_carriers=3)
+        want = remainder_halving_ratios(cfg, seed=11)
+        orders, calls = _ColumnExpansion.orders, []
+
+        def counted(self, x):
+            calls.append(self.cfg.g)
+            return orders(self, x)
+
+        monkeypatch.setattr(_ColumnExpansion, "orders", counted)
+        report = remainder_halving_ratios(cfg, seed=11)
+        assert calls == [cfg.g]
+        assert report == want
+        # the joint probe is the second draw of the seed
+        probes = np.random.default_rng(11)
+        _random_hermitian(probes, collision_hamiltonian(cfg, 1).dims)
+        x = _random_hermitian(probes, cfg.joint_dims)
+        assert report.column[:2] == (column_remainder(cfg, x), column_remainder(replace(cfg, g=0.5 * cfg.g), x))
 
     def test_defect_magnitude_scales(self, rng):
         cfg = compliant_random_cfg(rng)

@@ -759,6 +759,41 @@ class TestCLI:
         assert "Traceback" not in err
         assert not (tmp_path / "verify.json").exists()
 
+    def test_consecutive_calls_match_separate_runs(self, tmp_path, capsys):
+        # main reuses one parser: calls in one process, with a usage error
+        # between them, give the exit codes, output and files of one
+        # process per call
+        runs = [
+            ["simulate", "--config", "dephasing-1q", "--out", "{out}"],
+            ["simulate", "--out", "{out}"],
+            ["verify", "--config", "replacer", "--seed", "3", "--out", "{out}"],
+            ["converge", "--config", "dephasing-1q", "--format", "json", "--out", "{out}"],
+            ["simulate", "--config", "rotating-env-2q", "--format", "json", "--out", "{out}"],
+        ]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        for i, argv in enumerate(runs):
+            results = []
+            for how in ("in-process", "separate"):
+                out = tmp_path / how / str(i)
+                args = [a.format(out=out) for a in argv]
+                if how == "separate":
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "qcollide", *args], env=env, capture_output=True, text=True, timeout=120
+                    )
+                    code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+                else:
+                    try:
+                        code = main(args)
+                    except SystemExit as exc:
+                        code = exc.code
+                    stdout, stderr = capsys.readouterr()
+                files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+                results.append((code, stdout, stderr.replace(str(out), "OUT"), files))
+            assert results[0] == results[1], argv
+            assert results[0][0] == (1 if i == 1 else 0)
+        assert qcollide.cli._parser() is qcollide.cli._parser()
+
     def test_simulate_summary_runs_one_eigvalsh_on_the_final_sample(self, capsys, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh

@@ -1,6 +1,6 @@
-"""Recorded samples: a trajectory keeps the rows of its checked batch stacks
-as read-only arrays and the check's traces; their minimum eigenvalues are
-computed when read."""
+"""Recorded samples: a trajectory keeps its checked batches as read-only
+rows of real Hermitian coordinates and the check's traces; states are
+converted on read, and their minimum eigenvalues are computed when read."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from conftest import random_state
 from qcollide.channels import DensityMatrix, check_states, lossy_bosonic_channel
 from qcollide.collision import CollisionConfig, CouplingSpec, simulate
 from qcollide.generators import full_generator
-from qcollide.integrator import integrate, reduced_trajectory
+from qcollide.integrator import _hermitian, _real_coordinates, integrate, reduced_trajectory
 from qcollide.ops import Operator, partial_trace, pauli
 import qcollide.trajectory
 from qcollide.trajectory import SAMPLE_ATOL, SAMPLE_BATCH
@@ -38,12 +38,9 @@ def chain_generator():
 
 
 def batches(traj):
-    """The distinct stacks the trajectory's rows are views of, in order."""
-    stacks = []
-    for row in traj.states:
-        if not stacks or row.base is not stacks[-1]:
-            stacks.append(row.base)
-    return stacks
+    """The checked batches of a recorded trajectory as the complex stacks
+    the check saw."""
+    return [_hermitian(batch, 8) for batch in traj.samples.batches]
 
 
 @pytest.fixture(params=["simulate", "integrate"])
@@ -55,21 +52,27 @@ def long_run(request, rng):
 
 
 class TestSamples:
-    def test_rows_are_read_only_views_of_checked_batches(self, long_run):
+    def test_samples_are_read_only_real_batches(self, long_run):
+        # each checked batch is kept as its real coordinate rows, the last one
+        # with only its filled rows; states are the rows of one read-only
+        # complex stack of the whole run, converted from those rows
         traj = long_run
         assert len(traj) == 151
-        stacks = batches(traj)
-        assert [len(s) for s in stacks] == [SAMPLE_BATCH, SAMPLE_BATCH, 151 - 2 * SAMPLE_BATCH]
-        rows = [row for stack in stacks for row in stack]
+        kept = traj.samples.batches
+        assert [len(b) for b in kept] == [SAMPLE_BATCH, SAMPLE_BATCH, 151 - 2 * SAMPLE_BATCH]
+        for batch in kept:
+            assert batch.shape[1:] == (64,) and batch.dtype == np.float64
+            assert batch.base is None and not batch.flags.writeable
+        rows = [row for stack in batches(traj) for row in stack]
         assert len(rows) == len(traj.states)
         for row, state in zip(rows, traj.states):
             assert state.shape == (8, 8) and state.dtype == complex
             assert not state.flags.writeable
-            assert np.shares_memory(state, row)
+            assert np.array_equal(state, row)
+            assert state.base is traj.states[0].base
             with pytest.raises(ValueError):
                 state[0, 0] = 0.0
-        for stack in stacks:
-            assert stack.ndim == 3 and not stack.flags.writeable
+        assert traj.states[0].base.ndim == 3 and not traj.states[0].base.flags.writeable
 
     def test_traces_and_min_eigenvalues_come_from_the_check(self, long_run):
         # traces are the check's; minimum eigenvalues are those of the checked
@@ -77,10 +80,11 @@ class TestSamples:
         traj = long_run
         traces = [check_states(s, SAMPLE_ATOL) for s in batches(traj)]
         assert np.array_equal(traj.traces, np.concatenate(traces))
-        assert np.array_equal(traj.traces, [complex(np.trace(x)).real for x in traj.states])
         assert "min_eigenvalues" not in vars(traj)
         min_eigs = traj.min_eigenvalues
+        assert "states" not in vars(traj)  # read batch by batch
         assert np.array_equal(min_eigs, np.concatenate([np.linalg.eigvalsh(s)[:, 0] for s in batches(traj)]))
+        assert np.array_equal(traj.traces, [complex(np.trace(x)).real for x in traj.states])
         assert np.array_equal(min_eigs, [np.linalg.eigvalsh(x)[0] for x in traj.states])
         assert traj.min_eigenvalues is min_eigs
 
@@ -107,6 +111,7 @@ class TestSamples:
             integrate(chain_generator(), rho0, t_end=0.01, dt=1e-3),
         ):
             assert traj.steps[0] == 0 and traj.times[0] == 0.0
+            assert np.array_equal(traj.samples.batches[0][0], _real_coordinates(rho0.entries))
             assert np.max(np.abs(traj.states[0] - rho0.entries)) <= 1e-15
             assert np.array_equal(traj.states[0], traj.states[0].conj().T)
             assert not traj.states[0].flags.writeable
