@@ -274,7 +274,9 @@ class GeneratorSet:
     """The rates of one configuration and the generator they define.
 
     Every generator piece is the GKSL form of a block or a restriction of the
-    Kossakowski matrix, assembled on first access and then kept.
+    Kossakowski matrix, built on first access and then kept as a form-backed
+    Superoperator: only the form's O(A D^2) multipliers are kept, and its
+    D^2 x D^2 matrix is built from them each time it is read.
     """
 
     carrier_dims: tuple[int, ...]
@@ -330,7 +332,7 @@ class GeneratorSet:
 
     @cached_property
     def total(self) -> Superoperator:
-        """The whole generator, assembled once over every carrier operator."""
+        """The whole generator, one form over every carrier operator."""
         return self._form.superoperator()
 
     def apply(self, x: np.ndarray) -> np.ndarray:

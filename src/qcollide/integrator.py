@@ -3,8 +3,10 @@
 Deterministic classical RK4, no adaptivity.  A GKSL generator maps Hermitian
 matrices to Hermitian matrices, so the state lives in real Hermitian
 coordinates: X = A + iB (A symmetric, B antisymmetric) is stored as the real
-matrix S = A + B, and X = ((1+i)S + (1-i)S^T)/2.  Each generator is converted
-once into the real D^2 x D^2 matrix R of S -> s(Herm(G X(S))).  For a linear
+matrix S = A + B, and X = ((1+i)S + (1-i)S^T)/2.  Each generator segment
+reads its generator's matrix at its start (a form-backed generator builds
+it then) and converts it once into the real D^2 x D^2 matrix R of
+S -> s(Herm(G X(S))); the complex matrix is dropped then.  For a linear
 generator one RK4 step of size h is exactly s <- T4(hR) s, with T4 the
 degree-4 Taylor polynomial, built once per generator segment in two matrix
 products (Paterson-Stockmeyer).  The conversion holds for any
@@ -145,12 +147,17 @@ def _split(m: np.ndarray, n: int, build: Callable[[np.ndarray], np.ndarray] = np
 
 
 def _segments(generator: GeneratorLike, dt: float):
-    """Return (segment start times, matrices, description).  Schedules are
-    piecewise constant, keyed by segment start times, which must lie on the
-    step grid so that no step straddles a segment boundary."""
+    """Return (segment start times, superoperators, description).  Schedules
+    are piecewise constant, keyed by segment start times, which must be
+    finite and lie on the step grid so that no step straddles a segment
+    boundary."""
     if isinstance(generator, Superoperator):
-        return [0.0], [generator.matrix], {"kind": "static"}
-    segments = sorted(((float(t), g) for t, g in generator), key=lambda p: p[0])
+        return [0.0], [generator], {"kind": "static"}
+    segments = [(float(t), g) for t, g in generator]
+    for i, (t, _) in enumerate(segments):
+        if not math.isfinite(t):
+            raise ValueError(f"schedule segment {i} starts at t = {t!r}, not a finite time")
+    segments.sort(key=lambda p: p[0])
     if not segments:
         raise ValueError("empty generator schedule")
     if segments[0][0] > 0.0:
@@ -162,7 +169,7 @@ def _segments(generator: GeneratorLike, dt: float):
                 f"schedule segment {i} starts at t = {t!r}, off the step grid of dt = {dt!r}"
             )
     desc = {"kind": "schedule", "segments": len(segments)}
-    return [t for t, _ in segments], [g.matrix for _, g in segments], desc
+    return [t for t, _ in segments], [g for _, g in segments], desc
 
 
 def _real_map(g: np.ndarray) -> np.ndarray:
@@ -325,30 +332,38 @@ def integrate(
     observable_names: Sequence[str] | None = None,
 ) -> Trajectory:
     """Integrate rho over [0, t_end] with fixed step dt (final time within dt
-    of t_end).  A schedule segment that starts off the step grid is a
-    ValueError.  Aborts with a RuntimeError naming the first recorded sample
-    that fails the state check (trace or positivity off by more than 1e-8),
-    at most one batch of samples after it: that signals a broken generator,
-    not an integration problem.
+    of t_end).  Each generator's matrix is read when its segment starts.  A
+    non-finite dt or t_end, a generator or schedule segment of another side
+    than rho0, and a schedule segment that starts at a non-finite time or
+    off the step grid are ValueErrors, raised before the first step.
+    Aborts with a RuntimeError naming the first recorded sample that fails
+    the state check (trace or positivity off by more than 1e-8), at most one
+    batch of samples after it: that signals a broken generator, not an
+    integration problem.
     """
-    if dt <= 0 or dt > t_end:
-        raise ValueError("need 0 < dt <= t_end")
+    if not (math.isfinite(dt) and math.isfinite(t_end) and 0 < dt <= t_end):
+        raise ValueError(f"need 0 < dt <= t_end, both finite; got dt = {dt!r}, t_end = {t_end!r}")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
-    starts, mats, desc = _segments(generator, dt)
+    starts, gens, desc = _segments(generator, dt)
+    for i, g in enumerate(gens):
+        if g.side != rho0.side:
+            what = "the generator" if desc["kind"] == "static" else f"schedule segment {i}"
+            raise ValueError(f"{what} acts on side {g.side}, rho0 on side {rho0.side}")
     obs, names = observable_arrays(observables, rho0.side, observable_names)
     n_steps = max(int(round(t_end / dt)), 1)
 
     def segments():
         # a segment runs the steps after its start up to the next start:
         # starts lie on the step grid, so no step straddles a boundary, and
-        # a segment that runs no step builds no propagator; R is split into
-        # its sectors first, so T4 is built per block and never whole
+        # a segment that runs no step builds no propagator.  Its matrix is
+        # read here, at its start, and dropped once R is built; R is split
+        # into its sectors first, so T4 is built per block and never whole
         done = 0
-        for mat, end in zip(mats, [round(t / dt) for t in starts[1:]] + [n_steps]):
+        for gen, end in zip(gens, [round(t / dt) for t in starts[1:]] + [n_steps]):
             end = min(end, n_steps)
             if end > done:
-                yield end - done, _split(_real_map(mat), end - done, lambda block: _rk4_propagator(block, dt))
+                yield end - done, _split(_real_map(gen.matrix), end - done, lambda block: _rk4_propagator(block, dt))
                 done = end
 
     recorder = _propagate(rho0, dt, record_stride, segments())

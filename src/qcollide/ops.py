@@ -182,34 +182,46 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
     return v.reshape((side, side), order="F")
 
 
-@dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Linear map on operators on `dims`, stored as a matrix on column-stacked
-    vectors."""
+    """Linear map on operators on `dims`, a matrix on column-stacked vectors.
 
-    dims: tuple[int, ...]
-    matrix: np.ndarray
+    It holds either that matrix, copied and read-only, or the SandwichForm
+    it was made from (`SandwichForm.superoperator`), which keeps only the
+    form's multipliers: then `matrix` is built afresh, read-only, on every
+    read and never kept, and `apply` runs the form.  Immutable.
+    """
 
-    def __post_init__(self):
-        self._own(np.asarray(self.matrix, dtype=complex).copy())
+    __slots__ = ("dims", "_matrix", "_form")
 
-    @classmethod
-    def _of_new(cls, dims: Sequence[int], matrix: np.ndarray) -> "Superoperator":
-        """The superoperator of a complex matrix that nothing else refers
-        to, such as one just built, taken without a copy."""
-        sup = object.__new__(cls)
-        object.__setattr__(sup, "dims", dims)
-        sup._own(matrix)
-        return sup
-
-    def _own(self, matrix: np.ndarray) -> None:
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, dims: Sequence[int], matrix: np.ndarray):
+        dims = tuple(int(d) for d in dims)
+        matrix = np.asarray(matrix, dtype=complex).copy()
         want = (math.prod(dims) ** 2,) * 2
         if matrix.shape != want:
             raise ValueError(f"superoperator matrix shape {matrix.shape}, expected {want}")
         matrix.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", matrix)
+        self._set(dims, matrix, None)
+
+    @classmethod
+    def _of_form(cls, form: "SandwichForm") -> "Superoperator":
+        sup = object.__new__(cls)
+        sup._set(form.dims, None, form)
+        return sup
+
+    def _set(self, dims: tuple[int, ...], matrix: np.ndarray | None, form: "SandwichForm | None") -> None:
+        for name, value in (("dims", dims), ("_matrix", matrix), ("_form", form)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Superoperator is immutable")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._form is None:
+            return self._matrix
+        mat = self._form.matrix()
+        mat.setflags(write=False)
+        return mat
 
     @property
     def side(self) -> int:
@@ -218,7 +230,9 @@ class Superoperator:
     def apply(self, x: Operator) -> Operator:
         if x.side != self.side:
             raise ValueError(f"operator side {x.side} does not match superoperator side {self.side}")
-        return Operator(self.dims, unvec(self.matrix @ vec(x.entries), self.side))
+        if self._form is not None:
+            return Operator(self.dims, self._form.apply(x.entries))
+        return Operator(self.dims, unvec(self._matrix @ vec(x.entries), self.side))
 
     def __repr__(self):  # pragma: no cover
         return f"Superoperator(dims={self.dims})"
@@ -312,29 +326,40 @@ class SandwichForm:
     def matrix(self) -> np.ndarray:
         """The column-stacked D^2 x D^2 matrix of the form.
 
-        Since vec(S X F) = (F^T kron S) vec(X), the (D, D, D, D) view
-        [j, i, l, k] of the result holds sum_a F_a[l, j] S_a[i, k]: each term
-        is one outer product added into that view, in order, one j-row at a
-        time through a reused D^3 buffer, so the result is the ordered sum of
-        the np.kron terms bit for bit.  The K terms only touch the block
-        diagonals j = l and i = k, at O(D^3) cost.
+        Since vec(S X F) = (F^T kron S) vec(X), entry [j, i, l, k] of the
+        (D, D, D, D) view of the result is sum_a F_a[l, j] S_a[i, k].  Each
+        term adds the products of its nonzero entries into the zeroed result,
+        one scatter per term in order (the positions within a term are
+        distinct).  The products left out are zeros, which leave a sum that
+        starts at +0 unchanged, so the result is the ordered sum of the
+        np.kron terms bit for bit; a non-finite multiplier meets every entry
+        of its partner, zeros too, as in np.kron.  The K terms only touch the
+        block diagonals j = l and i = k, at O(D^3) cost.
         """
         side = math.prod(self.dims)
         mat = np.zeros((side * side, side * side), dtype=complex)
-        t = mat.reshape(side, side, side, side)
-        if len(self.sandwich):
-            view, row = t.transpose(0, 2, 1, 3), np.empty((side,) * 3, dtype=complex)
-            for j in range(side):
-                for s_a, f_a in zip(self.sandwich, self.ops):
-                    view[j] += np.multiply.outer(f_a[:, j], s_a, out=row)
+
+        def support(a, partner):
+            return np.nonzero(a) if np.isfinite(partner).all() else np.indices(a.shape).reshape(2, -1)
+
+        flat = mat.reshape(-1)
+        for s_a, f_a in zip(self.sandwich, self.ops):
+            (l, j), (i, k) = support(f_a, s_a), support(s_a, f_a)
+            pos = np.add.outer(j * side**3 + l * side, i * side**2 + k).ravel()
+            # numpy's complex multiply may round differently in its vector and
+            # scalar loops; 1-d operands run the vector loop, as np.kron does
+            # (a 1 x 1 np.multiply.outer runs the scalar one)
+            flat[pos] += np.repeat(f_a[l, j], len(i)) * np.tile(s_a[i, k], len(l))
         if self.k is not None:
+            t = mat.reshape((side,) * 4)
             diag = np.arange(side)
             t[diag, :, diag, :] -= self.k
             t[:, diag, :, diag] -= self.k.conj()
         return mat
 
     def superoperator(self) -> Superoperator:
-        return Superoperator._of_new(self.dims, self.matrix())
+        """The form as a Superoperator that keeps the form, not its matrix."""
+        return Superoperator._of_form(self)
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

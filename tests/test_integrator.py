@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_cpt_channel, random_hermitian, random_state
 from qcollide.channels import DensityMatrix, identity_channel, lossy_bosonic_channel
 from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedule, _column_map, simulate
-from qcollide.generators import full_generator
+from qcollide.generators import full_generator, single_carrier_generator
 import qcollide.integrator
 from qcollide.integrator import (
     SectorMap,
@@ -26,7 +28,7 @@ from qcollide.integrator import (
 )
 from qcollide.jsonio import complex_matrix_to_json
 from qcollide.scenarios import collision_config, load_scenario, scenario_generator
-from qcollide.ops import Operator, Superoperator, hermitize, pauli, projector, unvec, vec
+from qcollide.ops import Operator, SandwichForm, Superoperator, hermitize, pauli, projector, unvec, vec
 from qcollide.trajectory import SAMPLE_BATCH, SampleRecorder
 
 SX = pauli("x")
@@ -161,6 +163,46 @@ class TestIntegrate:
         zero = Superoperator((2,), np.zeros((4, 4)))
         with pytest.raises(ValueError, match="segment 1 starts at t = 0.015"):
             integrate([(0.0, gen), (0.015, zero)], GROUND, t_end=0.1, dt=0.01)
+
+    def test_generator_of_another_side_is_rejected_before_the_first_step(self, monkeypatch):
+        # carrier 1's generator on the pair's state would advance 4 of the
+        # 16 coordinates and leave the rest of the window uninitialized: it
+        # is refused before any matrix is built or any step runs
+        sc = load_scenario("ad-chain-2q")
+        gen = scenario_generator(sc)
+        single = single_carrier_generator(gen, 1)
+        schedule = [(0.0, gen.total), (0.5, single)]
+
+        def refuse(*args):
+            raise AssertionError("the propagation ran")
+
+        monkeypatch.setattr(SandwichForm, "matrix", refuse)
+        monkeypatch.setattr(qcollide.integrator, "_propagate", refuse)
+        with pytest.raises(ValueError, match="the generator acts on side 2, rho0 on side 4"):
+            integrate(single, sc.rho0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="schedule segment 1 acts on side 2, rho0 on side 4"):
+            integrate(schedule, sc.rho0, 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "t_end, dt, start, match",
+        [
+            (1.0, math.nan, 0.5, "need 0 < dt <= t_end, both finite"),
+            (math.nan, 0.1, 0.5, "need 0 < dt <= t_end, both finite"),
+            (math.inf, 0.1, 0.5, "need 0 < dt <= t_end, both finite"),
+            (1.0, math.inf, 0.5, "need 0 < dt <= t_end, both finite"),
+            (1.0, 0.1, math.nan, "segment 1 starts at t = nan, not a finite time"),
+            (1.0, 0.1, math.inf, "segment 1 starts at t = inf, not a finite time"),
+            (1.0, 0.1, -math.inf, "segment 1 starts at t = -inf, not a finite time"),
+        ],
+    )
+    def test_non_finite_times_are_rejected(self, t_end, dt, start, match):
+        gen = dephasing_generator()
+        zero = Superoperator((2,), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match=match):
+            integrate([(0.0, gen), (start, zero)], GROUND, t_end=t_end, dt=dt)
+        if math.isfinite(start):
+            with pytest.raises(ValueError, match=match):
+                integrate(gen, GROUND, t_end=t_end, dt=dt)
 
     def test_samples_exactly_hermitian(self, rng):
         spec = CouplingSpec.uniform([[SX], [SX]], [SX])
@@ -645,6 +687,53 @@ class TestRecording:
             tracemalloc.stop()
         assert peaks[0] < stack / 100 and peaks[1] < stack / 10
         assert peaks[2] >= stack  # the measurement sees the stack when it is built
+
+
+def reachable_arrays(root) -> list[np.ndarray]:
+    """Every numpy array reachable from `root` through object references
+    and array bases, not through classes, modules or functions."""
+    stack, seen, arrays = [root], set(), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+class TestGeneratorMemory:
+    """A generator keeps its GKSL forms, and `integrate` holds a segment's
+    complex matrix only while it builds R."""
+
+    def test_generator_keeps_no_matrix(self):
+        # reading every piece's matrix leaves no array of D^4 = 27^4 entries
+        # reachable from the generator, only the forms' multipliers
+        gen = scenario_generator(load_scenario(CHAIN3))
+        pieces = [gen.total, *gen.local_terms, *gen.cross_terms.values()]
+        assert all(piece.matrix.shape == (27**2, 27**2) for piece in pieces)
+        sizes = [a.size for a in reachable_arrays(gen)]
+        assert 6 * 27**2 in sizes  # the six stacked carrier operators of `total`
+        assert max(sizes) < 27**4 / 100
+
+    def test_integrate_peak_stays_below_the_samples_and_half_the_matrix(self):
+        sc = load_scenario(CHAIN3)
+        gen = scenario_generator(sc)
+        # `total` is first read inside the trace, so a generator that kept
+        # its complex matrix would count it for the whole run
+        samples, matrix = 8 * 27**2 * 2001, 16 * 27**4
+        tracemalloc.start()
+        try:
+            traj = integrate(gen.total, sc.rho0, sc.t_end, sc.t_end / 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 2001
+        assert samples < peak < samples + matrix / 2
 
 
 class TestReducedTrajectory:

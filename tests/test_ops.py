@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -355,6 +356,71 @@ class TestSandwichForm:
             assert np.max(np.abs(got[idx] - want)) <= 1e-12
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(1,), (2,), (3,), (2, 2), (2, 3), (3, 3)]),
+        n_terms=st.integers(0, 4),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+        values=st.sampled_from(["gaussian", "grid"]),
+        with_k=st.booleans(),
+    )
+    def test_matrix_is_the_ordered_kron_sum_bit_for_bit(self, seed, dims, n_terms, density, values, with_k):
+        # sparse and dense multipliers, and "grid" values such as 1 - 0j and
+        # -0 - 1j whose products carry signed zeros: the int64 view compares
+        # every bit, so a dropped zero product must not change a sign
+        rng = np.random.default_rng(seed)
+        side = math.prod(dims)
+        grid = np.array([1, -1, 1j, -1j, 1 + 1j, -1 - 1j, complex(-0.0, 1), complex(1, -0.0),
+                         complex(-0.0, -1), complex(-1, -0.0), 0.5 - 0.25j])
+
+        def mats(n):
+            shape = (n, side, side)
+            if values == "gaussian":
+                m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            else:
+                m = rng.choice(grid, size=shape)
+            zero = rng.choice(np.array([0j, complex(-0.0, -0.0), complex(0.0, -0.0)]), size=shape)
+            return np.where(rng.random(shape) < density, m, zero)
+
+        if n_terms == 0 and not with_k:
+            n_terms = 1
+        sandwich, ops = mats(n_terms), mats(n_terms)
+        k = mats(1)[0] + np.eye(side) if with_k else None
+        form = SandwichForm(dims, sandwich, ops, k)
+        want = np.zeros((side**2, side**2), dtype=complex)
+        for s_a, f_a in zip(sandwich, ops):
+            want += np.kron(f_a.T, s_a)
+        if k is not None:
+            eye = np.eye(side)
+            want -= np.kron(eye, k)
+            want -= np.kron(k.conj(), eye)
+        assert np.array_equal(form.matrix().view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("where", ["sandwich", "ops", "k"])
+    def test_non_finite_multiplier_gives_a_non_finite_matrix(self, bad, where):
+        # the bad entry's partner is zero but for one entry in the first
+        # term and wholly zero in the second, so a sum over the products of
+        # nonzero entries alone would drop it; it meets every entry of its
+        # partner instead, zeros too, as in np.kron
+        multipliers = {name: np.zeros((2, 3, 3), dtype=complex) for name in ("sandwich", "ops")}
+        for mats in multipliers.values():
+            mats[0, 1, 2] = 0.5j
+        k = np.eye(3, dtype=complex)
+        if where == "k":
+            k[0, 1] = bad
+        else:
+            multipliers[where][:, 2, 0] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(SandwichForm((3,), **multipliers, k=k).matrix()).all()
+            if where == "k":
+                return
+            want = sum(np.kron(f.T, s) for s, f in zip(multipliers["sandwich"], multipliers["ops"]))
+            got = SandwichForm((3,), **multipliers).matrix()
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
+
 def random_factor_form(rng, dims, kind, n_terms=2) -> SandwichForm:
     """A form with random complex multipliers of unit norm: a sandwich and
     no K ("sandwich"), K only ("k"), or both."""
@@ -472,3 +538,32 @@ class TestSuperoperator:
         copied = Superoperator([2, 2], outside)
         assert copied.dims == (2, 2) and not np.shares_memory(copied.matrix, outside)
         assert outside.flags.writeable and not copied.matrix.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(1,), (2,), (3,), (2, 2), (2, 3)]),
+        kind=st.sampled_from(["kraus", "gksl", "u1", "u2"]),
+    )
+    def test_form_backed_superoperator_keeps_the_form(self, seed, dims, kind):
+        # the form's superoperator applies the form and builds a fresh,
+        # read-only matrix on every read, which it does not keep; applied
+        # through that matrix it gives the same map
+        rng = np.random.default_rng(seed)
+        form = random_form(rng, dims, kind)
+        sup = form.superoperator()
+        first, second = sup.matrix, sup.matrix
+        assert first is not second and np.array_equal(first, form.matrix())
+        assert np.array_equal(first.view(np.int64), second.view(np.int64))
+        assert not first.flags.writeable and not second.flags.writeable
+        assert not any(isinstance(ref, np.ndarray) for ref in gc.get_referents(sup))
+        x = random_hermitian(rng, dims)
+        via_matrix = Superoperator(dims, first).apply(x)
+        got = sup.apply(x)
+        assert got.dims == via_matrix.dims == tuple(dims)
+        assert np.array_equal(got.entries, form.apply(x.entries))
+        assert np.max(np.abs(got.entries - via_matrix.entries)) <= 1e-12
+        with pytest.raises(ValueError, match="does not match"):
+            sup.apply(random_hermitian(rng, (math.prod(dims) + 1,)))
+        with pytest.raises(AttributeError):
+            sup.dims = (1,)
