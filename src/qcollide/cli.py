@@ -106,7 +106,11 @@ def main(argv=None) -> int:
         result = drivers[args.command](sc)
         if args.out is not None:
             for name, write in OUTPUTS[args.command, args.fmt].items():
-                write(result, os.path.join(args.out, name))
+                try:
+                    write(result, path := os.path.join(args.out, name))
+                except OSError as exc:
+                    print(f"qcollide: error: {path}: {exc.strerror}", file=sys.stderr)
+                    return EXIT_CONFIG
 
         if args.command == "simulate":
             print(

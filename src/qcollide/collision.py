@@ -5,14 +5,13 @@ sub-environments; between collisions each sub-environment relaxes under a
 CPT channel.  The main simulation path is the column recursion.  When every
 column is the same linear map Phi on the carriers (no collision index, no
 local schedule) and its build fits the entry budget COLUMN_MAP_MAX_ENTRIES,
-`simulate` materializes Phi once, by contraction, and the stream is Phi^n,
-advanced on each invariant sector of Phi on its own: one real
-matrix-vector product per sector and collision, or per sector and block of
-collisions (`integrator._propagate`), with at most D_c^4 entries held.
-Otherwise each collision runs the direct column on the carriers plus one
-environment site.  The direct column also serves `evolve_column_step` and
-the expansion's exact side, and the row decomposition is kept as a
-correctness oracle on small instances.
+`simulate` builds Phi once from its Kraus form (the Stinespring dilation of
+eta, the collisions and the relaxation, traced over the environment), and
+the stream is Phi^n, advanced on each invariant sector of Phi on its own
+(`integrator._propagate`).  Otherwise each collision runs the direct
+column on the carriers plus one environment site.  The direct column also
+serves `evolve_column_step` and the expansion's exact side, and the row
+decomposition is kept as a correctness oracle on small instances.
 
 Joint states are laid out as [S_1, ..., S_M, E] with the environment last.
 Carrier indices m and collision indices n are 1-based throughout.
@@ -42,24 +41,11 @@ from .integrator import _hermitian, _propagate, _real_coordinates, _real_map, _s
 from .trajectory import Trajectory, observable_arrays
 
 ROW_PATH_MAX_SIDE = 256
-# simulate materializes the traced column when no array of the build has
-# more complex entries than this (`_column_map_entries`; 16 MiB each)
+# simulate builds the traced column as one map when none of its arrays, Phi
+# (D_c^4) and its n Kraus operators (n D_c^2, `_column_kraus`), has more
+# complex entries than this (16 MiB each); the map then advances by its
+# invariant sectors (the rule at `integrator.SECTOR_CUT`)
 COLUMN_MAP_MAX_ENTRIES = 2**20
-# and the one loop, `integrator._propagate`, then advances that map, like
-# any fixed map, by its invariant sectors (`integrator._split`): the
-# connected components of its entries above SECTOR_CUT = 1e-13 of the
-# largest.  The split is kept only when it is stable, the components at
-# SECTOR_FLOOR = 1e-16 of the largest being the same (the dropped entries
-# are rounding residue), and when it pays over the n = n_collisions steps:
-# a block of side b costs n (b^2 + SECTOR_STEP_COST) + SECTOR_BLOCK_COST
-# (2^10 per step for its calls, 2^20 once for its detection share, first
-# window and squarings, in entries of one matvec), the whole map is one
-# such block of side D_c^2, and the blocks together must cost less.  So
-# bosonic-fiber's map (13 sectors) splits from 279 collisions on, and
-# maps of side at most 45 never do (half their entries do not repay
-# SECTOR_STEP_COST per step).  Each block runs SAMPLE_BATCH steps
-# per matrix product when the run has at least as many steps as the
-# block's side (n_collisions >= b), else one matvec per step.
 
 
 def _check_coupling_list(ops: Sequence[Operator], dim: int, label: str):
@@ -234,10 +220,10 @@ class CollisionConfig:
     def __post_init__(self):
         carrier_dims = tuple(int(d) for d in self.carrier_dims)
         object.__setattr__(self, "carrier_dims", carrier_dims)
-        if self.dt <= 0:
-            raise ValueError("collision duration dt must be positive")
-        if self.g < 0:
-            raise ValueError("coupling strength g must be nonnegative")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"collision duration dt must be positive and finite; got {self.dt!r}")
+        if not 0 <= self.g < math.inf:
+            raise ValueError(f"coupling strength g must be nonnegative and finite; got {self.g!r}")
         if self.n_collisions < 0:
             raise ValueError("n_collisions must be nonnegative")
         if self.eta.side != self.env_dim:
@@ -406,63 +392,46 @@ def _free_evolution_unitary(cfg: CollisionConfig, t0: float, t1: float) -> np.nd
     return functools.reduce(np.kron, blocks)
 
 
-def _kraus_term(w: np.ndarray, u: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """W[p, f, f'] contracted with V[s e, t f] = sum_g K[e, g] U[s g, t f]
-    and conj(V[s' e', t' f']), axes (p, t, t', s, s', e, e') in C order."""
-    v = np.einsum("eg,sgtf->setf", k, u)
-    return np.einsum("pFtse,SETF->ptTsSeE", np.einsum("pfF,setf->pFtse", w, v), v.conj(), order="C")
+def _column_kraus(cfg: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The traced column rho -> tr_E[column(rho (x) eta)], for a
+    trace-preserving relaxation, as sum_k p_k V_k rho V_k^dag: the weights
+    p and the operators V, shaped (n, D_c, D_c).
 
-
-def _column_map(cfg: CollisionConfig) -> np.ndarray:
-    """The traced column rho -> tr_E[column(rho (x) eta)], built by
-    contraction, as a view of its column-stacked D_c^2 x D_c^2 matrix with
-    axes (s'_1..s'_M, s_1..s_M, t'_1..t'_M, t_1..t_M): out[s, s'] =
-    sum phi[s', s, t', t] rho[t, t'] (`.reshape(D_c^2, D_c^2)` copies it
-    into the matrix).
-
-    The row W starts as eta and takes one carrier at a time.  For carrier m
-    the environment site's (f, f') goes to (e, e') while carrier m's (t, t')
-    goes to (s, s'), and the relaxation is taken k by k into the collision:
-    W is contracted with V_k = (1 (x) K_k) U_m, then with conj(V_k)
-    (`_kraus_term`), and the terms are added into the first, so that no
-    array of the build is larger than the next W.  For the last carrier, E
-    is traced out of the relaxation first, sum_k K_k^T conj(K_k), and W
-    meets it, U_M and conj(U_M) in one product, which writes the map
-    itself.  All contractions except that product run in einsum's own
-    loops: threaded BLAS can stall on such thin products; outputs that are
-    reshaped are written in C order so the reshape is a view.
-    `_column_map_entries` gives the largest array.
+    eta = sum_r p_r |r><r| (one eigh; only exact zero weights are dropped,
+    so a slightly negative one stays, signed).  The kets 1 (x) |r>, held as
+    (ket, e, carriers, input), take U_m on the factors (m, E) for each
+    carrier and branch over the A Kraus operators on E after every carrier
+    but the last; E projected onto each <e| is a reshape, and the
+    n = rank(eta) A^(M-1) d_e operators are the largest array built.
     """
-    de = cfg.env_dim
-    kraus = [k.entries for k in cfg.channel.kraus]
-    us = [
-        collision_unitary(cfg, m).entries.reshape(d, de, d, de)
-        for m, d in enumerate(cfg.carrier_dims, start=1)
-    ]
-    w = cfg.eta.entries.reshape(1, de, de)
-    for u in us[:-1]:
-        acc = _kraus_term(w, u, kraus[0])
-        for k in kraus[1:]:
-            acc += _kraus_term(w, u, k)
-        w = acc.reshape(-1, de, de)
-    traced = sum(k.T @ k.conj() for k in kraus)
-    ru = np.einsum("gG,sgtf->ftGs", traced, us[-1])
-    t = np.einsum("ftGs,SGTF->fFtTsS", ru, us[-1].conj(), order="C")
-    w = w.reshape(-1, de * de) @ t.reshape(de * de, -1)
-    # axes (t_1, t'_1, s_1, s'_1, ..., t_M, t'_M, s_M, s'_M) -> (s', s, t', t):
-    # row s + D s' and column t + D t' of the column-stacked matrix, as a view
-    w = w.reshape(tuple(d for d in cfg.carrier_dims for _ in range(4)))
-    return w.transpose([4 * m + k for k in (3, 2, 1, 0) for m in range(cfg.n_carriers)])
+    dims, de, kraus = cfg.carrier_dims, cfg.env_dim, cfg.channel.kraus
+    side = math.prod(dims)
+    p, r = np.linalg.eigh(cfg.eta.entries)
+    p, r = p[p != 0], r[:, p != 0]
+    v = np.einsum("er,st->rest", r, np.eye(side))
+    for m, d in enumerate(dims):
+        if m:  # the relaxation after carrier m - 1 branches every ket
+            v = v.reshape(len(v), de, -1)
+            v, p = np.stack([k.entries @ v for k in kraus], axis=1), np.repeat(p, len(kraus))
+        u = collision_unitary(cfg, m + 1).entries.reshape(d, de, d, de)
+        v = v.reshape(-1, de, math.prod(dims[:m]), d, side // math.prod(dims[: m + 1]), side)
+        v = np.moveaxis(np.tensordot(u, v, axes=([2, 3], [3, 1])), (0, 1), (3, 1))
+    return np.repeat(p, de), v.reshape(-1, side, side)
 
 
-def _column_map_entries(cfg: CollisionConfig) -> int:
-    """Complex entries of the largest array `_column_map` allocates: the map
-    (D_c^4), the row W after each carrier but the last and each Kraus term
-    added into it (at most D_(<M)^4 d_e^2), or the last carrier's tensor
-    (d_M^4 d_e^2).  The relaxation enters through its Kraus operators, and
-    no array of d_e^4 entries is built."""
-    head = math.prod(cfg.carrier_dims[:-1]) ** 4
-    return max(math.prod(cfg.carrier_dims) ** 4, max(head, cfg.carrier_dims[-1] ** 4) * cfg.env_dim**2)
+def _column_phi(cfg: CollisionConfig) -> np.ndarray:
+    """Phi's column-stacked matrix as the (s', s, t', t) view of its tensor
+    that `integrator._real_map` reads, in one product over the operators of
+    `_column_kraus`; the last relaxation enters through Q = sum_k K_k^dag K_k
+    on E (the identity when trace-preserving): entry [s', s, t', t] is
+    sum conj(V_(k,e)[s', t']) p_k Q[e, f] V_(k,f)[s, t]."""
+    p, v = _column_kraus(cfg)
+    side, de = v.shape[-1], cfg.env_dim
+    v = v.reshape(-1, de, side * side)
+    weighted = sum(k.entries.conj().T @ k.entries for k in cfg.channel.kraus) @ v
+    weighted *= p.reshape(-1, de, 1)
+    v = np.conjugate(v, out=v).reshape(-1, side * side)
+    return (v.T @ weighted.reshape(v.shape)).reshape((side,) * 4).transpose(0, 2, 1, 3)
 
 
 def simulate(
@@ -475,16 +444,16 @@ def simulate(
     """Iterate the column recursion for cfg.n_collisions collisions.
 
     When the column is the same map at every collision (couplings not
-    collision-indexed, no local schedule) and no array of its build has more
-    than COLUMN_MAP_MAX_ENTRIES complex entries (`_column_map_entries`), the
-    traced column is materialized once (`_column_map`) in real Hermitian
-    coordinates and split into its invariant sectors (`integrator._split`);
-    every collision is one real matvec per block, or, for a block of side
-    b <= n_collisions, every SAMPLE_BATCH collisions are one matrix product
-    (`integrator._propagate`).  The build holds at most two arrays of that
-    size at once (32 MiB at the bound), and the iterated map takes
-    8 D_c^4 bytes (at most 8 MiB; three times that while the block mode
-    squares it), its blocks less.
+    collision-indexed, no local schedule) and neither Phi's D_c^4 entries
+    nor the n D_c^2 of its n Kraus operators exceed COLUMN_MAP_MAX_ENTRIES,
+    with n = rank(eta) A^(M-1) d_e counted before the build, Phi is built
+    once from its Kraus form (`_column_kraus`, `_column_phi`) in real
+    Hermitian coordinates and split into its invariant sectors
+    (`integrator._split`); every collision is one real matvec per block,
+    or, for a block of side b <= n_collisions, every SAMPLE_BATCH
+    collisions are one matrix product (`integrator._propagate`).  The
+    iterated map takes 8 D_c^4 bytes (at most 8 MiB; three times that
+    while the block mode squares it), its blocks less.
     Otherwise each collision runs the direct column (`_column` on
     rho (x) eta, then `_trace_env`) with one list of collision forms, or
     with the list of `cfg.at(n)` when the couplings are collision-indexed.
@@ -507,13 +476,13 @@ def simulate(
         raise ValueError("record_stride must be >= 1")
     obs, names = observable_arrays(observables, rho0.side, observable_names)
 
-    uniform = cfg.couplings.collision_system_ops is None and cfg.local_hamiltonians is None
-    if uniform and _column_map_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES:
-        advance = _split(_real_map(_column_map(cfg)), cfg.n_collisions)
+    side, indexed = rho0.side, cfg.couplings.collision_system_ops is not None
+    rank = np.count_nonzero(np.linalg.eigh(cfg.eta.entries)[0])
+    n_kraus = rank * len(cfg.channel.kraus) ** (cfg.n_carriers - 1) * cfg.env_dim
+    if not indexed and cfg.local_hamiltonians is None and max(side**4, n_kraus * side**2) <= COLUMN_MAP_MAX_ENTRIES:
+        advance = _split(_real_map(_column_phi(cfg)), cfg.n_collisions)
     else:
-        indexed = cfg.couplings.collision_system_ops is not None
         collisions = None if indexed else _collision_forms(cfg)
-        side = rho0.side
 
         def advance(n: int, s: np.ndarray, out: np.ndarray) -> None:
             arr = _hermitian(s, side)[0]

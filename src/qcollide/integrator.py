@@ -177,15 +177,12 @@ def _real_map(g: np.ndarray) -> np.ndarray:
     linear map G (on column-stacked vectors) in real Hermitian coordinates;
     T is the transpose permutation of vec, which swaps the row and column
     index on each side.  G is a (D^2, D^2) matrix or, to spare a copy, any
-    view of its (D, D, D, D) tensor with each of the four indices split
-    into the same number of axes."""
+    view of its (D, D, D, D) tensor."""
     t = g.reshape((math.isqrt(g.shape[0]),) * 4) if g.ndim == 2 else g
-    k = t.ndim // 4
-    col, row, col_in, row_in = (tuple(range(i * k, (i + 1) * k)) for i in range(4))
     re, im = t.real, t.imag
-    r = np.add(re, re.transpose(row + col + row_in + col_in), out=np.empty(t.shape))
-    r += im.transpose(col + row + row_in + col_in)
-    r -= im.transpose(row + col + col_in + row_in)
+    r = np.add(re, re.transpose(1, 0, 3, 2), out=np.empty(t.shape))
+    r += im.transpose(0, 1, 3, 2)
+    r -= im.transpose(1, 0, 2, 3)
     r *= 0.5
     side2 = math.isqrt(r.size)
     return r.reshape(side2, side2)

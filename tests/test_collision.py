@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cpt_channel, random_hermitian, random_state, random_unitary
 from qcollide.channels import (
     DensityMatrix,
+    KrausChannel,
     identity_channel,
     lossy_bosonic_channel,
     replacer_channel,
@@ -27,9 +30,9 @@ from qcollide.collision import (
     interaction_frame_couplings,
     simulate,
     _column,
-    _column_map,
+    _column_kraus,
+    _column_phi,
     _collision_forms,
-    _column_map_entries,
     _trace_env,
 )
 from qcollide.ops import Operator, SandwichForm, expm_hermitian, kron, partial_trace, pauli, projector, vec
@@ -124,6 +127,16 @@ class TestCouplingSpec:
         assert len(simulate(cfg, GROUND)) == 7
         with pytest.raises(ValueError, match=message):
             replace(cfg, n_collisions=10)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("g", math.nan), ("g", math.inf), ("g", -1.0), ("dt", math.nan), ("dt", math.inf), ("dt", -math.inf), ("dt", 0.0)],
+    )
+    def test_g_and_dt_must_be_finite(self, field, value):
+        # NaN fails every comparison, so a bare dt <= 0 or g < 0 lets it in
+        message = {"g": "coupling strength g must be nonnegative and finite", "dt": "collision duration dt must be positive and finite"}
+        with pytest.raises(ValueError, match=message[field]):
+            replace(qubit_config(), **{field: value})
 
     def test_at_resolves_one_collision(self):
         table = (((SY,),), ((SZ,),))
@@ -270,11 +283,11 @@ class TestSimulate:
         # coordinates after collision 70 are the first non-finite ones, past
         # the first batch; both segments run a block at a time
         propagate, built = qcollide.collision._propagate, [0]
-        column_map = qcollide.collision._column_map
+        column_kraus = qcollide.collision._column_kraus
 
-        def counted_map(cfg):
+        def counted_kraus(cfg):
             built[0] += 1
-            return column_map(cfg)
+            return column_kraus(cfg)
 
         def poisoned(rho0, dt, record_stride, segments):
             [(n, phi)] = segments
@@ -283,7 +296,7 @@ class TestSimulate:
             bad_phi[3, 3] = bad  # S[1, 1] <- S[1, 1]
             return propagate(rho0, dt, record_stride, [(69, phi), (n - 69, bad_phi)])
 
-        monkeypatch.setattr(qcollide.collision, "_column_map", counted_map)
+        monkeypatch.setattr(qcollide.collision, "_column_kraus", counted_kraus)
         monkeypatch.setattr(qcollide.collision, "_propagate", poisoned)
         # the run goes on past collision 70 until its batch is checked, and
         # inf * 0 in the later collisions is NaN
@@ -404,6 +417,8 @@ class TestColumnMap:
             return unitary_channel(Operator((de,), random_unitary(rng, de)))
         if kind == "replacer":
             return replacer_channel(random_state(rng, (de,)))
+        if kind == "leaky":  # not trace-preserving: sum_k K_k^dag K_k = 0.81
+            return KrausChannel(tuple(Operator((de,), 0.9 * k.entries) for k in random_cpt_channel(rng, de).kraus))
         return random_cpt_channel(rng, de)
 
     @pytest.mark.parametrize("env_shared", [True, False])
@@ -427,8 +442,50 @@ class TestColumnMap:
             rho = random_state(rng, dims).entries
             joint = np.kron(rho, cfg.eta.entries)
             direct = _trace_env(_column(joint, cfg, _collision_forms(cfg)), de)
-            phi = _column_map(cfg).reshape(rho.size, rho.size)
+            phi = _column_phi(cfg).reshape(rho.size, rho.size)
             assert np.max(np.abs(phi @ vec(rho) - vec(direct))) <= 1e-12, kind
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(2, 3), min_size=1, max_size=3).map(tuple),
+        de=st.sampled_from([2, 3]),
+        env_shared=st.booleans(),
+        kind=st.sampled_from(CHANNELS + ("leaky",)),
+        rank=st.integers(1, 3),
+        negative=st.booleans(),
+    )
+    @example(seed=1, dims=(2, 3), de=3, env_shared=False, kind="kraus", rank=2, negative=True)
+    @example(seed=2, dims=(2, 2), de=2, env_shared=True, kind="leaky", rank=1, negative=False)
+    def test_kraus_form_matches_direct_column(self, seed, dims, de, env_shared, kind, rank, negative):
+        # eta = diag(w) with rank(eta) nonzero weights at random places, and
+        # with `negative` one weight of -1e-11 (DensityMatrix accepts it):
+        # the signed weights keep the map linear in eta, so the Kraus form
+        # is the direct column on rho (x) eta whatever eta's spectrum; a
+        # leaky relaxation enters the last carrier's trace through
+        # sum_k K_k^dag K_k
+        rng = np.random.default_rng(seed)
+        rank = min(rank, de)
+        w = np.zeros(de)
+        w[:rank] = rng.dirichlet(np.ones(rank))
+        if negative and rank < de:
+            w[rank], w[0], rank = -1e-11, w[0] + 1e-11, rank + 1
+        eta = DensityMatrix.from_matrix(np.diag(rng.permutation(w)), (de,))
+        system = [[random_hermitian(rng, (d,))] for d in dims]
+        env = [[random_hermitian(rng, (de,))] for _ in (dims[:1] if env_shared else dims)]
+        spec = CouplingSpec(system, env * len(dims) if env_shared else env, env_shared=env_shared)
+        channel = self.channel(rng, kind, de)
+        cfg = CollisionConfig(
+            carrier_dims=dims, env_dim=de, g=1.1, dt=0.5, n_collisions=1, eta=eta, channel=channel, couplings=spec,
+        )
+        p, v = _column_kraus(cfg)
+        assert len(p) == len(v) == rank * len(channel.kraus) ** (len(dims) - 1) * de
+        side = math.prod(dims)
+        phi = _column_phi(cfg).reshape(side * side, side * side)
+        forms = _collision_forms(cfg)
+        for x in (random_state(rng, dims).entries, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))):
+            direct = _trace_env(_column(np.kron(x, eta.entries), cfg, forms), de)
+            assert np.max(np.abs(phi @ vec(x) - vec(direct))) <= 1e-12 * max(1.0, np.max(np.abs(x)))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtin_trajectories_match_direct_column(self, monkeypatch, name):
@@ -442,23 +499,25 @@ class TestColumnMap:
 
     def test_mode_rule(self, monkeypatch):
         built = [0]
-        column_map = qcollide.collision._column_map
+        column_kraus = qcollide.collision._column_kraus
 
         def counted(cfg):
             built[0] += 1
-            return column_map(cfg)
+            return column_kraus(cfg)
 
         def uses_map(cfg):
             before = built[0]
             simulate(cfg, DensityMatrix.maximally_mixed(cfg.carrier_dims))
             return built[0] - before == 1
 
-        monkeypatch.setattr(qcollide.collision, "_column_map", counted)
-        # the 3-carrier qutrit chain (largest build array: the map, 27^4
-        # entries) takes the map, its d = 4 version (64^4) does not
+        monkeypatch.setattr(qcollide.collision, "_column_kraus", counted)
+        # the 3-carrier qutrit chain (largest array: the map, 27^4 entries)
+        # takes the map, its d = 4 version (64^4) does not
         assert 27**4 <= COLUMN_MAP_MAX_ENTRIES < 64**4
+        # two qubits, a pure eta and one Kraus operator: 2 operators of
+        # 4^2 entries, so the map's 4^4 entries set the count
         cfg = qubit_config(m_carriers=2, n_collisions=3)
-        assert _column_map_entries(cfg) == 4**4
+        assert len(_column_kraus(cfg)[1]) == 2
         assert uses_map(cfg)
         sched = HamiltonianSchedule.constant(Operator((2,), 0.4 * SZ.entries))
         scheduled = qubit_config(m_carriers=2, n_collisions=3, local_hamiltonians=(sched, None))
@@ -469,29 +528,40 @@ class TestColumnMap:
         assert not uses_map(cfg)
         monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 4**4)
         assert uses_map(cfg)
-        # the environment counts too: two qubits on a d_e = 32 site build a
-        # 2^4 * 32^2 row, four times larger than their 4^4-entry map
+        # the environment counts too: two qubits on a d_e = 32 site have
+        # 1 * 32 * 32 Kraus operators, 32^2 * 4^2 = 16,384 entries, 64 times
+        # their 4^4-entry map, and over budget nothing is built
         wide = lossy_env_config((2, 2), 32)
-        assert _column_map_entries(wide) == 2**4 * 32**2
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2**4 * 32**2 - 1)
+        assert len(_column_kraus(wide)[1]) == 32 * 32
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 32**2 * 4**2 - 1)
         assert not uses_map(wide)
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2**4 * 32**2)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 32**2 * 4**2)
         assert uses_map(wide)
+        # and so does eta's rank: a rank-2 eta doubles the operators
+        mixed = replace(wide, eta=DensityMatrix.from_matrix(np.diag([0.5, 0.5] + [0.0] * 30), (32,)))
+        assert len(_column_kraus(mixed)[1]) == 2 * 32 * 32
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2 * 32**2 * 4**2 - 1)
+        assert not uses_map(mixed)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2 * 32**2 * 4**2)
+        assert uses_map(mixed)
 
     @pytest.mark.parametrize("dims, de", [((2, 2), 32), ((2, 2, 2), 8), ((3, 3, 3), 3)])
     def test_build_memory_follows_entry_count(self, dims, de):
         # no tensor of d_m^4 d_e^4 entries and no d_e^4 channel matrix: the
-        # build holds two arrays of at most `_column_map_entries` at once,
-        # plus the collision unitaries, the Kraus operators and einsum's
-        # buffers
+        # build holds a few arrays of at most max(D_c^4, n D_c^2) entries at
+        # once (the kets before and after a product, the weighted copy of
+        # the operators, their conjugate and the map), plus the collision
+        # unitaries and the Kraus operators
         cfg = lossy_env_config(dims, de)
+        side, n = math.prod(dims), de ** len(dims)  # a pure eta and d_e lossy Kraus operators
         tracemalloc.start()
         try:
-            _column_map(cfg)
+            _column_phi(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 16 * _column_map_entries(cfg)
+        assert len(_column_kraus(cfg)[1]) == n
+        assert peak <= 4 * 16 * max(side**4, n * side**2)
 
     def test_no_form_is_materialized(self, monkeypatch, rng):
         # both simulate routes, one column, the row oracle and verify apply
@@ -503,7 +573,7 @@ class TestColumnMap:
         monkeypatch.setattr(SandwichForm, "matrix", refuse)
         cfg = lossy_env_config((2, 2), 8, n_collisions=4)
         rho = random_state(rng, cfg.carrier_dims)
-        assert _column_map_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES
+        assert max(4**4, len(_column_kraus(cfg)[1]) * 4**2) <= COLUMN_MAP_MAX_ENTRIES
         mapped = simulate(cfg, rho)
         monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
         direct = simulate(cfg, rho)

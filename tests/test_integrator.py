@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_cpt_channel, random_hermitian, random_state
 from qcollide.channels import DensityMatrix, identity_channel, lossy_bosonic_channel
-from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedule, _column_map, simulate
+from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedule, _column_phi, simulate
 from qcollide.generators import full_generator, single_carrier_generator
 import qcollide.integrator
 from qcollide.integrator import (
@@ -310,7 +310,7 @@ def random_column_map(rng, carrier_dims, env_dim=2):
         channel=random_cpt_channel(rng, env_dim),
         couplings=couplings,
     )
-    return _real_map(_column_map(cfg))
+    return _real_map(_column_phi(cfg))
 
 
 class TestPropagatorBuild:
@@ -477,7 +477,7 @@ class TestSectors:
         if which == "R":
             m = _real_map(scenario_generator(sc).total.matrix)
         else:
-            m = _real_map(_column_map(collision_config(sc, sc.n_collisions)))
+            m = _real_map(_column_phi(collision_config(sc, sc.n_collisions)))
         sectors = _sectors(m, n)
         assert len(sectors) == count
         assert max(map(len, sectors)) == largest

@@ -674,6 +674,22 @@ class TestCLI:
         assert err == f"qcollide: error: --out {out}: File exists\n"
         assert out.read_text() == "keep"
 
+    @pytest.mark.parametrize(
+        "command, fmt, name",
+        [(command, fmt, name) for (command, fmt), files in qcollide.cli.OUTPUTS.items() for name in files],
+    )
+    def test_output_write_error_exit_one(self, tmp_path, capsys, command, fmt, name):
+        # a directory where an output file goes: one error line naming the
+        # file, no traceback and no summary
+        (tmp_path / name).mkdir()
+        argv = [command, "--config", "dephasing-1q", "--out", str(tmp_path)]
+        code = main(argv + ([] if command == "verify" else ["--format", fmt]))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"qcollide: error: {tmp_path / name}: Is a directory\n"
+        assert captured.out == ""
+        assert (tmp_path / name).is_dir()
+
     def test_help_exit_zero(self, capsys):
         for command in ("simulate", "generators", "converge", "verify"):
             with pytest.raises(SystemExit) as info:
