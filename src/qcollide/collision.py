@@ -41,10 +41,9 @@ from .integrator import _hermitian, _propagate, _real_coordinates, _real_map, _s
 from .trajectory import Trajectory, observable_arrays
 
 ROW_PATH_MAX_SIDE = 256
-# simulate builds the traced column as one map when none of its arrays, Phi
-# (D_c^4) and its n Kraus operators (n D_c^2, `_column_kraus`), has more
-# complex entries than this (16 MiB each); the map then advances by its
-# invariant sectors (the rule at `integrator.SECTOR_CUT`)
+# simulate builds the traced column as one map when no array of the build
+# has more complex entries than this (`_column_phi_entries`; 16 MiB each);
+# the map then advances by its invariant sectors (`integrator.SECTOR_CUT`)
 COLUMN_MAP_MAX_ENTRIES = 2**20
 
 
@@ -392,46 +391,56 @@ def _free_evolution_unitary(cfg: CollisionConfig, t0: float, t1: float) -> np.nd
     return functools.reduce(np.kron, blocks)
 
 
-def _column_kraus(cfg: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The traced column rho -> tr_E[column(rho (x) eta)], for a
-    trace-preserving relaxation, as sum_k p_k V_k rho V_k^dag: the weights
-    p and the operators V, shaped (n, D_c, D_c).
-
-    eta = sum_r p_r |r><r| (one eigh; only exact zero weights are dropped,
-    so a slightly negative one stays, signed).  The kets 1 (x) |r>, held as
-    (ket, e, carriers, input), take U_m on the factors (m, E) for each
-    carrier and branch over the A Kraus operators on E after every carrier
-    but the last; E projected onto each <e| is a reshape, and the
-    n = rank(eta) A^(M-1) d_e operators are the largest array built.
-    """
-    dims, de, kraus = cfg.carrier_dims, cfg.env_dim, cfg.channel.kraus
-    side = math.prod(dims)
-    p, r = np.linalg.eigh(cfg.eta.entries)
-    p, r = p[p != 0], r[:, p != 0]
-    v = np.einsum("er,st->rest", r, np.eye(side))
-    for m, d in enumerate(dims):
-        if m:  # the relaxation after carrier m - 1 branches every ket
-            v = v.reshape(len(v), de, -1)
-            v, p = np.stack([k.entries @ v for k in kraus], axis=1), np.repeat(p, len(kraus))
-        u = collision_unitary(cfg, m + 1).entries.reshape(d, de, d, de)
-        v = v.reshape(-1, de, math.prod(dims[:m]), d, side // math.prod(dims[: m + 1]), side)
-        v = np.moveaxis(np.tensordot(u, v, axes=([2, 3], [3, 1])), (0, 1), (3, 1))
-    return np.repeat(p, de), v.reshape(-1, side, side)
-
-
 def _column_phi(cfg: CollisionConfig) -> np.ndarray:
-    """Phi's column-stacked matrix as the (s', s, t', t) view of its tensor
-    that `integrator._real_map` reads, in one product over the operators of
-    `_column_kraus`; the last relaxation enters through Q = sum_k K_k^dag K_k
-    on E (the identity when trace-preserving): entry [s', s, t', t] is
-    sum conj(V_(k,e)[s', t']) p_k Q[e, f] V_(k,f)[s, t]."""
-    p, v = _column_kraus(cfg)
-    side, de = v.shape[-1], cfg.env_dim
-    v = v.reshape(-1, de, side * side)
-    weighted = sum(k.entries.conj().T @ k.entries for k in cfg.channel.kraus) @ v
-    weighted *= p.reshape(-1, de, 1)
-    v = np.conjugate(v, out=v).reshape(-1, side * side)
-    return (v.T @ weighted.reshape(v.shape)).reshape((side,) * 4).transpose(0, 2, 1, 3)
+    """The traced column rho -> tr_E[column(rho (x) eta)] as the tensor
+    phi[s', s, t', t] of its column-stacked matrix, out[s, s'] =
+    sum phi[s', s, t', t] rho[t, t'], which `integrator._real_map` reads.
+
+    The column is a Kraus form sum_j p_j |x_j><x_j| of kets on (E, carriers
+    done, their inputs), from eta's eigh (only exact zero weights dropped,
+    so a slightly negative one stays, signed).  For each carrier but the
+    last the kets take U_m on (m, E), then branch into the relaxation's
+    K_k x_j while there are no more kets than a ket has entries, which
+    keeps exact zeros exact (the invariant sectors); else, and before the
+    last carrier, they are summed into their Choi matrix C, whose eigh
+    gives the kets again, so that no array outgrows C.  U_M and the trace
+    of E through Q = sum_k K_k^dag K_k meet C in one product per output
+    row of the carriers before M.
+    """
+    dims, de, kraus = cfg.carrier_dims, cfg.env_dim, [k.entries for k in cfg.channel.kraus]
+    us = [collision_unitary(cfg, m).entries.reshape(d, de, d, de) for m, d in enumerate(dims, start=1)]
+    c, x, side = cfg.eta.entries, None, 1
+    for m, (u, d) in enumerate(zip(us[:-1], dims), start=1):
+        if x is None:
+            p, x = np.linalg.eigh(c)
+            p, x = p[p != 0], x[:, p != 0].T
+        # (ket, e, S, T) -> (ket, e', S, s, T, t)
+        x = np.tensordot(x.reshape(len(p), de, side, side), u, ([1], [3])).transpose(0, 4, 1, 3, 2, 5)
+        x, side = x.reshape(len(p), de, -1), side * d
+        if m + 1 < len(dims) and len(p) * len(kraus) <= de * side**2:
+            p, x = np.repeat(p, len(kraus)), np.stack([k @ x for k in kraus], axis=1)
+            continue
+        c = 0
+        for k in kraus:
+            z = (k @ x).reshape(len(p), -1)
+            c += z.T @ (p[:, None] * z.conj())
+        x = z = None
+    d, u = dims[-1], us[-1]
+    # ts[e][s, t, s', t', f] = sum Q[h, g] U[s g, t e] conj(U[s' h, t' f])
+    qu = np.tensordot(sum(k.conj().T @ k for k in kraus), u, ([1], [1]))
+    ts = [np.tensordot(qu[..., e], u.conj(), ([0], [1])) for e in range(de)]
+    c, phi = c.reshape(de, side, side, de, side, side), np.empty((side, d) * 4, dtype=complex)
+    for i in range(side):  # phi[S', s', S, s, T', t', T, t], one S at a time
+        phi[:, :, i] = sum(np.tensordot(c[e, i], te, ([1], [4])) for e, te in enumerate(ts)).transpose(1, 5, 3, 2, 6, 0, 4)
+    return phi.reshape((side * d,) * 4)
+
+
+def _column_phi_entries(cfg: CollisionConfig) -> int:
+    """Complex entries of the largest array `_column_phi` builds: the map
+    (D_c^4), C before the last carrier (D_(<M)^4 d_e^2; the kets and their
+    branches are no more) or the last carrier's tensors (d_M^4 d_e^2)."""
+    head = math.prod(cfg.carrier_dims[:-1]) ** 4
+    return max(math.prod(cfg.carrier_dims) ** 4, max(head, cfg.carrier_dims[-1] ** 4) * cfg.env_dim**2)
 
 
 def simulate(
@@ -444,10 +453,9 @@ def simulate(
     """Iterate the column recursion for cfg.n_collisions collisions.
 
     When the column is the same map at every collision (couplings not
-    collision-indexed, no local schedule) and neither Phi's D_c^4 entries
-    nor the n D_c^2 of its n Kraus operators exceed COLUMN_MAP_MAX_ENTRIES,
-    with n = rank(eta) A^(M-1) d_e counted before the build, Phi is built
-    once from its Kraus form (`_column_kraus`, `_column_phi`) in real
+    collision-indexed, no local schedule) and no array of its build has more
+    than COLUMN_MAP_MAX_ENTRIES complex entries (`_column_phi_entries`),
+    Phi is built once from its Kraus form (`_column_phi`) in real
     Hermitian coordinates and split into its invariant sectors
     (`integrator._split`); every collision is one real matvec per block,
     or, for a block of side b <= n_collisions, every SAMPLE_BATCH
@@ -477,9 +485,7 @@ def simulate(
     obs, names = observable_arrays(observables, rho0.side, observable_names)
 
     side, indexed = rho0.side, cfg.couplings.collision_system_ops is not None
-    rank = np.count_nonzero(np.linalg.eigh(cfg.eta.entries)[0])
-    n_kraus = rank * len(cfg.channel.kraus) ** (cfg.n_carriers - 1) * cfg.env_dim
-    if not indexed and cfg.local_hamiltonians is None and max(side**4, n_kraus * side**2) <= COLUMN_MAP_MAX_ENTRIES:
+    if not indexed and cfg.local_hamiltonians is None and _column_phi_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES:
         advance = _split(_real_map(_column_phi(cfg)), cfg.n_collisions)
     else:
         collisions = None if indexed else _collision_forms(cfg)

@@ -30,8 +30,8 @@ from qcollide.collision import (
     interaction_frame_couplings,
     simulate,
     _column,
-    _column_kraus,
     _column_phi,
+    _column_phi_entries,
     _collision_forms,
     _trace_env,
 )
@@ -283,11 +283,11 @@ class TestSimulate:
         # coordinates after collision 70 are the first non-finite ones, past
         # the first batch; both segments run a block at a time
         propagate, built = qcollide.collision._propagate, [0]
-        column_kraus = qcollide.collision._column_kraus
+        column_phi = qcollide.collision._column_phi
 
-        def counted_kraus(cfg):
+        def counted_phi(cfg):
             built[0] += 1
-            return column_kraus(cfg)
+            return column_phi(cfg)
 
         def poisoned(rho0, dt, record_stride, segments):
             [(n, phi)] = segments
@@ -296,7 +296,7 @@ class TestSimulate:
             bad_phi[3, 3] = bad  # S[1, 1] <- S[1, 1]
             return propagate(rho0, dt, record_stride, [(69, phi), (n - 69, bad_phi)])
 
-        monkeypatch.setattr(qcollide.collision, "_column_kraus", counted_kraus)
+        monkeypatch.setattr(qcollide.collision, "_column_phi", counted_phi)
         monkeypatch.setattr(qcollide.collision, "_propagate", poisoned)
         # the run goes on past collision 70 until its batch is checked, and
         # inf * 0 in the later collisions is NaN
@@ -457,6 +457,9 @@ class TestColumnMap:
     )
     @example(seed=1, dims=(2, 3), de=3, env_shared=False, kind="kraus", rank=2, negative=True)
     @example(seed=2, dims=(2, 2), de=2, env_shared=True, kind="leaky", rank=1, negative=False)
+    # 3 kets times a mixed replacer's 9 Kraus operators outgrow the 12 entries
+    # of a ket after the first carrier: the kets pass through their Choi matrix
+    @example(seed=3, dims=(2, 2, 2), de=3, env_shared=False, kind="replacer", rank=3, negative=True)
     def test_kraus_form_matches_direct_column(self, seed, dims, de, env_shared, kind, rank, negative):
         # eta = diag(w) with rank(eta) nonzero weights at random places, and
         # with `negative` one weight of -1e-11 (DensityMatrix accepts it):
@@ -478,8 +481,6 @@ class TestColumnMap:
         cfg = CollisionConfig(
             carrier_dims=dims, env_dim=de, g=1.1, dt=0.5, n_collisions=1, eta=eta, channel=channel, couplings=spec,
         )
-        p, v = _column_kraus(cfg)
-        assert len(p) == len(v) == rank * len(channel.kraus) ** (len(dims) - 1) * de
         side = math.prod(dims)
         phi = _column_phi(cfg).reshape(side * side, side * side)
         forms = _collision_forms(cfg)
@@ -499,25 +500,23 @@ class TestColumnMap:
 
     def test_mode_rule(self, monkeypatch):
         built = [0]
-        column_kraus = qcollide.collision._column_kraus
+        column_phi = qcollide.collision._column_phi
 
         def counted(cfg):
             built[0] += 1
-            return column_kraus(cfg)
+            return column_phi(cfg)
 
         def uses_map(cfg):
             before = built[0]
             simulate(cfg, DensityMatrix.maximally_mixed(cfg.carrier_dims))
             return built[0] - before == 1
 
-        monkeypatch.setattr(qcollide.collision, "_column_kraus", counted)
-        # the 3-carrier qutrit chain (largest array: the map, 27^4 entries)
-        # takes the map, its d = 4 version (64^4) does not
+        monkeypatch.setattr(qcollide.collision, "_column_phi", counted)
+        # the 3-carrier qutrit chain (largest build array: the map, 27^4
+        # entries) takes the map, its d = 4 version (64^4) does not
         assert 27**4 <= COLUMN_MAP_MAX_ENTRIES < 64**4
-        # two qubits, a pure eta and one Kraus operator: 2 operators of
-        # 4^2 entries, so the map's 4^4 entries set the count
         cfg = qubit_config(m_carriers=2, n_collisions=3)
-        assert len(_column_kraus(cfg)[1]) == 2
+        assert _column_phi_entries(cfg) == 4**4
         assert uses_map(cfg)
         sched = HamiltonianSchedule.constant(Operator((2,), 0.4 * SZ.entries))
         scheduled = qubit_config(m_carriers=2, n_collisions=3, local_hamiltonians=(sched, None))
@@ -528,40 +527,70 @@ class TestColumnMap:
         assert not uses_map(cfg)
         monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 4**4)
         assert uses_map(cfg)
-        # the environment counts too: two qubits on a d_e = 32 site have
-        # 1 * 32 * 32 Kraus operators, 32^2 * 4^2 = 16,384 entries, 64 times
-        # their 4^4-entry map, and over budget nothing is built
+        # the environment counts too: two qubits on a d_e = 32 site build a
+        # Choi matrix of 2^4 * 32^2 entries before the last carrier, four
+        # times their 4^4-entry map
         wide = lossy_env_config((2, 2), 32)
-        assert len(_column_kraus(wide)[1]) == 32 * 32
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 32**2 * 4**2 - 1)
+        assert _column_phi_entries(wide) == 2**4 * 32**2
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2**4 * 32**2 - 1)
         assert not uses_map(wide)
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 32**2 * 4**2)
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2**4 * 32**2)
         assert uses_map(wide)
-        # and so does eta's rank: a rank-2 eta doubles the operators
-        mixed = replace(wide, eta=DensityMatrix.from_matrix(np.diag([0.5, 0.5] + [0.0] * 30), (32,)))
-        assert len(_column_kraus(mixed)[1]) == 2 * 32 * 32
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2 * 32**2 * 4**2 - 1)
-        assert not uses_map(mixed)
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 2 * 32**2 * 4**2)
-        assert uses_map(mixed)
 
-    @pytest.mark.parametrize("dims, de", [((2, 2), 32), ((2, 2, 2), 8), ((3, 3, 3), 3)])
-    def test_build_memory_follows_entry_count(self, dims, de):
+    @pytest.mark.parametrize(
+        "dims, de, eta, channel, entries",
+        [
+            ((2, 2), 48, "maximally-mixed", "lossy", 2**4 * 48**2),
+            ((2, 2, 2, 2), 16, "ground", "lossy", 2**20),
+            ((2, 2, 2), 8, "ground", "mixed-replacer", 4**4 * 8**2),
+        ],
+    )
+    def test_mode_rule_ignores_eta_rank_and_kraus_count(self, monkeypatch, rng, dims, de, eta, channel, entries):
+        # the Choi matrix of the carriers done bounds the kets kept, so the
+        # rule counts neither eta's rank nor the A^(M-1) Kraus branches: a
+        # maximally mixed eta, four carriers with d_e lossy Kraus operators
+        # (the last at the budget) and a replacer with d_e^2 ones (whose
+        # kets pass through their Choi matrix) take the map, and it agrees
+        # with the direct column
+        built = []
+        monkeypatch.setattr(qcollide.collision, "_column_phi", lambda cfg: built.append(cfg) or _column_phi(cfg))
+        cfg = lossy_env_config(dims, de, n_collisions=1)
+        if eta == "maximally-mixed":
+            cfg = replace(cfg, eta=DensityMatrix.maximally_mixed((de,)))
+        if channel == "mixed-replacer":
+            cfg = replace(cfg, channel=replacer_channel(DensityMatrix.maximally_mixed((de,))))
+            assert len(cfg.channel.kraus) == de**2
+        assert _column_phi_entries(cfg) == entries <= COLUMN_MAP_MAX_ENTRIES
+        rho = random_state(rng, dims)
+        mapped = simulate(cfg, rho)
+        assert built == [cfg]
+        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
+        direct = simulate(cfg, rho)
+        assert np.max(np.abs(mapped.states[-1] - direct.states[-1])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dims, de, replacer",
+        [((2, 2), 32, False), ((2, 2, 2), 8, False), ((3, 3, 3), 3, False), ((2, 2), 48, False), ((2,) * 4, 4, True)],
+        ids=["dims0-32", "dims1-8", "dims2-3", "dims3-48", "dims4-4-replacer"],
+    )
+    def test_build_memory_follows_entry_count(self, dims, de, replacer):
         # no tensor of d_m^4 d_e^4 entries and no d_e^4 channel matrix: the
-        # build holds a few arrays of at most max(D_c^4, n D_c^2) entries at
-        # once (the kets before and after a product, the weighted copy of
-        # the operators, their conjugate and the map), plus the collision
-        # unitaries and the Kraus operators
-        cfg = lossy_env_config(dims, de)
-        side, n = math.prod(dims), de ** len(dims)  # a pure eta and d_e lossy Kraus operators
+        # build holds a few arrays of at most `_column_phi_entries` at once
+        # (the Choi matrix, its eigenvectors and kets, the next Choi matrix
+        # and its terms, and the map), plus the collision unitaries and the
+        # Kraus operators; a replacer's d_e^2 Kraus operators would branch
+        # the kets past that after the first carriers, so they pass through
+        # their Choi matrix there
+        cfg = replace(lossy_env_config(dims, de), eta=DensityMatrix.maximally_mixed((de,)))
+        if replacer:
+            cfg = replace(cfg, channel=replacer_channel(DensityMatrix.maximally_mixed((de,))))
         tracemalloc.start()
         try:
             _column_phi(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(_column_kraus(cfg)[1]) == n
-        assert peak <= 4 * 16 * max(side**4, n * side**2)
+        assert peak <= 4 * 16 * _column_phi_entries(cfg)
 
     def test_no_form_is_materialized(self, monkeypatch, rng):
         # both simulate routes, one column, the row oracle and verify apply
@@ -573,7 +602,7 @@ class TestColumnMap:
         monkeypatch.setattr(SandwichForm, "matrix", refuse)
         cfg = lossy_env_config((2, 2), 8, n_collisions=4)
         rho = random_state(rng, cfg.carrier_dims)
-        assert max(4**4, len(_column_kraus(cfg)[1]) * 4**2) <= COLUMN_MAP_MAX_ENTRIES
+        assert _column_phi_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES
         mapped = simulate(cfg, rho)
         monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
         direct = simulate(cfg, rho)
