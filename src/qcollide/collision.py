@@ -426,12 +426,13 @@ def _column_phi(cfg: CollisionConfig) -> np.ndarray:
             c += z.T @ (p[:, None] * z.conj())
         x = z = None
     d, u = dims[-1], us[-1]
-    # ts[e][s, t, s', t', f] = sum Q[h, g] U[s g, t e] conj(U[s' h, t' f])
-    qu = np.tensordot(sum(k.conj().T @ k for k in kraus), u, ([1], [1]))
-    ts = [np.tensordot(qu[..., e], u.conj(), ([0], [1])) for e in range(de)]
-    c, phi = c.reshape(de, side, side, de, side, side), np.zeros((side, d) * 4, dtype=complex)
-    for i, e in np.ndindex(side, de):  # phi[S', s', S, s, T', t', T, t], one S at a time
-        phi[:, :, i] += np.tensordot(c[e, i], ts[e], ([1], [4])).transpose(1, 5, 3, 2, 6, 0, 4)
+    # t[e, f, s, t, s', t'] = sum Q[h, g] U[s g, t e] conj(U[s' h, t' f]), one e at a time
+    qu, t = np.tensordot(sum(k.conj().T @ k for k in kraus), u, ([1], [1])), np.empty((de, de) + (d,) * 4, complex)
+    for e in range(de):
+        t[e] = np.moveaxis(np.tensordot(qu[..., e], u.conj(), ([0], [1])), 4, 0)
+    c, phi = c.reshape(de, side, side, de, side, side), np.empty((side, d) * 4, dtype=complex)
+    for i in range(side):  # phi[S', s', S, s, T', t', T, t], one S at a time
+        phi[:, :, i] = np.tensordot(c[:, i], t, ([0, 2], [0, 1])).transpose(1, 5, 3, 2, 6, 0, 4)
     return phi.reshape((side * d,) * 4)
 
 
