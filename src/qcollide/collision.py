@@ -37,7 +37,7 @@ from .ops import (
     kron,
     partial_trace,
 )
-from .integrator import _hermitian, _propagate, _real_coordinates, _real_map, _split
+from .integrator import _components, _hermitian, _propagate, _real_coordinates, _real_map, _split
 from .trajectory import Trajectory, observable_arrays
 
 ROW_PATH_MAX_SIDE = 256
@@ -411,8 +411,10 @@ def _column_phi(cfg: CollisionConfig) -> np.ndarray:
     us = [collision_unitary(cfg, m).entries.reshape(d, de, d, de) for m, d in enumerate(dims, start=1)]
     c, x, side = cfg.eta.entries, None, 1
     for m, (u, d) in enumerate(zip(us[:-1], dims), start=1):
-        if x is None:
-            p, x = np.linalg.eigh(c)
+        if x is None:  # one eigh per block of c's nonzero pattern: a whole eigh mixes the sectors
+            labels, p, x = _components(c != 0), np.zeros(len(c)), np.zeros_like(c)
+            for block in (np.flatnonzero(labels == k) for k in range(labels.max() + 1)):
+                p[block], x[np.ix_(block, block)] = np.linalg.eigh(c[np.ix_(block, block)])
             p, x = p[p != 0], x[:, p != 0].T
         # (ket, e, S, T) -> (ket, e', S, s, T, t)
         x = np.tensordot(x.reshape(len(p), de, side, side), u, ([1], [3])).transpose(0, 4, 1, 3, 2, 5)

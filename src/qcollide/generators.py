@@ -26,7 +26,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Sequence
 
@@ -341,15 +341,17 @@ class GeneratorSet:
         return self._form.apply(np.asarray(x))
 
     def to_dict(self) -> dict:
+        """The document of `generators.json`.  Each generator matrix in it is a
+        callable that builds it from its form, so `jsonio.write_json` holds one at a time."""
         return {
             "carrier_dims": list(self.carrier_dims),
             "rates": self.rates.to_dict(),
-            "local": [t.matrix for t in self.local_terms],
+            "local": [partial(getattr, t, "matrix") for t in self.local_terms],
             "cross": [
-                {"m": m, "m_prime": mp, "matrix": t.matrix}
+                {"m": m, "m_prime": mp, "matrix": partial(getattr, t, "matrix")}
                 for (m, mp), t in sorted(self.cross_terms.items())
             ],
-            "total": self.total.matrix,
+            "total": partial(getattr, self.total, "matrix"),
         }
 
 

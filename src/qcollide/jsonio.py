@@ -3,17 +3,24 @@
 ``write_json`` is the one JSON writer of the package.  Its output is byte for
 byte the compact ``json.dumps`` of the payload with each complex ndarray as
 its [re, im] lists, but no lists are built: ``json.dumps`` writes the rest of
-the document around placeholders, each distinct float64 bit pattern of all of
-its arrays is spelled once (0.0 and -0.0 stay apart), and each array is one
-``%``-format of those tokens.  A value ``json`` cannot encode raises TypeError
-before the file is opened.
+the document around placeholders (a zero-argument callable stands for an
+array, called when reached), the arrays go to the file in groups of about
+GROUP_ENTRIES entries, and a run of equal entries is one text repeated, each
+distinct float64 spelled once (0.0 and -0.0 apart).  A value ``json`` cannot
+encode raises TypeError before the file is opened.  Both writers fill a file
+beside the target and rename it over the target; a failure removes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import operator
+import os
 
 import numpy as np
+
+GROUP_ENTRIES = 1 << 16
 
 
 def complex_matrix_to_json(a: np.ndarray) -> list:
@@ -21,11 +28,17 @@ def complex_matrix_to_json(a: np.ndarray) -> list:
     return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
-def _nested_format(shape: tuple[int, ...]) -> str:
-    """The JSON text of a nested list of this shape, one %s per leaf."""
-    if not shape:
-        return "%s"
-    return "[" + ", ".join([_nested_format(shape[1:])] * shape[0]) + "]"
+@contextlib.contextmanager
+def _replacing(path):
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,12 +55,57 @@ def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], ordered[first])).view(np.float64), index
 
 
+def _write_group(fh, group: list[tuple[np.ndarray, str]]) -> None:
+    """Write each (array, part) of a group, a part being the document up to
+    the next array.  An entry is written as "re, im" and its tail, the text
+    up to the next entry's numbers: tails[c] if c axes close after its pair,
+    or at an array's end the way into the next; equal runs are written once."""
+    depth = max((a.ndim for a, _ in group), default=0)
+    tails, arrays, codes, closes, gap = ["]" * c + ", " + "[" * c for c in range(1, depth + 1)], [], [], {}, ""
+    for a, part in group:
+        if a.size == 0:
+            gap += json.dumps(a.tolist()) + part
+            continue
+        tails.append(gap + "[" * (a.ndim + 1))
+        if a.shape not in closes:  # how many axes close after each entry
+            closes[a.shape] = code = np.zeros(a.size, dtype=np.int32)
+            for step in np.cumprod(a.shape[:0:-1]):
+                code[step - 1 :: step] += 1
+        codes.append(closes[a.shape])
+        arrays.append(a)
+        gap = "]" * (a.ndim + 1) + part
+    if not arrays:
+        fh.write(gap)
+        return
+    fh.write(tails[depth])
+    tails.append(gap)
+    bits = (np.concatenate(arrays, axis=None) if len(arrays) > 1 else arrays[0]).reshape(-1).view(np.int64)
+    ends = np.cumsum([len(c) for c in codes]) - 1
+    codes = np.concatenate(codes)
+    codes[ends] = depth + 1 + np.arange(len(ends))  # tails[depth] leads to the first entry
+    start = np.ones(len(codes), dtype=bool)
+    np.logical_or(codes[1:] != codes[:-1], (bits[2:] != bits[:-2]).view(np.uint16), out=start[1:])  # re or im
+    first = np.flatnonzero(start)
+    values, index = _distinct(bits.reshape(-1, 2)[first].reshape(-1))
+    tokens = np.array(list(map(repr, values.tolist())), dtype=object)
+    tokens[~np.isfinite(values)] = [json.dumps(v) for v in values[~np.isfinite(values)].tolist()]  # NaN, Infinity
+    text = np.empty((len(first), 4), dtype=object)  # per run: re, ", ", im, tail
+    np.take(tokens, index.reshape(-1, 2), out=text[:, ::2], mode="clip")  # clip: unbuffered
+    np.take(np.array(tails, dtype=object), codes[first], out=text[:, 3], mode="clip")
+    text[:, 1] = ", "
+    counts = np.diff(first, append=len(codes))
+    multi = np.flatnonzero(counts > 1)
+    text[multi, 0] = list(map(operator.mul, map("".join, text[multi].tolist()), counts[multi].tolist()))
+    text[multi, 1:] = ""
+    fh.write("".join(text.reshape(-1).tolist()))
+
+
 def write_json(path, data) -> None:
     arrays, mark = [], "\0"
 
     def defer(obj):
-        if isinstance(obj, np.ndarray):
-            arrays.append(np.ascontiguousarray(obj, dtype=complex))
+        if isinstance(obj, np.ndarray) or callable(obj):
+            arrays.append(obj)
             return mark
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -55,21 +113,20 @@ def write_json(path, data) -> None:
     while len(parts) != len(arrays) + 1:  # a string of the document spells the placeholder
         arrays, mark = [], mark + "\0"
         parts = json.dumps(data, default=defer).split(json.dumps(mark))
-    values, index = _distinct(np.concatenate([np.empty(0, np.int64)] + [a.ravel().view(np.int64) for a in arrays]))
-    tokens = np.array(list(map(repr, values.tolist())), dtype=object)
-    tokens[np.isnan(values)] = "NaN"  # json's spelling of what repr calls nan, inf, -inf
-    tokens[values == np.inf] = "Infinity"
-    tokens[values == -np.inf] = "-Infinity"
-    formats, start = {}, 0
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(parts[0])
+        group, size = [], 0
         for a, part in zip(arrays, parts[1:]):
-            if a.shape not in formats:
-                formats[a.shape] = _nested_format(a.shape + (2,))
-            stop = start + 2 * a.size
-            fh.write(formats[a.shape] % tuple(tokens[index[start:stop]].tolist()))
-            fh.write(part)
-            start = stop
+            a = np.ascontiguousarray(a() if callable(a) else a, dtype=complex)
+            if size + a.size > GROUP_ENTRIES:  # a large array goes alone, uncopied
+                _write_group(fh, group)
+                group, size = [], 0
+            group.append((a, part))
+            size += a.size
+            if size >= GROUP_ENTRIES:
+                _write_group(fh, group)
+                group, size = [], 0
+        _write_group(fh, group)
 
 
 def write_csv(path, header, rows) -> None:
@@ -81,7 +138,7 @@ def write_csv(path, header, rows) -> None:
         ",".join([str(x) if isinstance(x, (int, np.integer)) else format(float(x), ".17g") for x in row])
         for row in rows
     ]
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -142,22 +142,12 @@ class Trajectory:
         write_csv(path, header, [[step, t, *v, trace, low] for step, t, v, trace, low in rows])
 
     def to_json(self, path) -> None:
-        payload = {
-            "metadata": self.metadata,
-            "observable_names": list(self.observable_names),
-            "samples": [
-                {
-                    "step": int(self.steps[i]),
-                    "t": float(self.times[i]),
-                    "observables": [[float(v.real), float(v.imag)] for v in self.observable_values[i]],
-                    "trace": float(self.traces[i]),
-                    "min_eigenvalue": float(self.min_eigenvalues[i]),
-                    "state": self.states[i],
-                }
-                for i in range(len(self))
-            ],
-        }
-        write_json(path, payload)
+        keys = ("step", "t", "observables", "trace", "min_eigenvalue", "state")
+        reim = np.ascontiguousarray(self.observable_values).view(np.float64).reshape(len(self), -1, 2).tolist()
+        columns = self.steps.tolist(), self.times.tolist(), reim, self.traces.tolist(), self.min_eigenvalues.tolist()
+        samples = [dict(zip(keys, row)) for row in zip(*columns, self.states)]
+        names = list(self.observable_names)
+        write_json(path, {"metadata": self.metadata, "observable_names": names, "samples": samples})
 
 
 def check_samples(

@@ -35,6 +35,7 @@ from qcollide.collision import (
     _collision_forms,
     _trace_env,
 )
+from qcollide.integrator import _real_map, _sectors
 from qcollide.ops import Operator, SandwichForm, expm_hermitian, kron, partial_trace, pauli, projector, vec
 from qcollide.scenarios import BUILTIN_NAMES, collision_config, load_scenario, run_verify
 
@@ -567,6 +568,18 @@ class TestColumnMap:
         monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
         direct = simulate(cfg, rho)
         assert np.max(np.abs(mapped.states[-1] - direct.states[-1])) <= 1e-12
+
+    def test_choi_compression_keeps_the_sectors(self, rng):
+        # 8 kets times 8 lossy Kraus operators outgrow the 32 entries of a
+        # ket after the first carrier, so the kets pass through their Choi
+        # matrix; its eigh, one per block of its nonzero pattern, keeps the
+        # map's two charge sectors apart at every run length
+        cfg = replace(lossy_env_config((2,) * 4, 8), eta=DensityMatrix.maximally_mixed((8,)))
+        phi = _column_phi(cfg)
+        assert [len(_sectors(_real_map(phi), n)) for n in (100, 1000, 10**6)] == [2, 2, 2]
+        x = random_state(rng, cfg.carrier_dims).entries
+        direct = _trace_env(_column(np.kron(x, cfg.eta.entries), cfg, _collision_forms(cfg)), cfg.env_dim)
+        assert np.max(np.abs(phi.reshape(x.size, x.size) @ vec(x) - vec(direct))) <= 1e-12
 
     @pytest.mark.parametrize(
         "dims, de, replacer",

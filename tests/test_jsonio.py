@@ -2,17 +2,22 @@
 list-building, indented encoder produced, and the same bytes as the compact
 list-building encoder, down to the spelling of every float token."""
 
+import errno
 import json
 import math
+import os
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcollide.jsonio
 from qcollide.cli import main
-from qcollide.jsonio import complex_matrix_from_json, complex_matrix_to_json, write_csv, write_json
+from qcollide.jsonio import GROUP_ENTRIES, complex_matrix_from_json, complex_matrix_to_json, write_csv, write_json
 from qcollide.scenarios import (
     BUILTIN_NAMES,
     load_scenario,
@@ -33,8 +38,9 @@ def old_complex_matrix_to_json(a):
 
 
 def old_bytes(data):
-    """The bytes the compact list-building writer put on disk."""
-    return json.dumps(data, default=old_complex_matrix_to_json).encode()
+    """The bytes the compact list-building writer put on disk; a callable in
+    the document stands for the array it returns."""
+    return json.dumps(data, default=lambda a: old_complex_matrix_to_json(a() if callable(a) else a)).encode()
 
 
 def old_document(data):
@@ -233,6 +239,121 @@ class TestBytesAgainstOldWriter:
         for doc in ({}, [], "x", 1.5, {"a": [1, 2.5, None, True]}):
             write_json(tmp_path / "a.json", doc)
             assert (tmp_path / "a.json").read_bytes() == old_bytes(doc)
+
+
+POOL = [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1e22]
+
+
+@st.composite
+def pooled_arrays(draw):
+    """A real or complex array of 0 to 3 dimensions, zero-length axes too,
+    filled with runs of (re, im) pairs from POOL that cross its row ends."""
+    shape = tuple(draw(st.lists(st.integers(0, 7), max_size=3)))
+    run = st.tuples(st.sampled_from(POOL), st.sampled_from(POOL), st.integers(1, 40))
+    runs = draw(st.lists(run, min_size=1, max_size=6))
+    pairs = np.repeat([[re, im] for re, im, _ in runs], [n for _, _, n in runs], axis=0)
+    a = np.resize(pairs, (math.prod(shape), 2)).view(complex).reshape(shape)
+    return a.real.copy() if draw(st.booleans()) else a
+
+
+class TestPooledDocuments:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        items=st.lists(st.one_of(pooled_arrays(), st.text("\0\"%\\u", max_size=3)), max_size=12),
+        lazy=st.lists(st.booleans(), min_size=12, max_size=12),
+        group=st.sampled_from([1, 7, 100, GROUP_ENTRIES]),
+    )
+    @example(items=[np.zeros((7, 7, 7)), "\0", np.zeros(3), np.zeros((7, 7))], lazy=[True] * 12, group=100)
+    def test_bytes_match_the_list_building_writer(self, tmp_path_factory, items, lazy, group):
+        # small arrays next to large ones (against the patched group size),
+        # one array twice, callables, and strings that spell the placeholder,
+        # as values and as keys
+        arrays = [x for x in items if isinstance(x, np.ndarray)]
+        strings = [x for x in items if isinstance(x, str)]
+        doc = {
+            "items": [(lambda x=x: x) if isinstance(x, np.ndarray) and wrap else x for x, wrap in zip(items, lazy)],
+            "same": arrays[:1] * 2,
+            **{s: a for s, a in zip(strings, arrays)},
+        }
+        path = tmp_path_factory.mktemp("pooled") / "a.json"
+        with mock.patch.object(qcollide.jsonio, "GROUP_ENTRIES", group):
+            write_json(path, doc)
+        assert path.read_bytes() == old_bytes(doc)
+
+
+class TestLazyArrays:
+    def test_peak_does_not_grow_with_the_array_count(self, tmp_path):
+        # each callable's array is built when the writer reaches it, written
+        # and dropped before the next one is built
+        def peak(count):
+            doc = {"m": [lambda: np.full((200, 200), 0.5 + 0.25j) for _ in range(count)]}
+            tracemalloc.start()
+            try:
+                write_json(tmp_path / "a.json", doc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two = peak(2)
+        assert peak(8) <= 1.25 * two
+        assert (tmp_path / "a.json").read_bytes() == old_bytes({"m": [np.full((200, 200), 0.5 + 0.25j)] * 8})
+
+
+class FullDisk:
+    """A text file that takes `room` characters, then fails as a full disk."""
+
+    def __init__(self, path, mode, room):
+        self.fh, self.room = open(path, mode), room
+
+    def write(self, text):
+        if len(text) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestNoPartialFiles:
+    def test_raising_callable_leaves_no_file(self, tmp_path):
+        def boom():
+            raise RuntimeError("no matrix")
+
+        path = tmp_path / "a.json"
+        doc = {"first": np.zeros((300, 300)), "second": boom}
+        with pytest.raises(RuntimeError, match="no matrix"):
+            write_json(path, doc)
+        assert os.listdir(tmp_path) == []
+        path.write_text("old")
+        with pytest.raises(RuntimeError, match="no matrix"):
+            write_json(path, doc)
+        assert os.listdir(tmp_path) == ["a.json"]
+        assert path.read_text() == "old"
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_json(path, {"a": np.arange(5000.0), "b": [np.ones(3)] * 40}),
+            lambda path: write_csv(path, ["x", "y"], [[i, i / 7] for i in range(5000)]),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_full_disk_keeps_the_old_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "a.out"
+        path.write_text("old")
+        monkeypatch.setattr(qcollide.jsonio, "open", lambda p, mode: FullDisk(p, mode, 1000), raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            write(path)
+        assert os.listdir(tmp_path) == ["a.out"]
+        assert path.read_text() == "old"
+        monkeypatch.undo()
+        write(path)
+        assert os.listdir(tmp_path) == ["a.out"]
+        assert path.read_text() != "old"
 
 
 cells = st.one_of(

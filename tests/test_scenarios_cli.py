@@ -689,6 +689,9 @@ class TestCLI:
         assert captured.err == f"qcollide: error: {tmp_path / name}: Is a directory\n"
         assert captured.out == ""
         assert (tmp_path / name).is_dir()
+        # the file is written beside the directory and renamed over it: the
+        # rename fails, and the written file goes with it
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
     def test_help_exit_zero(self, capsys):
         for command in ("simulate", "generators", "converge", "verify"):
