@@ -4,9 +4,9 @@
 byte the compact ``json.dumps`` of the payload with each complex ndarray as
 its [re, im] lists, but no lists are built: ``json.dumps`` writes the rest of
 the document around placeholders (a zero-argument callable stands for an
-array, called when reached), the arrays go to the file in groups of about
-GROUP_ENTRIES entries, and a run of equal entries is one text repeated, each
-distinct float64 spelled once (0.0 and -0.0 apart).  A value ``json`` cannot
+array, called when reached), the arrays go to the file in groups of at most
+GROUP_ENTRIES entries or one larger array, and a run of equal entries is one
+text repeated, each distinct float64 spelled once (0.0 and -0.0 apart).  A value ``json`` cannot
 encode raises TypeError before the file is opened.  Both writers fill a file
 beside the target and rename it over the target; a failure removes it.
 """
