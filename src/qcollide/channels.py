@@ -258,10 +258,17 @@ def identity_channel(dim: int) -> KrausChannel:
     return unitary_channel(Operator((dim,), np.eye(dim)))
 
 
+def trace_distance(a: DensityMatrix | Operator, b: DensityMatrix | Operator) -> float:
+    """(1/2) sum |eigenvalues(a - b)|; in [0, 1] for states."""
+    ea, eb = (x.entries if hasattr(x, "entries") else np.asarray(x) for x in (a, b))
+    if ea.shape != eb.shape:
+        raise ValueError(f"shape mismatch: {ea.shape} vs {eb.shape}")
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(ea - eb)))))
+
+
 def fixed_point_distance(c: KrausChannel, eta: DensityMatrix) -> float:
     """Trace distance between the channel output on eta and eta itself."""
     if c.side != eta.side:
         raise ValueError("channel and state sides differ")
-    delta = c.apply(eta.op).entries - eta.entries
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(delta)))))
+    return trace_distance(c.apply(eta.op), eta)
 

@@ -37,7 +37,7 @@ from .ops import (
     kron,
     partial_trace,
 )
-from .integrator import _components, _hermitian, _propagate, _real_coordinates, _real_map, _split
+from .integrator import _components, _propagate, _real_map, _split
 from .trajectory import Trajectory, observable_arrays
 
 ROW_PATH_MAX_SIDE = 256
@@ -487,20 +487,18 @@ def simulate(
         raise ValueError("record_stride must be >= 1")
     obs, names = observable_arrays(observables, rho0.side, observable_names)
 
-    side, indexed = rho0.side, cfg.couplings.collision_system_ops is not None
+    indexed = cfg.couplings.collision_system_ops is not None
     if not indexed and cfg.local_hamiltonians is None and _column_phi_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES:
         advance = _split(_real_map(_column_phi(cfg)), cfg.n_collisions)
     else:
         collisions = None if indexed else _collision_forms(cfg)
 
-        def advance(n: int, s: np.ndarray, out: np.ndarray) -> None:
-            arr = _hermitian(s, side)[0]
+        def advance(n: int, rho: np.ndarray) -> np.ndarray:
             v = _free_evolution_unitary(cfg, cfg.tau(n - 1), cfg.tau(n))
             if v is not None:
-                arr = v @ arr @ v.conj().T
-            joint = np.kron(arr, cfg.eta.entries)
+                rho = v @ rho @ v.conj().T
             forms = _collision_forms(cfg.at(n)) if indexed else collisions
-            out[:] = _real_coordinates(_trace_env(_column(joint, cfg, forms), cfg.env_dim))
+            return _trace_env(_column(np.kron(rho, cfg.eta.entries), cfg, forms), cfg.env_dim)
 
     recorder = _propagate(rho0, cfg.dt, record_stride, [(cfg.n_collisions, advance)])
     metadata = {

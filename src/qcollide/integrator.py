@@ -46,8 +46,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix
-from .ops import Operator, Superoperator, hermitize, trace_out, vec
+from .channels import DensityMatrix, trace_distance  # trace_distance: re-exported
+from .ops import Operator, Superoperator, trace_out, vec
 from .trajectory import (
     SAMPLE_BATCH,
     SampleRecorder,
@@ -238,16 +238,16 @@ def _propagate(
     rho0: DensityMatrix,
     dt: float,
     record_stride: int,
-    segments: Iterable[tuple[int, SectorMap | np.ndarray | Callable[[int, np.ndarray, np.ndarray], None]]],
+    segments: Iterable[tuple[int, SectorMap | np.ndarray | Callable[[int, np.ndarray], np.ndarray]]],
 ) -> SampleRecorder:
     """The one propagation loop of `integrate` and `collision.simulate`.
 
     From rho0, in real Hermitian coordinates, each `(n, advance)` of
     `segments` advances the state by n steps: `advance` is a fixed real map,
     given as a SectorMap or as one matrix M (the one-block SectorMap of M in
-    the natural order), or `advance(k, s, out)`, which writes the coordinates
-    after step k into `out`.  Steps are recorded at t = k dt: step 0, every
-    `record_stride` steps and the last step.
+    the natural order), or `advance(k, rho)`, which maps the complex state
+    before step k to the one after it.  Steps are recorded at t = k dt:
+    step 0, every `record_stride` steps and the last step.
 
     A fixed map's segment runs in the map's coordinate order, permuted once
     at its start and back at its end, and a window of SAMPLE_BATCH states at
@@ -277,10 +277,8 @@ def _propagate(
     k = 0
     for n, advance in segments:
         if callable(advance):
-            buf = np.empty_like(s)
             for k in range(k + 1, k + n + 1):
-                advance(k, s, buf)
-                s, buf = buf, s
+                s = _real_coordinates(advance(k, _hermitian(s, rho0.side)[0]))
                 if k % record_stride == 0:
                     recorder.record([k], [k * dt], s[None])
             continue
@@ -378,12 +376,3 @@ def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
     metadata = {**traj.metadata, "reduced_to": list(keep)}
     return build_trajectory(traj.steps, traj.times, stack, traces, reduced[0][0], [], [], metadata)
 
-
-def trace_distance(a: DensityMatrix | Operator, b: DensityMatrix | Operator) -> float:
-    """(1/2) sum |eigenvalues(a - b)|; in [0, 1] for states."""
-    ea = a.entries if hasattr(a, "entries") else np.asarray(a)
-    eb = b.entries if hasattr(b, "entries") else np.asarray(b)
-    if ea.shape != eb.shape:
-        raise ValueError(f"shape mismatch: {ea.shape} vs {eb.shape}")
-    delta = hermitize(ea - eb)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))

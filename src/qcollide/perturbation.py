@@ -24,10 +24,10 @@ runs.  Every function here takes one column's couplings: collision-indexed
 configurations are resolved first (`cfg.at(n)`).  This module verifies the
 identities numerically and measures the order of the neglected remainders
 by halving g.  U'_m and U''_m are sandwich forms (`ops.SandwichForm`) on
-(carrier m, E), built once per carrier and applied on those factors like
-the column's collisions.  Every map acts on stacks of matrices, so the
-column expansion maps are materialized by feeding the matrix unit basis
-through; no dense superoperator products are ever formed.
+(carrier m, E), built once per carrier in each pass (`_orders`) and applied
+on those factors like the column's collisions.  Every map acts on stacks of
+matrices, so the column expansion maps are materialized by feeding the
+matrix unit basis through; no dense superoperator products are ever formed.
 """
 
 from __future__ import annotations
@@ -60,31 +60,23 @@ def _expansion_forms(h: np.ndarray, dims: tuple[int, ...]) -> tuple[SandwichForm
     return SandwichForm(dims, [], [], 1j * h), SandwichForm(dims, [h], [h], 0.5 * (h @ h))
 
 
-class _ColumnExpansion:
-    """Expansion terms of the collision Hamiltonians of one column, forms on
-    (carrier m, E) built once per carrier, and the column's expansion
-    orders."""
-
-    def __init__(self, cfg: CollisionConfig):
-        self.cfg = cfg
-        hs = [collision_hamiltonian(cfg, m) for m in range(1, cfg.n_carriers + 1)]
-        self.terms = [_expansion_forms(h.entries, h.dims) for h in hs]
-
-    def orders(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(C0 x, C'x, C''a x, C''b x) for a matrix or a stack, in one pass."""
-        dims, env = self.cfg.joint_dims, self.cfg.n_carriers
-        relax = functools.partial(self.cfg.channel.form.on_factors, dims=dims, positions=(env,))
-        zero = np.zeros_like(x, dtype=complex)
-        y0, y1, y2a, y2b = x, zero, zero, zero
-        for m, (u1, u2) in enumerate(self.terms):
-            pair = (m, env)
-            y0, y1, y2a, y2b = (
-                relax(y0),
-                relax(y1 + u1.on_factors(y0, dims, pair)),
-                relax(y2a + u2.on_factors(y0, dims, pair)),
-                relax(y2b + u1.on_factors(y1, dims, pair)),
-            )
-        return y0, y1, y2a, y2b
+def _orders(cfg: CollisionConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(C0 x, C'x, C''a x, C''b x) for a matrix or a stack, in one pass over
+    the carriers with the expansion forms of their collision Hamiltonians."""
+    dims, env = cfg.joint_dims, cfg.n_carriers
+    relax = functools.partial(cfg.channel.form.on_factors, dims=dims, positions=(env,))
+    zero = np.zeros_like(x, dtype=complex)
+    y0, y1, y2a, y2b = x, zero, zero, zero
+    for m in range(env):
+        h = collision_hamiltonian(cfg, m + 1)
+        u1, u2 = _expansion_forms(h.entries, h.dims)
+        y0, y1, y2a, y2b = (
+            relax(y0),
+            relax(y1 + u1.on_factors(y0, dims, (m, env))),
+            relax(y2a + u2.on_factors(y0, dims, (m, env))),
+            relax(y2b + u1.on_factors(y1, dims, (m, env))),
+        )
+    return y0, y1, y2a, y2b
 
 
 def unitary_expansion_terms(h: Operator) -> tuple[Superoperator, Superoperator]:
@@ -102,7 +94,7 @@ def column_expansion(cfg: CollisionConfig) -> tuple[Superoperator, Superoperator
     units = np.zeros((side * side, side, side), dtype=complex)
     idx = np.arange(side * side)
     units[idx, idx % side, idx // side] = 1.0
-    _, *images = _ColumnExpansion(cfg).orders(units)
+    _, *images = _orders(cfg, units)
     return tuple(
         Superoperator(cfg.joint_dims, c.transpose(0, 2, 1).reshape(side * side, side * side).T)
         for c in images
@@ -126,9 +118,9 @@ class SecondOrderReport:
 
 def traced_orders(cfg: CollisionConfig, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Environment traces of C', C''a and C''b applied to rho (x) eta, from one
-    `orders` pass; both verify reports can read the same triple."""
+    `_orders` pass; both verify reports can read the same triple."""
     joint = np.kron(rho.entries, cfg.eta.entries)
-    _, c1, c2a, c2b = _ColumnExpansion(cfg).orders(joint)
+    _, c1, c2a, c2b = _orders(cfg, joint)
     return tuple(_trace_env(c, cfg.env_dim) for c in (c1, c2a, c2b))
 
 
@@ -196,7 +188,7 @@ def column_remainder(cfg: CollisionConfig, x: Operator) -> float:
     environment factor (it reduces to the identity only under the
     environment trace).
     """
-    return _column_remainder(cfg, x, _ColumnExpansion(cfg).orders(x.entries))
+    return _column_remainder(cfg, x, _orders(cfg, x.entries))
 
 
 def _column_remainder(cfg: CollisionConfig, x: Operator, orders) -> float:
@@ -254,7 +246,7 @@ def remainder_halving_ratios(cfg: CollisionConfig, seed: int = 0) -> HalvingRepo
     u_lo = unitary_remainder(h, 0.5 * s, x_small)
 
     x_joint = _random_hermitian(rng, cfg.joint_dims)
-    orders = _ColumnExpansion(cfg).orders(x_joint.entries)
+    orders = _orders(cfg, x_joint.entries)
     c_hi = _column_remainder(cfg, x_joint, orders)
     c_lo = _column_remainder(half, x_joint, orders)
 

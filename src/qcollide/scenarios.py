@@ -27,6 +27,7 @@ from .channels import (
     KrausChannel,
     lossy_bosonic_channel,
     replacer_channel,
+    trace_distance,
     unitary_channel,
     validate_cpt,
 )
@@ -37,7 +38,7 @@ from .collision import (
     simulate,
 )
 from .generators import GeneratorSet, full_generator
-from .integrator import integrate, trace_distance
+from .integrator import integrate
 from .jsonio import complex_matrix_from_json, complex_matrix_to_json, write_csv
 from .ops import (
     Operator,
@@ -545,38 +546,23 @@ def run_converge(sc: ScenarioConfig) -> ConvergeReport:
     t_end per n, with the order fitted from the last two sweep points."""
     probe = collision_config(sc, max(sc.sweep))
     report = check_assumption(probe, m_max=len(sc.carrier_dims) + 2)
-    if not report.passed:
-        return ConvergeReport(
-            scenario=sc.name,
-            entries=[],
-            fitted_order=None,
-            errors_strictly_decreasing=False,
-            assumption=report.to_dict(),
-            reference_dt=0.0,
-            passed=False,
-        )
-    gen = scenario_generator(sc)
-    n_ref = max(2000, 2 * max(sc.sweep))
-    reference_dt = sc.t_end / n_ref
-    # only the final sample is read, so only it is recorded (and validated)
-    reference = integrate(gen.total, sc.rho0, sc.t_end, reference_dt, record_stride=n_ref)
-    ref_state = reference.final_state()
-
-    entries = []
-    for n in sorted(sc.sweep):
-        cfg = collision_config(sc, n)
-        traj = simulate(cfg, sc.rho0, record_stride=max(n, 1))
-        err = trace_distance(traj.final_state(), ref_state)
-        entries.append({"n": n, "dt": cfg.dt, "g": cfg.g, "error": err})
-
-    errors = [e["error"] for e in entries]
-    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    fitted = None
-    if len(entries) >= 2:
-        e_prev, e_last = errors[-2], errors[-1]
-        n_prev, n_last = entries[-2]["n"], entries[-1]["n"]
-        if e_last > 0 and e_prev > 0:
-            fitted = math.log(e_prev / e_last) / math.log(n_last / n_prev)
+    entries, fitted, decreasing, reference_dt = [], None, False, 0.0
+    if report.passed:
+        gen = scenario_generator(sc)
+        n_ref = max(2000, 2 * max(sc.sweep))
+        reference_dt = sc.t_end / n_ref
+        # only the final sample is read, so only it is recorded (and validated)
+        reference = integrate(gen.total, sc.rho0, sc.t_end, reference_dt, record_stride=n_ref)
+        ref_state = reference.final_state()
+        for n in sorted(sc.sweep):
+            cfg = collision_config(sc, n)
+            traj = simulate(cfg, sc.rho0, record_stride=max(n, 1))
+            err = trace_distance(traj.final_state(), ref_state)
+            entries.append({"n": n, "dt": cfg.dt, "g": cfg.g, "error": err})
+        errors = [e["error"] for e in entries]
+        decreasing = all(b < a for a, b in zip(errors, errors[1:]))
+        if len(entries) >= 2 and errors[-1] > 0 and errors[-2] > 0:
+            fitted = math.log(errors[-2] / errors[-1]) / math.log(entries[-1]["n"] / entries[-2]["n"])
     return ConvergeReport(
         scenario=sc.name,
         entries=entries,

@@ -285,7 +285,7 @@ def build_trajectory(
 ) -> Trajectory:
     """Assemble a Trajectory from checked samples, a `Samples` holder or
     complex (D, D) states taken as they are, and the traces their check
-    returned.  Observable values are read one converted batch at a time."""
+    returned.  Each observable is read by one einsum per converted batch."""
     if isinstance(raw_states, Samples):
         samples = raw_states
     else:
@@ -294,10 +294,9 @@ def build_trajectory(
     if observables:
         i = 0
         for stack in samples.stacks():
-            for state in stack:
-                for j, obs in enumerate(observables):
-                    values[i, j] = np.einsum("ij,ji->", obs, state)
-                i += 1
+            for j, obs in enumerate(observables):
+                values[i : i + len(stack), j] = np.einsum("ij,nji->n", obs, stack)
+            i += len(stack)
     return Trajectory(
         steps=np.asarray(steps),
         times=np.asarray(times),

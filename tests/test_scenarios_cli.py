@@ -383,6 +383,38 @@ class TestCLI:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @staticmethod
+    def per_carrier_config(tmp_path, environment) -> str:
+        """ad-chain-2q with its environment couplings given per carrier."""
+        cfg = tmp_path / "per-carrier.json"
+        system = _builtin_document("ad-chain-2q", {})["couplings"]["system"]
+        cfg.write_text(json.dumps({"scenario": "ad-chain-2q", "couplings": {"system": system, "environment": environment}}))
+        return str(cfg)
+
+    def test_per_carrier_environment_lists_run_every_command(self, tmp_path):
+        cfg = self.per_carrier_config(tmp_path, [["sx"], ["sx"]])
+        assert not load_scenario(cfg).couplings.env_shared
+        for command in ("simulate", "generators", "converge", "verify"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        report = json.loads((tmp_path / "verify" / "verify.json").read_text())
+        assert not report["assumption"]["uniform"]
+        assert [sorted(e) for e in report["assumption"]["entries"]] == [["carrier", "term", "value"]] * 2
+        # the same environment operator on both carriers is the builtin's shared list
+        assert main(["simulate", "--config", "ad-chain-2q", "--out", str(tmp_path / "builtin")]) == 0
+        got = (tmp_path / "simulate" / "trajectory.csv").read_bytes()
+        assert got == (tmp_path / "builtin" / "trajectory.csv").read_bytes()
+
+    def test_per_carrier_assumption_failure_exit_two(self, tmp_path, capsys):
+        cfg = self.per_carrier_config(tmp_path, [["sx"], ["sz"]])
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "csv")]) == 2
+        assert "assumption check failed" in capsys.readouterr().err
+        assert (tmp_path / "csv" / "convergence.csv").read_text() == "n,dt,g,error\n"
+        assert main(["converge", "--config", cfg, "--format", "json", "--out", str(tmp_path / "json")]) == 2
+        report = json.loads((tmp_path / "json" / "convergence.json").read_text())
+        assert report["entries"] == [] and report["fitted_order"] is None and report["reference_dt"] == 0.0
+        assert not report["passed"] and not report["errors_strictly_decreasing"]
+        assert report["assumption"]["entries"][1] == {"carrier": 2, "term": 0, "value": 1.0}
+
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -604,6 +636,14 @@ class TestCLI:
                 {"scenario": "dephasing-1q", "observables": [{"name": "m", "matrix": [[[1, 0], [0, 0], [0, 0]]] * 2}]},
                 "config error: observables[0].matrix: expected a square matrix, got shape (2, 3)",
             ),
+            (
+                {"scenario": "ad-chain-2q", "couplings": {"system": [["sx"], ["sx"]], "environment": [["sx"]]}},
+                "config error: per-carrier environment couplings must cover every carrier",
+            ),
+            (
+                {"scenario": "ad-chain-2q", "couplings": {"system": [["sx"], ["sx"]], "environment": [["sx"], "sx"]}},
+                "config error: couplings.environment[1]: expected a list, got 'sx'",
+            ),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
              "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity",
@@ -620,7 +660,8 @@ class TestCLI:
              "config-not-utf8", "observable-name-comma", "observable-name-quote", "observable-name-newline",
              "observable-name-return", "observable-name-duplicate", "observable-name-number", "observable-name-empty",
              "observable-no-name", "observable-no-op", "lossy-kappa-factory", "lossy-one-level", "replacer-eta-not-state",
-             "unitary-not-unitary", "ket-zero", "observable-matrix-not-square"],
+             "unitary-not-unitary", "ket-zero", "observable-matrix-not-square",
+             "per-carrier-environment-short", "per-carrier-environment-entry-not-list"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"

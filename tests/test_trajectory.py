@@ -2,12 +2,14 @@
 rows of real Hermitian coordinates and the check's traces; states are
 converted on read, and their minimum eigenvalues are computed when read."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_state
 from qcollide.channels import DensityMatrix, check_states, lossy_bosonic_channel
-from qcollide.collision import CollisionConfig, CouplingSpec, simulate
+from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedule, simulate
 from qcollide.generators import full_generator
 from qcollide.integrator import _hermitian, _real_coordinates, integrate, reduced_trajectory
 from qcollide.ops import Operator, partial_trace, pauli
@@ -216,3 +218,32 @@ class TestObservableNames:
         header, row = (tmp_path / "t.csv").read_text().splitlines()[:2]
         assert header == "step,t,p 0_re,p 0_im,p1_re,p1_im,trace,min_eigenvalue"
         assert len(row.split(",")) == 8
+
+
+class TestObservableValues:
+    """Each observable is read per batch; its values equal the single-state
+    einsum "ij,ji->" on every sample, to the last bit."""
+
+    STEPS = 470  # stride 7 still records more than one batch
+
+    def run(self, route, rho0, observables, stride):
+        cfg = chain_collisions(self.STEPS)
+        if route == "simulate-direct":  # a local schedule takes the per-collision column
+            local = (HamiltonianSchedule.constant(Operator((2,), 0.7 * pauli("z").entries)), None, None)
+            cfg = dataclasses.replace(cfg, local_hamiltonians=local)
+        if route.startswith("simulate"):
+            return simulate(cfg, rho0, observables, record_stride=stride)
+        t_end = self.STEPS * 2e-3
+        return integrate(chain_generator(), rho0, t_end=t_end, dt=2e-3, observables=observables, record_stride=stride)
+
+    @pytest.mark.parametrize("route", ["simulate-map", "simulate-direct", "integrate"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_values_equal_the_single_state_einsum(self, rng, route, stride, count):
+        raw = [rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) for _ in range(count)]
+        # Hermitian and non-Hermitian observables alternate
+        ops = [Operator((2, 2, 2), m + m.conj().T if j % 2 == 0 else m) for j, m in enumerate(raw)]
+        traj = self.run(route, random_state(rng, (2, 2, 2)), ops, stride)
+        assert len(traj) > SAMPLE_BATCH
+        want = np.array([[np.einsum("ij,ji->", op.entries, x) for op in ops] for x in traj.states])
+        assert traj.observable_values.tobytes() == want.tobytes()
