@@ -48,12 +48,13 @@ def check_states(stack: np.ndarray, atol: float = STATE_TOL, scratch: np.ndarray
     D eps; only when it fails does one batched eigvalsh name the first row
     below -atol.
 
-    A caller whose stack is exactly Hermitian by construction (the recorded
-    samples, built by `integrator._hermitian` from the same entry pairs)
-    passes `scratch`, a reused complex buffer of at least n (D, D) matrices:
-    the Hermiticity defect is then not computed, a row with a non-finite
-    entry fails in its place with the same message, and X + atol I is
-    written into `scratch`.
+    `DensityMatrix` runs the full check on arbitrary input.  The one other
+    caller, `trajectory.SampleRecorder`, checks recorded samples, exactly
+    Hermitian by construction (`trajectory._hermitian` builds them from the
+    same entry pairs), and passes `scratch`, a reused complex buffer of at
+    least n (D, D) matrices: the Hermiticity defect is then not computed, a
+    row with a non-finite entry fails in its place with the same message,
+    and X + atol I is written into `scratch`.
     """
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails below
         if scratch is None:

@@ -329,7 +329,7 @@ def check_assumption(cfg: CollisionConfig, m_max: int, tol: float = DEFAULT_TOL)
             value = abs(np.einsum("ij,ji->", b.entries, sigma.entries))
             entries.append((label, l, float(value)))
         sigma = cfg.channel.apply(sigma)
-    max_violation = max(v for (_, _, v) in entries)
+    max_violation = float(np.max([v for (_, _, v) in entries]))  # NaN propagates
     return AssumptionReport(
         entries=tuple(entries),
         max_violation=max_violation,

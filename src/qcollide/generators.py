@@ -105,10 +105,12 @@ def local_rates(
     sigma = orbit(channel, eta.op, m - 1).entries
     _warn_if_nonzero_mean(b_ops, sigma)
     rates = _two_point_rates(b_ops, sigma, gamma)
-    if max_abs(rates - rates.conj().T) > PSD_TOL:
+    if not np.isfinite(rates).all():
+        raise RuntimeError(f"local rate matrix of carrier {m} is not finite")
+    if not max_abs(rates - rates.conj().T) <= PSD_TOL:
         raise RuntimeError("local rate matrix is not Hermitian; this indicates a bug")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rates + rates.conj().T))[0])
-    if min_eig < -PSD_TOL:
+    if not min_eig >= -PSD_TOL:
         raise RuntimeError(
             f"local rate matrix has negative eigenvalue {min_eig}; this indicates a bug"
         )
@@ -218,7 +220,9 @@ def local_dissipator(
 ) -> Superoperator:
     """Lindblad dissipator of carrier m, embedded on the joint carrier space."""
     rates = np.asarray(rates, dtype=complex)
-    if max_abs(rates - rates.conj().T) > PSD_TOL:
+    if not np.isfinite(rates).all():
+        raise ValueError(f"local rate matrix of carrier {m} is not finite")
+    if not max_abs(rates - rates.conj().T) <= PSD_TOL:
         raise ValueError("local rate matrix must be Hermitian")
     return _gksl(spec, rates, (m,), tuple(carrier_dims)).superoperator()
 

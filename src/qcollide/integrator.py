@@ -1,9 +1,9 @@
 """Fixed-step 4th-order integration of d rho/dt = G(rho).
 
 Deterministic classical RK4, no adaptivity.  A GKSL generator maps Hermitian
-matrices to Hermitian matrices, so the state lives in real Hermitian
-coordinates: X = A + iB (A symmetric, B antisymmetric) is stored as the real
-matrix S = A + B, and X = ((1+i)S + (1-i)S^T)/2.  Each generator segment
+matrices to Hermitian matrices, so the state lives in the real Hermitian
+coordinates of `trajectory` (`_real_coordinates`, `_hermitian`): X = A + iB
+is stored as the real matrix S = A + B.  Each generator segment
 reads its generator's matrix at its start (a form-backed generator builds
 it then) and converts it once into the real D^2 x D^2 matrix R of
 S -> s(Herm(G X(S))); the complex matrix is dropped then.  For a linear
@@ -23,37 +23,31 @@ runs at least as many steps as the block's side, one matrix product per
 SAMPLE_BATCH steps with the block's power.  Recorded steps are rows of the
 computed ones, so the record stride never changes a sample.
 
-Recorded samples stay in real coordinates (`trajectory.SampleRecorder`),
-8 D^2 bytes each: a fixed map's segment hands over the recorded rows of
+Recorded samples stay real coordinate rows, 8 D^2 bytes each, and go
+through the one recording path (`trajectory.SampleRecorder`), which checks
+them batch by batch: a fixed map's segment hands over the recorded rows of
 each window in one call, a per-step function's segment one row per
-recorded step.  Each full batch of SAMPLE_BATCH rows, and the last one,
-becomes complex states in one vectorized conversion (`_hermitian`) only
-for the one state check, in one call, and those states are then dropped.
-They are exactly Hermitian by construction, so the check tests finiteness
-in place of the Hermiticity defect; its positivity verdict is one batched
-Cholesky factorization.  A trajectory converts its samples again when they
-are read (`trajectory.Samples`), and computes minimum eigenvalues only
-when its `min_eigenvalues` is read.  Samples are never re-symmetrized;
-trace and positivity are checked on every recorded sample but never
-enforced, so a broken generator shows up instead of being masked.
+recorded step, and `reduced_trajectory` the partial trace of each batch.
+Samples are never re-symmetrized; trace and positivity are checked on
+every recorded sample but never enforced, so a broken generator shows up
+instead of being masked.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import DensityMatrix, trace_distance  # trace_distance: re-exported
-from .ops import Operator, Superoperator, trace_out, vec
+from .ops import Operator, Superoperator, trace_out
 from .trajectory import (
     SAMPLE_BATCH,
     SampleRecorder,
     Trajectory,
-    build_trajectory,
-    check_samples,
+    _hermitian,
+    _real_coordinates,
     observable_arrays,
 )
 
@@ -204,26 +198,6 @@ def _rk4_propagator(r: np.ndarray, h: float) -> np.ndarray:
     return t4
 
 
-def _hermitian(s: np.ndarray, side: int, out: np.ndarray | None = None) -> np.ndarray:
-    """X = ((1+i)S + (1-i)S^T)/2 = A + iB from the real coordinates s = vec(S),
-    for a stack of coordinate rows shaped (n, D^2), written into `out`
-    when given; exactly Hermitian, since A = (S + S^T)/2 and
-    B = (S - S^T)/2 are built from the same entry pairs."""
-    m = s.reshape(-1, side, side).swapaxes(-2, -1)  # row-wise unvec
-    x = np.empty(m.shape, dtype=complex) if out is None else out
-    np.add(m, m.swapaxes(-2, -1), out=x.real)
-    np.subtract(m, m.swapaxes(-2, -1), out=x.imag)
-    x *= 0.5
-    return x
-
-
-def _real_coordinates(x: np.ndarray) -> np.ndarray:
-    """s = vec(S) with S = A + B for the Hermitian part A + iB of x:
-    A = (Re x + Re x^T)/2 and B = (Im x - Im x^T)/2, so S = (P + Q^T)/2 with
-    P = Re x + Im x and Q = Re x - Im x (S = P exactly when x is Hermitian)."""
-    return vec(0.5 * (x.real + x.imag + (x.real - x.imag).T))
-
-
 def _power(m: np.ndarray) -> np.ndarray:
     """m^SAMPLE_BATCH by log2(SAMPLE_BATCH) squarings."""
     q = m @ m
@@ -263,7 +237,7 @@ def _propagate(
     stride never changes a sample; a map passed whole is one block in the
     natural order, which nothing permutes or gathers.
     """
-    recorder = SampleRecorder(rho0.dims, functools.partial(_hermitian, side=rho0.side))
+    recorder = SampleRecorder(rho0.dims)
 
     def record(rows: np.ndarray, first: int, back: np.ndarray | None) -> None:
         # rows[i] holds the coordinates after step first + i, in the natural
@@ -368,11 +342,17 @@ def integrate(
 
 def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
     """Partial trace applied samplewise; `keep` lists 1-based carrier indices.
-    The reduced samples go through the state check in one call."""
+    Each batch of real coordinate rows is traced in one call and recorded
+    through a SampleRecorder: the partial trace is linear and commutes with
+    transposition, so it takes the real coordinates of a state to those of
+    its reduced state."""
     keep0 = [int(m) - 1 for m in keep]
-    reduced = [trace_out(state, traj.dims, keep0) for state in traj.states]
-    stack = np.array([r for _, r in reduced])
-    traces = check_samples(stack, traj.steps, traj.times)
-    metadata = {**traj.metadata, "reduced_to": list(keep)}
-    return build_trajectory(traj.steps, traj.times, stack, traces, reduced[0][0], [], [], metadata)
-
+    side = math.prod(traj.dims)
+    recorder = None
+    for start, batch in zip(traj.samples.starts, traj.samples.batches):
+        # a row read in C order is S^T, and tr_E(S^T) = tr_E(S)^T
+        dims, reduced = trace_out(batch.reshape(-1, side, side), traj.dims, keep0)
+        recorder = recorder or SampleRecorder(dims)
+        span = slice(start, start + len(batch))
+        recorder.record(traj.steps[span].tolist(), traj.times[span].tolist(), reduced.reshape(len(batch), -1))
+    return recorder.trajectory([], [], {**traj.metadata, "reduced_to": list(keep)})

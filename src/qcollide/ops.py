@@ -113,20 +113,21 @@ def trace_out(
     x: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """The factor dimensions and matrix of the partial trace of the matrix x
-    on the tensor space `dims` over every factor not listed in `keep`."""
+    on the tensor space `dims` over every factor not listed in `keep`, or
+    the stack of those matrices for a stack x of shape (..., D, D)."""
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    tensor = x.reshape(dims + dims)
+    tensor = x.reshape(x.shape[:-2] + dims + dims)
     row = list(range(n))
     col = [n + i for i in range(n)]
-    in_labels = row + [row[i] if i not in keep else col[i] for i in range(n)]
-    out_labels = [row[i] for i in keep] + [col[i] for i in keep]
+    in_labels = [..., *row] + [row[i] if i not in keep else col[i] for i in range(n)]
+    out_labels = [..., *(row[i] for i in keep), *(col[i] for i in keep)]
     reduced = np.einsum(tensor, in_labels, out_labels)
     kept_dims = tuple(dims[i] for i in keep) or (1,)
     side = math.prod(kept_dims)
-    return kept_dims, reduced.reshape(side, side)
+    return kept_dims, reduced.reshape(x.shape[:-2] + (side, side))
 
 
 def expm_hermitian(h: Operator, s: float, tol: float = DEFAULT_TOL) -> Operator:

@@ -425,7 +425,7 @@ def load_scenario(source) -> ScenarioConfig:
             try:
                 with open(path, encoding="utf-8") as fh:
                     data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config file {path} cannot be read: {exc}") from exc

@@ -2,79 +2,82 @@
 
 Both writers emit the same CSV schema (step, t, observable re/im pairs,
 trace, min_eigenvalue) so outputs can be diffed at the file level.
+
+Samples have one format, owned here: a Hermitian X = A + iB (A symmetric,
+B antisymmetric) is stored as the real coordinates s = vec(S), S = A + B
+(`_real_coordinates`), and rebuilt as X = ((1+i)S + (1-i)S^T)/2
+(`_hermitian`).  `SampleRecorder`, the one way a Trajectory is made,
+checks the samples batch by batch and keeps their rows (`Samples`).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .channels import DensityMatrix, StateViolation, check_states
 from .jsonio import write_csv, write_json
-from .ops import Operator
+from .ops import Operator, vec
 
 SAMPLE_ATOL = 1e-8
 # recorded samples are validated in stacks of this many
 SAMPLE_BATCH = 64
 
 
-class Samples:
-    """The recorded states of a trajectory, kept as the read-only batches
-    their state check saw, with the conversion that turns a batch into
-    complex (b, D, D) states: `convert(batch)`, or `convert(batch, out=buf)`
-    into a given buffer.  The recorded runs keep (b, D^2) float64 rows of
-    real Hermitian coordinates, 8 D^2 bytes per sample, converted by
-    `integrator._hermitian`; states that arrive complex are one (n, D, D)
-    batch with the identity conversion (`_as_given`).  Each read converts
-    only what it needs: one row (`state`), one batch at a time into a
-    reused buffer (`stacks`), or the whole run once (`stack`).
-    """
+def _hermitian(s: np.ndarray, side: int, out: np.ndarray | None = None) -> np.ndarray:
+    """X = ((1+i)S + (1-i)S^T)/2 = A + iB from the real coordinates s = vec(S),
+    for a stack of coordinate rows shaped (n, D^2), written into `out`
+    when given; exactly Hermitian, since A = (S + S^T)/2 and
+    B = (S - S^T)/2 are built from the same entry pairs."""
+    m = s.reshape(-1, side, side).swapaxes(-2, -1)  # row-wise unvec
+    x = np.empty(m.shape, dtype=complex) if out is None else out
+    np.add(m, m.swapaxes(-2, -1), out=x.real)
+    np.subtract(m, m.swapaxes(-2, -1), out=x.imag)
+    x *= 0.5
+    return x
 
-    def __init__(self, batches: list[np.ndarray], side: int, convert: Callable[..., np.ndarray]):
+
+def _real_coordinates(x: np.ndarray) -> np.ndarray:
+    """s = vec(S) with S = A + B for the Hermitian part A + iB of x:
+    A = (Re x + Re x^T)/2 and B = (Im x - Im x^T)/2, so S = (P + Q^T)/2 with
+    P = Re x + Im x and Q = Re x - Im x (S = P exactly when x is Hermitian)."""
+    return vec(0.5 * (x.real + x.imag + (x.real - x.imag).T))
+
+
+class Samples:
+    """The recorded states of a trajectory, kept as the read-only batches of
+    at most SAMPLE_BATCH rows that their state check saw: (b, D^2) float64
+    rows of real Hermitian coordinates, 8 D^2 bytes per sample, batch k
+    from sample starts[k] on.  Each read converts (`_hermitian`) only what
+    it needs: one batch at a time into a reused buffer (`stacks`), or the
+    whole run once (`stack`)."""
+
+    def __init__(self, batches: list[np.ndarray], side: int):
         self.batches = batches
         self.side = side
-        self._convert = convert
-        self._starts = np.cumsum([0] + [len(b) for b in batches]).tolist()
+        self.starts = np.cumsum([0] + [len(b) for b in batches]).tolist()
 
     def __len__(self) -> int:
-        return self._starts[-1]
-
-    def state(self, i: int) -> np.ndarray:
-        """Sample i (negative i counts from the end) as a complex (D, D) array."""
-        i = range(len(self))[i]
-        k = bisect.bisect_right(self._starts, i) - 1
-        return self._convert(self.batches[k][i - self._starts[k], None])[0]
+        return self.starts[-1]
 
     def stacks(self) -> Iterator[np.ndarray]:
-        """The samples in order as complex stacks of at most SAMPLE_BATCH,
-        converted into one reused buffer: each stack is valid until the next
-        one is made."""
+        """The samples in order as complex stacks, one per batch, converted
+        into one reused buffer: each is valid until the next one is made."""
         buf = np.empty((SAMPLE_BATCH, self.side, self.side), dtype=complex)
         for batch in self.batches:
-            for i in range(0, len(batch), SAMPLE_BATCH):
-                rows = batch[i : i + SAMPLE_BATCH]
-                yield self._convert(rows, out=buf[: len(rows)])
+            yield _hermitian(batch, self.side, out=buf[: len(batch)])
 
     def stack(self) -> np.ndarray:
         """All samples as one new read-only complex (n, D, D) array."""
         out = np.empty((len(self), self.side, self.side), dtype=complex)
-        for start, batch in zip(self._starts, self.batches):
-            self._convert(batch, out=out[start : start + len(batch)])
+        for start, batch in zip(self.starts, self.batches):
+            _hermitian(batch, self.side, out=out[start : start + len(batch)])
         out.setflags(write=False)
         return out
-
-
-def _as_given(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The identity conversion of complex states (copied into `out` when given)."""
-    if out is None:
-        return stack
-    out[...] = stack
-    return out
 
 
 @dataclass(eq=False)
@@ -82,11 +85,11 @@ class Trajectory:
     """Ordered samples of a state evolution with observable expectations.
 
     `samples` holds the states on the tensor space `dims` as their state
-    check saw them (`Samples`: real Hermitian coordinates for `simulate`
-    and `integrate`), and `traces` are the check's.  States are converted
-    on read: `final_state()` converts one sample, `min_eigenvalues` one
-    batch at a time, computed when first read, since the check certifies
-    positivity without eigenvalues, and `states` the whole run once.
+    check saw them (`Samples`), and `traces` are the check's.  States are
+    converted on read: `final_state()` converts the last row,
+    `min_eigenvalues` one batch at a time, computed when first read, since
+    the check certifies positivity without eigenvalues, and `states` the
+    whole run once.
     """
 
     steps: np.ndarray
@@ -128,7 +131,8 @@ class Trajectory:
 
     def final_state(self) -> DensityMatrix:
         """The last sample as a DensityMatrix (checked again, at SAMPLE_ATOL)."""
-        return DensityMatrix(Operator(self.dims, self.samples.state(-1)), SAMPLE_ATOL)
+        last = _hermitian(self.samples.batches[-1][-1], self.samples.side)[0]
+        return DensityMatrix(Operator(self.dims, last), SAMPLE_ATOL)
 
     def expectations(self, name: str) -> np.ndarray:
         idx = self.observable_names.index(name)
@@ -150,46 +154,28 @@ class Trajectory:
         write_json(path, {"metadata": self.metadata, "observable_names": names, "samples": samples})
 
 
-def check_samples(
-    stack: np.ndarray, steps: Sequence[int], times: Sequence[float], scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Run the one state check (`channels.check_states`) over a complex
-    (n, D, D) stack of the samples taken at `steps` and `times`, then make the
-    stack read-only; returns the traces.  `scratch` is passed on for a
-    stack that is exactly Hermitian by construction.  A failing sample
-    aborts the run with a RuntimeError naming its step, so the CLI reports a
-    property failure."""
-    try:
-        traces = check_states(stack, SAMPLE_ATOL) if scratch is None else check_states(stack, SAMPLE_ATOL, scratch)
-    except StateViolation as exc:
-        step, t = steps[exc.index], times[exc.index]
-        raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
-    stack.setflags(write=False)
-    return traces
-
-
 class SampleRecorder:
-    """The recorded samples of one run, validated SAMPLE_BATCH at a time.
+    """The one way a Trajectory is made: the samples of one run, recorded
+    and validated SAMPLE_BATCH at a time.
 
-    `record` copies raw samples, the (D^2,) real coordinate rows of the
-    propagation loop of `simulate` and `integrate`, into the next rows of
-    the current batch: one row per call on a per-step route, a window's
-    rows in one call on a fixed map's route.  A full batch, and the last
-    one (only its filled rows) at `trajectory`, is kept as it is, read-only,
-    and checked in one call (`check_samples`) on the complex stack that
-    `convert` makes of it.  That stack is exactly Hermitian by
-    construction, so the check tests finiteness in place of the Hermiticity
-    defect, and it writes its shifted copy into one buffer reused across
-    batches; the stack itself is dropped after the check.  A violation
-    surfaces at most one batch after the failing step was recorded.
+    `record` copies (D^2,) real coordinate rows into the next rows of the
+    current batch: one row per call on a per-step route, a window's or a
+    batch's rows otherwise.  A full batch, and the last one (only its
+    filled rows) at `trajectory`, is kept as it is, read-only, and checked
+    in one `channels.check_states` call on the complex stack `_hermitian`
+    makes of it, which is exactly Hermitian by construction: the check
+    tests finiteness in place of the Hermiticity defect and writes its
+    shifted copy into one buffer reused across batches.  A failing sample
+    aborts the run with a RuntimeError naming its step, which the CLI
+    reports as a property failure, at most one batch after it was recorded.
     """
 
-    def __init__(self, dims: tuple[int, ...], convert: Callable[..., np.ndarray]):
+    def __init__(self, dims: tuple[int, ...]):
         self.dims = dims
-        self._convert = convert
+        self._side = math.prod(dims)
         self._buf: np.ndarray | None = None
         self._pending = 0
-        self._scratch: np.ndarray | None = None
+        self._scratch = np.empty((SAMPLE_BATCH, self._side, self._side), dtype=complex)
         self._checked = 0
         self.steps: list[int] = []
         self.times: list[float] = []
@@ -223,12 +209,12 @@ class SampleRecorder:
             return
         rows = self._buf if self._pending == SAMPLE_BATCH else self._buf[: self._pending].copy()
         self._buf, self._pending = None, 0
-        stack = self._convert(rows)
-        if self._scratch is None:
-            self._scratch = np.empty((SAMPLE_BATCH,) + stack.shape[1:], dtype=complex)
-        first, end = self._checked, self._checked + len(rows)
-        self._checked = end
-        self._traces.append(check_samples(stack, self.steps[first:end], self.times[first:end], self._scratch))
+        first, self._checked = self._checked, self._checked + len(rows)
+        try:
+            self._traces.append(check_states(_hermitian(rows, self._side), SAMPLE_ATOL, self._scratch))
+        except StateViolation as exc:
+            step, t = self.steps[first + exc.index], self.times[first + exc.index]
+            raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
         rows.setflags(write=False)
         self._batches.append(rows)
 
@@ -240,7 +226,7 @@ class SampleRecorder:
     ) -> Trajectory:
         self._flush()
         self._scratch = None
-        samples = Samples(self._batches, math.prod(self.dims), self._convert)
+        samples = Samples(self._batches, self._side)
         return build_trajectory(
             self.steps, self.times, samples, np.concatenate(self._traces), self.dims,
             observables, observable_names, metadata,
@@ -276,31 +262,27 @@ def observable_arrays(
 def build_trajectory(
     steps: Sequence[int],
     times: Sequence[float],
-    raw_states: Samples | Sequence[np.ndarray],
+    raw_states: Samples,
     traces: np.ndarray,
     dims: tuple[int, ...],
     observables: Sequence[np.ndarray],
     observable_names: Sequence[str],
     metadata: dict | None = None,
 ) -> Trajectory:
-    """Assemble a Trajectory from checked samples, a `Samples` holder or
-    complex (D, D) states taken as they are, and the traces their check
-    returned.  Each observable is read by one einsum per converted batch."""
-    if isinstance(raw_states, Samples):
-        samples = raw_states
-    else:
-        samples = Samples([np.asarray(raw_states, dtype=complex)], math.prod(dims), _as_given)
-    values = np.zeros((len(samples), len(observables)), dtype=complex)
+    """Assemble a Trajectory from the checked samples (`SampleRecorder`) and
+    the traces their check returned.  Each observable is read by one einsum
+    per converted batch."""
+    values = np.zeros((len(raw_states), len(observables)), dtype=complex)
     if observables:
         i = 0
-        for stack in samples.stacks():
+        for stack in raw_states.stacks():
             for j, obs in enumerate(observables):
                 values[i : i + len(stack), j] = np.einsum("ij,nji->n", obs, stack)
             i += len(stack)
     return Trajectory(
         steps=np.asarray(steps),
         times=np.asarray(times),
-        samples=samples,
+        samples=raw_states,
         dims=tuple(dims),
         observable_names=tuple(observable_names),
         observable_values=values,

@@ -21,7 +21,7 @@ from qcollide.channels import (
 from qcollide.jsonio import complex_matrix_to_json
 from qcollide.ops import Operator, expm_hermitian, pauli, unvec, vec
 from qcollide.scenarios import ConfigError, parse_channel
-from qcollide.trajectory import build_trajectory
+from qcollide.trajectory import SampleRecorder, _hermitian, _real_coordinates
 
 SX, SZ = pauli("x"), pauli("z")
 
@@ -84,8 +84,13 @@ class TestCheckStates:
         stack = self.stack(rng)
         traces = check_states(stack, 1e-8)
         assert np.array_equal(traces, [complex(np.trace(x)).real for x in stack])
-        traj = build_trajectory(range(len(stack)), range(len(stack)), list(stack), traces, (3, 3), [], [])
-        assert np.array_equal(traj.min_eigenvalues, [np.linalg.eigvalsh(x)[0] for x in stack])
+        rows = np.array([_real_coordinates(x) for x in stack])
+        recorder = SampleRecorder((3, 3))
+        recorder.record(range(len(stack)), range(len(stack)), rows)
+        traj = recorder.trajectory([], [])
+        checked = _hermitian(rows, 9)
+        assert np.array_equal(traj.traces, [complex(np.trace(x)).real for x in checked])
+        assert np.array_equal(traj.min_eigenvalues, [np.linalg.eigvalsh(x)[0] for x in checked])
 
     @pytest.mark.parametrize("atol", [1e-8, STATE_TOL])
     @pytest.mark.parametrize("side", [2, 5, 9])

@@ -221,6 +221,11 @@ class TestLocalDissipator:
         with pytest.raises(ValueError, match="Hermitian"):
             local_dissipator(spec_1q(), np.array([[1j]]), 1, (2,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        with pytest.raises(ValueError, match="local rate matrix of carrier 1 is not finite"):
+            local_dissipator(spec_1q(), np.array([[bad]]), 1, (2,))
+
 
 def kron_lindblad(a_ops, rates):
     """(1/2) sum rates[l,l'] (2 A_l' X A_l - A_l A_l' X - X A_l A_l'), term by term with np.kron."""

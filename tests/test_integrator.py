@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import gc
 import math
 import tracemalloc
@@ -15,6 +14,7 @@ from qcollide.channels import DensityMatrix, identity_channel, lossy_bosonic_cha
 from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedule, _column_phi, simulate
 from qcollide.generators import full_generator, single_carrier_generator
 import qcollide.integrator
+import qcollide.trajectory
 from qcollide.integrator import (
     SectorMap,
     _propagate,
@@ -111,7 +111,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_aborts(self, monkeypatch, bad):
         # poison the sample of step 70 where the recorder converts its batch
-        hermitian, seen = qcollide.integrator._hermitian, [0]
+        hermitian, seen = qcollide.trajectory._hermitian, [0]
 
         def poisoned(rows, side):
             x = hermitian(rows, side)
@@ -121,7 +121,7 @@ class TestIntegrate:
                 x[i, 0, 0] = bad
             return x
 
-        monkeypatch.setattr(qcollide.integrator, "_hermitian", poisoned)
+        monkeypatch.setattr(qcollide.trajectory, "_hermitian", poisoned)
         with pytest.raises(RuntimeError, match="at step 70, t=0.7: density matrix is not Hermitian"):
             integrate(dephasing_generator(), GROUND, t_end=1.0, dt=0.01)
 
@@ -655,7 +655,7 @@ class TestRecording:
             mp.setattr(SampleRecorder, "record", logged)
             traj = simulate(cfg, sc.rho0, observables=obs, record_stride=stride, observable_names=names)
         assert len(rows) == len(traj)
-        replay = SampleRecorder(sc.rho0.dims, functools.partial(qcollide.integrator._hermitian, side=4))
+        replay = SampleRecorder(sc.rho0.dims)
         done, sizes = 0, iter(chunks * len(rows))
         while done < len(rows):
             end = min(len(rows), done + next(sizes))

@@ -784,6 +784,43 @@ class TestCLI:
         assert code == 2
         assert "assumption" in capsys.readouterr().err
 
+    @staticmethod
+    def non_finite_channel_config(tmp_path, bad) -> str:
+        """ad-chain-2q relaxed by a Kraus channel with one non-finite entry
+        (`bad` is NaN or Infinity, as JSON writes them)."""
+        cfg = tmp_path / f"{bad}.json"
+        operators = f"[[[[{bad}, 0], [0, 0]], [[0, 0], [1, 0]]]]"
+        cfg.write_text(f'{{"scenario": "ad-chain-2q", "channel": {{"kind": "kraus", "operators": {operators}}}}}')
+        return str(cfg)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_channel_fails_the_zero_mean_check(self, tmp_path, capsys, bad):
+        # the first moments after the first relaxation are NaN, and the
+        # worst of them must be too
+        cfg = self.non_finite_channel_config(tmp_path, bad)
+        with pytest.warns(RuntimeWarning):  # the loader's trace-preservation warning, and matmul's on Infinity
+            assert main(["converge", "--config", cfg, "--out", str(tmp_path / "csv")]) == 2
+        assert "assumption check failed: max first moment nan" in capsys.readouterr().err
+        assert (tmp_path / "csv" / "convergence.csv").read_text() == "n,dt,g,error\n"
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["generators", "verify"])
+    def test_non_finite_rates_exit_two(self, tmp_path, capsys, command, bad):
+        cfg = self.non_finite_channel_config(tmp_path, bad)
+        with pytest.warns(RuntimeWarning):  # the loader's trace-preservation warning, and matmul's on Infinity
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "property check failed: local rate matrix of carrier 2 is not finite" in err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_deeply_nested_config_file_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {cfg} is not valid JSON: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "converge"])
     def test_invariant_violation_exit_two(self, tmp_path, capsys, command):
         # the loader only warns about a non-trace-preserving channel; the run

@@ -3,16 +3,19 @@ rows of real Hermitian coordinates and the check's traces; states are
 converted on read, and their minimum eigenvalues are computed when read."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import random_hermitian, random_state
 from qcollide.channels import DensityMatrix, check_states, lossy_bosonic_channel
 from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedule, simulate
 from qcollide.generators import full_generator
 from qcollide.integrator import _hermitian, _real_coordinates, integrate, reduced_trajectory
-from qcollide.ops import Operator, partial_trace, pauli
+from qcollide.ops import Operator, partial_trace, pauli, unvec, vec
 import qcollide.trajectory
 from qcollide.trajectory import SAMPLE_ATOL, SAMPLE_BATCH
 
@@ -43,6 +46,23 @@ def batches(traj):
     """The checked batches of a recorded trajectory as the complex stacks
     the check saw."""
     return [_hermitian(batch, 8) for batch in traj.samples.batches]
+
+
+def traced_rows(rows, dims, keep0):
+    """The partial trace over every factor not in `keep0` of each sample's
+    real coordinate matrix S = unvec(row), as vec rows: the traced factors'
+    diagonal terms added one at a time, in the order of their joint index."""
+    n, drop = len(dims), [i for i in range(len(dims)) if i not in keep0]
+    dk, de = math.prod(dims[i] for i in keep0), math.prod(dims[i] for i in drop)
+    out = []
+    for row in rows:
+        s = unvec(row, math.prod(dims)).reshape(dims + dims)
+        t = s.transpose(keep0 + drop + [n + i for i in keep0 + drop]).reshape(dk, de, dk, de)
+        r = t[:, 0, :, 0].copy()
+        for j in range(1, de):
+            r += t[:, j, :, j]
+        out.append(vec(r))
+    return np.array(out)
 
 
 @pytest.fixture(params=["simulate", "integrate"])
@@ -149,19 +169,21 @@ class TestReducedTrajectory:
         assert len(traj) > SAMPLE_BATCH
         check, calls = qcollide.trajectory.check_states, []
 
-        def counted(stack, atol):
+        def counted(stack, atol, scratch=None):
             calls.append(len(stack))
-            return check(stack, atol)
+            return check(stack, atol, scratch)
 
         monkeypatch.setattr(qcollide.trajectory, "check_states", counted)
         red = reduced_trajectory(traj, keep=[1, 3])
-        assert calls == [len(traj)]
+        assert calls == [len(b) for b in traj.samples.batches]  # one check per batch
         assert red.dims == (2, 2)
         assert red.metadata["reduced_to"] == [1, 3]
         assert np.array_equal(red.steps, traj.steps) and np.array_equal(red.times, traj.times)
+        want_rows = traced_rows(np.concatenate(traj.samples.batches), traj.dims, [0, 2])
+        assert np.array_equal(np.concatenate(red.samples.batches), want_rows)
         for state, r in zip(traj.states, red.states, strict=True):
             want = partial_trace(Operator(traj.dims, state), [0, 2]).entries
-            assert np.array_equal(r, want)
+            assert np.max(np.abs(r - want)) <= 1e-15
             assert not r.flags.writeable and r.base is red.states[0].base
         assert np.array_equal(red.traces, [complex(np.trace(x)).real for x in red.states])
         assert "min_eigenvalues" not in vars(red)
@@ -169,13 +191,63 @@ class TestReducedTrajectory:
 
     def test_invalid_reduced_sample_names_its_step(self, rng):
         traj = simulate(chain_collisions(3), random_state(rng, (2, 2, 2)))
-        bad = traj.states[2].copy()
-        bad[0, 0] += 1e-3
+        bad = traj.samples.batches[0].copy()
+        bad[2, 0] += 1e-3  # S[0, 0] of sample 2: its trace grows
         bad.setflags(write=False)
-        traj.states = traj.states[:2] + (bad,) + traj.states[3:]
+        traj.samples.batches[0] = bad
         with pytest.raises(RuntimeError, match="at step 2, t=0.1: trace"):
             reduced_trajectory(traj, keep=[2])
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(2, 3), min_size=2, max_size=3).map(tuple),
+        engine=st.sampled_from(["simulate", "integrate"]),
+        steps=st.integers(SAMPLE_BATCH + 1, 2 * SAMPLE_BATCH + 10),
+        data=st.data(),
+    )
+    def test_reduced_rows_are_the_partial_trace_of_real_coordinates(self, seed, dims, engine, steps, data):
+        # runs of more than one batch on 2-3 carriers of dimension 2-3,
+        # reduced to any nonempty subset of carriers, all of them included
+        keep = data.draw(st.lists(st.integers(1, len(dims)), min_size=1, max_size=len(dims), unique=True))
+        rng = np.random.default_rng(seed)
+        spec = CouplingSpec.uniform([[random_hermitian(rng, (d,))] for d in dims], [SX])
+        rho0 = random_state(rng, dims)
+        if engine == "simulate":
+            cfg = CollisionConfig(carrier_dims=dims, env_dim=2, g=1.0, dt=0.05, n_collisions=steps,
+                                  eta=GROUND, channel=DAMPING, couplings=spec)
+            traj = simulate(cfg, rho0)
+        else:
+            gen = full_generator(spec, GROUND, DAMPING, 1.0, dims).total
+            traj = integrate(gen, rho0, t_end=steps * 2e-3, dt=2e-3)
+        assert len(traj) == steps + 1 > SAMPLE_BATCH
+        check, calls = qcollide.trajectory.check_states, []
+
+        def counted(stack, atol, scratch=None):
+            calls.append(len(stack))
+            return check(stack, atol, scratch)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qcollide.trajectory, "check_states", counted)
+            red = reduced_trajectory(traj, keep=keep)
+        keep0 = sorted(m - 1 for m in keep)
+        dk = math.prod(dims[i] for i in keep0)
+        assert red.dims == tuple(dims[i] for i in keep0)
+        # one check per batch, and the traces are the check's
+        assert calls == [len(b) for b in traj.samples.batches]
+        traces = [check_states(_hermitian(b, dk), SAMPLE_ATOL) for b in red.samples.batches]
+        assert np.array_equal(red.traces, np.concatenate(traces))
+        # float64 (b, d^2) rows, batch for batch, bit for bit the partial
+        # trace of each sample's real coordinate matrix
+        assert [len(b) for b in red.samples.batches] == [len(b) for b in traj.samples.batches]
+        for b in red.samples.batches:
+            assert b.dtype == np.float64 and b.shape[1:] == (dk * dk,) and not b.flags.writeable
+        rows = np.concatenate(red.samples.batches)
+        assert np.array_equal(rows, traced_rows(np.concatenate(traj.samples.batches), dims, keep0))
+        # and within 1e-15 of the complex partial trace of each state
+        for state, r in zip(traj.states, red.states, strict=True):
+            want = partial_trace(Operator(traj.dims, state), keep0).entries
+            assert np.max(np.abs(r - want)) <= 1e-15
 
 
 class TestObservableNames:
