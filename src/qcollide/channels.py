@@ -173,6 +173,16 @@ class KrausChannel:
         kraus = [k.entries for k in self.kraus]
         return SandwichForm(self.dims, kraus, [k.conj().T for k in kraus])
 
+    @cached_property
+    def completeness(self) -> np.ndarray:
+        """Q = sum_k K_k^dag K_k, summed in Kraus order (read-only); the
+        identity exactly when the channel is trace preserving."""
+        q = np.zeros((self.side, self.side), dtype=complex)
+        for k in self.kraus:
+            q += k.entries.conj().T @ k.entries
+        q.setflags(write=False)
+        return q
+
     def apply(self, x: Operator) -> Operator:
         """sum_k K_k x K_k^dag; x need not be a state."""
         if x.side != self.side:
@@ -192,10 +202,7 @@ class CPTReport:
 
 def validate_cpt(c: KrausChannel, tol: float = STATE_TOL) -> CPTReport:
     """Report the max-norm of sum_k K_k^dag K_k - identity."""
-    acc = np.zeros((c.side, c.side), dtype=complex)
-    for k in c.kraus:
-        acc += k.entries.conj().T @ k.entries
-    residual = max_abs(acc - np.eye(c.side))
+    residual = max_abs(c.completeness - np.eye(c.side))
     return CPTReport(residual=residual, tol=tol, passed=residual <= tol)
 
 

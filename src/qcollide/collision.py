@@ -36,6 +36,7 @@ from .ops import (
     expm_hermitian,
     kron,
     partial_trace,
+    trace_out,
 )
 from .integrator import _components, _propagate, _real_map, _split
 from .trajectory import Trajectory, observable_arrays
@@ -342,13 +343,6 @@ def check_assumption(cfg: CollisionConfig, m_max: int, tol: float = DEFAULT_TOL)
 # --- column path -----------------------------------------------------------
 
 
-def _trace_env(x: np.ndarray, de: int) -> np.ndarray:
-    """Trace out the trailing environment factor (side de) of a matrix or a
-    stack shaped (..., D, D)."""
-    ds = x.shape[-1] // de
-    return np.einsum("...iaja->...ij", x.reshape(x.shape[:-2] + (ds, de, ds, de)))
-
-
 def _collision_forms(cfg: CollisionConfig) -> list[SandwichForm]:
     """The collisions of one column, X -> U_m X U_m^dag, as forms on
     (carrier m, one sub-environment)."""
@@ -377,8 +371,8 @@ def evolve_column_step(joint: DensityMatrix, cfg: CollisionConfig) -> DensityMat
         raise ValueError(
             f"joint state dims {joint.dims} do not match carriers+environment {cfg.joint_dims}"
         )
-    out = _column(joint.entries, cfg, _collision_forms(cfg))
-    return DensityMatrix(Operator(cfg.carrier_dims, _trace_env(out, cfg.env_dim)), atol=1e-8)
+    out = Operator(cfg.joint_dims, _column(joint.entries, cfg, _collision_forms(cfg)))
+    return DensityMatrix(partial_trace(out, keep=range(cfg.n_carriers)), atol=1e-8)
 
 
 def _free_evolution_unitary(cfg: CollisionConfig, t0: float, t1: float) -> np.ndarray | None:
@@ -429,7 +423,7 @@ def _column_phi(cfg: CollisionConfig) -> np.ndarray:
         x = z = None
     d, u = dims[-1], us[-1]
     # t[e, f, s, t, s', t'] = sum Q[h, g] U[s g, t e] conj(U[s' h, t' f]), one e at a time
-    qu, t = np.tensordot(sum(k.conj().T @ k for k in kraus), u, ([1], [1])), np.empty((de, de) + (d,) * 4, complex)
+    qu, t = np.tensordot(cfg.channel.completeness, u, ([1], [1])), np.empty((de, de) + (d,) * 4, complex)
     for e in range(de):
         t[e] = np.moveaxis(np.tensordot(qu[..., e], u.conj(), ([0], [1])), 4, 0)
     c, phi = c.reshape(de, side, side, de, side, side), np.empty((side, d) * 4, dtype=complex)
@@ -466,8 +460,9 @@ def simulate(
     iterated map takes 8 D_c^4 bytes (at most 8 MiB; three times that
     while the block mode squares it), its blocks less.
     Otherwise each collision runs the direct column (`_column` on
-    rho (x) eta, then `_trace_env`) with one list of collision forms, or
-    with the list of `cfg.at(n)` when the couplings are collision-indexed.
+    rho (x) eta, then `ops.trace_out` of the environment) with one list of
+    collision forms, or with the list of `cfg.at(n)` when the couplings are
+    collision-indexed.
     Both routes go through the integrator's one propagation loop, so
     recorded samples are exactly Hermitian.
 
@@ -491,14 +486,14 @@ def simulate(
     if not indexed and cfg.local_hamiltonians is None and _column_phi_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES:
         advance = _split(_real_map(_column_phi(cfg)), cfg.n_collisions)
     else:
-        collisions = None if indexed else _collision_forms(cfg)
+        collisions, carriers = None if indexed else _collision_forms(cfg), range(cfg.n_carriers)
 
         def advance(n: int, rho: np.ndarray) -> np.ndarray:
             v = _free_evolution_unitary(cfg, cfg.tau(n - 1), cfg.tau(n))
             if v is not None:
                 rho = v @ rho @ v.conj().T
             forms = _collision_forms(cfg.at(n)) if indexed else collisions
-            return _trace_env(_column(np.kron(rho, cfg.eta.entries), cfg, forms), cfg.env_dim)
+            return trace_out(_column(np.kron(rho, cfg.eta.entries), cfg, forms), cfg.joint_dims, carriers)[1]
 
     recorder = _propagate(rho0, cfg.dt, record_stride, [(cfg.n_collisions, advance)])
     metadata = {

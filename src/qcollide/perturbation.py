@@ -43,11 +43,10 @@ from .collision import (
     CollisionConfig,
     _collision_forms,
     _column,
-    _trace_env,
     collision_hamiltonian,
 )
 from .generators import GeneratorSet, full_generator
-from .ops import Operator, SandwichForm, Superoperator, expm_hermitian
+from .ops import Operator, SandwichForm, Superoperator, expm_hermitian, trace_out
 
 
 def _frob(x: np.ndarray) -> float:
@@ -121,7 +120,7 @@ def traced_orders(cfg: CollisionConfig, rho: DensityMatrix) -> tuple[np.ndarray,
     `_orders` pass; both verify reports can read the same triple."""
     joint = np.kron(rho.entries, cfg.eta.entries)
     _, c1, c2a, c2b = _orders(cfg, joint)
-    return tuple(_trace_env(c, cfg.env_dim) for c in (c1, c2a, c2b))
+    return tuple(trace_out(c, cfg.joint_dims, range(cfg.n_carriers))[1] for c in (c1, c2a, c2b))
 
 
 def verify_first_order(
@@ -180,20 +179,17 @@ def unitary_remainder(h: Operator, s: float, x: Operator) -> float:
     return _frob(exact - approx)
 
 
-def column_remainder(cfg: CollisionConfig, x: Operator) -> float:
+def column_remainder(cfg: CollisionConfig, x: Operator, orders: tuple[np.ndarray, ...] | None = None) -> float:
     """Norm of the simulator's column map minus its expansion through order
     (g*dt)^2.
 
     The zeroth-order term is the M-fold relaxation channel on the
     environment factor (it reduces to the identity only under the
-    environment trace).
+    environment trace).  `orders` is `_orders(cfg, x.entries)`, which does
+    not depend on g, computed here when not given.
     """
-    return _column_remainder(cfg, x, _orders(cfg, x.entries))
-
-
-def _column_remainder(cfg: CollisionConfig, x: Operator, orders) -> float:
-    """`column_remainder` from the expansion orders of x, which do not
-    depend on g."""
+    if orders is None:
+        orders = _orders(cfg, x.entries)
     u = cfg.g * cfg.dt
     exact = _column(x.entries, cfg, _collision_forms(cfg))
     c0, c1, c2a, c2b = orders
@@ -204,7 +200,7 @@ def collision_step_defect(cfg: CollisionConfig, rho: DensityMatrix) -> float:
     """Norm of the one-step finite difference against the weak-coupling
     generator built at gamma = g^2 dt; O(g^3 dt^2)."""
     joint = np.kron(rho.entries, cfg.eta.entries)
-    stepped = _trace_env(_column(joint, cfg, _collision_forms(cfg)), cfg.env_dim)
+    stepped = trace_out(_column(joint, cfg, _collision_forms(cfg)), cfg.joint_dims, range(cfg.n_carriers))[1]
     diff = (stepped - rho.entries) / cfg.dt
     gen = full_generator(cfg.couplings, cfg.eta, cfg.channel, cfg.gamma, cfg.carrier_dims)
     return _frob(diff - gen.apply(rho.entries))
@@ -247,8 +243,8 @@ def remainder_halving_ratios(cfg: CollisionConfig, seed: int = 0) -> HalvingRepo
 
     x_joint = _random_hermitian(rng, cfg.joint_dims)
     orders = _orders(cfg, x_joint.entries)
-    c_hi = _column_remainder(cfg, x_joint, orders)
-    c_lo = _column_remainder(half, x_joint, orders)
+    c_hi = column_remainder(cfg, x_joint, orders)
+    c_lo = column_remainder(half, x_joint, orders)
 
     rho = DensityMatrix.maximally_mixed(cfg.carrier_dims)
     mix = 0.35

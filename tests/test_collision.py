@@ -33,10 +33,9 @@ from qcollide.collision import (
     _column_phi,
     _column_phi_entries,
     _collision_forms,
-    _trace_env,
 )
 from qcollide.integrator import _real_map, _sectors
-from qcollide.ops import Operator, SandwichForm, expm_hermitian, kron, partial_trace, pauli, projector, vec
+from qcollide.ops import Operator, SandwichForm, expm_hermitian, kron, partial_trace, pauli, projector, trace_out, vec
 from qcollide.scenarios import BUILTIN_NAMES, collision_config, load_scenario, run_verify
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
@@ -309,17 +308,17 @@ class TestSimulate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_aborts_direct_column(self, monkeypatch, bad):
         # a local schedule keeps the direct column: poison its traced state
-        trace_env, calls = qcollide.collision._trace_env, [0]
+        calls = [0]
 
-        def poisoned(arr, env_dim):
-            out = trace_env(arr, env_dim)
+        def poisoned(arr, dims, keep):
+            kept, out = trace_out(arr, dims, keep)
             calls[0] += 1
             if calls[0] == 70:
                 out = out.copy()
                 out[1, 1] = bad
-            return out
+            return kept, out
 
-        monkeypatch.setattr(qcollide.collision, "_trace_env", poisoned)
+        monkeypatch.setattr(qcollide.collision, "trace_out", poisoned)
         sched = HamiltonianSchedule.constant(Operator((2,), 0.4 * SZ.entries))
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="at step 70, t=7: density matrix is not Hermitian"):
@@ -442,7 +441,7 @@ class TestColumnMap:
             )
             rho = random_state(rng, dims).entries
             joint = np.kron(rho, cfg.eta.entries)
-            direct = _trace_env(_column(joint, cfg, _collision_forms(cfg)), de)
+            _, direct = trace_out(_column(joint, cfg, _collision_forms(cfg)), cfg.joint_dims, range(len(dims)))
             phi = _column_phi(cfg).reshape(rho.size, rho.size)
             assert np.max(np.abs(phi @ vec(rho) - vec(direct))) <= 1e-12, kind
 
@@ -486,7 +485,7 @@ class TestColumnMap:
         phi = _column_phi(cfg).reshape(side * side, side * side)
         forms = _collision_forms(cfg)
         for x in (random_state(rng, dims).entries, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))):
-            direct = _trace_env(_column(np.kron(x, eta.entries), cfg, forms), de)
+            _, direct = trace_out(_column(np.kron(x, eta.entries), cfg, forms), cfg.joint_dims, range(len(dims)))
             assert np.max(np.abs(phi @ vec(x) - vec(direct))) <= 1e-12 * max(1.0, np.max(np.abs(x)))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -578,7 +577,8 @@ class TestColumnMap:
         phi = _column_phi(cfg)
         assert [len(_sectors(_real_map(phi), n)) for n in (100, 1000, 10**6)] == [2, 2, 2]
         x = random_state(rng, cfg.carrier_dims).entries
-        direct = _trace_env(_column(np.kron(x, cfg.eta.entries), cfg, _collision_forms(cfg)), cfg.env_dim)
+        joint = _column(np.kron(x, cfg.eta.entries), cfg, _collision_forms(cfg))
+        _, direct = trace_out(joint, cfg.joint_dims, range(cfg.n_carriers))
         assert np.max(np.abs(phi.reshape(x.size, x.size) @ vec(x) - vec(direct))) <= 1e-12
 
     @pytest.mark.parametrize(

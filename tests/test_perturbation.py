@@ -16,7 +16,6 @@ from qcollide.collision import (
     CollisionConfig,
     CouplingSpec,
     HamiltonianSchedule,
-    _trace_env,
     collision_hamiltonian,
     evolve_column_step,
     interaction_frame_couplings,
@@ -27,6 +26,7 @@ from qcollide.ops import (
     embed,
     expm_hermitian,
     pauli,
+    trace_out,
 )
 from qcollide.perturbation import (
     _orders,
@@ -309,7 +309,7 @@ class TestVerifySecondOrder:
         assert report.passed
         # the traced pair term itself must vanish, not just match the (zero) cross rates
         joint = np.kron(rho.entries, eta.entries)
-        traced = _trace_env(_orders(cfg, joint)[3], cfg.env_dim)
+        _, traced = trace_out(_orders(cfg, joint)[3], cfg.joint_dims, range(cfg.n_carriers))
         assert np.max(np.abs(traced)) <= 1e-12
 
     def test_rate_rescaling_linearity(self, rng):
