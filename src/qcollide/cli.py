@@ -3,7 +3,10 @@
 
 Exit codes: 0 on success, 1 on configuration and usage errors, 2 when a
 property check fails (assumption violation, non-decreasing convergence
-errors, expansion identity failures, or state-invariant blowups).
+errors, expansion identity failures, or state-invariant blowups); each
+failed check prints one stderr line.  numpy's floating-point warnings are
+off while a config loads and its command runs: a non-finite value is
+reported by the check it fails.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ OUTPUTS = {
 _parser = functools.cache(build_parser)
 
 
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -128,17 +132,15 @@ def main(argv=None) -> int:
                 print(f"n={e['n']:6d}  dt={e['dt']:.6g}  g={e['g']:.6g}  error={e['error']:.6e}")
             if result.fitted_order is not None:
                 print(f"fitted order: {result.fitted_order:.3f}")
-            if not result.assumption["passed"]:
-                worst = result.assumption["max_violation"]
-                print(f"assumption check failed: max first moment {worst:.3e}", file=sys.stderr)
-            elif not result.passed:
-                print("convergence errors are not strictly decreasing", file=sys.stderr)
         else:
             first = max(e["residual"] for e in result.first_order)
             second = max(max(e["residual_a"], e["residual_b"]) for e in result.second_order)
             ratios = " ".join(f"{key[0]}={result.halving[key]['ratio']:.2f}" for key in ("unitary", "column", "step"))
             print(f"verify {sc.name}: first-order {first:.3e}, second-order {second:.3e}, ratios {ratios}")
-        return EXIT_PROPERTY if args.command in ("converge", "verify") and not result.passed else EXIT_OK
+        failures = result.failures() if args.command in ("converge", "verify") else []
+        for line in failures:
+            print(line, file=sys.stderr)
+        return EXIT_PROPERTY if failures else EXIT_OK
     except RuntimeError as exc:
         print(f"property check failed: {exc}", file=sys.stderr)
         return EXIT_PROPERTY

@@ -9,6 +9,7 @@ GROUP_ENTRIES entries or one larger array, and a run of equal entries is one
 text repeated, each distinct float64 spelled once (0.0 and -0.0 apart).  A value ``json`` cannot
 encode raises TypeError before the file is opened.  Both writers fill a file
 beside the target and rename it over the target; a failure removes it.
+``quote`` is the one way a message shows a config value.
 """
 
 from __future__ import annotations
@@ -17,10 +18,26 @@ import contextlib
 import json
 import operator
 import os
+import reprlib
 
 import numpy as np
 
 GROUP_ENTRIES = 1 << 16
+QUOTE_MAX = 60
+
+_quoter = reprlib.Repr()
+_quoter.maxstring = _quoter.maxlong = _quoter.maxother = QUOTE_MAX
+
+
+def quote(value) -> str:
+    """The repr of a config value in a message, cut to QUOTE_MAX characters:
+    lists and objects nested more than six deep show as [...] and {...}, and
+    an integer too long for str() is not spelled out."""
+    try:
+        text = _quoter.repr(value)
+    except ValueError:  # past the interpreter's integer string length limit
+        text = f"<{type(value).__name__} too long to show>"
+    return text if len(text) <= QUOTE_MAX else text[: QUOTE_MAX - 3] + "..."
 
 
 def complex_matrix_to_json(a: np.ndarray) -> list:
@@ -144,7 +161,7 @@ def write_csv(path, header, rows) -> None:
 
 def _complex_entry(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(isinstance(x, bool) for x in pair):
-        raise TypeError(f"entry {pair!r} is not a pair of numbers")
+        raise TypeError(f"entry {quote(pair)} is not a pair of numbers")
     return complex(*pair)
 
 
@@ -152,7 +169,7 @@ def complex_matrix_from_json(rows) -> np.ndarray:
     try:
         entries = [[_complex_entry(c) for c in row] for row in rows]
         if len({len(row) for row in entries}) > 1:
-            raise ValueError(f"rows of unequal lengths {[len(row) for row in entries]}")
+            raise ValueError(f"rows of unequal lengths {quote([len(row) for row in entries])}")
         return np.array(entries, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed complex matrix payload: {exc}") from exc

@@ -6,8 +6,10 @@ A builtin name stands for a custom config document (`_builtin_document`);
 keys given next to it replace that document's keys, and one parser builds
 every scenario.  For every sweep entry n the scaling dt = t_end/n,
 g = sqrt(gamma/dt) is derived here and never user-supplied: the
-weak-coupling limit is walked along the line g^2 dt = gamma.  The drivers
-return their results and write no file; `cli` writes the outputs.
+weak-coupling limit is walked along the line g^2 dt = gamma.  One size
+rule (`_check_size`) bounds a scenario before any of its arrays is built.
+The drivers return their results and write no file; `cli` writes the
+outputs, and prints the `failures` of a report.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .collision import (
 )
 from .generators import GeneratorSet, full_generator
 from .integrator import integrate
-from .jsonio import complex_matrix_from_json, complex_matrix_to_json, write_csv
+from .jsonio import complex_matrix_from_json, complex_matrix_to_json, quote, write_csv
 from .ops import (
     Operator,
     annihilation,
@@ -64,23 +66,47 @@ class ConfigError(Exception):
     """Raised for malformed or inconsistent scenario configuration."""
 
 
+# The size rule: the joint side D d_e of the carriers and one environment
+# site is at most MAX_JOINT_SIDE, and a superoperator on the carriers (the
+# generator, D^4 entries) or on the environment (d_e^4 entries, which bound
+# the Kraus lists the loader builds: d_e^3 for lossy, at most d_e^4 for a
+# replacer) has at most MAX_SUPEROPERATOR_ENTRIES entries (1 GiB complex).
+MAX_JOINT_SIDE = 1024
+MAX_SUPEROPERATOR_ENTRIES = 2**26
+
+
+def _check_size(carrier_dims: Sequence[int], env_dim: int, carrier_key="carrier_dims", env_key="env_dim") -> None:
+    """A ConfigError naming the key and the size when a scenario breaks the
+    size rule; checked before any array is built."""
+    side = math.prod(carrier_dims)
+    for key, space, d in ((carrier_key, "carriers' joint", side), (env_key, "environment", env_dim)):
+        if d > 0 and d**4 > MAX_SUPEROPERATOR_ENTRIES:
+            raise ConfigError(
+                f"{key}: the {space} dimension {quote(d)} gives superoperators of {quote(d**4)} entries, "
+                f"over the limit {MAX_SUPEROPERATOR_ENTRIES}"
+            )
+    if side * env_dim > MAX_JOINT_SIDE:
+        keys = carrier_key if carrier_key == env_key else f"{carrier_key} and {env_key}"
+        raise ConfigError(f"{keys}: the joint side {side * env_dim} is over the limit {MAX_JOINT_SIDE}")
+
+
 def _integer(value, what: str) -> int:
     """A config integer as given: floats (also 2.0), booleans and strings are
     rejected, never truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {quote(value)}")
     return int(value)
 
 
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{what}: expected an object, got {value!r}")
+        raise ConfigError(f"{what}: expected an object, got {quote(value)}")
     return value
 
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"{what}: expected a list, got {value!r}")
+        raise ConfigError(f"{what}: expected a list, got {quote(value)}")
     return value
 
 
@@ -106,7 +132,7 @@ def _real(value, what: str) -> float:
     """A config real number: JSON numbers only, booleans and strings are
     rejected, never converted."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{what} must be a real number, got {value!r}")
+        raise ConfigError(f"{what} must be a real number, got {quote(value)}")
     return float(value)
 
 
@@ -204,7 +230,7 @@ def parse_operator(spec, dim: int) -> Operator:
     {'matrix': [[ [re,im], ...], ...]}; dimension comes from context."""
     if isinstance(spec, dict):
         if "matrix" not in spec:
-            raise ConfigError(f"operator dict needs a 'matrix' key, got {sorted(spec)}")
+            raise ConfigError(f"operator dict needs a 'matrix' key, got {quote(sorted(spec))}")
         mat = complex_matrix_from_json(spec["matrix"])
         if mat.shape[0] != dim:
             raise ConfigError(f"operator matrix side {mat.shape[0]} does not match dimension {dim}")
@@ -216,16 +242,16 @@ def parse_operator(spec, dim: int) -> Operator:
         base, arg = name.split("(", 1)
         arg = arg.rstrip(")")
         if int(arg) != dim:
-            raise ConfigError(f"operator {spec!r} declares dimension {arg}, context expects {dim}")
+            raise ConfigError(f"operator {quote(spec)} declares dimension {quote(arg)}, context expects {dim}")
         name = base
     if name.startswith("proj"):
         if not name[4:].isdigit():
-            raise ConfigError(f"operator {spec!r}: projector index {name[4:]!r} is not an integer")
+            raise ConfigError(f"operator {quote(spec)}: projector index {quote(name[4:])} is not an integer")
         return projector(dim, int(name[4:]))
     try:
         return _OP_BUILDERS[name](dim)
     except KeyError:
-        raise ConfigError(f"unknown operator shorthand {spec!r}") from None
+        raise ConfigError(f"unknown operator shorthand {quote(spec)}") from None
 
 
 def _operator(spec, dim: int, what: str) -> Operator:
@@ -247,7 +273,7 @@ def parse_state(spec, dims: Sequence[int], what: str = "state") -> DensityMatrix
             return DensityMatrix.from_ket(ket, dims)
         if name == "maximally-mixed":
             return DensityMatrix.maximally_mixed(dims)
-        raise ConfigError(f"{what}: unknown state shorthand {spec!r}")
+        raise ConfigError(f"{what}: unknown state shorthand {quote(spec)}")
     if not isinstance(spec, dict):
         raise ConfigError(f"{what}: state spec must be a shorthand name or a dict")
     kind = spec.get("kind")
@@ -270,21 +296,25 @@ def parse_state(spec, dims: Sequence[int], what: str = "state") -> DensityMatrix
         for m in mats[1:]:
             full = np.kron(full, m)
         return _keyed(f"{what}: invalid product state", lambda: DensityMatrix.from_matrix(full, dims))
-    raise ConfigError(f"{what}: unknown state kind {kind!r}")
+    raise ConfigError(f"{what}: unknown state kind {quote(kind)}")
 
 
 def parse_channel(spec, what: str = "channel") -> KrausChannel:
     """Channel dict: {'kind': 'lossy', 'dim', 'kappa'}, {'kind': 'replacer',
     'eta'}, {'kind': 'unitary', 'matrix'} or {'kind': 'kraus', 'operators'};
-    matrices are nested [re, im] pairs.  A Kraus list that is not trace
-    preserving only warns, so that broken channels can still be run."""
+    matrices are nested [re, im] pairs.  The two kinds whose Kraus list is
+    built here, lossy and replacer, meet the size rule first.  A Kraus list
+    that is not trace preserving only warns, so that broken channels can
+    still be run."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "lossy":
         dim = _integer(_key(spec, "dim", what), f"{what} dim")
+        _check_size((), dim, env_key=f"{what} dim")
         kappa = _real(_key(spec, "kappa", what), f"{what} kappa")
         return _keyed(what, lambda: lossy_bosonic_channel(dim, kappa))
     if kind == "replacer":
         eta = _matrix(_key(spec, "eta", what), f"{what}.eta")
+        _check_size((), len(eta), env_key=f"{what}.eta")
         return replacer_channel(_keyed(f"{what}.eta", lambda: DensityMatrix.from_matrix(eta, (eta.shape[0],))))
     if kind == "unitary":
         mat = _matrix(_key(spec, "matrix", what), f"{what}.matrix")
@@ -300,7 +330,7 @@ def parse_channel(spec, what: str = "channel") -> KrausChannel:
                 RuntimeWarning,
             )
         return chan
-    raise ConfigError(f"{what} needs a 'kind' of lossy, replacer, unitary or kraus, got {kind!r}")
+    raise ConfigError(f"{what} needs a 'kind' of lossy, replacer, unitary or kraus, got {quote(kind)}")
 
 
 def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...]:
@@ -311,18 +341,18 @@ def _parse_observables(entries, carrier_dims) -> tuple[tuple[str, Operator], ...
         name = _key(_object(entry, what), "name", what)
         _keyed(f"{what}.name", lambda: check_observable_name(name, [n for n, _ in parsed]))
         if "carrier" in entry:
-            m = _integer(entry["carrier"], f"observable {name!r}: carrier")
+            m = _integer(entry["carrier"], f"observable {quote(name)}: carrier")
             if not 1 <= m <= len(carrier_dims):
-                raise ConfigError(f"observable {name!r}: carrier {m} out of range")
+                raise ConfigError(f"observable {quote(name)}: carrier {quote(m)} out of range")
             local = _operator(_key(entry, "op", what), carrier_dims[m - 1], f"{what}.op")
             parsed.append((name, embed(local, carrier_dims, (m - 1,))))
         elif "matrix" in entry:
             mat = _matrix(entry["matrix"], f"{what}.matrix")
             if mat.shape[0] != side:
-                raise ConfigError(f"observable {name!r}: matrix side mismatch")
+                raise ConfigError(f"observable {quote(name)}: matrix side mismatch")
             parsed.append((name, _keyed(f"{what}.matrix", lambda: Operator(tuple(carrier_dims), mat))))
         else:
-            raise ConfigError(f"observable {name!r} needs 'carrier'+'op' or 'matrix'")
+            raise ConfigError(f"observable {quote(name)} needs 'carrier'+'op' or 'matrix'")
     return tuple(parsed)
 
 
@@ -347,7 +377,7 @@ def _builtin_document(name: str, params: dict) -> dict:
     `params` applied.  It holds only JSON-shaped values."""
     unknown = set(params) - _BUILTIN_PARAMS[name]
     if unknown:
-        raise ConfigError(f"scenario {name!r} does not accept parameters {sorted(unknown)}")
+        raise ConfigError(f"scenario {name!r} does not accept parameters {quote(sorted(unknown))}")
     if name == "dephasing-1q":
         return {
             "carrier_dims": [2],
@@ -361,7 +391,8 @@ def _builtin_document(name: str, params: dict) -> dict:
     if name == "bosonic-fiber":
         d = _integer(params.get("d", 4), "params.d")
         if d < 2:
-            raise ConfigError(f"params.d must be at least 2, got {d}")
+            raise ConfigError(f"params.d must be at least 2, got {quote(d)}")
+        _check_size((d, d), d, "params.d", "params.d")
         ket1 = np.zeros(d, dtype=complex)
         ket1[0] = ket1[1] = 1 / math.sqrt(2)
         return {
@@ -425,10 +456,11 @@ def load_scenario(source) -> ScenarioConfig:
             try:
                 with open(path, encoding="utf-8") as fh:
                     data = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
+            # ValueError: not JSON, or an integer too long for int(); RecursionError: nested too deep
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         elif path in BUILTIN_NAMES:
             data = {"scenario": path}
         else:
@@ -442,7 +474,7 @@ def load_scenario(source) -> ScenarioConfig:
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys {quote(sorted(unknown))}")
     kind = data.get("scenario")
     if kind is None:
         raise ConfigError("config needs a 'scenario' key")
@@ -450,7 +482,7 @@ def load_scenario(source) -> ScenarioConfig:
         if "params" in data:
             raise ConfigError("'params' is only for builtin scenarios; a custom config gives every key")
     elif kind not in BUILTIN_NAMES:
-        raise ConfigError(f"unknown scenario {kind!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
+        raise ConfigError(f"unknown scenario {quote(kind)}; built-ins: {', '.join(BUILTIN_NAMES)}")
     elif not isinstance(data.get("params", {}), dict):
         raise ConfigError(f"params must be an object, got {type(data['params']).__name__}")
 
@@ -470,7 +502,8 @@ def _parse_document(name: str, doc: dict) -> ScenarioConfig:
     named = {f"carrier_dims[{i}]": d for i, d in enumerate(carrier_dims)} | {"env_dim": env_dim}
     for what, d in named.items():
         if d < 1:
-            raise ConfigError(f"{what} must be at least 1, got {d}")
+            raise ConfigError(f"{what} must be at least 1, got {quote(d)}")
+    _check_size(carrier_dims, env_dim)
     coupling_block = _object(doc["couplings"], "couplings")
     unknown = set(coupling_block) - {"system", "environment"}
     if unknown:
@@ -522,6 +555,12 @@ def _parse_document(name: str, doc: dict) -> ScenarioConfig:
 # --- run drivers ---------------------------------------------------------------
 
 
+def _assumption_failures(assumption: dict) -> list[str]:
+    if assumption["passed"]:
+        return []
+    return [f"assumption check failed: max first moment {assumption['max_violation']:.3e}"]
+
+
 @dataclass(eq=False)
 class ConvergeReport:
     scenario: str
@@ -538,6 +577,12 @@ class ConvergeReport:
     def to_csv(self, path) -> None:
         columns = ("n", "dt", "g", "error")
         write_csv(path, columns, [[e[key] for key in columns] for e in self.entries])
+
+    def failures(self) -> list[str]:
+        """One line per failed check, none when the report passed."""
+        if not self.assumption["passed"]:
+            return _assumption_failures(self.assumption)
+        return [] if self.passed else ["convergence errors are not strictly decreasing"]
 
 
 def run_converge(sc: ScenarioConfig) -> ConvergeReport:
@@ -599,14 +644,41 @@ class VerifyReport:
     first_order: list[dict]
     second_order: list[dict]
     halving: dict
-    passed: bool
+
+    def failures(self) -> list[str]:
+        """One line per failed check, none when the report passed: the
+        assumption, first and second order per state, and each halving
+        ratio outside RATIO_WINDOW (the step ratio may also lie above it:
+        faster-than-cubic decay satisfies the bound).  A NaN fails."""
+        lines = _assumption_failures(self.assumption)
+        lines += [
+            f"first-order check failed: state {e['state']} residual {e['residual']:.3e} above {FIRST_ORDER_TOL:g}"
+            for e in self.first_order
+            if not e["passed"]
+        ]
+        lines += [
+            f"second-order check failed: state {e['state']} residuals {e['residual_a']:.3e}, {e['residual_b']:.3e} "
+            f"above {SECOND_ORDER_TOL:g}"
+            for e in self.second_order
+            if not e["passed"]
+        ]
+        lo, hi = RATIO_WINDOW
+        for key, entry in self.halving.items():
+            top = math.inf if key == "step" else hi
+            if not lo <= entry["ratio"] <= top:
+                lines.append(f"halving check failed: {key} ratio {entry['ratio']:.2f} outside [{lo:g}, {top:g}]")
+        return lines
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["tolerances"] = {
             "first_order": FIRST_ORDER_TOL, "second_order": SECOND_ORDER_TOL, "ratio_window": list(RATIO_WINDOW)
         }
-        d["passed"] = d.pop("passed")  # last, after the tolerances
+        d["passed"] = self.passed  # last, after the tolerances
         return d
 
 
@@ -630,12 +702,10 @@ def run_verify(sc: ScenarioConfig, n_states: int = 3) -> VerifyReport:
     states = [sc.rho0, DensityMatrix.maximally_mixed(sc.carrier_dims)]
     states += [_random_state(rng, sc.carrier_dims) for _ in range(n_states)]
     first, second = [], []
-    ok = assumption.passed
     for i, rho in enumerate(states):
         orders = traced_orders(cfg, rho)
         f = verify_first_order(cfg, rho, tol=FIRST_ORDER_TOL, orders=orders)
         s = verify_second_order(cfg, rho, tol=SECOND_ORDER_TOL, gen=gen, orders=orders)
-        ok = ok and f.passed and s.passed
         first.append({"state": i, "residual": f.residual, "passed": f.passed})
         second.append(
             {
@@ -647,12 +717,6 @@ def run_verify(sc: ScenarioConfig, n_states: int = 3) -> VerifyReport:
         )
 
     ratios = remainder_halving_ratios(cfg, seed=sc.seed)
-    lo, hi = RATIO_WINDOW
-    ratio_ok = (
-        lo <= ratios.unitary[2] <= hi
-        and lo <= ratios.column[2] <= hi
-        and ratios.step[2] >= lo  # faster-than-cubic decay also satisfies the bound
-    )
     halving = {
         "unitary": {"residuals": list(ratios.unitary[:2]), "ratio": ratios.unitary[2]},
         "column": {"residuals": list(ratios.column[:2]), "ratio": ratios.column[2]},
@@ -665,5 +729,4 @@ def run_verify(sc: ScenarioConfig, n_states: int = 3) -> VerifyReport:
         first_order=first,
         second_order=second,
         halving=halving,
-        passed=ok and ratio_ok,
     )

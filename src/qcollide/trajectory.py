@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .channels import DensityMatrix, StateViolation, check_states
-from .jsonio import write_csv, write_json
+from .jsonio import quote, write_csv, write_json
 from .ops import Operator, vec
 
 SAMPLE_ATOL = 1e-8
@@ -238,9 +238,9 @@ def check_observable_name(name, taken) -> None:
     <name>_im: a nonempty string without commas, double quotes or line
     breaks, and not one of the names `taken`."""
     if not isinstance(name, str) or not name or any(c in name for c in ',"\r\n'):
-        raise ValueError(f"expected a nonempty string without commas, double quotes or line breaks, got {name!r}")
+        raise ValueError(f"expected a nonempty string without commas, double quotes or line breaks, got {quote(name)}")
     if name in taken:
-        raise ValueError(f"duplicate observable name {name!r}")
+        raise ValueError(f"duplicate observable name {quote(name)}")
 
 
 def observable_arrays(

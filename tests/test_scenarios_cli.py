@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qcollide.channels import (
     unitary_channel,
 )
 import qcollide.cli
+import qcollide.scenarios
 from qcollide.cli import main
 from qcollide.integrator import integrate
 from qcollide.jsonio import write_json
@@ -819,6 +822,145 @@ class TestCLI:
         assert main(["simulate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config file {cfg} is not valid JSON: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "generators", "converge", "verify"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"scenario": "bosonic-fiber", "params": {"d": 1000000, "kappa": 0.5}},
+                "params.d: the carriers' joint dimension 1000000000000 gives superoperators of "
+                "1000000000000000000000000000000000000000000000000 entries, over the limit 67108864",
+            ),
+            (
+                {"scenario": "ad-chain-2q", "carrier_dims": [2] * 14},
+                "carrier_dims: the carriers' joint dimension 16384 gives superoperators of "
+                "72057594037927936 entries, over the limit 67108864",
+            ),
+            (
+                {"scenario": "ad-chain-2q", "env_dim": 100},
+                "env_dim: the environment dimension 100 gives superoperators of 100000000 entries, "
+                "over the limit 67108864",
+            ),
+            (
+                {"scenario": "ad-chain-2q", "carrier_dims": [8, 8], "env_dim": 32},
+                "carrier_dims and env_dim: the joint side 2048 is over the limit 1024",
+            ),
+            (
+                {"scenario": "ad-chain-2q", "channel": {"kind": "lossy", "dim": 1000000, "kappa": 0.5}},
+                "channel dim: the environment dimension 1000000 gives superoperators of "
+                "1000000000000000000000000 entries, over the limit 67108864",
+            ),
+        ],
+        ids=["params-d", "carrier-dims", "env-dim", "joint-side", "channel-dim"],
+    )
+    def test_config_too_large_to_build_exit_one(self, tmp_path, capsys, command, config, message):
+        # the size rule names the key and the size before any array is
+        # built: the whole command allocates less than 1 MB
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps(config))
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert peak < 1 << 20
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_failure_names_each_failed_check(self, tmp_path, capsys):
+        # a vanishing t_end leaves every halving ratio at 1 or NaN: one line
+        # per failed ratio, and no numpy warning on the way
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"scenario": "ad-chain-2q", "t_end": 1e-300}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--config", str(cfg)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            "halving check failed: unitary ratio 1.00 outside [6, 10]",
+            "halving check failed: column ratio 1.00 outside [6, 10]",
+            "halving check failed: step ratio nan outside [6, inf]",
+        ]
+
+    def test_verify_failure_lines_cover_assumption_and_orders(self, tmp_path, capsys, monkeypatch):
+        # per-carrier environment couplings fail the zero-mean assumption;
+        # with the order tolerances below zero all five states fail both orders
+        monkeypatch.setattr(qcollide.scenarios, "FIRST_ORDER_TOL", -1.0)
+        monkeypatch.setattr(qcollide.scenarios, "SECOND_ORDER_TOL", -1.0)
+        cfg = tmp_path / "per-carrier.json"
+        couplings = {"system": [["sx"], ["sx"]], "environment": [["sx"], ["sz"]]}
+        cfg.write_text(json.dumps({"scenario": "ad-chain-2q", "couplings": couplings}))
+        with pytest.warns(RuntimeWarning, match="environment operators have first moment"):
+            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        report = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert not report["passed"]
+        assert lines[0] == f"assumption check failed: max first moment {report['assumption']['max_violation']:.3e}"
+        assert [line.split(": state ")[0] for line in lines[1:11]] == (
+            ["first-order check failed"] * 5 + ["second-order check failed"] * 5
+        )
+        assert all(line.endswith(" above -1") for line in lines[1:11])
+        # the non-zero first moments also spoil the step defect's decay
+        assert lines[11:] == [f"halving check failed: step ratio {report['halving']['step']['ratio']:.2f} outside [6, inf]"]
+
+    @pytest.mark.parametrize("command", ["generators", "converge", "verify"])
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path, command):
+        # an Infinity Kraus entry: the loader's own warning, then the
+        # command's diagnostic, and no floating-point warning of numpy
+        cfg = self.non_finite_channel_config(tmp_path, "Infinity")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcollide", command, "--config", cfg],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert [line for line in lines if "Warning" in line] == [
+            next(line for line in lines if line.endswith("RuntimeWarning: Kraus channel is not trace preserving (residual nan)"))
+        ]
+        assert "encountered" not in proc.stderr
+        assert lines[-1].startswith(("property check failed:", "assumption check failed:"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"scenario": "ad-chain-2q", "carrier_dims": ' + "[" * 950 + "]" * 950 + "}",
+                "carrier_dims entry must be an integer, got [[[[[[[...]]]]]]]",
+            ),
+            (
+                '{"scenario": "ad-chain-2q", "rho0": {"kind": "ket", "amplitudes": ' + "[" * 950 + "]" * 950 + "}}",
+                "rho0.amplitudes: malformed complex matrix payload: entry [[[[[[[...]]]]]]] is not a pair of numbers",
+            ),
+            (
+                '{"scenario": "ad-chain-2q", "observables": [{"name": "' + "n" * 5000 + '", "carrier": 7}]}',
+                "observable 'nnnnnnnnnnnnnnnnnnnnnnnnnnn...nnnnnnnnnnnnnnnnnnnnnnnnnnnn': carrier 7 out of range",
+            ),
+            (
+                '{"scenario": "ad-chain-2q", "' + "k" * 5000 + '": 1}',
+                "unknown config keys ['kkkkkkkkkkkkkkkkkkkkkkkkkkk...kkkkkkkkkkkkkkkkkkkkkkkkk...",
+            ),
+        ],
+        ids=["deep-carrier-dims", "deep-amplitudes", "long-name", "long-key"],
+    )
+    def test_config_error_quotes_are_bounded(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "quoted.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_integer_too_long_for_str_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"scenario": "ad-chain-2q", "env_dim": ' + "1" * 5000 + "}")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {cfg} is not valid JSON: Exceeds the limit")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "converge"])
