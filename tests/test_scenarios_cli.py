@@ -921,9 +921,9 @@ class TestCLI:
         )
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
-        assert [line for line in lines if "Warning" in line] == [
-            next(line for line in lines if line.endswith("RuntimeWarning: Kraus channel is not trace preserving (residual nan)"))
-        ]
+        warned = [line for line in lines if "Warning" in line]
+        assert len(warned) == 1
+        assert warned[0].endswith("RuntimeWarning: Kraus channel is not trace preserving (residual nan)")
         assert "encountered" not in proc.stderr
         assert lines[-1].startswith(("property check failed:", "assumption check failed:"))
 
@@ -962,6 +962,9 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config file {cfg} is not valid JSON: Exceeds the limit")
         assert "Traceback" not in err
+        # a config dict can hold one, and a message names it without spelling it out
+        with pytest.raises(ConfigError, match=r"^carrier_dims: the carriers' joint dimension <int too long to show>"):
+            load_scenario({"scenario": "ad-chain-2q", "carrier_dims": [10**5000]})
 
     @pytest.mark.parametrize("command", ["simulate", "converge"])
     def test_invariant_violation_exit_two(self, tmp_path, capsys, command):
