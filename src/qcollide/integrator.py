@@ -220,8 +220,8 @@ def _propagate(
     `segments` advances the state by n steps: `advance` is a fixed real map,
     given as a SectorMap or as one matrix M (the one-block SectorMap of M in
     the natural order), or `advance(k, rho)`, which maps the complex state
-    before step k to the one after it.  Steps are recorded at t = k dt:
-    step 0, every `record_stride` steps and the last step.
+    before step k to the one after it.  The recorder takes the numbers k of
+    step 0, every `record_stride`-th step and the last step, taken at k dt.
 
     A fixed map's segment runs in the map's coordinate order, permuted once
     at its start and back at its end, and a window of SAMPLE_BATCH states at
@@ -237,24 +237,23 @@ def _propagate(
     stride never changes a sample; a map passed whole is one block in the
     natural order, which nothing permutes or gathers.
     """
-    recorder = SampleRecorder(rho0.dims)
+    recorder = SampleRecorder(rho0.dims, dt)
 
     def record(rows: np.ndarray, first: int, back: np.ndarray | None) -> None:
         # rows[i] holds the coordinates after step first + i, in the natural
         # order taken by `back`; the recorded ones go over in one call
         start = -first % record_stride
-        steps = range(first + start, first + len(rows), record_stride)
-        recorder.record(steps, [step * dt for step in steps], rows[start::record_stride], back)
+        recorder.record(range(first + start, first + len(rows), record_stride), rows[start::record_stride], back)
 
     s = _real_coordinates(rho0.entries)
-    recorder.record([0], [0.0], s[None])
+    recorder.record([0], s[None])
     k = 0
     for n, advance in segments:
         if callable(advance):
             for k in range(k + 1, k + n + 1):
                 s = _real_coordinates(advance(k, _hermitian(s, rho0.side)[0]))
                 if k % record_stride == 0:
-                    recorder.record([k], [k * dt], s[None])
+                    recorder.record([k], s[None])
             continue
         order, blocks = advance if isinstance(advance, SectorMap) else SectorMap(None, [advance])
         del advance  # only the blocks, or their powers, are needed from here
@@ -287,7 +286,7 @@ def _propagate(
             last, k, n = rows - 1, k + rows, n - rows
         s = window[last] if back is None else window[last, back]
     if k % record_stride:
-        recorder.record([k], [k * dt], s[None])
+        recorder.record([k], s[None])
     return recorder
 
 
@@ -352,7 +351,6 @@ def reduced_trajectory(traj: Trajectory, keep: Sequence[int]) -> Trajectory:
     for start, batch in zip(traj.samples.starts, traj.samples.batches):
         # a row read in C order is S^T, and tr_E(S^T) = tr_E(S)^T
         dims, reduced = trace_out(batch.reshape(-1, side, side), traj.dims, keep0)
-        recorder = recorder or SampleRecorder(dims)
-        span = slice(start, start + len(batch))
-        recorder.record(traj.steps[span].tolist(), traj.times[span].tolist(), reduced.reshape(len(batch), -1))
+        recorder = recorder or SampleRecorder(dims, traj.metadata["dt"])
+        recorder.record(traj.steps[start : start + len(batch)], reduced.reshape(len(batch), -1))
     return recorder.trajectory([], [], {**traj.metadata, "reduced_to": list(keep)})

@@ -9,12 +9,14 @@ GROUP_ENTRIES entries or one larger array, and a run of equal entries is one
 text repeated, each distinct float64 spelled once (0.0 and -0.0 apart).  A value ``json`` cannot
 encode raises TypeError before the file is opened.  Both writers fill a file
 beside the target and rename it over the target; a failure removes it.
+``write_csv`` takes its rows from any iterable, CSV_CHUNK_ROWS at a time.
 ``quote`` is the one way a message shows a config value.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import operator
 import os
@@ -23,6 +25,7 @@ import reprlib
 import numpy as np
 
 GROUP_ENTRIES = 1 << 16
+CSV_CHUNK_ROWS = 4096
 QUOTE_MAX = 60
 
 _quoter = reprlib.Repr()
@@ -147,16 +150,18 @@ def write_json(path, data) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """The one CSV writer: a header line, then one line per row.  Integers
-    are written bare, every other number with 17 significant digits
-    (``.17g``), which parse back to the same float64."""
-    lines = [",".join(header)]
-    lines += [
-        ",".join([str(x) if isinstance(x, (int, np.integer)) else format(float(x), ".17g") for x in row])
-        for row in rows
-    ]
+    """The one CSV writer: a header line, then one line per row of the
+    iterable `rows`, formatted and written CSV_CHUNK_ROWS at a time.
+    Integers are written bare, every other number with 17 significant
+    digits (``.17g``), which parse back to the same float64."""
+    rows = iter(rows)
     with _replacing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            fh.write("".join([
+                ",".join([str(x) if isinstance(x, (int, np.integer)) else format(float(x), ".17g") for x in row]) + "\n"
+                for row in chunk
+            ]))
 
 
 def _complex_entry(pair) -> complex:

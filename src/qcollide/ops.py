@@ -183,44 +183,35 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
     return v.reshape((side, side), order="F")
 
 
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on operators on `dims`, a matrix on column-stacked vectors.
 
-    It holds either that matrix, copied and read-only, or the SandwichForm
+    It stores either that matrix, copied and read-only, or the SandwichForm
     it was made from (`SandwichForm.superoperator`), which keeps only the
     form's multipliers: then `matrix` is built afresh, read-only, on every
     read and never kept, and `apply` runs the form.  Immutable.
     """
 
-    __slots__ = ("dims", "_matrix", "_form")
+    dims: tuple[int, ...]
+    stored: np.ndarray | SandwichForm
 
-    def __init__(self, dims: Sequence[int], matrix: np.ndarray):
-        dims = tuple(int(d) for d in dims)
-        matrix = np.asarray(matrix, dtype=complex).copy()
-        want = (math.prod(dims) ** 2,) * 2
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if isinstance(self.stored, SandwichForm):
+            return
+        matrix = np.asarray(self.stored, dtype=complex).copy()
+        want = (self.side**2,) * 2
         if matrix.shape != want:
             raise ValueError(f"superoperator matrix shape {matrix.shape}, expected {want}")
         matrix.setflags(write=False)
-        self._set(dims, matrix, None)
-
-    @classmethod
-    def _of_form(cls, form: "SandwichForm") -> "Superoperator":
-        sup = object.__new__(cls)
-        sup._set(form.dims, None, form)
-        return sup
-
-    def _set(self, dims: tuple[int, ...], matrix: np.ndarray | None, form: "SandwichForm | None") -> None:
-        for name, value in (("dims", dims), ("_matrix", matrix), ("_form", form)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a Superoperator is immutable")
+        object.__setattr__(self, "stored", matrix)
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._form is None:
-            return self._matrix
-        mat = self._form.matrix()
+        if not isinstance(self.stored, SandwichForm):
+            return self.stored
+        mat = self.stored.matrix()
         mat.setflags(write=False)
         return mat
 
@@ -231,9 +222,9 @@ class Superoperator:
     def apply(self, x: Operator) -> Operator:
         if x.side != self.side:
             raise ValueError(f"operator side {x.side} does not match superoperator side {self.side}")
-        if self._form is not None:
-            return Operator(self.dims, self._form.apply(x.entries))
-        return Operator(self.dims, unvec(self._matrix @ vec(x.entries), self.side))
+        if isinstance(self.stored, SandwichForm):
+            return Operator(self.dims, self.stored.apply(x.entries))
+        return Operator(self.dims, unvec(self.stored @ vec(x.entries), self.side))
 
     def __repr__(self):  # pragma: no cover
         return f"Superoperator(dims={self.dims})"
@@ -360,7 +351,7 @@ class SandwichForm:
 
     def superoperator(self) -> Superoperator:
         """The form as a Superoperator that keeps the form, not its matrix."""
-        return Superoperator._of_form(self)
+        return Superoperator(self.dims, self)
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

@@ -175,15 +175,34 @@ class ScenarioConfig:
             raise ConfigError("record_stride must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        for n in self.sweep:
+            _scaling(self, n, "sweep entry")
+        _scaling(self, max(self.n_collisions, 1), "n_collisions")
+
+
+def _scaling(sc: ScenarioConfig, n: int, key: str) -> tuple[float, float]:
+    """dt = t_end/n first, then g = sqrt(gamma/dt), the weak-coupling
+    scaling: a ConfigError naming `key` unless dt is positive and finite and
+    g is finite."""
+    try:
+        dt = sc.t_end / n
+        g = math.sqrt(sc.gamma / dt)
+    except (OverflowError, ZeroDivisionError):  # n past float range, or dt underflows to 0
+        dt = g = math.nan
+    if not (0 < dt < math.inf and g < math.inf):
+        raise ConfigError(
+            f"{key} {quote(n)}: at t_end {sc.t_end!r} and gamma {sc.gamma!r}, dt = t_end/n must be "
+            "positive and finite and g = sqrt(gamma/dt) finite"
+        )
+    return dt, g
 
 
 def collision_config(sc: ScenarioConfig, n: int) -> CollisionConfig:
-    """Collision parameters for n collisions: dt = t_end/n first, then
-    g = sqrt(gamma/dt), enforcing the weak-coupling scaling."""
+    """Collision parameters for n collisions, at the weak-coupling scaling
+    (`_scaling`)."""
     if n < 1:
         raise ConfigError("collision count must be >= 1")
-    dt = sc.t_end / n
-    g = math.sqrt(sc.gamma / dt)
+    dt, g = _scaling(sc, n, "collision count")
     return CollisionConfig(
         carrier_dims=sc.carrier_dims,
         env_dim=sc.env_dim,

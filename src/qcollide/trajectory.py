@@ -143,7 +143,7 @@ class Trajectory:
         header = ["step", "t", *columns, "trace", "min_eigenvalue"]
         reim = np.ascontiguousarray(self.observable_values).view(np.float64).tolist()  # re, im side by side
         rows = zip(self.steps.tolist(), self.times.tolist(), reim, self.traces.tolist(), self.min_eigenvalues.tolist())
-        write_csv(path, header, [[step, t, *v, trace, low] for step, t, v, trace, low in rows])
+        write_csv(path, header, ([step, t, *v, trace, low] for step, t, v, trace, low in rows))
 
     def to_json(self, path) -> None:
         keys = ("step", "t", "observables", "trace", "min_eigenvalue", "state")
@@ -159,46 +159,45 @@ class SampleRecorder:
     and validated SAMPLE_BATCH at a time.
 
     `record` copies (D^2,) real coordinate rows into the next rows of the
-    current batch: one row per call on a per-step route, a window's or a
-    batch's rows otherwise.  A full batch, and the last one (only its
-    filled rows) at `trajectory`, is kept as it is, read-only, and checked
-    in one `channels.check_states` call on the complex stack `_hermitian`
-    makes of it, which is exactly Hermitian by construction: the check
-    tests finiteness in place of the Hermiticity defect and writes its
-    shifted copy into one buffer reused across batches.  A failing sample
-    aborts the run with a RuntimeError naming its step, which the CLI
-    reports as a property failure, at most one batch after it was recorded.
+    current batch, and their steps into an int64 buffer beside it: one row
+    per call on a per-step route, a window's or a batch's rows otherwise.
+    A full batch, and the last one (only its filled rows) at `trajectory`,
+    is kept as it is, read-only, and checked in one `channels.check_states`
+    call on the complex stack `_hermitian` makes of it, which is exactly
+    Hermitian by construction: the check tests finiteness in place of the
+    Hermiticity defect and writes its shifted copy into one buffer reused
+    across batches.  A failing sample aborts the run with a RuntimeError
+    naming its step, which the CLI reports as a property failure, at most
+    one batch after it was recorded.
     """
 
-    def __init__(self, dims: tuple[int, ...]):
+    def __init__(self, dims: tuple[int, ...], dt: float):
         self.dims = dims
+        self.dt = dt
         self._side = math.prod(dims)
         self._buf: np.ndarray | None = None
+        self._buf_steps: np.ndarray | None = None
         self._pending = 0
         self._scratch = np.empty((SAMPLE_BATCH, self._side, self._side), dtype=complex)
-        self._checked = 0
-        self.steps: list[int] = []
-        self.times: list[float] = []
         self._batches: list[np.ndarray] = []
+        self._steps: list[np.ndarray] = []
         self._traces: list[np.ndarray] = []
 
-    def record(
-        self, steps: Sequence[int], times: Sequence[float], rows: np.ndarray, cols: np.ndarray | None = None
-    ) -> None:
-        """Record rows[i], taken at steps[i] and times[i], or rows[i, cols]
-        when the rows hold the coordinates in another order."""
-        self.steps.extend(steps)
-        self.times.extend(times)
+    def record(self, steps: Sequence[int], rows: np.ndarray, cols: np.ndarray | None = None) -> None:
+        """Record rows[i], taken at step steps[i], or rows[i, cols] when the
+        rows hold the coordinates in another order."""
         done = 0
         while done < len(rows):
             if self._buf is None:
                 self._buf = np.empty((SAMPLE_BATCH, rows.shape[1]))
+                self._buf_steps = np.empty(SAMPLE_BATCH, dtype=np.int64)
             take = min(len(rows) - done, SAMPLE_BATCH - self._pending)
-            dest = self._buf[self._pending : self._pending + take]
+            fill = slice(self._pending, self._pending + take)
+            self._buf_steps[fill] = steps[done : done + take]
             if cols is None:
-                dest[...] = rows[done : done + take]
+                self._buf[fill] = rows[done : done + take]
             else:  # cols is a permutation; with mode "raise" numpy would buffer `out`
-                np.take(rows[done : done + take], cols, axis=1, out=dest, mode="clip")
+                np.take(rows[done : done + take], cols, axis=1, out=self._buf[fill], mode="clip")
             self._pending += take
             done += take
             if self._pending == SAMPLE_BATCH:
@@ -207,16 +206,17 @@ class SampleRecorder:
     def _flush(self) -> None:
         if not self._pending:
             return
-        rows = self._buf if self._pending == SAMPLE_BATCH else self._buf[: self._pending].copy()
-        self._buf, self._pending = None, 0
-        first, self._checked = self._checked, self._checked + len(rows)
+        n = self._pending
+        rows, steps = (b if n == SAMPLE_BATCH else b[:n].copy() for b in (self._buf, self._buf_steps))
+        self._buf, self._buf_steps, self._pending = None, None, 0
         try:
             self._traces.append(check_states(_hermitian(rows, self._side), SAMPLE_ATOL, self._scratch))
         except StateViolation as exc:
-            step, t = self.steps[first + exc.index], self.times[first + exc.index]
-            raise RuntimeError(f"state invariants violated at step {step}, t={t:.6g}: {exc}") from exc
+            step = int(steps[exc.index])
+            raise RuntimeError(f"state invariants violated at step {step}, t={step * self.dt:.6g}: {exc}") from exc
         rows.setflags(write=False)
         self._batches.append(rows)
+        self._steps.append(steps)
 
     def trajectory(
         self,
@@ -228,7 +228,7 @@ class SampleRecorder:
         self._scratch = None
         samples = Samples(self._batches, self._side)
         return build_trajectory(
-            self.steps, self.times, samples, np.concatenate(self._traces), self.dims,
+            np.concatenate(self._steps), self.dt, samples, np.concatenate(self._traces), self.dims,
             observables, observable_names, metadata,
         )
 
@@ -260,8 +260,8 @@ def observable_arrays(
 
 
 def build_trajectory(
-    steps: Sequence[int],
-    times: Sequence[float],
+    steps: np.ndarray,
+    dt: float,
     raw_states: Samples,
     traces: np.ndarray,
     dims: tuple[int, ...],
@@ -269,8 +269,9 @@ def build_trajectory(
     observable_names: Sequence[str],
     metadata: dict | None = None,
 ) -> Trajectory:
-    """Assemble a Trajectory from the checked samples (`SampleRecorder`) and
-    the traces their check returned.  Each observable is read by one einsum
+    """Assemble a Trajectory from the checked samples (`SampleRecorder`),
+    their int64 steps and the traces their check returned.  Each time is
+    step * dt, computed here once.  Each observable is read by one einsum
     per converted batch."""
     values = np.zeros((len(raw_states), len(observables)), dtype=complex)
     if observables:
@@ -280,8 +281,8 @@ def build_trajectory(
                 values[i : i + len(stack), j] = np.einsum("ij,nji->n", obs, stack)
             i += len(stack)
     return Trajectory(
-        steps=np.asarray(steps),
-        times=np.asarray(times),
+        steps=steps,
+        times=steps * dt,
         samples=raw_states,
         dims=tuple(dims),
         observable_names=tuple(observable_names),

@@ -85,8 +85,8 @@ class TestCheckStates:
         traces = check_states(stack, 1e-8)
         assert np.array_equal(traces, [complex(np.trace(x)).real for x in stack])
         rows = np.array([_real_coordinates(x) for x in stack])
-        recorder = SampleRecorder((3, 3))
-        recorder.record(range(len(stack)), range(len(stack)), rows)
+        recorder = SampleRecorder((3, 3), 1.0)
+        recorder.record(range(len(stack)), rows)
         traj = recorder.trajectory([], [])
         checked = _hermitian(rows, 9)
         assert np.array_equal(traj.traces, [complex(np.trace(x)).real for x in checked])

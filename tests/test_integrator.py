@@ -573,9 +573,9 @@ def one_row_per_call(mp):
     that records step by step hands them over."""
     record = SampleRecorder.record
 
-    def per_step(self, steps, times, rows, cols=None):
-        for step, t, row in zip(steps, times, rows, strict=True):
-            record(self, [step], [t], (row if cols is None else row[cols])[None])
+    def per_step(self, steps, rows, cols=None):
+        for step, row in zip(steps, rows, strict=True):
+            record(self, [step], (row if cols is None else row[cols])[None])
 
     mp.setattr(SampleRecorder, "record", per_step)
 
@@ -646,20 +646,20 @@ class TestRecording:
         obs, names = [op for _, op in sc.observables], [name for name, _ in sc.observables]
         record, rows = SampleRecorder.record, []
 
-        def logged(self, steps, times, batch, cols=None):
+        def logged(self, steps, batch, cols=None):
             assert len(steps) == 1 and cols is None
             rows.append(batch[0].copy())
-            record(self, steps, times, batch)
+            record(self, steps, batch)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SampleRecorder, "record", logged)
             traj = simulate(cfg, sc.rho0, observables=obs, record_stride=stride, observable_names=names)
         assert len(rows) == len(traj)
-        replay = SampleRecorder(sc.rho0.dims)
+        replay = SampleRecorder(sc.rho0.dims, cfg.dt)
         done, sizes = 0, iter(chunks * len(rows))
         while done < len(rows):
             end = min(len(rows), done + next(sizes))
-            replay.record(traj.steps[done:end].tolist(), traj.times[done:end].tolist(), np.array(rows[done:end]))
+            replay.record(traj.steps[done:end], np.array(rows[done:end]))
             done = end
         assert_same_samples(replay.trajectory([o.entries for o in obs], names), traj)
 

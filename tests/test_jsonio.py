@@ -381,6 +381,31 @@ class TestWriteCsv:
                 else:
                     assert np.float64(float(cell)).view(np.int64) == np.float64(value).view(np.int64)
 
+    @pytest.mark.parametrize("n", [0, 1, 8, 9, 10])
+    def test_rows_are_pulled_and_written_a_chunk_at_a_time(self, tmp_path, monkeypatch, n):
+        # any iterable of rows gives the file a list of the same rows gives,
+        # and each chunk is written before the next row is pulled
+        want = tmp_path / "want.csv"
+        write_csv(want, ["x", "y"], [[i, i / 7] for i in range(n)])
+        pulled, writes = [], []
+
+        def rows():
+            for i in range(n):
+                pulled.append(i)
+                yield [i, i / 7]
+
+        class Logged(FullDisk):
+            def write(self, text):
+                writes.append((len(pulled), text.count("\n")))
+                return super().write(text)
+
+        monkeypatch.setattr(qcollide.jsonio, "CSV_CHUNK_ROWS", 3)
+        monkeypatch.setattr(qcollide.jsonio, "open", lambda p, mode: Logged(p, mode, math.inf), raising=False)
+        write_csv(tmp_path / "got.csv", ["x", "y"], rows())
+        monkeypatch.undo()
+        assert (tmp_path / "got.csv").read_text() == want.read_text()
+        assert writes == [(0, 1)] + [(min(n, k + 3), min(3, n - k)) for k in range(0, n, 3)]
+
     def test_trajectory_csv_is_the_per_row_spelling(self, tmp_path):
         # the writer the one CSV writer replaced: one .17g token per cell, row by row
         traj = run_simulate(load_scenario({"scenario": "rotating-env-2q", "n_collisions": 7}))

@@ -20,7 +20,7 @@ import qcollide.cli
 import qcollide.scenarios
 from qcollide.cli import main
 from qcollide.integrator import integrate
-from qcollide.jsonio import write_json
+from qcollide.jsonio import quote, write_json
 from qcollide.ops import embed, expm_hermitian, momentum_op, number_op, pauli, position_op, projector
 from qcollide.scenarios import (
     BUILTIN_NAMES,
@@ -885,6 +885,41 @@ class TestCLI:
             "halving check failed: column ratio 1.00 outside [6, 10]",
             "halving check failed: step ratio nan outside [6, inf]",
         ]
+
+    @pytest.mark.parametrize("command", ["simulate", "generators", "converge", "verify"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"scenario": "ad-chain-2q", "sweep": [10**400]},
+                f"sweep entry {quote(10**400)}: at t_end 0.5 and gamma 1.0",
+            ),
+            (
+                {"scenario": "ad-chain-2q", "n_collisions": 10**400},
+                f"n_collisions {quote(10**400)}: at t_end 0.5 and gamma 1.0",
+            ),
+            (
+                {"scenario": "ad-chain-2q", "t_end": 1e-300, "sweep": [50, 10**30]},
+                f"sweep entry {10**30}: at t_end 1e-300 and gamma 1.0",
+            ),
+            (
+                {"scenario": "ad-chain-2q", "gamma": 1e300, "t_end": 1e-300},
+                "sweep entry 50: at t_end 1e-300 and gamma 1e+300",
+            ),
+        ],
+        ids=["sweep-past-float", "n-collisions-past-float", "dt-underflows", "g-overflows"],
+    )
+    def test_collision_scaling_out_of_range_exit_one(self, tmp_path, capsys, command, config, message):
+        # dt = t_end/n and g = sqrt(gamma/dt) of every sweep entry and of
+        # n_collisions are checked when the config loads, for every command:
+        # an n too large for a float, a dt that underflows to 0 and a g that
+        # overflows are config errors, not tracebacks
+        cfg = tmp_path / "scaling.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        tail = ", dt = t_end/n must be positive and finite and g = sqrt(gamma/dt) finite"
+        assert capsys.readouterr().err == f"config error: {message}{tail}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_verify_failure_lines_cover_assumption_and_orders(self, tmp_path, capsys, monkeypatch):
         # per-carrier environment couplings fail the zero-mean assumption;

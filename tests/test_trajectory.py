@@ -4,6 +4,7 @@ converted on read, and their minimum eigenvalues are computed when read."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedul
 from qcollide.generators import full_generator
 from qcollide.integrator import _hermitian, _real_coordinates, integrate, reduced_trajectory
 from qcollide.ops import Operator, partial_trace, pauli, unvec, vec
+from qcollide.scenarios import load_scenario, run_simulate
 import qcollide.trajectory
-from qcollide.trajectory import SAMPLE_ATOL, SAMPLE_BATCH
+from qcollide.trajectory import SAMPLE_ATOL, SAMPLE_BATCH, SampleRecorder
 
 SX = pauli("x")
 GROUND = DensityMatrix.ground(2)
@@ -161,6 +163,51 @@ class TestSamples:
         assert calls[0] == 0
         traj.final_state()
         assert calls[0] == 1
+
+
+class TestStepsAndTimes:
+    """The step is the one record of when a sample was taken: the recorder
+    keeps int64 steps, and every time is step * dt, computed once."""
+
+    def test_times_are_steps_times_dt_bit_for_bit(self, rng):
+        rho0 = random_state(rng, (2, 2, 2))
+        for traj in (
+            simulate(chain_collisions(150), rho0, record_stride=7),
+            integrate(chain_generator(), rho0, t_end=0.3, dt=2e-3, record_stride=7),
+        ):
+            dt = traj.metadata["dt"]
+            red = reduced_trajectory(traj, keep=[2])
+            assert red.metadata["dt"] == dt
+            assert traj.steps.tolist() == red.steps.tolist() == [*range(0, 150, 7), 150]
+            for t in (traj, red):
+                assert t.steps.dtype == np.int64 and t.times.dtype == np.float64
+                want = np.array([step * dt for step in t.steps.tolist()])
+                assert np.array_equal(t.times.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("at", [0, 5, SAMPLE_BATCH + 3])
+    def test_poisoned_sample_names_its_step_and_time(self, at):
+        dt = 0.3
+        rows = np.tile(_real_coordinates(np.eye(2) / 2), (2 * SAMPLE_BATCH, 1))
+        rows[at, 0] = np.nan
+        steps = np.arange(7, 7 + 3 * len(rows), 3)
+        recorder = SampleRecorder((2,), dt)
+        with pytest.raises(RuntimeError) as info:
+            recorder.record(steps, rows)
+        step = int(steps[at])
+        assert str(info.value).startswith(f"state invariants violated at step {step}, t={step * dt:.6g}: ")
+
+    def test_stride_one_run_peaks_below_250_bytes_per_sample(self):
+        # 20,000 collisions of a two-qubit chain keep 128 B of rows and
+        # 8 B of step per sample while recording, and no Python number
+        sc = load_scenario({"scenario": "ad-chain-2q", "n_collisions": 20000})
+        tracemalloc.start()
+        try:
+            traj = run_simulate(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 20001
+        assert peak <= 250 * len(traj)
 
 
 class TestReducedTrajectory:
