@@ -406,7 +406,7 @@ def _column_phi(cfg: CollisionConfig) -> np.ndarray:
     c, x, side = cfg.eta.entries, None, 1
     for m, (u, d) in enumerate(zip(us[:-1], dims), start=1):
         if x is None:  # one eigh per block of c's nonzero pattern: a whole eigh mixes the sectors
-            labels, p, x = _components(c != 0), np.zeros(len(c)), np.zeros_like(c)
+            labels, p, x = _components(len(c), *np.nonzero(c)), np.zeros(len(c)), np.zeros_like(c)
             for block in (np.flatnonzero(labels == k) for k in range(labels.max() + 1)):
                 p[block], x[np.ix_(block, block)] = np.linalg.eigh(c[np.ix_(block, block)])
             p, x = p[p != 0], x[:, p != 0].T

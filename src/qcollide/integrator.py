@@ -3,10 +3,10 @@
 Deterministic classical RK4, no adaptivity.  A GKSL generator maps Hermitian
 matrices to Hermitian matrices, so the state lives in the real Hermitian
 coordinates of `trajectory` (`_real_coordinates`, `_hermitian`): X = A + iB
-is stored as the real matrix S = A + B.  Each generator segment
-reads its generator's matrix at its start (a form-backed generator builds
-it then) and converts it once into the real D^2 x D^2 matrix R of
-S -> s(Herm(G X(S))); the complex matrix is dropped then.  For a linear
+is stored as the real matrix S = A + B.  Each generator segment converts
+its generator once, at its start, into the real D^2 x D^2 map R of
+S -> s(Herm(G X(S))): a form's from its nonzero entries (`_real_entries`),
+never dense unless R stays whole, a matrix's from the matrix.  For a linear
 generator one RK4 step of size h is exactly s <- T4(hR) s, with T4 the
 degree-4 Taylor polynomial, built once per generator segment in two matrix
 products (Paterson-Stockmeyer).  The conversion holds for any
@@ -41,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .channels import DensityMatrix, trace_distance  # trace_distance: re-exported
-from .ops import Operator, Superoperator, trace_out
+from .ops import Operator, SandwichForm, Superoperator, sorted_unique, trace_out
 from .trajectory import (
     SAMPLE_BATCH,
     SampleRecorder,
@@ -82,62 +82,88 @@ class SectorMap(NamedTuple):
     blocks: list[np.ndarray]
 
 
-def _components(adj: np.ndarray) -> np.ndarray:
-    """Component labels of the undirected graph adj | adj^T, numbered in the
-    order of their smallest vertex; each component grows from that vertex
-    by all its members' neighbours at once until it stops growing."""
-    adj = adj | adj.T
-    labels = np.full(len(adj), -1)
-    count = 0
-    for seed in range(len(adj)):
-        if labels[seed] >= 0:
-            continue
-        members = np.zeros(len(adj), dtype=bool)
-        members[seed] = True
-        size = 1
-        while True:
-            members |= adj[members].any(axis=0)
-            if (grown := np.count_nonzero(members)) == size:
-                break
-            size = grown
-        labels[members] = count
-        count += 1
-    return labels
+class Entries(NamedTuple):
+    """A square real map of side `side` by its entries `values` at the
+    ascending flat keys `keys` (row * side + column), +0 elsewhere."""
+
+    side: int
+    keys: np.ndarray
+    values: np.ndarray
 
 
-def _sectors(m: np.ndarray, n: int) -> list[np.ndarray]:
-    """The invariant sectors of a square real map that runs n steps, as
-    ascending index arrays in the order of their smallest index: the
-    components at SECTOR_CUT, or the one sector of all indices when the map
-    has a non-finite entry or the split is not stable or does not pay (the
-    rule above).  k blocks save at most (1 - 1/k) of the entries, so a map
-    whose run cannot repay a second block that saves half of them is not
-    searched."""
-    whole = [np.arange(len(m))]
-    if not n * (m.size / 2 - SECTOR_STEP_COST) > SECTOR_BLOCK_COST:
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component labels of the undirected graph on n vertices with the edges
+    (rows[i], cols[i]), numbered in the order of their smallest vertex.
+    Every vertex points to a root, at first itself; each round hooks the
+    root of each edge's either end to the other's when that is smaller and
+    jumps every pointer to its root, until a round changes nothing: then
+    each component's pointers all name its smallest vertex."""
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    labels = np.arange(n)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels[rows], labels[cols])
+        while not np.array_equal(hooked, jumped := hooked[hooked]):
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return (np.cumsum(labels == np.arange(n)) - 1)[labels]
+        labels = hooked
+
+
+def _sectors(m: np.ndarray | Entries, n: int) -> list[np.ndarray]:
+    """The invariant sectors of a square real map that runs n steps, given
+    whole or by its Entries, as ascending index arrays in the order of their
+    smallest index: the components at SECTOR_CUT, or the one sector of all
+    indices when the map has a non-finite entry or the split is not stable
+    or does not pay (the rule above).  k blocks save at most (1 - 1/k) of
+    the entries, so a map whose run cannot repay a second block that saves
+    half of them is not searched."""
+    side = m.side if isinstance(m, Entries) else len(m)
+    whole = [np.arange(side)]
+    if not n * (side**2 / 2 - SECTOR_STEP_COST) > SECTOR_BLOCK_COST:
         return whole
-    a = np.abs(m)
-    top = a.max()
+    keys, values = (m.keys, m.values) if isinstance(m, Entries) else (np.flatnonzero(m), m[m != 0])
+    a = np.abs(values)
+    top = a.max(initial=0.0)
     if not np.isfinite(top):
         return whole
-    labels = _components(a > SECTOR_CUT * top)
+    rows, cols = np.divmod(keys, side)
+    cut = a > SECTOR_CUT * top
+    labels = _components(side, rows[cut], cols[cut])
     sizes = np.bincount(labels)
     extra = len(sizes) - 1
-    if not n * (m.size - np.sum(sizes**2) - extra * SECTOR_STEP_COST) > extra * SECTOR_BLOCK_COST:
+    if not n * (side**2 - np.sum(sizes**2) - extra * SECTOR_STEP_COST) > extra * SECTOR_BLOCK_COST:
         return whole
-    if not np.array_equal(labels, _components(a > SECTOR_FLOOR * top)):
+    floor = a > SECTOR_FLOOR * top
+    if not np.array_equal(labels, _components(side, rows[floor], cols[floor])):
         return whole
     return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
 
 
-def _split(m: np.ndarray, n: int, build: Callable[[np.ndarray], np.ndarray] = np.asarray) -> SectorMap | np.ndarray:
+def _split(
+    m: np.ndarray | Entries, n: int, build: Callable[[np.ndarray], np.ndarray] = np.asarray
+) -> SectorMap | np.ndarray:
     """m, which runs n steps, as a SectorMap of its sectors (`_sectors`),
     each block passed through `build`; a map of one sector stays whole,
-    build(m) itself."""
+    build(m) itself.  A map given by its Entries is filled into one flat
+    buffer of its blocks, in the sectors' order, from its entries within
+    them: it is made dense only when it stays whole."""
     sectors = _sectors(m, n)
-    if len(sectors) == 1:
-        return build(m)
-    return SectorMap(np.concatenate(sectors), [build(m[np.ix_(idx, idx)]) for idx in sectors])
+    if isinstance(m, Entries):
+        sizes = np.array([len(idx) for idx in sectors])
+        starts, offsets = np.cumsum(sizes) - sizes, np.cumsum(sizes**2) - sizes**2
+        at = np.argsort(np.concatenate(sectors))  # each coordinate's place in the sectors' order
+        block = np.repeat(np.arange(len(sizes)), sizes)[at]
+        rows, cols = np.divmod(m.keys, m.side)
+        inside = block[rows] == block[cols]
+        rows, cols, k = at[rows[inside]], at[cols[inside]], block[rows[inside]]
+        flat = np.zeros(int(np.sum(sizes**2)))
+        flat[offsets[k] + (rows - starts[k]) * sizes[k] + cols - starts[k]] = m.values[inside]
+        blocks = (flat[o : o + b * b].reshape(b, b) for o, b in zip(offsets.tolist(), sizes.tolist()))
+    else:
+        blocks = [m] if len(sectors) == 1 else (m[np.ix_(idx, idx)] for idx in sectors)
+    blocks = [build(b) for b in blocks]
+    return blocks[0] if len(blocks) == 1 else SectorMap(np.concatenate(sectors), blocks)
 
 
 def _segments(generator: GeneratorLike, dt: float):
@@ -180,6 +206,23 @@ def _real_map(g: np.ndarray) -> np.ndarray:
     r *= 0.5
     side2 = math.isqrt(r.size)
     return r.reshape(side2, side2)
+
+
+def _real_entries(form: SandwichForm) -> Entries:
+    """`_real_map` of the form's matrix G, bit for bit, as the Entries of R
+    from the form's (`SandwichForm.entries`), +0 where G has none: each of
+    _real_map's index swaps is its own inverse, so R's keys are G's swapped
+    each way, and each swapped copy carries G's values to them."""
+    side = math.prod(form.dims)
+    keys, g = form.entries()
+    rows, cols = np.divmod(keys, side * side)
+    swap_rows, swap_cols = (x % side * side + x // side for x in (rows, cols))
+    copies = (rows, cols), (swap_rows, swap_cols), (rows, swap_cols), (swap_rows, cols)
+    flat, inverse = sorted_unique(np.concatenate([r * side * side + c for r, c in copies]))
+    terms = np.zeros((4, len(flat)))
+    terms[np.arange(4)[:, None], inverse.reshape(4, -1)] = g.real, g.real, g.imag, g.imag
+    r = ((terms[0] + terms[1]) + terms[2] - terms[3]) * 0.5
+    return Entries(side * side, flat, r)
 
 
 def _rk4_propagator(r: np.ndarray, h: float) -> np.ndarray:
@@ -300,7 +343,7 @@ def integrate(
     observable_names: Sequence[str] | None = None,
 ) -> Trajectory:
     """Integrate rho over [0, t_end] with fixed step dt (final time within dt
-    of t_end).  Each generator's matrix is read when its segment starts.  A
+    of t_end).  Each generator is read when its segment starts.  A
     non-finite dt or t_end, a generator or schedule segment of another side
     than rho0, and a schedule segment that starts at a non-finite time or
     off the step grid are ValueErrors, raised before the first step.
@@ -324,14 +367,17 @@ def integrate(
     def segments():
         # a segment runs the steps after its start up to the next start:
         # starts lie on the step grid, so no step straddles a boundary, and
-        # a segment that runs no step builds no propagator.  Its matrix is
-        # read here, at its start, and dropped once R is built; R is split
-        # into its sectors first, so T4 is built per block and never whole
+        # a segment that runs no step builds no propagator.  Its generator is
+        # read here, at its start, into R (a form's by its entries), split at
+        # once and not kept, so T4 is built per block and never whole
+        def real(gen):
+            return _real_entries(gen.stored) if isinstance(gen.stored, SandwichForm) else _real_map(gen.matrix)
+
         done = 0
         for gen, end in zip(gens, [round(t / dt) for t in starts[1:]] + [n_steps]):
             end = min(end, n_steps)
             if end > done:
-                yield end - done, _split(_real_map(gen.matrix), end - done, lambda block: _rk4_propagator(block, dt))
+                yield end - done, _split(real(gen), end - done, lambda block: _rk4_propagator(block, dt))
                 done = end
 
     recorder = _propagate(rho0, dt, record_stride, segments())

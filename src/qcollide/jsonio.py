@@ -5,8 +5,9 @@ byte the compact ``json.dumps`` of the payload with each complex ndarray as
 its [re, im] lists, but no lists are built: ``json.dumps`` writes the rest of
 the document around placeholders (a zero-argument callable stands for an
 array, called when reached), the arrays go to the file in groups of at most
-GROUP_ENTRIES entries or one larger array, and a run of equal entries is one
-text repeated, each distinct float64 spelled once (0.0 and -0.0 apart).  A value ``json`` cannot
+GROUP_ENTRIES entries (a larger array alone, in slices of that many), and a
+run of equal entries is one text repeated, each distinct float64 spelled
+once (0.0 and -0.0 apart).  A value ``json`` cannot
 encode raises TypeError before the file is opened.  Both writers fill a file
 beside the target and rename it over the target; a failure removes it.
 ``write_csv`` takes its rows from any iterable, CSV_CHUNK_ROWS at a time.
@@ -24,7 +25,9 @@ import reprlib
 
 import numpy as np
 
-GROUP_ENTRIES = 1 << 16
+from .ops import sorted_unique
+
+GROUP_ENTRIES = 1 << 13
 CSV_CHUNK_ROWS = 4096
 QUOTE_MAX = 60
 
@@ -64,42 +67,41 @@ def _replacing(path):
 def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of int64 bit patterns, as float64, and each one's
     index among them.  0.0, the bulk of a generator matrix, takes index 0 outside
-    the argsort (np.unique's), which is slow on long runs of zeros."""
+    the sort, which is slow on long runs of zeros."""
     nonzero = np.flatnonzero(bits)
-    order = nonzero[np.argsort(bits[nonzero])]
-    ordered = bits[order]
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
+    values, inverse = sorted_unique(bits[nonzero])
     index = np.zeros(bits.size, dtype=np.intp)
-    index[order] = np.cumsum(first)
-    return np.concatenate(([0], ordered[first])).view(np.float64), index
+    index[nonzero] = inverse + 1
+    return np.concatenate(([0], values)).view(np.float64), index
 
 
-def _write_group(fh, group: list[tuple[np.ndarray, str]]) -> None:
-    """Write each (array, part) of a group, a part being the document up to
-    the next array.  An entry is written as "re, im" and its tail, the text
-    up to the next entry's numbers: tails[c] if c axes close after its pair,
-    or at an array's end the way into the next; equal runs are written once."""
-    depth = max((a.ndim for a, _ in group), default=0)
-    tails, arrays, codes, closes, gap = ["]" * c + ", " + "[" * c for c in range(1, depth + 1)], [], [], {}, ""
-    for a, part in group:
+def _write_group(fh, group: list[tuple[np.ndarray, str, int, int]]) -> None:
+    """Write the entries lo .. hi - 1 of each (array, part, lo, hi) of a
+    group (a slice of an array is a group of its own), a part being the
+    document up to the next array.  An entry is written as "re, im" and its
+    tail, the text up to the next entry's numbers: tails[c] if c axes of the
+    whole array close after its pair, or at the array's end the way into
+    the next; equal runs are written once."""
+    depth = max((a.ndim for a, *_ in group), default=0)
+    tails, pieces, codes, closes, gap = ["]" * c + ", " + "[" * c for c in range(1, depth + 1)], [], [], {}, ""
+    for a, part, lo, hi in group:
         if a.size == 0:
             gap += json.dumps(a.tolist()) + part
             continue
-        tails.append(gap + "[" * (a.ndim + 1))
-        if a.shape not in closes:  # how many axes close after each entry
-            closes[a.shape] = code = np.zeros(a.size, dtype=np.int32)
-            for step in np.cumprod(a.shape[:0:-1]):
-                code[step - 1 :: step] += 1
-        codes.append(closes[a.shape])
-        arrays.append(a)
-        gap = "]" * (a.ndim + 1) + part
-    if not arrays:
+        tails.append(gap + ("[" * (a.ndim + 1) if lo == 0 else ""))
+        if (a.shape, lo, hi) not in closes:  # how many axes close after each entry
+            closes[a.shape, lo, hi] = code = np.zeros(hi - lo, dtype=np.int32)
+            for step in np.cumprod(a.shape[:0:-1]).tolist():
+                code[(-lo - 1) % step :: step] += 1
+        codes.append(closes[a.shape, lo, hi])
+        pieces.append(a.reshape(-1)[lo:hi])
+        gap = "]" * (a.ndim + 1) + part if hi == a.size else tails[codes[-1][-1]]
+    if not pieces:
         fh.write(gap)
         return
     fh.write(tails[depth])
     tails.append(gap)
-    bits = (np.concatenate(arrays, axis=None) if len(arrays) > 1 else arrays[0]).reshape(-1).view(np.int64)
+    bits = (np.concatenate(pieces) if len(pieces) > 1 else pieces[0]).view(np.int64)
     ends = np.cumsum([len(c) for c in codes]) - 1
     codes = np.concatenate(codes)
     codes[ends] = depth + 1 + np.arange(len(ends))  # tails[depth] leads to the first entry
@@ -141,7 +143,11 @@ def write_json(path, data) -> None:
             if size + a.size > GROUP_ENTRIES:  # a large array goes alone, uncopied
                 _write_group(fh, group)
                 group, size = [], 0
-            group.append((a, part))
+            if a.size > GROUP_ENTRIES:  # and above GROUP_ENTRIES in slices
+                for lo in range(0, a.size, GROUP_ENTRIES):
+                    _write_group(fh, [(a, part, lo, min(lo + GROUP_ENTRIES, a.size))])
+                continue
+            group.append((a, part, 0, a.size))
             size += a.size
             if size >= GROUP_ENTRIES:
                 _write_group(fh, group)

@@ -315,43 +315,64 @@ class SandwichForm:
         z = x.reshape(lead + dims + dims).transpose(perm).reshape(lead + (self.sandwich.shape[-1], -1))
         return self.apply(z).reshape(lead + moved).transpose(back).reshape(x.shape)
 
-    def matrix(self) -> np.ndarray:
-        """The column-stacked D^2 x D^2 matrix of the form.
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column-stacked D^2 x D^2 matrix of the form as its ascending
+        flat keys and the entries there, +0 elsewhere.
 
         Since vec(S X F) = (F^T kron S) vec(X), entry [j, i, l, k] of the
-        (D, D, D, D) view of the result is sum_a F_a[l, j] S_a[i, k].  Each
-        term adds the products of its nonzero entries into the zeroed result,
-        one scatter per term in order (the positions within a term are
-        distinct).  The products left out are zeros, which leave a sum that
-        starts at +0 unchanged, so the result is the ordered sum of the
-        np.kron terms bit for bit; a non-finite multiplier meets every entry
-        of its partner, zeros too, as in np.kron.  The K terms only touch the
-        block diagonals j = l and i = k, at O(D^3) cost.
+        (D, D, D, D) view is sum_a F_a[l, j] S_a[i, k], less K[i, k] where
+        j = l and conj K[l, j] where i = k.  Each entry starts at +0 and takes
+        the products of the nonzero entries of each term in order, then the K
+        entries.  The zeros left out leave a sum that starts at +0 unchanged,
+        so each entry is the ordered sum of the np.kron terms bit for bit; a
+        non-finite multiplier meets every entry of its partner, as in np.kron.
         """
         side = math.prod(self.dims)
-        mat = np.zeros((side * side, side * side), dtype=complex)
 
         def support(a, partner):
             return np.nonzero(a) if np.isfinite(partner).all() else np.indices(a.shape).reshape(2, -1)
 
-        flat = mat.reshape(-1)
+        keys, steps = [], []
         for s_a, f_a in zip(self.sandwich, self.ops):
             (l, j), (i, k) = support(f_a, s_a), support(s_a, f_a)
-            pos = np.add.outer(j * side**3 + l * side, i * side**2 + k).ravel()
+            keys.append(np.add.outer(j * side**3 + l * side, i * side**2 + k).ravel())
             # numpy's complex multiply may round differently in its vector and
             # scalar loops; 1-d operands run the vector loop, as np.kron does
             # (a 1 x 1 np.multiply.outer runs the scalar one)
-            flat[pos] += np.repeat(f_a[l, j], len(i)) * np.tile(s_a[i, k], len(l))
-        if self.k is not None:
-            t = mat.reshape((side,) * 4)
-            diag = np.arange(side)
-            t[diag, :, diag, :] -= self.k
-            t[:, diag, :, diag] -= self.k.conj()
+            steps.append((np.add, np.repeat(f_a[l, j], len(i)) * np.tile(s_a[i, k], len(l))))
+        if self.k is not None:  # at [d, i, d, k] and [i, d, k, d]
+            (i, k), d = np.nonzero(self.k), np.arange(side)[:, None]
+            keys += [(d * (side**3 + side) + i * side**2 + k).ravel(), (i * side**3 + k * side + d * (side**2 + 1)).ravel()]
+            steps += [(np.subtract, np.tile(self.k[i, k], side)), (np.subtract, np.tile(self.k[i, k].conj(), side))]
+        flat, inverse = sorted_unique(np.concatenate(keys))
+        values = np.zeros(len(flat), dtype=complex)
+        for at, (op, terms) in zip(np.split(inverse, np.cumsum([len(key) for key in keys])[:-1]), steps):
+            values[at] = op(values[at], terms)
+        return flat, values
+
+    def matrix(self) -> np.ndarray:
+        """The column-stacked D^2 x D^2 matrix of the form, its `entries`
+        scattered into zeros."""
+        keys, values = self.entries()
+        mat = np.zeros((math.prod(self.dims) ** 2,) * 2, dtype=complex)
+        mat.reshape(-1)[keys] = values
         return mat
 
     def superoperator(self) -> Superoperator:
         """The form as a Superoperator that keeps the form, not its matrix."""
         return Superoperator(self.dims, self)
+
+
+def sorted_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an integer array, ascending, and the index of
+    each of its entries among them, by one argsort."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

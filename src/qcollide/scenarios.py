@@ -130,10 +130,13 @@ def _matrix(payload, what: str) -> np.ndarray:
 
 def _real(value, what: str) -> float:
     """A config real number: JSON numbers only, booleans and strings are
-    rejected, never converted."""
+    rejected, never converted, and so is an integer past float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{what} must be a real number, got {quote(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} must be a real number within float range, got {quote(value)}") from None
 
 
 @dataclass(eq=False)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .channels import DensityMatrix, StateViolation, check_states
-from .jsonio import quote, write_csv, write_json
+from .jsonio import CSV_CHUNK_ROWS, quote, write_csv, write_json
 from .ops import Operator, vec
 
 SAMPLE_ATOL = 1e-8
@@ -139,11 +139,13 @@ class Trajectory:
         return self.observable_values[:, idx]
 
     def to_csv(self, path) -> None:
+        """The CSV of the run, its columns read CSV_CHUNK_ROWS rows at a time."""
         columns = [f"{name}_{part}" for name in self.observable_names for part in ("re", "im")]
         header = ["step", "t", *columns, "trace", "min_eigenvalue"]
-        reim = np.ascontiguousarray(self.observable_values).view(np.float64).tolist()  # re, im side by side
-        rows = zip(self.steps.tolist(), self.times.tolist(), reim, self.traces.tolist(), self.min_eigenvalues.tolist())
-        write_csv(path, header, ([step, t, *v, trace, low] for step, t, v, trace, low in rows))
+        reim = np.ascontiguousarray(self.observable_values).view(np.float64)  # re, im side by side
+        arrays = self.steps, self.times, reim, self.traces, self.min_eigenvalues
+        chunks = (zip(*(a[i : i + CSV_CHUNK_ROWS].tolist() for a in arrays)) for i in range(0, len(self), CSV_CHUNK_ROWS))
+        write_csv(path, header, ([step, t, *v, trace, low] for rows in chunks for step, t, v, trace, low in rows))
 
     def to_json(self, path) -> None:
         keys = ("step", "t", "observables", "trace", "min_eigenvalue", "state")
@@ -165,10 +167,10 @@ class SampleRecorder:
     is kept as it is, read-only, and checked in one `channels.check_states`
     call on the complex stack `_hermitian` makes of it, which is exactly
     Hermitian by construction: the check tests finiteness in place of the
-    Hermiticity defect and writes its shifted copy into one buffer reused
-    across batches.  A failing sample aborts the run with a RuntimeError
-    naming its step, which the CLI reports as a property failure, at most
-    one batch after it was recorded.
+    Hermiticity defect.  The stack and the check's shifted copy go into two
+    buffers reused across batches.  A failing sample aborts the run with a
+    RuntimeError naming its step, which the CLI reports as a property
+    failure, at most one batch after it was recorded.
     """
 
     def __init__(self, dims: tuple[int, ...], dt: float):
@@ -178,7 +180,8 @@ class SampleRecorder:
         self._buf: np.ndarray | None = None
         self._buf_steps: np.ndarray | None = None
         self._pending = 0
-        self._scratch = np.empty((SAMPLE_BATCH, self._side, self._side), dtype=complex)
+        self._states = np.empty((SAMPLE_BATCH, self._side, self._side), dtype=complex)
+        self._scratch = np.empty_like(self._states)
         self._batches: list[np.ndarray] = []
         self._steps: list[np.ndarray] = []
         self._traces: list[np.ndarray] = []
@@ -210,7 +213,8 @@ class SampleRecorder:
         rows, steps = (b if n == SAMPLE_BATCH else b[:n].copy() for b in (self._buf, self._buf_steps))
         self._buf, self._buf_steps, self._pending = None, None, 0
         try:
-            self._traces.append(check_states(_hermitian(rows, self._side), SAMPLE_ATOL, self._scratch))
+            states = _hermitian(rows, self._side, out=self._states[:n])
+            self._traces.append(check_states(states, SAMPLE_ATOL, self._scratch))
         except StateViolation as exc:
             step = int(steps[exc.index])
             raise RuntimeError(f"state invariants violated at step {step}, t={step * self.dt:.6g}: {exc}") from exc
@@ -225,7 +229,7 @@ class SampleRecorder:
         metadata: dict | None = None,
     ) -> Trajectory:
         self._flush()
-        self._scratch = None
+        self._states = self._scratch = None
         samples = Samples(self._batches, self._side)
         return build_trajectory(
             np.concatenate(self._steps), self.dt, samples, np.concatenate(self._traces), self.dims,

@@ -17,7 +17,9 @@ import qcollide.integrator
 import qcollide.trajectory
 from qcollide.integrator import (
     SectorMap,
+    _components,
     _propagate,
+    _real_entries,
     _real_map,
     _rk4_propagator,
     _sectors,
@@ -28,7 +30,9 @@ from qcollide.integrator import (
 )
 from qcollide.jsonio import complex_matrix_to_json
 from qcollide.scenarios import collision_config, load_scenario, scenario_generator
-from qcollide.ops import Operator, SandwichForm, Superoperator, hermitize, pauli, projector, unvec, vec
+from qcollide.ops import (
+    Operator, SandwichForm, Superoperator, hermitize, momentum_op, pauli, position_op, projector, unvec, vec,
+)
 from qcollide.trajectory import SAMPLE_BATCH, SampleRecorder
 
 SX = pauli("x")
@@ -113,8 +117,8 @@ class TestIntegrate:
         # poison the sample of step 70 where the recorder converts its batch
         hermitian, seen = qcollide.trajectory._hermitian, [0]
 
-        def poisoned(rows, side):
-            x = hermitian(rows, side)
+        def poisoned(rows, side, out=None):
+            x = hermitian(rows, side, out)
             i = 70 - seen[0]
             seen[0] += len(x)
             if 0 <= i < len(x):
@@ -556,6 +560,146 @@ class TestSectors:
         assert traj.steps.tolist() == steps
         assert np.array_equal(np.array(traj.states), qcollide.integrator._hermitian(want, rho0.side))
 
+
+def scatter_matrix(form):
+    """The column-stacked matrix of a SandwichForm as it was built before
+    the entries kernel, one scatter per term into zeros, then the two K
+    scatters: the oracle of `SandwichForm.entries`."""
+    side = math.prod(form.dims)
+    mat = np.zeros((side * side, side * side), dtype=complex)
+
+    def support(a, partner):
+        return np.nonzero(a) if np.isfinite(partner).all() else np.indices(a.shape).reshape(2, -1)
+
+    flat = mat.reshape(-1)
+    for s_a, f_a in zip(form.sandwich, form.ops):
+        (l, j), (i, k) = support(f_a, s_a), support(s_a, f_a)
+        pos = np.add.outer(j * side**3 + l * side, i * side**2 + k).ravel()
+        flat[pos] += np.repeat(f_a[l, j], len(i)) * np.tile(s_a[i, k], len(l))
+    if form.k is not None:
+        t = mat.reshape((side,) * 4)
+        diag = np.arange(side)
+        t[diag, :, diag, :] -= form.k
+        t[:, diag, :, diag] -= form.k.conj()
+    return mat
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_same_split(got, want):
+    """The same SectorMap (order and every block) or the same whole map, bit
+    for bit, NaN and the sign of zero included."""
+    assert type(got) is type(want)
+    if isinstance(want, SectorMap):
+        assert np.array_equal(got.order, want.order)
+        assert len(got.blocks) == len(want.blocks)
+        for g, w in zip(got.blocks, want.blocks):
+            assert g.shape == w.shape and np.array_equal(bits(g), bits(w))
+    else:
+        assert got.shape == want.shape and np.array_equal(bits(got), bits(want))
+
+
+def sparse_form(rng, dims, n_terms, with_k, special):
+    """A random SandwichForm whose multipliers keep about half their
+    entries, one of them `special` (NaN or an infinity) when given."""
+    side = math.prod(dims)
+
+    def sparse(*shape):
+        a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < rng.random())
+        a[rng.random(shape) < 0.1] = -0.0
+        return a
+
+    sandwich, ops, k = sparse(n_terms, side, side), sparse(n_terms, side, side), sparse(side, side) if with_k else None
+    if special is not None:
+        targets = [m for m in (sandwich, ops, k) if m is not None and m.size]
+        target = targets[rng.integers(len(targets))]
+        target.reshape(-1)[rng.integers(target.size)] = special
+    return SandwichForm(dims, sandwich, ops, k)
+
+
+class TestFormRoute:
+    """A form-backed generator's R is built from the form's entries
+    (`SandwichForm.entries`, `_real_entries`): the sectors and blocks of the
+    dense route, bit for bit, and no D^4 array unless the map stays whole."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(1,), (2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3)]),
+        kind=st.sampled_from(["conserving", "non-conserving", "form"]),
+        n_terms=st.integers(0, 3),
+        with_k=st.booleans(),
+        special=st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.nan)]),
+    )
+    @example(seed=0, dims=(3, 3), kind="conserving", n_terms=0, with_k=True, special=None)
+    @example(seed=0, dims=(3, 2), kind="form", n_terms=2, with_k=True, special=np.nan)
+    def test_blocks_equal_the_dense_route(self, seed, dims, kind, n_terms, with_k, special):
+        rng = np.random.default_rng(seed)
+        if kind == "form":
+            form = sparse_form(rng, dims, n_terms if with_k else max(n_terms, 1), with_k, special)
+        elif 1 in dims:  # no coupling on a carrier of dimension 1
+            return
+        else:
+            de = 3
+            if kind == "conserving":
+                carriers, env = [[position_op(d), momentum_op(d)] for d in dims], [position_op(de), momentum_op(de)]
+            else:  # zero mean on the ground state, which the lossy channel keeps
+                b = random_hermitian(rng, (de,)).entries.copy()
+                b[0, 0] = 0.0
+                carriers, env = [[random_hermitian(rng, (d,))] for d in dims], [Operator((de,), b)]
+            spec = CouplingSpec.uniform(carriers, env)
+            form = full_generator(spec, DensityMatrix.ground(de), lossy_bosonic_channel(de, 0.3), 1.0, dims).total.stored
+        with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
+            keys, values = form.entries()
+            assert np.all(np.diff(keys) > 0)
+            dense = np.zeros(math.prod(dims) ** 4, dtype=complex)
+            dense[keys] = values
+            assert np.array_equal(bits(dense), bits(scatter_matrix(form).reshape(-1)))
+            assert np.array_equal(bits(form.matrix()), bits(scatter_matrix(form)))
+            real = _real_map(form.matrix())
+            for n in (1, 500, 10**6):  # n = 1 never pays; the others do on (3, 3)
+                assert_same_split(_split(_real_entries(form), n, np.copy), _split(real, n, np.copy))
+            mp.setattr(qcollide.integrator, "SECTOR_STEP_COST", 0)  # every split pays
+            mp.setattr(qcollide.integrator, "SECTOR_BLOCK_COST", 0)
+            assert_same_split(_split(_real_entries(form), 1, np.copy), _split(real, 1, np.copy))
+
+    def test_conserving_chain_splits_into_its_coherence_orders(self):
+        sc = load_scenario(CHAIN3)
+        got = _split(_real_entries(scenario_generator(sc).total.stored), 2000, np.copy)
+        assert len(got.blocks) == 13 and max(len(b) for b in got.blocks) == 141
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60))
+    def test_components_match_the_grown_components(self, n, edges):
+        # each component grown from its smallest vertex by all its members'
+        # neighbours at once: the dense routine the edge list replaced
+        rows, cols = (np.array([e[i] % n for e in edges], dtype=np.intp) for i in (0, 1))
+        adj = np.zeros((n, n), dtype=bool)
+        adj[rows, cols] = adj[cols, rows] = True
+        want, count = np.full(n, -1), 0
+        for seed in range(n):
+            if want[seed] < 0:
+                members = np.zeros(n, dtype=bool)
+                members[seed] = True
+                while not np.array_equal(members, grown := members | adj[members].any(axis=0)):
+                    members = grown
+                want[members], count = count, count + 1
+        assert _components(n, rows, cols).tolist() == want.tolist()
+
+    def test_integrate_builds_no_array_of_d4_entries(self):
+        # chain3 (D = 27): the complex matrix would take 8.5 MB and R 4.3 MB
+        sc = load_scenario(CHAIN3)
+        gen = scenario_generator(sc).total
+        tracemalloc.start()
+        try:
+            traj = integrate(gen, sc.rho0, 1.0, 1.0 / 2000, record_stride=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps.tolist() == [0, 2000]
+        assert peak <= 6e6
 
 def assert_same_samples(got, want):
     """The same steps, times, states, traces, minimum eigenvalues and

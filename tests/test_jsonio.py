@@ -281,6 +281,46 @@ class TestPooledDocuments:
         assert path.read_bytes() == old_bytes(doc)
 
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        shapes=st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=3), min_size=1, max_size=3),
+        runs=st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from(POOL), st.integers(1, 200)), min_size=1, max_size=8),
+        group=st.sampled_from([1, 2, 5, 16, 100]),
+    )
+    @example(shapes=[[9, 9]], runs=[(-0.0, math.nan, 50), (math.inf, 0.0, 31)], group=16)
+    def test_arrays_above_the_group_size_are_written_in_slices(self, tmp_path_factory, shapes, runs, group):
+        # equal runs of -0.0, NaN and inf pairs cross the slice edges, the row
+        # ends and the array ends; no write takes more than GROUP_ENTRIES entries
+        pairs = np.repeat([[re, im] for re, im, _ in runs], [n for *_, n in runs], axis=0)
+        arrays, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            arrays.append(np.resize(np.roll(pairs, -start, axis=0), (size, 2)).view(complex).reshape(shape))
+            start += size
+        doc = {"arrays": arrays, "after": [np.zeros((0, 3)), "tail"]}
+        path = tmp_path_factory.mktemp("sliced") / "a.json"
+        write_group, sizes = qcollide.jsonio._write_group, []
+
+        def counted(fh, pieces):
+            sizes.append(sum(hi - lo for _, _, lo, hi in pieces))
+            write_group(fh, pieces)
+
+        with mock.patch.object(qcollide.jsonio, "GROUP_ENTRIES", group), mock.patch.object(qcollide.jsonio, "_write_group", counted):
+            write_json(path, doc)
+        assert path.read_bytes() == old_bytes(doc)
+        assert max(sizes) <= group and sum(sizes) == sum(a.size for a in arrays)
+
+    def test_generators_out_peaks_below_2_5_mb(self, tmp_path):
+        # bosonic-fiber's 65,536-entry matrices are built from their forms
+        # one at a time and written GROUP_ENTRIES entries at a time
+        tracemalloc.start()
+        try:
+            assert main(["generators", "--config", "bosonic-fiber", "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+
 class TestLazyArrays:
     def test_peak_does_not_grow_with_the_array_count(self, tmp_path):
         # each callable's array is built when the writer reaches it, written

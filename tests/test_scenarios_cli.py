@@ -921,6 +921,27 @@ class TestCLI:
         assert capsys.readouterr().err == f"config error: {message}{tail}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "generators", "converge", "verify"])
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"scenario": "ad-chain-2q", "gamma": 10**400}, "gamma"),
+            ({"scenario": "ad-chain-2q", "t_end": -(10**400)}, "t_end"),
+            ({"scenario": "bosonic-fiber", "params": {"kappa": 10**400}}, "params.kappa"),
+            ({"scenario": "ad-chain-2q", "params": {"p": 10**400}}, "params.p"),
+            ({"scenario": "rotating-env-2q", "params": {"theta": 10**400}}, "params.theta"),
+            ({"scenario": "ad-chain-2q", "channel": {"kind": "lossy", "dim": 2, "kappa": 10**400}}, "channel kappa"),
+        ],
+        ids=["gamma", "t_end", "kappa", "p", "theta", "channel-kappa"],
+    )
+    def test_real_past_float_range_names_its_key(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        value = quote(-(10**400) if key == "t_end" else 10**400)
+        assert capsys.readouterr().err == f"config error: {key} must be a real number within float range, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_verify_failure_lines_cover_assumption_and_orders(self, tmp_path, capsys, monkeypatch):
         # per-carrier environment couplings fail the zero-mean assumption;
         # with the order tolerances below zero all five states fail both orders

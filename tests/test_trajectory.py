@@ -3,6 +3,7 @@ rows of real Hermitian coordinates and the check's traces; states are
 converted on read, and their minimum eigenvalues are computed when read."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state
 from qcollide.channels import DensityMatrix, check_states, lossy_bosonic_channel
+from qcollide.cli import main
 from qcollide.collision import CollisionConfig, CouplingSpec, HamiltonianSchedule, simulate
 from qcollide.generators import full_generator
 from qcollide.integrator import _hermitian, _real_coordinates, integrate, reduced_trajectory
@@ -209,6 +211,21 @@ class TestStepsAndTimes:
         assert len(traj) == 20001
         assert peak <= 250 * len(traj)
 
+
+    def test_csv_run_peaks_below_300_bytes_per_sample(self, tmp_path):
+        # simulate --out converts each column to Python numbers one
+        # CSV_CHUNK_ROWS slice at a time, never whole
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"scenario": "ad-chain-2q", "n_collisions": 200000}))
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().count("\n")
+        assert rows == 200002
+        assert peak <= 300 * (rows - 1)
 
 class TestReducedTrajectory:
     def test_matches_per_sample_partial_trace(self, long_run, monkeypatch):
