@@ -40,7 +40,7 @@ from .generators import (
 from .integrator import integrate, reduced_trajectory, trace_distance
 from .ops import (
     Operator,
-    Superoperator,
+    SandwichForm,
     embed,
     expm_hermitian,
     kron,

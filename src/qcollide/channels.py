@@ -2,9 +2,9 @@
 
 The relaxation channel acting on a sub-environment between collisions is
 always represented by a finite Kraus list and applied as its Kraus sandwich
-form (`KrausChannel.form`), on its own or on one factor of a larger space;
-its superoperator matrix is built only when asked for.  The relaxation
-orbit M^k(x) is k applications (`orbit`).
+form (`KrausChannel.form`, the channel's superoperator), on its own or on
+one factor of a larger space.  The relaxation orbit M^0(x) .. M^k(x) of a
+matrix or a stack is one walk (`orbit_points`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .ops import (
     DEFAULT_TOL,
     Operator,
     SandwichForm,
-    Superoperator,
     hermitize,
     max_abs,
 )
@@ -37,33 +36,32 @@ class StateViolation(ValueError):
 
 
 def check_states(stack: np.ndarray, atol: float = STATE_TOL, scratch: np.ndarray | None = None) -> np.ndarray:
-    """The one state check, over an (n, D, D) stack: Hermiticity within
-    max(atol, DEFAULT_TOL), then |trace - 1| <= atol, then minimum
-    eigenvalue >= -atol.  Returns the traces, or raises StateViolation for
-    the first row that fails a check, with that check's message.
-    Comparisons are written so that NaN fails them.  Positivity of the rows
-    before the first Hermiticity or trace failure is certified by one
-    batched Cholesky factorization of X + atol I, which exists exactly when
-    the minimum eigenvalue is above -atol, up to a rounding of the order of
-    D eps; only when it fails does one batched eigvalsh name the first row
-    below -atol.
+    """The one state check, over an (n, D, D) stack: finite entries, then
+    Hermiticity within max(atol, DEFAULT_TOL), then |trace - 1| <= atol,
+    then minimum eigenvalue >= -atol.  Returns the traces, or raises
+    StateViolation for the first row that fails a check, with the message
+    of the first check it fails: a row with a non-finite entry is named as
+    such, not as a Hermiticity or trace failure.  Comparisons are written
+    so that NaN fails them.  Positivity of the rows before the first
+    failure of the other checks is certified by one batched Cholesky
+    factorization of X + atol I, which exists exactly when the minimum
+    eigenvalue is above -atol, up to a rounding of the order of D eps; only
+    when it fails does one batched eigvalsh name the first row below -atol.
 
     `DensityMatrix` runs the full check on arbitrary input.  The one other
     caller, `trajectory.SampleRecorder`, checks recorded samples, exactly
     Hermitian by construction (`trajectory._hermitian` builds them from the
     same entry pairs), and passes `scratch`, a reused complex buffer of at
-    least n (D, D) matrices: the Hermiticity defect is then not computed, a
-    row with a non-finite entry fails in its place with the same message,
+    least n (D, D) matrices: the Hermiticity defect is then not computed,
     and X + atol I is written into `scratch`.
     """
+    non_finite = not_hermitian = ~np.isfinite(stack).all(axis=(-2, -1))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails below
         if scratch is None:
             defect = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
             not_hermitian = ~(defect <= max(atol, DEFAULT_TOL))
-        else:
-            not_hermitian = ~np.isfinite(stack).all(axis=(-2, -1))
         traces = np.trace(stack, axis1=-2, axis2=-1)
-    bad = not_hermitian | ~(np.abs(traces - 1.0) <= atol)
+    bad = non_finite | not_hermitian | ~(np.abs(traces - 1.0) <= atol)
     first = int(np.argmax(bad)) if bad.any() else len(stack)
     shift = atol * np.eye(stack.shape[-1])
     shifted = stack[:first] + shift if scratch is None else np.add(stack[:first], shift, out=scratch[:first])
@@ -76,6 +74,8 @@ def check_states(stack: np.ndarray, atol: float = STATE_TOL, scratch: np.ndarray
             i = int(np.argmax(negative))
             raise StateViolation(i, f"minimum eigenvalue {float(min_eigs[i])} below -{atol}") from None
     if first < len(stack):
+        if non_finite[first]:
+            raise StateViolation(first, "density matrix has a non-finite entry")
         if not_hermitian[first]:
             raise StateViolation(first, "density matrix is not Hermitian within tolerance")
         raise StateViolation(first, f"trace {complex(traces[first])} is not 1 within {atol}")
@@ -189,9 +189,6 @@ class KrausChannel:
             raise ValueError(f"operator side {x.side} does not match channel side {self.side}")
         return Operator(x.dims, self.form.apply(x.entries))
 
-    def superoperator(self) -> Superoperator:
-        return self.form.superoperator()
-
 
 @dataclass(frozen=True)
 class CPTReport:
@@ -206,13 +203,22 @@ def validate_cpt(c: KrausChannel, tol: float = STATE_TOL) -> CPTReport:
     return CPTReport(residual=residual, tol=tol, passed=residual <= tol)
 
 
-def orbit(c: KrausChannel, x: Operator, k: int) -> Operator:
-    """M^k(x): the channel applied k times; k = 0 returns x."""
+def orbit_points(c: KrausChannel, x: np.ndarray, k: int) -> list[np.ndarray]:
+    """The relaxation orbit M^0(x) .. M^k(x) of a matrix or a stack shaped
+    (..., D, D): the channel's form applied k times, x itself first."""
     if k < 0:
         raise ValueError("the number of channel applications must be nonnegative")
+    if x.shape[-1] != c.side:
+        raise ValueError(f"operator side {x.shape[-1]} does not match channel side {c.side}")
+    points = [x]
     for _ in range(k):
-        x = c.apply(x)
-    return x
+        points.append(c.form.apply(points[-1]))
+    return points
+
+
+def orbit(c: KrausChannel, x: Operator, k: int) -> Operator:
+    """M^k(x), the last point of `orbit_points`."""
+    return Operator(x.dims, orbit_points(c, x.entries, k)[-1])
 
 
 def lossy_bosonic_channel(d: int, kappa: float) -> KrausChannel:

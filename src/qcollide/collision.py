@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel
+from .channels import DensityMatrix, KrausChannel, orbit_points
 from .ops import (
     DEFAULT_TOL,
     Operator,
@@ -323,13 +323,12 @@ def check_assumption(cfg: CollisionConfig, m_max: int, tol: float = DEFAULT_TOL)
     else:
         m_top = min(m_max, cfg.n_carriers)
         points = [(m, cfg.couplings.b_ops(m)) for m in range(1, m_top + 1)]
-    entries = []
-    sigma = cfg.eta.op
-    for label, b_ops in points:
-        for l, b in enumerate(b_ops):
-            value = abs(np.einsum("ij,ji->", b.entries, sigma.entries))
-            entries.append((label, l, float(value)))
-        sigma = cfg.channel.apply(sigma)
+    sigmas = orbit_points(cfg.channel, cfg.eta.entries, len(points) - 1)
+    entries = [
+        (label, l, float(abs(np.einsum("ij,ji->", b.entries, sigma))))
+        for (label, b_ops), sigma in zip(points, sigmas)
+        for l, b in enumerate(b_ops)
+    ]
     max_violation = float(np.max([v for (_, _, v) in entries]))  # NaN propagates
     return AssumptionReport(
         entries=tuple(entries),

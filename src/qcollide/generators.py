@@ -26,20 +26,19 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel, fixed_point_distance, orbit
+from .channels import DensityMatrix, KrausChannel, fixed_point_distance, orbit, orbit_points
 from .collision import CouplingSpec
 from .jsonio import write_csv
 from .ops import (
     DEFAULT_TOL,
     Operator,
     SandwichForm,
-    Superoperator,
     embed,
     max_abs,
     partial_trace,
@@ -80,10 +79,11 @@ def _propagated_rates(
     distance: int,
     gamma: float,
 ) -> np.ndarray:
-    """gamma * tr(B'_l' M^distance(B_l sigma)) for every pair (l, l')."""
+    """gamma * tr(B'_l' M^distance(B_l sigma)) for every pair (l, l'), the
+    stack of every B_l sigma walked along the orbit at once."""
     rates = np.empty((len(b_from), len(b_to)), dtype=complex)
-    for l, bl in enumerate(b_from):
-        propagated = orbit(channel, Operator(bl.dims, bl.entries @ sigma), distance).entries
+    stack = np.stack([bl.entries @ sigma for bl in b_from])
+    for l, propagated in enumerate(orbit_points(channel, stack, distance)[-1]):
         for lp, blp in enumerate(b_to):
             rates[l, lp] = gamma * _expect(blp.entries, propagated)
     return rates
@@ -217,14 +217,14 @@ def local_dissipator(
     rates: np.ndarray,
     m: int,
     carrier_dims: Sequence[int],
-) -> Superoperator:
+) -> SandwichForm:
     """Lindblad dissipator of carrier m, embedded on the joint carrier space."""
     rates = np.asarray(rates, dtype=complex)
     if not np.isfinite(rates).all():
         raise ValueError(f"local rate matrix of carrier {m} is not finite")
     if not max_abs(rates - rates.conj().T) <= PSD_TOL:
         raise ValueError("local rate matrix must be Hermitian")
-    return _gksl(spec, rates, (m,), tuple(carrier_dims)).superoperator()
+    return _gksl(spec, rates, (m,), tuple(carrier_dims))
 
 
 def cross_dissipator(
@@ -233,14 +233,14 @@ def cross_dissipator(
     m: int,
     m_prime: int,
     carrier_dims: Sequence[int],
-) -> Superoperator:
+) -> SandwichForm:
     """Directed cross term coupling carrier m to the later carrier m' > m."""
     if m_prime <= m:
         raise ValueError("cross dissipators are directional: need m' > m")
     rates = np.asarray(rates, dtype=complex)
     zeros = [np.zeros((spec.n_terms(k), spec.n_terms(k))) for k in (m, m_prime)]
     gamma = _kossakowski(zeros, {(1, 2): rates})
-    return _gksl(spec, gamma, (m, m_prime), tuple(carrier_dims)).superoperator()
+    return _gksl(spec, gamma, (m, m_prime), tuple(carrier_dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,9 +278,9 @@ class GeneratorSet:
     """The rates of one configuration and the generator they define.
 
     Every generator piece is the GKSL form of a block or a restriction of the
-    Kossakowski matrix, built on first access and then kept as a form-backed
-    Superoperator: only the form's O(A D^2) multipliers are kept, and its
-    D^2 x D^2 matrix is built from them each time it is read.
+    Kossakowski matrix, built on first access and then kept: only the form's
+    O(A D^2) multipliers are kept, and its D^2 x D^2 matrix is built from
+    them each time it is asked for.
     """
 
     carrier_dims: tuple[int, ...]
@@ -300,14 +300,14 @@ class GeneratorSet:
         return gamma
 
     @cached_property
-    def local_terms(self) -> tuple[Superoperator, ...]:
+    def local_terms(self) -> tuple[SandwichForm, ...]:
         return tuple(
             local_dissipator(self.spec, rates, m, self.carrier_dims)
             for m, rates in enumerate(self.rates.local, start=1)
         )
 
     @cached_property
-    def cross_terms(self) -> Mapping[tuple[int, int], Superoperator]:
+    def cross_terms(self) -> Mapping[tuple[int, int], SandwichForm]:
         terms = {
             (m, mp): cross_dissipator(self.spec, rates, m, mp, self.carrier_dims)
             for (m, mp), rates in self.rates.cross.items()
@@ -317,10 +317,6 @@ class GeneratorSet:
     def _form_of(self, kossakowski: np.ndarray) -> SandwichForm:
         carriers = range(1, self.n_carriers + 1)
         return _gksl(self.spec, kossakowski, carriers, self.carrier_dims)
-
-    @cached_property
-    def _form(self) -> SandwichForm:
-        return self._form_of(self.kossakowski)
 
     @cached_property
     def _split(self) -> tuple[SandwichForm, SandwichForm]:
@@ -335,27 +331,25 @@ class GeneratorSet:
         )
 
     @cached_property
-    def total(self) -> Superoperator:
+    def total(self) -> SandwichForm:
         """The whole generator, one form over every carrier operator."""
-        return self._form.superoperator()
+        return self._form_of(self.kossakowski)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The action of `total` on a D x D array, without its matrix:
         O(M n D^3) instead of the D^4 matrix-vector product."""
-        return self._form.apply(np.asarray(x))
+        return self.total.apply(np.asarray(x))
 
     def to_dict(self) -> dict:
-        """The document of `generators.json`.  Each generator matrix in it is a
-        callable that builds it from its form, so `jsonio.write_json` holds one at a time."""
+        """The document of `generators.json`.  Each generator matrix in it is
+        its form's bound `matrix`, a callable that builds it, so
+        `jsonio.write_json` holds one at a time."""
         return {
             "carrier_dims": list(self.carrier_dims),
             "rates": self.rates.to_dict(),
-            "local": [partial(getattr, t, "matrix") for t in self.local_terms],
-            "cross": [
-                {"m": m, "m_prime": mp, "matrix": partial(getattr, t, "matrix")}
-                for (m, mp), t in sorted(self.cross_terms.items())
-            ],
-            "total": partial(getattr, self.total, "matrix"),
+            "local": [t.matrix for t in self.local_terms],
+            "cross": [{"m": m, "m_prime": mp, "matrix": t.matrix} for (m, mp), t in sorted(self.cross_terms.items())],
+            "total": self.total.matrix,
         }
 
 
@@ -383,7 +377,7 @@ def full_generator(
     return GeneratorSet(carrier_dims=dims, spec=spec, rates=tensor)
 
 
-def reduced_two_carrier_generator(gen: GeneratorSet) -> Superoperator:
+def reduced_two_carrier_generator(gen: GeneratorSet) -> SandwichForm:
     """Generator of the reduced dynamics of carriers 1 and 2.
 
     Tracing the joint generator over carriers 3..M removes every term that
@@ -394,15 +388,13 @@ def reduced_two_carrier_generator(gen: GeneratorSet) -> Superoperator:
     if gen.n_carriers < 2:
         raise ValueError("need at least two carriers")
     k = gen.spec.n_terms(1) + gen.spec.n_terms(2)
-    pair = _gksl(gen.spec, gen.kossakowski[:k, :k], (1, 2), gen.carrier_dims[:2])
-    return pair.superoperator()
+    return _gksl(gen.spec, gen.kossakowski[:k, :k], (1, 2), gen.carrier_dims[:2])
 
 
-def single_carrier_generator(gen: GeneratorSet, m: int) -> Superoperator:
+def single_carrier_generator(gen: GeneratorSet, m: int) -> SandwichForm:
     """Local Lindblad generator of carrier m on its own space."""
     dims = (gen.carrier_dims[m - 1],)
-    form = _gksl(gen.spec, gen.rates.local[m - 1], (m,), dims, first=m)
-    return form.superoperator()
+    return _gksl(gen.spec, gen.rates.local[m - 1], (m,), dims, first=m)
 
 
 def signaling_correction(

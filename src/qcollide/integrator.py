@@ -41,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .channels import DensityMatrix, trace_distance  # trace_distance: re-exported
-from .ops import Operator, SandwichForm, Superoperator, sorted_unique, trace_out
+from .ops import Operator, SandwichForm, sorted_unique, trace_out
 from .trajectory import (
     SAMPLE_BATCH,
     SampleRecorder,
@@ -51,7 +51,9 @@ from .trajectory import (
     observable_arrays,
 )
 
-GeneratorLike = Superoperator | Sequence[tuple[float, Superoperator]]
+# a generator is a SandwichForm or its (D^2, D^2) column-stacked matrix
+Generator = SandwichForm | np.ndarray
+GeneratorLike = Generator | Sequence[tuple[float, Generator]]
 
 # a segment start t is on the step grid when t / dt is an integer within this
 # relative tolerance
@@ -167,11 +169,11 @@ def _split(
 
 
 def _segments(generator: GeneratorLike, dt: float):
-    """Return (segment start times, superoperators, description).  Schedules
+    """Return (segment start times, generators, description).  Schedules
     are piecewise constant, keyed by segment start times, which must be
     finite and lie on the step grid so that no step straddles a segment
     boundary."""
-    if isinstance(generator, Superoperator):
+    if isinstance(generator, (SandwichForm, np.ndarray)):
         return [0.0], [generator], {"kind": "static"}
     segments = [(float(t), g) for t, g in generator]
     for i, (t, _) in enumerate(segments):
@@ -189,7 +191,16 @@ def _segments(generator: GeneratorLike, dt: float):
                 f"schedule segment {i} starts at t = {t!r}, off the step grid of dt = {dt!r}"
             )
     desc = {"kind": "schedule", "segments": len(segments)}
-    return [t for t, _ in segments], [g for _, g in segments], desc
+    return [t for t, _ in segments], [g if isinstance(g, SandwichForm) else np.asarray(g) for _, g in segments], desc
+
+
+def _side(g: Generator) -> int | None:
+    """The side D a generator acts on: a form's, or a (D^2, D^2) matrix's;
+    None for an array of any other shape."""
+    if isinstance(g, SandwichForm):
+        return g.side
+    n = math.isqrt(g.shape[0]) if g.ndim == 2 else 0
+    return n if g.shape == (n * n,) * 2 else None
 
 
 def _real_map(g: np.ndarray) -> np.ndarray:
@@ -212,8 +223,9 @@ def _real_entries(form: SandwichForm) -> Entries:
     """`_real_map` of the form's matrix G, bit for bit, as the Entries of R
     from the form's (`SandwichForm.entries`), +0 where G has none: each of
     _real_map's index swaps is its own inverse, so R's keys are G's swapped
-    each way, and each swapped copy carries G's values to them."""
-    side = math.prod(form.dims)
+    each way, and each swapped copy carries G's values to them.  The swapped
+    copies may cancel: an entry of R that sums to +0 is left out (-0 stays)."""
+    side = form.side
     keys, g = form.entries()
     rows, cols = np.divmod(keys, side * side)
     swap_rows, swap_cols = (x % side * side + x // side for x in (rows, cols))
@@ -222,7 +234,8 @@ def _real_entries(form: SandwichForm) -> Entries:
     terms = np.zeros((4, len(flat)))
     terms[np.arange(4)[:, None], inverse.reshape(4, -1)] = g.real, g.real, g.imag, g.imag
     r = ((terms[0] + terms[1]) + terms[2] - terms[3]) * 0.5
-    return Entries(side * side, flat, r)
+    kept = r.view(np.int64) != 0
+    return Entries(side * side, flat[kept], r[kept])
 
 
 def _rk4_propagator(r: np.ndarray, h: float) -> np.ndarray:
@@ -343,9 +356,11 @@ def integrate(
     observable_names: Sequence[str] | None = None,
 ) -> Trajectory:
     """Integrate rho over [0, t_end] with fixed step dt (final time within dt
-    of t_end).  Each generator is read when its segment starts.  A
-    non-finite dt or t_end, a generator or schedule segment of another side
-    than rho0, and a schedule segment that starts at a non-finite time or
+    of t_end).  The generator is a SandwichForm, its (D^2, D^2) column-stacked
+    matrix, or a schedule of (start time, either) pairs; each is read when
+    its segment starts.  A non-finite dt or t_end, a generator or schedule
+    segment of another side than rho0 (a matrix of another shape than
+    (D^2, D^2)), and a schedule segment that starts at a non-finite time or
     off the step grid are ValueErrors, raised before the first step.
     Aborts with a RuntimeError naming the first recorded sample that fails
     the state check (trace or positivity off by more than 1e-8), at most one
@@ -358,9 +373,10 @@ def integrate(
         raise ValueError("record_stride must be >= 1")
     starts, gens, desc = _segments(generator, dt)
     for i, g in enumerate(gens):
-        if g.side != rho0.side:
+        if (side := _side(g)) != rho0.side:
             what = "the generator" if desc["kind"] == "static" else f"schedule segment {i}"
-            raise ValueError(f"{what} acts on side {g.side}, rho0 on side {rho0.side}")
+            on = f"side {side}" if side else f"shape {g.shape}"
+            raise ValueError(f"{what} acts on {on}, rho0 on side {rho0.side}")
     obs, names = observable_arrays(observables, rho0.side, observable_names)
     n_steps = max(int(round(t_end / dt)), 1)
 
@@ -371,7 +387,7 @@ def integrate(
         # read here, at its start, into R (a form's by its entries), split at
         # once and not kept, so T4 is built per block and never whole
         def real(gen):
-            return _real_entries(gen.stored) if isinstance(gen.stored, SandwichForm) else _real_map(gen.matrix)
+            return _real_entries(gen) if isinstance(gen, SandwichForm) else _real_map(np.asarray(gen, dtype=complex))
 
         done = 0
         for gen, end in zip(gens, [round(t / dt) for t in starts[1:]] + [n_steps]):

@@ -1,9 +1,10 @@
 """Dense complex linear algebra on tensor-product spaces.
 
 Operators carry their tensor-factor dimensions so that partial traces and
-factor embeddings are unambiguous.  Superoperators act on column-stacked
-vectorizations: vec(X)[i + d*j] = X[i, j], hence vec(A X B) = (B^T kron A) vec(X).
-The column-stacking convention is fixed here and used everywhere else.
+factor embeddings are unambiguous.  Every superoperator is a SandwichForm,
+whose matrix acts on column-stacked vectorizations:
+vec(X)[i + d*j] = X[i, j], hence vec(A X B) = (B^T kron A) vec(X).  The
+column-stacking convention is fixed here and used everywhere else.
 """
 
 from __future__ import annotations
@@ -183,53 +184,6 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
     return v.reshape((side, side), order="F")
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """Linear map on operators on `dims`, a matrix on column-stacked vectors.
-
-    It stores either that matrix, copied and read-only, or the SandwichForm
-    it was made from (`SandwichForm.superoperator`), which keeps only the
-    form's multipliers: then `matrix` is built afresh, read-only, on every
-    read and never kept, and `apply` runs the form.  Immutable.
-    """
-
-    dims: tuple[int, ...]
-    stored: np.ndarray | SandwichForm
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if isinstance(self.stored, SandwichForm):
-            return
-        matrix = np.asarray(self.stored, dtype=complex).copy()
-        want = (self.side**2,) * 2
-        if matrix.shape != want:
-            raise ValueError(f"superoperator matrix shape {matrix.shape}, expected {want}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "stored", matrix)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if not isinstance(self.stored, SandwichForm):
-            return self.stored
-        mat = self.stored.matrix()
-        mat.setflags(write=False)
-        return mat
-
-    @property
-    def side(self) -> int:
-        return math.prod(self.dims)
-
-    def apply(self, x: Operator) -> Operator:
-        if x.side != self.side:
-            raise ValueError(f"operator side {x.side} does not match superoperator side {self.side}")
-        if isinstance(self.stored, SandwichForm):
-            return Operator(self.dims, self.stored.apply(x.entries))
-        return Operator(self.dims, unvec(self.stored @ vec(x.entries), self.side))
-
-    def __repr__(self):  # pragma: no cover
-        return f"Superoperator(dims={self.dims})"
-
-
 @functools.lru_cache(maxsize=256)
 def _factor_layout(form_dims: tuple[int, ...], dims: tuple[int, ...], positions: tuple[int, ...], lead: int):
     """The axis order that moves the factors `positions` of (`lead` leading
@@ -248,10 +202,11 @@ class SandwichForm:
     """The map X -> sum_a S_a X F_a - K X - X K^dag on operators on `dims`,
     the one form of every superoperator here: a Kraus channel (S_a = K_a,
     F_a = K_a^dag, no K; a collision is the one-term channel of its
-    unitary), a GKSL generator, and the collision expansion terms.  `sandwich` stacks the S_a and `ops` the F_a; `k` is K, or None
-    for none.  The form is applied directly, on its own space or on some
-    factors of a larger one (`on_factors`), or materialized, and every way
-    reads the same arrays.
+    unitary), a GKSL generator, and the collision expansion terms.
+    `sandwich` stacks the S_a and `ops` the F_a; `k` is K, or None for
+    none.  The form is applied directly, on its own space or on some factors
+    of a larger one (`on_factors`), or materialized (`entries`, `matrix`),
+    and every way reads the same arrays.
     """
 
     dims: tuple[int, ...]
@@ -279,6 +234,10 @@ class SandwichForm:
         object.__setattr__(self, "sandwich", sandwich)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "k", k)
+
+    @property
+    def side(self) -> int:
+        return self.sandwich.shape[-1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The form on a matrix or a stack shaped (..., D, D), one product
@@ -312,12 +271,13 @@ class SandwichForm:
         lead = x.shape[:-2]
         dims = tuple(dims)
         perm, back, moved = _factor_layout(self.dims, dims, tuple(positions), len(lead))
-        z = x.reshape(lead + dims + dims).transpose(perm).reshape(lead + (self.sandwich.shape[-1], -1))
+        z = x.reshape(lead + dims + dims).transpose(perm).reshape(lead + (self.side, -1))
         return self.apply(z).reshape(lead + moved).transpose(back).reshape(x.shape)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The column-stacked D^2 x D^2 matrix of the form as its ascending
-        flat keys and the entries there, +0 elsewhere.
+        flat keys and the entries there, +0 elsewhere: an entry whose sum is
+        +0 (both bits zero; -0 stays) is left out.
 
         Since vec(S X F) = (F^T kron S) vec(X), entry [j, i, l, k] of the
         (D, D, D, D) view is sum_a F_a[l, j] S_a[i, k], less K[i, k] where
@@ -327,7 +287,7 @@ class SandwichForm:
         so each entry is the ordered sum of the np.kron terms bit for bit; a
         non-finite multiplier meets every entry of its partner, as in np.kron.
         """
-        side = math.prod(self.dims)
+        side = self.side
 
         def support(a, partner):
             return np.nonzero(a) if np.isfinite(partner).all() else np.indices(a.shape).reshape(2, -1)
@@ -348,19 +308,16 @@ class SandwichForm:
         values = np.zeros(len(flat), dtype=complex)
         for at, (op, terms) in zip(np.split(inverse, np.cumsum([len(key) for key in keys])[:-1]), steps):
             values[at] = op(values[at], terms)
-        return flat, values
+        kept = values.view(np.int64).reshape(-1, 2).any(axis=1)
+        return flat[kept], values[kept]
 
     def matrix(self) -> np.ndarray:
         """The column-stacked D^2 x D^2 matrix of the form, its `entries`
         scattered into zeros."""
         keys, values = self.entries()
-        mat = np.zeros((math.prod(self.dims) ** 2,) * 2, dtype=complex)
+        mat = np.zeros((self.side**2,) * 2, dtype=complex)
         mat.reshape(-1)[keys] = values
         return mat
-
-    def superoperator(self) -> Superoperator:
-        """The form as a Superoperator that keeps the form, not its matrix."""
-        return Superoperator(self.dims, self)
 
 
 def sorted_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

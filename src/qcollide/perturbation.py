@@ -46,16 +46,18 @@ from .collision import (
     collision_hamiltonian,
 )
 from .generators import GeneratorSet, full_generator
-from .ops import Operator, SandwichForm, Superoperator, expm_hermitian, trace_out
+from .ops import Operator, SandwichForm, expm_hermitian, trace_out
 
 
 def _frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def _expansion_forms(h: np.ndarray, dims: tuple[int, ...]) -> tuple[SandwichForm, SandwichForm]:
-    """U' = -i[H, .] (K = iH) and U'' = H . H - (1/2){H^2, .} (S = F = H,
-    K = H^2/2) as sandwich forms."""
+def unitary_expansion_terms(h: Operator) -> tuple[SandwichForm, SandwichForm]:
+    """First and second expansion terms of X -> e^(-isH) X e^(isH) in s:
+    U'(X) = -i[H, X] (K = iH) and U''(X) = H X H - (1/2){H^2, X} (S = F = H,
+    K = H^2/2), as sandwich forms."""
+    h, dims = h.entries, h.dims
     return SandwichForm(dims, [], [], 1j * h), SandwichForm(dims, [h], [h], 0.5 * (h @ h))
 
 
@@ -67,8 +69,7 @@ def _orders(cfg: CollisionConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     zero = np.zeros_like(x, dtype=complex)
     y0, y1, y2a, y2b = x, zero, zero, zero
     for m in range(env):
-        h = collision_hamiltonian(cfg, m + 1)
-        u1, u2 = _expansion_forms(h.entries, h.dims)
+        u1, u2 = unitary_expansion_terms(collision_hamiltonian(cfg, m + 1))
         y0, y1, y2a, y2b = (
             relax(y0),
             relax(y1 + u1.on_factors(y0, dims, (m, env))),
@@ -78,26 +79,16 @@ def _orders(cfg: CollisionConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return y0, y1, y2a, y2b
 
 
-def unitary_expansion_terms(h: Operator) -> tuple[Superoperator, Superoperator]:
-    """First and second expansion terms of X -> e^(-isH) X e^(isH) in s:
-    U'(X) = -i[H, X] and U''(X) = H X H - (1/2){H^2, X}."""
-    u1, u2 = _expansion_forms(h.entries, h.dims)
-    return u1.superoperator(), u2.superoperator()
-
-
-def column_expansion(cfg: CollisionConfig) -> tuple[Superoperator, Superoperator, Superoperator]:
-    """Materialize C', C''a and C''b on carriers (x) one environment site:
-    column j of each matrix is the image of the j-th matrix unit in
-    column-stacking order."""
+def column_expansion(cfg: CollisionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Materialize C', C''a and C''b on carriers (x) one environment site as
+    their column-stacked matrices: column j of each is the image of the j-th
+    matrix unit in column-stacking order."""
     side = math.prod(cfg.joint_dims)
     units = np.zeros((side * side, side, side), dtype=complex)
     idx = np.arange(side * side)
     units[idx, idx % side, idx // side] = 1.0
     _, *images = _orders(cfg, units)
-    return tuple(
-        Superoperator(cfg.joint_dims, c.transpose(0, 2, 1).reshape(side * side, side * side).T)
-        for c in images
-    )
+    return tuple(c.transpose(0, 2, 1).reshape(side * side, side * side).T for c in images)
 
 
 @dataclass(frozen=True)
@@ -174,7 +165,7 @@ def unitary_remainder(h: Operator, s: float, x: Operator) -> float:
     """Norm of e^(-isH) X e^(isH) minus (I + sU' + s^2 U'')(X); O(s^3)."""
     u = expm_hermitian(h, s).entries
     exact = u @ x.entries @ u.conj().T
-    u1, u2 = _expansion_forms(h.entries, h.dims)
+    u1, u2 = unitary_expansion_terms(h)
     approx = x.entries + s * u1.apply(x.entries) + s * s * u2.apply(x.entries)
     return _frob(exact - approx)
 

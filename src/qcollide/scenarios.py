@@ -400,6 +400,12 @@ def _builtin_document(name: str, params: dict) -> dict:
     unknown = set(params) - _BUILTIN_PARAMS[name]
     if unknown:
         raise ConfigError(f"scenario {name!r} does not accept parameters {quote(sorted(unknown))}")
+
+    def fraction(key: str) -> float:  # a probability in params, 0.25 by default
+        value = _real(params.get(key, 0.25), f"params.{key}")
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"params.{key} must lie in [0, 1], got {quote(params[key])}")
+        return value
     if name == "dephasing-1q":
         return {
             "carrier_dims": [2],
@@ -422,7 +428,7 @@ def _builtin_document(name: str, params: dict) -> dict:
             "env_dim": d,
             "couplings": {"system": [["x", "p"], ["x", "p"]], "environment": ["x", "p"]},
             "eta": "ground",
-            "channel": {"kind": "lossy", "dim": d, "kappa": _real(params.get("kappa", 0.25), "params.kappa")},
+            "channel": {"kind": "lossy", "dim": d, "kappa": fraction("kappa")},
             "rho0": _ket(np.kron(ket1, np.eye(d)[0].astype(complex))),
             "observables": [{"name": f"n_c{m}", "carrier": m, "op": "number"} for m in (1, 2)],
         }
@@ -430,10 +436,7 @@ def _builtin_document(name: str, params: dict) -> dict:
     if name == "ad-chain-2q":
         if "kappa" in params and "p" in params:
             raise ConfigError("give either the transmissivity 'kappa' or the damping 'p', not both")
-        if "p" in params:
-            kappa = 1.0 - _real(params["p"], "params.p")
-        else:
-            kappa = _real(params.get("kappa", 0.25), "params.kappa")
+        kappa = 1.0 - fraction("p") if "p" in params else fraction("kappa")
         channel = {"kind": "lossy", "dim": 2, "kappa": kappa}
         rho0 = _ket([0, math.cos(math.pi / 8), math.sin(math.pi / 8), 0])  # cos|01> + sin|10>
     elif name == "rotating-env-2q":

@@ -19,6 +19,12 @@ def random_hermitian(rng, dims, norm=1.0) -> Operator:
     return Operator(tuple(dims), norm * h / np.linalg.norm(h))
 
 
+def act(form, x: Operator) -> Operator:
+    """A superoperator, a SandwichForm, applied to an Operator, as an
+    Operator on the factors of x."""
+    return Operator(x.dims, form.apply(x.entries))
+
+
 def random_state(rng, dims) -> DensityMatrix:
     side = math.prod(dims)
     r = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))

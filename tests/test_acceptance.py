@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import random_cpt_channel, random_hermitian, random_state
+from conftest import act, random_cpt_channel, random_hermitian, random_state
 from qcollide.channels import (
     DensityMatrix,
     identity_channel,
@@ -153,7 +153,7 @@ def test_criterion_4_semicausality(rng):
             for _ in range(10):
                 x = random_hermitian(rng, dims)
                 keep = tuple(i for i in range(m_carriers) if i != mp - 1)
-                traced = partial_trace(diss.apply(x), keep=keep)
+                traced = partial_trace(act(diss, x), keep=keep)
                 assert np.max(np.abs(traced.entries)) <= 1e-11
                 checked += 1
 
@@ -186,12 +186,12 @@ def test_criterion_5_nonsignaling_dichotomy():
         local_gen = single_carrier_generator(gen_cx, 2)
         for state in joint_cx.states[:: max(len(joint_cx) // 20, 1)]:
             state = Operator(joint_cx.dims, state)
-            lhs = partial_trace(gen_cx.total.apply(state), keep=[1]).entries
+            lhs = partial_trace(act(gen_cx.total, state), keep=[1]).entries
             rho2 = partial_trace(state, keep=[1])
             corr = signaling_correction(
                 sc_cx.couplings, gen_cx.rates.cross[(1, 2)], state, (2, 2)
             )
-            rhs = local_gen.apply(rho2).entries + corr.entries
+            rhs = act(local_gen, rho2).entries + corr.entries
             assert np.linalg.norm(lhs - rhs) <= 1e-9
 
 

@@ -14,6 +14,7 @@ from qcollide.channels import (
     identity_channel,
     lossy_bosonic_channel,
     orbit,
+    orbit_points,
     replacer_channel,
     unitary_channel,
     validate_cpt,
@@ -67,7 +68,7 @@ class TestDensityMatrix:
         for pos in ((0, 0), (0, 1)):
             rho = np.diag([0.5, 0.5]).astype(complex)
             rho[pos] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="density matrix has a non-finite entry"):
                 DensityMatrix.from_matrix(rho, (2,))
 
 
@@ -137,8 +138,8 @@ class TestCheckStates:
         [
             ((0, 1, 1e-3), "not Hermitian"),
             ((0, 0, 1e-3), "trace"),
-            ((0, 0, np.nan), "not Hermitian"),
-            ((0, 0, np.inf), "not Hermitian"),
+            ((0, 0, np.nan), "non-finite entry"),
+            ((0, 0, np.inf), "non-finite entry"),
         ],
     )
     def test_first_violation_by_index(self, rng, bump, message):
@@ -162,8 +163,8 @@ class TestCheckStates:
     )
     def test_scratch_check_of_a_hermitian_stack_gives_the_full_verdict(self, rng, rows):
         # with a scratch buffer the defect is not computed: on exactly
-        # Hermitian stacks, a non-finite entry fails in its place with the
-        # same message, and every verdict, index and trace is the full check's
+        # Hermitian stacks every verdict, message, index and trace is the
+        # full check's
         stack = self.stack(rng)
         for i, bump in rows.items():
             if bump == "negative":
@@ -281,7 +282,7 @@ class TestPower:
         theta = 0.37
         u1 = unitary_channel(expm_hermitian(SZ, theta))
         u2 = unitary_channel(expm_hermitian(SZ, 2 * theta))
-        p2 = np.linalg.matrix_power(u1.superoperator().matrix, 2)
+        p2 = np.linalg.matrix_power(u1.form.matrix(), 2)
         for _ in range(3):
             x = random_hermitian(rng, (2,))
             got = orbit(u1, x, 2).entries
@@ -295,7 +296,7 @@ class TestPower:
         for m in (1, 2, 3, 5):
             assert np.allclose(orbit(rep, x, m).entries, eta.entries, atol=1e-12)
         # oracle: composition of superoperator matrices
-        p1 = rep.superoperator().matrix
+        p1 = rep.form.matrix()
         assert np.allclose(p1 @ p1, p1, atol=1e-12)
 
     def test_power_additivity(self, rng):
@@ -304,12 +305,30 @@ class TestPower:
         lhs = orbit(chan, x, 5).entries
         rhs = orbit(chan, orbit(chan, x, 2), 3).entries
         assert np.max(np.abs(lhs - rhs)) <= 1e-11
-        p5 = np.linalg.matrix_power(chan.superoperator().matrix, 5)
+        p5 = np.linalg.matrix_power(chan.form.matrix(), 5)
         assert np.max(np.abs(lhs - unvec(p5 @ vec(x.entries), 2))) <= 1e-11
 
     def test_rejects_negative(self, rng):
         with pytest.raises(ValueError, match="nonnegative"):
             orbit(random_cpt_channel(rng, 2), random_hermitian(rng, (2,)), -1)
+
+    def test_points_walk_a_stack_as_each_matrix(self, rng):
+        # M^0(x) .. M^k(x), x itself first; a stack walks bit for bit as
+        # each of its matrices, and the last point is `orbit`
+        chan = random_cpt_channel(rng, 3)
+        stack = np.stack([random_hermitian(rng, (3,)).entries for _ in range(4)])
+        points = orbit_points(chan, stack, 5)
+        assert len(points) == 6 and points[0] is stack
+        for i, x in enumerate(stack):
+            alone = orbit_points(chan, x, 5)
+            assert all(np.array_equal(p[i], q) for p, q in zip(points, alone))
+            assert np.array_equal(orbit(chan, Operator((3,), x), 5).entries, alone[-1])
+        for k in range(5):
+            assert np.array_equal(points[k + 1], chan.form.apply(points[k]))
+
+    def test_rejects_a_side_mismatch(self, rng):
+        with pytest.raises(ValueError, match="operator side 2 does not match channel side 3"):
+            orbit_points(random_cpt_channel(rng, 3), np.eye(2), 1)
 
 
 class TestLossyBosonic:

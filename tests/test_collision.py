@@ -215,8 +215,26 @@ class TestCheckAssumption:
         assert [label for label, _, _ in report.entries] == [x for x in labels for _ in range(2)]
         for label, l, value in report.entries:
             k, m = (label, 1) if shared else (label - 1, label)
-            sigma = (np.linalg.matrix_power(chan.superoperator().matrix, k) @ vec(cfg.eta.entries)).reshape(2, 2).T
+            sigma = (np.linalg.matrix_power(chan.form.matrix(), k) @ vec(cfg.eta.entries)).reshape(2, 2).T
             assert abs(value - abs(np.trace(spec.b_ops(m)[l].entries @ sigma))) <= 1e-12
+
+
+    @pytest.mark.parametrize("shared, applications", [(True, 4), (False, 2)], ids=["uniform", "per-carrier"])
+    def test_applies_the_channel_once_per_point_after_the_first(self, monkeypatch, rng, shared, applications):
+        # m_max = 4 reads M^0..M^4 (uniform) or, on three carriers, M^0..M^2
+        b = [random_hermitian(rng, (2,)) for _ in range(3)]
+        env = ((b[0],),) * 3 if shared else tuple((b[m],) for m in range(3))
+        spec = CouplingSpec(((SX,),) * 3, env, env_shared=shared)
+        cfg = qubit_config(channel=random_cpt_channel(rng, 2), m_carriers=3, couplings=spec)
+        apply, calls = SandwichForm.apply, [0]
+
+        def counted(form, x):
+            calls[0] += 1
+            return apply(form, x)
+
+        monkeypatch.setattr(SandwichForm, "apply", counted)
+        check_assumption(cfg, m_max=4)
+        assert calls[0] == applications
 
 
 class TestColumnStep:
@@ -301,7 +319,7 @@ class TestSimulate:
         # the run goes on past collision 70 until its batch is checked, and
         # inf * 0 in the later collisions is NaN
         with np.errstate(invalid="ignore"):
-            with pytest.raises(RuntimeError, match="at step 70, t=7: density matrix is not Hermitian"):
+            with pytest.raises(RuntimeError, match="at step 70, t=7: density matrix has a non-finite entry"):
                 simulate(qubit_config(n_collisions=100), GROUND)
         assert built[0] == 1
 
@@ -321,7 +339,7 @@ class TestSimulate:
         monkeypatch.setattr(qcollide.collision, "trace_out", poisoned)
         sched = HamiltonianSchedule.constant(Operator((2,), 0.4 * SZ.entries))
         with np.errstate(invalid="ignore"):
-            with pytest.raises(RuntimeError, match="at step 70, t=7: density matrix is not Hermitian"):
+            with pytest.raises(RuntimeError, match="at step 70, t=7: density matrix has a non-finite entry"):
                 simulate(qubit_config(n_collisions=100, local_hamiltonians=(sched,)), GROUND)
 
     def test_replacer_keeps_carriers_product(self, rng):

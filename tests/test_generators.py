@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_cpt_channel, random_hermitian, random_state
+from conftest import act, random_cpt_channel, random_hermitian, random_state
 from qcollide.channels import (
     DensityMatrix,
     identity_channel,
@@ -190,12 +190,12 @@ class TestStationaryRates:
 class TestLocalDissipator:
     def test_sx_flip_action(self):
         diss = local_dissipator(spec_1q(), np.array([[1.0]]), 1, (2,))
-        out = diss.apply(Operator((2,), np.diag([1.0, 0.0])))
+        out = act(diss, Operator((2,), np.diag([1.0, 0.0])))
         assert np.allclose(out.entries, np.diag([-1.0, 1.0]))
 
     def test_zero_rates_zero_map(self):
         diss = local_dissipator(spec_1q(), np.array([[0.0]]), 1, (2,))
-        assert np.max(np.abs(diss.matrix)) == 0.0
+        assert np.max(np.abs(diss.matrix())) == 0.0
 
     def test_trace_free(self, rng):
         spec = CouplingSpec.uniform([[SX, SZ], [SY, SX]], [SX, SY])
@@ -203,7 +203,7 @@ class TestLocalDissipator:
         diss = local_dissipator(spec, rates, 1, (2, 2))
         for _ in range(5):
             x = random_hermitian(rng, (2, 2))
-            assert abs(diss.apply(x).trace()) <= 1e-12
+            assert abs(act(diss, x).trace()) <= 1e-12
 
     def test_embedding_acts_locally(self, rng):
         spec = CouplingSpec.uniform([[SX], [SY]], [SX])
@@ -212,9 +212,9 @@ class TestLocalDissipator:
         rho1 = random_state(rng, (2,))
         rho2 = random_state(rng, (2,))
         joint = Operator((2, 2), np.kron(rho1.entries, rho2.entries))
-        out = partial_trace(diss.apply(joint), keep=[1]).entries
+        out = partial_trace(act(diss, joint), keep=[1]).entries
         local = local_dissipator(CouplingSpec.uniform([[SY]], [SX]), rates, 1, (2,))
-        want = local.apply(rho2.op).entries
+        want = act(local, rho2.op).entries
         assert np.max(np.abs(out - want)) <= 1e-12
 
     def test_rejects_non_hermitian_rates(self):
@@ -277,7 +277,7 @@ class TestAssemblyAgainstKron:
             r = self._rates(rng, n_terms)
             r = r + r.conj().T
             a_ops = [embed(a, dims, (m - 1,)).entries for a in spec.a_ops(m)]
-            got = local_dissipator(spec, r, m, dims).matrix
+            got = local_dissipator(spec, r, m, dims).matrix()
             assert np.max(np.abs(got - kron_lindblad(a_ops, r))) <= 1e-12
 
     def test_cross_dissipator(self, rng, dims, n_terms):
@@ -287,7 +287,7 @@ class TestAssemblyAgainstKron:
                 r = self._rates(rng, n_terms)
                 a_m = [embed(a, dims, (m - 1,)).entries for a in spec.a_ops(m)]
                 a_mp = [embed(a, dims, (mp - 1,)).entries for a in spec.a_ops(mp)]
-                got = cross_dissipator(spec, r, m, mp, dims).matrix
+                got = cross_dissipator(spec, r, m, mp, dims).matrix()
                 assert np.max(np.abs(got - kron_cross(a_m, a_mp, r))) <= 1e-12
 
     def test_total(self, rng, dims, n_terms):
@@ -299,13 +299,13 @@ class TestAssemblyAgainstKron:
         want = sum(kron_lindblad(a, r) for a, r in zip(ops, gen.rates.local))
         for (m, mp), r in gen.rates.cross.items():
             want = want + kron_cross(ops[m - 1], ops[mp - 1], r)
-        assert np.max(np.abs(gen.total.matrix - want)) <= 1e-12
+        assert np.max(np.abs(gen.total.matrix() - want)) <= 1e-12
 
 
 class TestCrossDissipator:
     def test_zero_rates_zero_map(self):
         diss = cross_dissipator(SPEC_2Q, np.array([[0.0]]), 1, 2, (2, 2))
-        assert np.max(np.abs(diss.matrix)) == 0.0
+        assert np.max(np.abs(diss.matrix())) == 0.0
 
     def test_semicausality(self, rng):
         spec = CouplingSpec.uniform([[SX, SY], [SX, SZ]], [SX, SY])
@@ -313,7 +313,7 @@ class TestCrossDissipator:
         diss = cross_dissipator(spec, rates, 1, 2, (2, 2))
         for _ in range(20):
             x = random_hermitian(rng, (2, 2))
-            traced = partial_trace(diss.apply(x), keep=[0])
+            traced = partial_trace(act(diss, x), keep=[0])
             assert np.max(np.abs(traced.entries)) <= 1e-11
 
     def test_real_rates_nonsignaling(self, rng):
@@ -322,7 +322,7 @@ class TestCrossDissipator:
         diss = cross_dissipator(SPEC_2Q, rates, 1, 2, (2, 2))
         for _ in range(20):
             x = random_hermitian(rng, (2, 2))
-            traced = partial_trace(diss.apply(x), keep=[1])
+            traced = partial_trace(act(diss, x), keep=[1])
             assert np.max(np.abs(traced.entries)) <= 1e-11
 
     def test_complex_rates_signal(self, rng):
@@ -330,7 +330,7 @@ class TestCrossDissipator:
         rates = cross_rates(SPEC_2Q, GROUND, rot, 1, 2, 1.0)
         diss = cross_dissipator(SPEC_2Q, rates, 1, 2, (2, 2))
         x = random_hermitian(rng, (2, 2))
-        traced = partial_trace(diss.apply(x), keep=[1])
+        traced = partial_trace(act(diss, x), keep=[1])
         assert np.max(np.abs(traced.entries)) > 1e-3
 
     def test_hermiticity_preserving(self, rng):
@@ -338,7 +338,7 @@ class TestCrossDissipator:
         rates = cross_rates(SPEC_2Q, GROUND, rot, 1, 2, 1.0)
         diss = cross_dissipator(SPEC_2Q, rates, 1, 2, (2, 2))
         x = random_hermitian(rng, (2, 2))
-        out = diss.apply(x).entries
+        out = act(diss, x).entries
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
     def test_rejects_wrong_order(self):
@@ -367,7 +367,7 @@ class TestCrossDissipator:
             (a1 @ rho @ a2.conj().T - a2.conj().T @ a1 @ rho)
             - (rho @ a1.conj().T @ a2 - a2 @ rho @ a1.conj().T)
         )
-        got = diss.apply(Operator((d_fock, d_fock), rho)).entries
+        got = act(diss, Operator((d_fock, d_fock), rho)).entries
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -375,33 +375,33 @@ class TestFullGenerator:
     def test_single_carrier_total_is_local(self):
         gen = full_generator(spec_1q(), GROUND, AD75, 1.0, (2,))
         assert len(gen.local_terms) == 1 and not gen.cross_terms
-        assert np.allclose(gen.total.matrix, gen.local_terms[0].matrix)
+        assert np.allclose(gen.total.matrix(), gen.local_terms[0].matrix())
 
     def test_replacer_has_no_cross(self, rng):
         spec = CouplingSpec.uniform([[SX], [SY]], [SX])
         gen = full_generator(spec, GROUND, replacer_channel(GROUND), 1.0, (2, 2))
         assert np.max(np.abs(gen.rates.cross[(1, 2)])) <= 1e-14
-        want = gen.local_terms[0].matrix + gen.local_terms[1].matrix
-        assert np.max(np.abs(gen.total.matrix - want)) <= 1e-14
+        want = gen.local_terms[0].matrix() + gen.local_terms[1].matrix()
+        assert np.max(np.abs(gen.total.matrix() - want)) <= 1e-14
 
     def test_total_matches_independent_assembly(self):
         gen = full_generator(SPEC_2Q, GROUND, AD75, 1.0, (2, 2))
         l1 = local_dissipator(SPEC_2Q, local_rates(SPEC_2Q, GROUND, AD75, 1, 1.0), 1, (2, 2))
         l2 = local_dissipator(SPEC_2Q, local_rates(SPEC_2Q, GROUND, AD75, 2, 1.0), 2, (2, 2))
         d12 = cross_dissipator(SPEC_2Q, cross_rates(SPEC_2Q, GROUND, AD75, 1, 2, 1.0), 1, 2, (2, 2))
-        want = l1.matrix + l2.matrix + d12.matrix
-        assert np.max(np.abs(gen.total.matrix - want)) <= 1e-14
+        want = l1.matrix() + l2.matrix() + d12.matrix()
+        assert np.max(np.abs(gen.total.matrix() - want)) <= 1e-14
 
     def test_total_is_ordered_sum_of_terms(self):
         spec = CouplingSpec.uniform([[SX], [SZ], [SX]], [SX])
         gen = full_generator(spec, GROUND, AD75, 1.0, (2, 2, 2))
         terms = list(gen.local_terms) + list(gen.cross_terms.values())
         assert list(gen.cross_terms) == [(1, 2), (1, 3), (2, 3)]
-        want = terms[0].matrix
+        want = terms[0].matrix()
         for term in terms[1:]:
-            want = want + term.matrix
-        assert np.max(np.abs(gen.total.matrix - want)) <= 1e-14
-        assert not np.shares_memory(gen.total.matrix, terms[0].matrix)
+            want = want + term.matrix()
+        assert np.max(np.abs(gen.total.matrix() - want)) <= 1e-14
+        assert not np.shares_memory(gen.total.matrix(), terms[0].matrix())
 
     def test_trace_annihilating_and_hermiticity(self, rng):
         rot = unitary_channel(expm_hermitian(SZ, 0.6))
@@ -413,7 +413,7 @@ class TestFullGenerator:
         gen = full_generator(spec, GROUND, rot, 1.0, (2, 2))
         for _ in range(10):
             x = random_hermitian(rng, (2, 2))
-            out = gen.total.apply(x)
+            out = act(gen.total, x)
             assert abs(out.trace()) <= 1e-10 * np.linalg.norm(x.entries)
             assert np.max(np.abs(out.entries - out.entries.conj().T)) <= 1e-11
 
@@ -421,7 +421,7 @@ class TestFullGenerator:
 class TestReducedDynamics:
     def test_two_carriers_reduced_equals_total(self):
         gen = full_generator(SPEC_2Q, GROUND, AD75, 1.0, (2, 2))
-        assert np.allclose(reduced_two_carrier_generator(gen).matrix, gen.total.matrix)
+        assert np.allclose(reduced_two_carrier_generator(gen).matrix(), gen.total.matrix())
 
     def test_three_carrier_pair_trajectory(self, rng):
         spec = CouplingSpec.uniform([[SX]] * 3, [SX])
@@ -441,9 +441,9 @@ class TestReducedDynamics:
         rho1 = random_state(rng, (2,))
         rho2 = random_state(rng, (2,))
         joint = Operator((2, 2), np.kron(rho1.entries, rho2.entries))
-        got = partial_trace(red.apply(joint), keep=[0]).entries
+        got = partial_trace(act(red, joint), keep=[0]).entries
         local1 = single_carrier_generator(gen, 1)
-        want = local1.apply(rho1.op).entries
+        want = act(local1, rho1.op).entries
         assert np.max(np.abs(got - want)) <= 1e-11
 
     @pytest.mark.parametrize("n_carr", [2, 3])
@@ -457,10 +457,10 @@ class TestReducedDynamics:
             pieces.append(((0, 1), reduced_two_carrier_generator(gen)))
         for _ in range(3):
             rho = random_state(rng, dims).op
-            out = gen.total.apply(rho)
+            out = act(gen.total, rho)
             for keep, piece in pieces:
                 got = partial_trace(out, keep=keep).entries
-                want = piece.apply(partial_trace(rho, keep=keep)).entries
+                want = act(piece, partial_trace(rho, keep=keep)).entries
                 assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -472,7 +472,7 @@ def projected_choi(total):
     column-stacked matrix."""
     side = total.side
     # entry (l*D + k, j*D + i) of the matrix is L(|i><j|)[k, l]; Choi[(k, i), (l, j)]
-    choi = total.matrix.reshape((side,) * 4).transpose(1, 3, 0, 2).reshape(side**2, side**2)
+    choi = total.matrix().reshape((side,) * 4).transpose(1, 3, 0, 2).reshape(side**2, side**2)
     omega = np.eye(side).reshape(-1) / math.sqrt(side)
     proj = np.eye(side**2) - np.outer(omega, omega.conj())
     return proj @ choi @ proj, np.max(np.abs(choi))
@@ -563,14 +563,14 @@ class TestMatrixFreeAction:
 
     def _check(self, gen, rng):
         side = gen.total.side
-        scale = np.max(np.abs(gen.total.matrix))
+        scale = np.max(np.abs(gen.total.matrix()))
         local, cross = gen._split
         for x in self._inputs(rng, side):
-            want = unvec(gen.total.matrix @ vec(x), side)
+            want = unvec(gen.total.matrix() @ vec(x), side)
             assert np.max(np.abs(gen.apply(x) - want)) <= 1e-13 * scale
-            local_sum = sum(unvec(t.matrix @ vec(x), side) for t in gen.local_terms)
+            local_sum = sum(unvec(t.matrix() @ vec(x), side) for t in gen.local_terms)
             cross_sum = sum(
-                (unvec(t.matrix @ vec(x), side) for t in gen.cross_terms.values()),
+                (unvec(t.matrix() @ vec(x), side) for t in gen.cross_terms.values()),
                 np.zeros_like(x),
             )
             assert np.max(np.abs(local.apply(x) - local_sum)) <= 1e-13 * scale
@@ -607,10 +607,10 @@ class TestSignalingCorrection:
         local2 = single_carrier_generator(gen, 2)
         for _ in range(5):
             rho = random_state(rng, (2, 2))
-            lhs = partial_trace(gen.total.apply(rho.op), keep=[1]).entries
+            lhs = partial_trace(act(gen.total, rho.op), keep=[1]).entries
             rho2 = partial_trace(rho.op, keep=[1])
             corr = signaling_correction(SPEC_2Q, gen.rates.cross[(1, 2)], rho.op, (2, 2))
-            rhs = local2.apply(rho2).entries + corr.entries
+            rhs = act(local2, rho2).entries + corr.entries
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_rate_table_rows(self):

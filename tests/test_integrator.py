@@ -31,7 +31,7 @@ from qcollide.integrator import (
 from qcollide.jsonio import complex_matrix_to_json
 from qcollide.scenarios import collision_config, load_scenario, scenario_generator
 from qcollide.ops import (
-    Operator, SandwichForm, Superoperator, hermitize, momentum_op, pauli, position_op, projector, unvec, vec,
+    Operator, SandwichForm, hermitize, momentum_op, pauli, position_op, projector, unvec, vec,
 )
 from qcollide.trajectory import SAMPLE_BATCH, SampleRecorder
 
@@ -51,7 +51,7 @@ def dephasing_exact(t, gamma=1.0):
 class TestIntegrate:
     def test_zero_generator_is_constant(self, rng):
         rho0 = random_state(rng, (2,))
-        zero = Superoperator((2,), np.zeros((4, 4)))
+        zero = np.zeros((4, 4))
         traj = integrate(zero, rho0, t_end=1.0, dt=0.05)
         for state in traj.states:
             assert np.max(np.abs(state - rho0.entries)) <= 1e-14
@@ -91,7 +91,7 @@ class TestIntegrate:
     def test_aborts_on_broken_generator(self, rate):
         # d rho/dt = rate * rho inflates the trace; must abort with a diagnostic,
         # also when the drift stays below 1e-6 but exceeds the 1e-8 sample check
-        grow = Superoperator((2,), rate * np.eye(4))
+        grow = rate * np.eye(4)
         with pytest.raises(RuntimeError, match="invariants violated at step"):
             integrate(grow, GROUND, t_end=1.0, dt=0.01)
 
@@ -102,14 +102,14 @@ class TestIntegrate:
         rate = 1e-8 / (150.5 * dt)
         want = next(k for k in range(1, 10**6) if abs(math.expm1(rate * k * dt)) > 1e-8)
         assert want > SAMPLE_BATCH
-        grow = Superoperator((2,), rate * np.eye(4))
+        grow = rate * np.eye(4)
         with pytest.raises(RuntimeError, match=f"invariants violated at step {want}, t={want * dt:.6g}: trace"):
             integrate(grow, GROUND, t_end=3.0, dt=dt)
 
     def test_nan_generator_segment_aborts_at_its_first_step(self):
-        nan = Superoperator((2,), np.full((4, 4), np.nan))
-        zero = Superoperator((2,), np.zeros((4, 4)))
-        with pytest.raises(RuntimeError, match="at step 101, t=1.01: density matrix is not Hermitian"):
+        nan = np.full((4, 4), np.nan)
+        zero = np.zeros((4, 4))
+        with pytest.raises(RuntimeError, match="at step 101, t=1.01: density matrix has a non-finite entry"):
             integrate([(0.0, zero), (1.0, nan)], GROUND, t_end=2.0, dt=0.01)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -126,7 +126,7 @@ class TestIntegrate:
             return x
 
         monkeypatch.setattr(qcollide.trajectory, "_hermitian", poisoned)
-        with pytest.raises(RuntimeError, match="at step 70, t=0.7: density matrix is not Hermitian"):
+        with pytest.raises(RuntimeError, match="at step 70, t=0.7: density matrix has a non-finite entry"):
             integrate(dephasing_generator(), GROUND, t_end=1.0, dt=0.01)
 
     def test_strided_samples_equal_stride_one_bit_for_bit(self, rng):
@@ -154,7 +154,7 @@ class TestIntegrate:
     def test_piecewise_constant_schedule(self):
         # x-dephasing for t < 0.25 then frozen: matches the closed form piecewise
         gen = dephasing_generator()
-        zero = Superoperator((2,), np.zeros((4, 4)))
+        zero = np.zeros((4, 4))
         schedule = [(0.0, gen), (0.25, zero)]
         traj = integrate(schedule, GROUND, t_end=0.5, dt=1e-3)
         want = dephasing_exact(0.25)
@@ -164,7 +164,7 @@ class TestIntegrate:
         # a segment starting inside a step would silently run that whole step
         # with the later generator
         gen = dephasing_generator()
-        zero = Superoperator((2,), np.zeros((4, 4)))
+        zero = np.zeros((4, 4))
         with pytest.raises(ValueError, match="segment 1 starts at t = 0.015"):
             integrate([(0.0, gen), (0.015, zero)], GROUND, t_end=0.1, dt=0.01)
 
@@ -201,7 +201,7 @@ class TestIntegrate:
     )
     def test_non_finite_times_are_rejected(self, t_end, dt, start, match):
         gen = dephasing_generator()
-        zero = Superoperator((2,), np.zeros((4, 4)))
+        zero = np.zeros((4, 4))
         with pytest.raises(ValueError, match=match):
             integrate([(0.0, gen), (start, zero)], GROUND, t_end=t_end, dt=dt)
         if math.isfinite(start):
@@ -237,7 +237,7 @@ def random_lindblad(rng, dims, n_jumps=2):
         jump = 0.5 * (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
         jj = jump.conj().T @ jump
         mat += np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
-    return Superoperator(dims, mat)
+    return mat
 
 
 def staged_rk4(schedule, rho0, n_steps, dt):
@@ -249,7 +249,8 @@ def staged_rk4(schedule, rho0, n_steps, dt):
     states = [rho0.entries]
     for k in range(1, n_steps + 1):
         idx = int(np.searchsorted(starts, (k - 1) * dt + 0.5 * dt, side="right")) - 1
-        g = schedule[max(idx, 0)][1].matrix
+        g = schedule[max(idx, 0)][1]
+        g = g.matrix() if isinstance(g, SandwichForm) else g
         k1 = g @ v
         k2 = g @ (v + 0.5 * dt * k1)
         k3 = g @ (v + 0.5 * dt * k2)
@@ -321,7 +322,7 @@ class TestPropagatorBuild:
     @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 3), (3, 3)])
     def test_paterson_stockmeyer_matches_horner(self, rng, dims):
         for scale in (1e-3, 0.1, 0.5, 1.0):
-            r = _real_map(random_lindblad(rng, dims).matrix)
+            r = _real_map(random_lindblad(rng, dims))
             h = scale / np.linalg.norm(r, 2)
             want = horner_rk4_propagator(r, h)
             got = _rk4_propagator(r.copy(), h)
@@ -347,7 +348,7 @@ class TestBlockPropagation:
     def test_blocks_match_the_serial_loop(self, seed, dims, kind, lengths, stride):
         rng = np.random.default_rng(seed)
         if kind == "gksl":
-            maps = [_rk4_propagator(_real_map(random_lindblad(rng, dims).matrix), 1e-2) for _ in lengths]
+            maps = [_rk4_propagator(_real_map(random_lindblad(rng, dims)), 1e-2) for _ in lengths]
         else:
             maps = [random_column_map(rng, dims) for _ in lengths]
         rho0 = random_state(rng, dims)
@@ -380,7 +381,7 @@ class TestBlockPropagation:
                     kwargs["out"] = tuple(np.asarray(x) for x in out)
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        m = _rk4_propagator(_real_map(random_lindblad(rng, dims).matrix), 1e-3).view(CountedMap)
+        m = _rk4_propagator(_real_map(random_lindblad(rng, dims)), 1e-3).view(CountedMap)
         rho0 = random_state(rng, dims)
         qcollide.integrator._propagate(rho0, 0.1, n_steps, [(n_steps, m)])
         assert calls == ["matmul"] * products
@@ -479,7 +480,7 @@ class TestSectors:
     def test_builtin_sector_counts(self, config, n, count, largest, which):
         sc = load_scenario(config)
         if which == "R":
-            m = _real_map(scenario_generator(sc).total.matrix)
+            m = _real_map(scenario_generator(sc).total.matrix())
         else:
             m = _real_map(_column_phi(collision_config(sc, sc.n_collisions)))
         sectors = _sectors(m, n)
@@ -491,7 +492,7 @@ class TestSectors:
 
     @pytest.mark.parametrize("config, components", [("ad-chain-2q", 2), ("replacer", 4), ("dephasing-1q", 2)])
     def test_small_maps_have_components_the_pays_rule_keeps_whole(self, monkeypatch, config, components):
-        m = _real_map(scenario_generator(load_scenario(config)).total.matrix)
+        m = _real_map(scenario_generator(load_scenario(config)).total.matrix())
         monkeypatch.setattr(qcollide.integrator, "SECTOR_STEP_COST", 0)
         monkeypatch.setattr(qcollide.integrator, "SECTOR_BLOCK_COST", 0)
         assert len(_sectors(m, 1)) == components
@@ -551,8 +552,8 @@ class TestSectors:
                                                        ((3, 3), 80, 3), ((3, 3), 300, SAMPLE_BATCH + 1)])
     def test_one_sector_map_takes_the_whole_map_loop_bit_for_bit(self, rng, dims, n_steps, stride):
         gen = random_lindblad(rng, dims)
-        assert len(_sectors(_real_map(gen.matrix), n_steps)) == 1
-        m = _rk4_propagator(_real_map(gen.matrix), 1e-2)
+        assert len(_sectors(_real_map(gen), n_steps)) == 1
+        m = _rk4_propagator(_real_map(gen), 1e-2)
         rho0 = random_state(rng, dims)
         traj = integrate(gen, rho0, t_end=n_steps * 1e-2, dt=1e-2, record_stride=stride)
         steps = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
@@ -650,10 +651,14 @@ class TestFormRoute:
                 b[0, 0] = 0.0
                 carriers, env = [[random_hermitian(rng, (d,))] for d in dims], [Operator((de,), b)]
             spec = CouplingSpec.uniform(carriers, env)
-            form = full_generator(spec, DensityMatrix.ground(de), lossy_bosonic_channel(de, 0.3), 1.0, dims).total.stored
+            form = full_generator(spec, DensityMatrix.ground(de), lossy_bosonic_channel(de, 0.3), 1.0, dims).total
         with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
             keys, values = form.entries()
             assert np.all(np.diff(keys) > 0)
+            # no entry is an exact +0 (both bits zero); a -0 is kept, which
+            # the bitwise comparisons below see
+            assert not (values.view(np.int64).reshape(-1, 2) == 0).all(axis=1).any()
+            assert np.all(_real_entries(form).values.view(np.int64) != 0)
             dense = np.zeros(math.prod(dims) ** 4, dtype=complex)
             dense[keys] = values
             assert np.array_equal(bits(dense), bits(scatter_matrix(form).reshape(-1)))
@@ -665,9 +670,18 @@ class TestFormRoute:
             mp.setattr(qcollide.integrator, "SECTOR_BLOCK_COST", 0)
             assert_same_split(_split(_real_entries(form), 1, np.copy), _split(real, 1, np.copy))
 
+    def test_chain_lists_only_its_nonzero_entries(self):
+        # the sandwich products of different terms cancel exactly on 2,916
+        # keys, and R's four swapped copies cancel too: neither is listed
+        form = scenario_generator(load_scenario(CHAIN3)).total
+        keys, values = form.entries()
+        real = _real_entries(form)
+        assert len(keys) == np.count_nonzero(values) == 5912
+        assert len(real.keys) == np.count_nonzero(real.values) == 5912
+
     def test_conserving_chain_splits_into_its_coherence_orders(self):
         sc = load_scenario(CHAIN3)
-        got = _split(_real_entries(scenario_generator(sc).total.stored), 2000, np.copy)
+        got = _split(_real_entries(scenario_generator(sc).total), 2000, np.copy)
         assert len(got.blocks) == 13 and max(len(b) for b in got.blocks) == 141
 
     @settings(max_examples=60, deadline=None)
@@ -859,7 +873,7 @@ class TestGeneratorMemory:
         # reachable from the generator, only the forms' multipliers
         gen = scenario_generator(load_scenario(CHAIN3))
         pieces = [gen.total, *gen.local_terms, *gen.cross_terms.values()]
-        assert all(piece.matrix.shape == (27**2, 27**2) for piece in pieces)
+        assert all(piece.matrix().shape == (27**2, 27**2) for piece in pieces)
         sizes = [a.size for a in reachable_arrays(gen)]
         assert 6 * 27**2 in sizes  # the six stacked carrier operators of `total`
         assert max(sizes) < 27**4 / 100

@@ -90,10 +90,10 @@ class TestRoundTripAgainstOldEncoder:
         doc = read(out / "generators.json")
         rates_doc = read(out / "rates.json")
 
-        pairs = [(doc["total"], gen.total.matrix)]
-        pairs += [(m, t.matrix) for m, t in zip(doc["local"], gen.local_terms, strict=True)]
+        pairs = [(doc["total"], gen.total.matrix())]
+        pairs += [(m, t.matrix()) for m, t in zip(doc["local"], gen.local_terms, strict=True)]
         cross = sorted(gen.cross_terms.items())
-        pairs += [(e["matrix"], t.matrix) for e, (_, t) in zip(doc["cross"], cross, strict=True)]
+        pairs += [(e["matrix"], t.matrix()) for e, (_, t) in zip(doc["cross"], cross, strict=True)]
         for rates in (doc["rates"], rates_doc):
             pairs += [(m, r) for m, r in zip(rates["local"], gen.rates.local, strict=True)]
             cross = sorted(gen.rates.cross.items())
@@ -104,12 +104,12 @@ class TestRoundTripAgainstOldEncoder:
         old = {
             "carrier_dims": list(gen.carrier_dims),
             "rates": old_rates_dict(gen.rates),
-            "local": [old_complex_matrix_to_json(t.matrix) for t in gen.local_terms],
+            "local": [old_complex_matrix_to_json(t.matrix()) for t in gen.local_terms],
             "cross": [
-                {"m": m, "m_prime": mp, "matrix": old_complex_matrix_to_json(t.matrix)}
+                {"m": m, "m_prime": mp, "matrix": old_complex_matrix_to_json(t.matrix())}
                 for (m, mp), t in sorted(gen.cross_terms.items())
             ],
-            "total": old_complex_matrix_to_json(gen.total.matrix),
+            "total": old_complex_matrix_to_json(gen.total.matrix()),
         }
         assert doc == old_document(old)
         assert rates_doc == old_document(old_rates_dict(gen.rates))

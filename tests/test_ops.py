@@ -1,4 +1,3 @@
-import gc
 import math
 
 import numpy as np
@@ -7,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cpt_channel, random_hermitian
-from qcollide.channels import KrausChannel
-from qcollide.perturbation import _expansion_forms
+from qcollide.channels import DensityMatrix, KrausChannel
+from qcollide.integrator import integrate
+from qcollide.perturbation import unitary_expansion_terms
 from qcollide.ops import (
     Operator,
     SandwichForm,
-    Superoperator,
     embed,
     expm_hermitian,
     identity,
@@ -330,7 +329,7 @@ def random_form(rng, dims, kind) -> SandwichForm:
         f = f + f.conj().swapaxes(-2, -1)  # Hermitian operators, as on the carriers
         k = 0.5 * np.einsum("ab,aij,bjk->ik", gamma, f, f) + 1j * h
         return SandwichForm(dims, np.tensordot(gamma, f, axes=1), f, k)
-    return _expansion_forms(h, dims)[kind == "u2"]
+    return unitary_expansion_terms(Operator(dims, h))[kind == "u2"]
 
 
 class TestSandwichForm:
@@ -500,44 +499,35 @@ class TestSuperoperator:
         h = random_hermitian(rng, (4,))
         x = random_hermitian(rng, (4,))
         form = SandwichForm(h.dims, [], [], 1j * h.entries)  # X -> -i[h, X]
-        got = 1j * form.superoperator().apply(x).entries
         want = h.entries @ x.entries - x.entries @ h.entries
-        assert np.allclose(got, want)
+        assert np.allclose(1j * unvec(form.matrix() @ vec(x.entries), 4), want)
         assert np.allclose(1j * form.apply(x.entries), want)
 
     def test_kraus_superop_matches_sandwich_sum(self, rng):
         ks = [random_hermitian(rng, (3,)) for _ in range(2)]
         x = random_hermitian(rng, (3,))
-        got = KrausChannel(tuple(ks)).superoperator().apply(x).entries
+        got = KrausChannel(tuple(ks)).form.apply(x.entries)
         want = sum(k.entries @ x.entries @ k.entries.conj().T for k in ks)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_package_root_exports_the_form(self):
+        import qcollide
+
+        assert qcollide.SandwichForm is SandwichForm and not hasattr(qcollide, "Superoperator")
+
     def test_apply_preserves_side(self, rng):
-        s = Superoperator((2, 3), np.eye(36))
+        form = SandwichForm((2, 3), [np.eye(6)], [np.eye(6)])
         x = random_hermitian(rng, (2, 3))
-        assert s.apply(x).side == 6
+        assert form.side == 6 and form.apply(x.entries).shape == (6, 6)
 
     def test_rejects_bad_matrix_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            Superoperator((2,), np.eye(3))
-
-    def test_form_hands_over_its_new_matrix_and_callers_arrays_are_copied(self, rng, monkeypatch):
-        h = random_hermitian(rng, (2, 2))
-        form = SandwichForm(h.dims, [], [], 1j * h.entries)
-        built, matrix = [], form.matrix
-
-        def kept(self):
-            built.append(matrix())
-            return built[-1]
-
-        monkeypatch.setattr(SandwichForm, "matrix", kept)
-        sup = form.superoperator()
-        assert sup.matrix is built[0] and not sup.matrix.flags.writeable
-        assert sup.dims == (2, 2) and isinstance(sup, Superoperator)
-        outside = np.eye(16, dtype=complex)
-        copied = Superoperator([2, 2], outside)
-        assert copied.dims == (2, 2) and not np.shares_memory(copied.matrix, outside)
-        assert outside.flags.writeable and not copied.matrix.flags.writeable
+        # a generator given as a matrix must be (D^2, D^2) for rho0's side D
+        rho0 = DensityMatrix.ground(2)
+        for bad in (np.eye(3), np.eye(8), np.zeros((4, 16))):
+            with pytest.raises(ValueError, match=rf"the generator acts on shape \({bad.shape[0]}, "):
+                integrate(bad, rho0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="the generator acts on side 3, rho0 on side 2"):
+            integrate(np.eye(9), rho0, 1.0, 0.1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -546,24 +536,16 @@ class TestSuperoperator:
         kind=st.sampled_from(["kraus", "gksl", "u1", "u2"]),
     )
     def test_form_backed_superoperator_keeps_the_form(self, seed, dims, kind):
-        # the form's superoperator applies the form and builds a fresh,
-        # read-only matrix on every read, which it does not keep; applied
-        # through that matrix it gives the same map
+        # the form builds a fresh matrix on every call and keeps only its
+        # multipliers; applied through that matrix it gives the same map
         rng = np.random.default_rng(seed)
         form = random_form(rng, dims, kind)
-        sup = form.superoperator()
-        first, second = sup.matrix, sup.matrix
-        assert first is not second and np.array_equal(first, form.matrix())
+        first, second = form.matrix(), form.matrix()
+        assert first is not second and not np.shares_memory(first, second)
         assert np.array_equal(first.view(np.int64), second.view(np.int64))
-        assert not first.flags.writeable and not second.flags.writeable
-        assert not any(isinstance(ref, np.ndarray) for ref in gc.get_referents(sup))
+        assert set(vars(form)) == {"dims", "sandwich", "ops", "k"}
         x = random_hermitian(rng, dims)
-        via_matrix = Superoperator(dims, first).apply(x)
-        got = sup.apply(x)
-        assert got.dims == via_matrix.dims == tuple(dims)
-        assert np.array_equal(got.entries, form.apply(x.entries))
-        assert np.max(np.abs(got.entries - via_matrix.entries)) <= 1e-12
-        with pytest.raises(ValueError, match="does not match"):
-            sup.apply(random_hermitian(rng, (math.prod(dims) + 1,)))
+        via_matrix = unvec(first @ vec(x.entries), form.side)
+        assert np.max(np.abs(form.apply(x.entries) - via_matrix)) <= 1e-12
         with pytest.raises(AttributeError):
-            sup.dims = (1,)
+            form.dims = (1,)

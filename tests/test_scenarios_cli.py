@@ -421,7 +421,10 @@ class TestCLI:
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"scenario": "bosonic-fiber", "params": {"kappa": 2}}, "transmissivity"),
+            (
+                {"scenario": "bosonic-fiber", "params": {"kappa": 2}},
+                "config error: params.kappa must lie in [0, 1], got 2\n",
+            ),
             ({"scenario": "dephasing-1q", "record_stride": 0}, "record_stride"),
             ({"scenario": "dephasing-1q", "t_end": "abc"}, "t_end must be a real number, got 'abc'"),
             ({"scenario": "dephasing-1q", "rho0": {"kind": "ket"}}, "rho0: missing key 'amplitudes'"),
@@ -647,6 +650,11 @@ class TestCLI:
                 {"scenario": "ad-chain-2q", "couplings": {"system": [["sx"], ["sx"]], "environment": [["sx"], "sx"]}},
                 "config error: couplings.environment[1]: expected a list, got 'sx'",
             ),
+            ({"scenario": "ad-chain-2q", "params": {"p": 2}}, "config error: params.p must lie in [0, 1], got 2\n"),
+            (
+                {"scenario": "bosonic-fiber", "params": {"kappa": -1}},
+                "config error: params.kappa must lie in [0, 1], got -1\n",
+            ),
         ],
         ids=["kappa", "record-stride", "t-end", "ket-no-amplitudes", "ket-short-amplitude",
              "projx", "top-level-list", "seed-infinity", "couplings-list", "gamma-nan", "t-end-infinity",
@@ -664,7 +672,8 @@ class TestCLI:
              "observable-name-return", "observable-name-duplicate", "observable-name-number", "observable-name-empty",
              "observable-no-name", "observable-no-op", "lossy-kappa-factory", "lossy-one-level", "replacer-eta-not-state",
              "unitary-not-unitary", "ket-zero", "observable-matrix-not-square",
-             "per-carrier-environment-short", "per-carrier-environment-entry-not-list"],
+             "per-carrier-environment-short", "per-carrier-environment-entry-not-list",
+             "params-p-out-of-range", "params-kappa-negative"],
     )
     def test_malformed_config_exit_one(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.json"
@@ -1041,6 +1050,18 @@ class TestCLI:
             code = main([command, "--config", str(cfg)])
         assert code == 2
         assert "property check failed: state invariants violated" in capsys.readouterr().err
+
+    def test_overflowed_sample_is_named_non_finite(self, tmp_path, capsys):
+        # the RK4 reference at dt = 50 overflows: the failing sample is named
+        # by its non-finite entry, not as a Hermiticity failure
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"scenario": "replacer", "t_end": 1e5}))
+        assert main(["converge", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "property check failed: state invariants violated at step 2000, t=100000: "
+            "density matrix has a non-finite entry\n"
+        )
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "c.json"
