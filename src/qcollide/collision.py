@@ -37,6 +37,7 @@ from .ops import (
     kron,
     partial_trace,
     trace_out,
+    unitary_expansion_terms,
 )
 from .integrator import _components, _propagate, _real_map, _split
 from .trajectory import Trajectory, observable_arrays
@@ -136,7 +137,9 @@ class CouplingSpec:
         if not 1 <= n <= len(self.collision_system_ops):
             raise ValueError(f"collision index {n} outside tabulated range")
         # a copy, not a new spec: every table row was checked at construction,
-        # and simulate resolves one spec per collision
+        # and simulate resolves one spec per collision; the copy starts with
+        # nothing cached, since a collision-indexed spec raises in `a_ops`
+        # before its `hamiltonians` are cached
         spec = copy.copy(self)
         object.__setattr__(spec, "system_ops", self.collision_system_ops[n - 1])
         object.__setattr__(spec, "collision_system_ops", None)
@@ -150,6 +153,22 @@ class CouplingSpec:
 
     def b_ops(self, m: int) -> tuple[Operator, ...]:
         return self.env_ops[m - 1]
+
+    @functools.cached_property
+    def hamiltonians(self) -> tuple[Operator, ...]:
+        """The coupling Hamiltonian sum_l A_l (x) B_l on (carrier m, one
+        sub-environment) of every carrier, built once per spec."""
+        return tuple(
+            functools.reduce(Operator.__add__, map(kron, self.a_ops(m), self.b_ops(m)))
+            for m in range(1, self.n_carriers + 1)
+        )
+
+    @functools.cached_property
+    def expansion_terms(self) -> tuple[tuple[SandwichForm, SandwichForm], ...]:
+        """U' and U'' of every carrier's Hamiltonian
+        (`ops.unitary_expansion_terms`), built once per spec, so that every
+        expansion pass on it (`perturbation._orders`) shares the forms."""
+        return tuple(map(unitary_expansion_terms, self.hamiltonians))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +296,7 @@ def collision_hamiltonian(cfg: CollisionConfig, m: int) -> Operator:
     """Coupling Hamiltonian sum_l A_l (x) B_l on carrier m and one sub-environment."""
     if not 1 <= m <= cfg.n_carriers:
         raise ValueError(f"carrier index {m} out of range")
-    return functools.reduce(Operator.__add__, map(kron, cfg.couplings.a_ops(m), cfg.couplings.b_ops(m)))
+    return cfg.couplings.hamiltonians[m - 1]
 
 
 def collision_unitary(cfg: CollisionConfig, m: int) -> Operator:

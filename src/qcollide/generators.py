@@ -71,21 +71,35 @@ def _two_point_rates(b_ops: Sequence[Operator], sigma: np.ndarray, gamma: float)
     return rates
 
 
-def _propagated_rates(
-    b_from: Sequence[Operator],
-    b_to: Sequence[Operator],
-    sigma: np.ndarray,
-    channel: KrausChannel,
-    distance: int,
-    gamma: float,
-) -> np.ndarray:
-    """gamma * tr(B'_l' M^distance(B_l sigma)) for every pair (l, l'), the
-    stack of every B_l sigma walked along the orbit at once."""
-    rates = np.empty((len(b_from), len(b_to)), dtype=complex)
-    stack = np.stack([bl.entries @ sigma for bl in b_from])
-    for l, propagated in enumerate(orbit_points(channel, stack, distance)[-1]):
+def _propagated_walk(b_from: Sequence[Operator], sigma: np.ndarray, channel: KrausChannel, distance: int) -> list[np.ndarray]:
+    """The stack of every B_l sigma walked along the orbit: its points at
+    distances 0..distance (`orbit_points`)."""
+    return orbit_points(channel, np.stack([bl.entries @ sigma for bl in b_from]), distance)
+
+
+def _propagated_rates(b_to: Sequence[Operator], propagated: np.ndarray, gamma: float) -> np.ndarray:
+    """gamma * tr(B'_l' P_l) for every pair (l, l'), P a point of
+    `_propagated_walk`."""
+    rates = np.empty((len(propagated), len(b_to)), dtype=complex)
+    for l, point in enumerate(propagated):
         for lp, blp in enumerate(b_to):
-            rates[l, lp] = gamma * _expect(blp.entries, propagated)
+            rates[l, lp] = gamma * _expect(blp.entries, point)
+    return rates
+
+
+def _local_rates(b_ops: Sequence[Operator], sigma: np.ndarray, m: int, gamma: float) -> np.ndarray:
+    """The checked local rate matrix of carrier m on its orbit point sigma."""
+    _warn_if_nonzero_mean(b_ops, sigma)
+    rates = _two_point_rates(b_ops, sigma, gamma)
+    if not np.isfinite(rates).all():
+        raise RuntimeError(f"local rate matrix of carrier {m} is not finite")
+    if not max_abs(rates - rates.conj().T) <= PSD_TOL:
+        raise RuntimeError("local rate matrix is not Hermitian; this indicates a bug")
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rates + rates.conj().T))[0])
+    if not min_eig >= -PSD_TOL:
+        raise RuntimeError(
+            f"local rate matrix has negative eigenvalue {min_eig}; this indicates a bug"
+        )
     return rates
 
 
@@ -102,19 +116,7 @@ def local_rates(
     b_ops = spec.b_ops(m)
     if b_ops[0].side != eta.side:
         raise ValueError("environment operator side does not match eta")
-    sigma = orbit(channel, eta.op, m - 1).entries
-    _warn_if_nonzero_mean(b_ops, sigma)
-    rates = _two_point_rates(b_ops, sigma, gamma)
-    if not np.isfinite(rates).all():
-        raise RuntimeError(f"local rate matrix of carrier {m} is not finite")
-    if not max_abs(rates - rates.conj().T) <= PSD_TOL:
-        raise RuntimeError("local rate matrix is not Hermitian; this indicates a bug")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rates + rates.conj().T))[0])
-    if not min_eig >= -PSD_TOL:
-        raise RuntimeError(
-            f"local rate matrix has negative eigenvalue {min_eig}; this indicates a bug"
-        )
-    return rates
+    return _local_rates(b_ops, orbit(channel, eta.op, m - 1).entries, m, gamma)
 
 
 def cross_rates(
@@ -135,7 +137,8 @@ def cross_rates(
     if not 1 <= m <= spec.n_carriers or not 1 <= m_prime <= spec.n_carriers:
         raise ValueError("carrier index out of range")
     sigma = orbit(channel, eta.op, m - 1).entries
-    return _propagated_rates(spec.b_ops(m), spec.b_ops(m_prime), sigma, channel, m_prime - m, gamma)
+    walk = _propagated_walk(spec.b_ops(m), sigma, channel, m_prime - m)
+    return _propagated_rates(spec.b_ops(m_prime), walk[-1], gamma)
 
 
 def stationary_rates(
@@ -162,7 +165,8 @@ def stationary_rates(
             RuntimeWarning,
         )
     b_ops_far = spec.b_ops(min(1 + distance, spec.n_carriers))
-    return _propagated_rates(spec.b_ops(1), b_ops_far, eta0.entries, channel, distance, gamma)
+    walk = _propagated_walk(spec.b_ops(1), eta0.entries, channel, distance)
+    return _propagated_rates(b_ops_far, walk[-1], gamma)
 
 
 def stationary_local_rates(
@@ -367,12 +371,17 @@ def full_generator(
     n_carr = spec.n_carriers
     if tuple(spec.a_ops(m)[0].side for m in range(1, n_carr + 1)) != dims:
         raise ValueError("carrier_dims must match the coupling spec")
-    local = tuple(local_rates(spec, eta, channel, m, gamma) for m in range(1, n_carr + 1))
-    cross = {
-        (m, mp): cross_rates(spec, eta, channel, m, mp, gamma)
-        for m in range(1, n_carr + 1)
-        for mp in range(m + 1, n_carr + 1)
-    }
+    if spec.b_ops(1)[0].side != eta.side:
+        raise ValueError("environment operator side does not match eta")
+    # one walk of eta's orbit, and one of each carrier's stack B_l sigma_m,
+    # every later carrier read at its point: M(M-1)/2 + M - 1 applications
+    sigmas = orbit_points(channel, eta.entries, n_carr - 1)
+    local = tuple(_local_rates(spec.b_ops(m), sigmas[m - 1], m, gamma) for m in range(1, n_carr + 1))
+    cross = {}
+    for m in range(1, n_carr):
+        walk = _propagated_walk(spec.b_ops(m), sigmas[m - 1], channel, n_carr - m)
+        for mp in range(m + 1, n_carr + 1):
+            cross[m, mp] = _propagated_rates(spec.b_ops(mp), walk[mp - m], gamma)
     tensor = CorrelationTensor(gamma=gamma, local=local, cross=cross)
     return GeneratorSet(carrier_dims=dims, spec=spec, rates=tensor)
 

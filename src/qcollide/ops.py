@@ -140,6 +140,14 @@ def expm_hermitian(h: Operator, s: float, tol: float = DEFAULT_TOL) -> Operator:
     return Operator(h.dims, (v * phases) @ v.conj().T)
 
 
+def unitary_expansion_terms(h: Operator) -> tuple[SandwichForm, SandwichForm]:
+    """First and second expansion terms of X -> e^(-isH) X e^(isH) in s:
+    U'(X) = -i[H, X] (K = iH) and U''(X) = H X H - (1/2){H^2, X} (S = F = H,
+    K = H^2/2), as sandwich forms."""
+    h, dims = h.entries, h.dims
+    return SandwichForm(dims, [], [], 1j * h), SandwichForm(dims, [h], [h], 0.5 * (h @ h))
+
+
 def _check_positions(sub_dims: tuple[int, ...], dims: tuple[int, ...], positions: tuple[int, ...]):
     """Factor i of a space `sub_dims` goes to factor positions[i] of `dims`:
     the positions must be distinct, in range and of matching dimension."""
@@ -185,15 +193,19 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _factor_layout(form_dims: tuple[int, ...], dims: tuple[int, ...], positions: tuple[int, ...], lead: int):
+def _factor_layout(
+    form_dims: tuple[int, ...], dims: tuple[int, ...], positions: tuple[int, ...], lead: int, trailing: bool
+):
     """The axis order that moves the factors `positions` of (`lead` leading
     axes, row factors, column factors) to the front of the rows and the back
-    of the columns, the order that undoes it, and the moved dimensions."""
+    of the columns, or, `trailing`, all to the back with the column factors
+    first; the order that undoes it; and the moved dimensions."""
     _check_positions(form_dims, dims, positions)
-    rest = [i for i in range(len(dims)) if i not in positions]
-    rows, cols = list(positions) + rest, rest + list(positions)
-    perm = list(range(lead)) + [lead + i for i in rows] + [lead + len(dims) + i for i in cols]
-    moved = tuple(dims[i] for i in rows + cols)
+    n, form = len(dims), list(positions)
+    rest = [i for i in range(n) if i not in positions]
+    axes = rest + [n + i for i in rest + form] + form if trailing else form + rest + [n + i for i in rest + form]
+    perm = list(range(lead)) + [lead + a for a in axes]
+    moved = tuple((dims + dims)[a] for a in axes)
     return tuple(perm), tuple(int(i) for i in np.argsort(perm)), moved
 
 
@@ -264,15 +276,36 @@ class SandwichForm:
     def on_factors(self, x: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
         """The form on the factors `positions` of the tensor space `dims`
         (form factor i on positions[i], as in `embed`) of a matrix or a
-        stack shaped (..., D, D).  The form's factors move to the front of
-        the rows and the back of the columns, so that `apply` runs as one
-        product per multiplier on x viewed as (..., P, R R P); a form on
-        all factors, in order, moves nothing."""
-        lead = x.shape[:-2]
-        dims = tuple(dims)
-        perm, back, moved = _factor_layout(self.dims, dims, tuple(positions), len(lead))
-        z = x.reshape(lead + dims + dims).transpose(perm).reshape(lead + (self.side, -1))
-        return self.apply(z).reshape(lead + moved).transpose(back).reshape(x.shape)
+        stack shaped (..., D, D), by one of two routes.
+
+        With P the form's side and T its multipliers (the A sandwich pairs,
+        and K), the factor route runs when P <= 2 T, so that one product
+        with the form's P^2 x P^2 matrix takes no more arithmetic than the
+        2 T products of P, and P^4 <= D^2, so that the matrix has no more
+        entries than one operand matrix: the form's column and row factors
+        move to the back, which makes x rows of column-stacked vectors on
+        the form's space, and those meet the transposed matrix
+        (`_factor_matrix`, built once per form) in one product.  Otherwise
+        the product route moves the form's factors to the front of the rows
+        and the back of the columns, so that `apply` runs as one product per
+        multiplier on x viewed as (..., P, R R P); a form on all factors, in
+        order, moves nothing there."""
+        lead, dims, side = x.shape[:-2], tuple(dims), self.side
+        terms = len(self.sandwich) + (self.k is not None)
+        trailing = side <= 2 * terms and side**4 <= x.shape[-1] ** 2
+        perm, back, moved = _factor_layout(self.dims, dims, tuple(positions), len(lead), trailing)
+        z = x.reshape(lead + dims + dims).transpose(perm)
+        if trailing:
+            out = z.reshape(-1, side * side) @ self._factor_matrix
+        else:
+            out = self.apply(z.reshape(lead + (side, -1)))
+        return out.reshape(lead + moved).transpose(back).reshape(x.shape)
+
+    @functools.cached_property
+    def _factor_matrix(self) -> np.ndarray:
+        """The transposed column-stacked matrix of the form, which a row
+        vec(X)^T meets from the left (`on_factors`' factor route)."""
+        return self.matrix().T
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The column-stacked D^2 x D^2 matrix of the form as its ascending

@@ -24,10 +24,11 @@ runs.  Every function here takes one column's couplings: collision-indexed
 configurations are resolved first (`cfg.at(n)`).  This module verifies the
 identities numerically and measures the order of the neglected remainders
 by halving g.  U'_m and U''_m are sandwich forms (`ops.SandwichForm`) on
-(carrier m, E), built once per carrier in each pass (`_orders`) and applied
-on those factors like the column's collisions.  Every map acts on stacks of
-matrices, so the column expansion maps are materialized by feeding the
-matrix unit basis through; no dense superoperator products are ever formed.
+(carrier m, E), built once per coupling spec (`CouplingSpec.expansion_terms`)
+and applied on those factors like the column's collisions.  Every map acts
+on stacks of matrices, so the column expansion maps are materialized by
+feeding the matrix unit basis through; no dense superoperator products are
+ever formed.
 """
 
 from __future__ import annotations
@@ -46,30 +47,24 @@ from .collision import (
     collision_hamiltonian,
 )
 from .generators import GeneratorSet, full_generator
-from .ops import Operator, SandwichForm, expm_hermitian, trace_out
+from .ops import Operator, expm_hermitian, trace_out, unitary_expansion_terms
 
 
 def _frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def unitary_expansion_terms(h: Operator) -> tuple[SandwichForm, SandwichForm]:
-    """First and second expansion terms of X -> e^(-isH) X e^(isH) in s:
-    U'(X) = -i[H, X] (K = iH) and U''(X) = H X H - (1/2){H^2, X} (S = F = H,
-    K = H^2/2), as sandwich forms."""
-    h, dims = h.entries, h.dims
-    return SandwichForm(dims, [], [], 1j * h), SandwichForm(dims, [h], [h], 0.5 * (h @ h))
-
-
 def _orders(cfg: CollisionConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(C0 x, C'x, C''a x, C''b x) for a matrix or a stack, in one pass over
-    the carriers with the expansion forms of their collision Hamiltonians."""
+    the carriers with the expansion forms of their collision Hamiltonians.
+    The first carrier meets y1 = y2a = y2b = 0, so only y0 takes its
+    products there."""
     dims, env = cfg.joint_dims, cfg.n_carriers
     relax = functools.partial(cfg.channel.form.on_factors, dims=dims, positions=(env,))
-    zero = np.zeros_like(x, dtype=complex)
-    y0, y1, y2a, y2b = x, zero, zero, zero
-    for m in range(env):
-        u1, u2 = unitary_expansion_terms(collision_hamiltonian(cfg, m + 1))
+    (u1, u2), *later = cfg.couplings.expansion_terms
+    y0, y1, y2a = relax(x), relax(u1.on_factors(x, dims, (0, env))), relax(u2.on_factors(x, dims, (0, env)))
+    y2b = np.zeros_like(x, dtype=complex)
+    for m, (u1, u2) in enumerate(later, start=1):
         y0, y1, y2a, y2b = (
             relax(y0),
             relax(y1 + u1.on_factors(y0, dims, (m, env))),

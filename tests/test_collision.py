@@ -624,25 +624,45 @@ class TestColumnMap:
         assert peak <= 4 * 16 * _column_phi_entries(cfg)
 
     def test_no_form_is_materialized(self, monkeypatch, rng):
-        # both simulate routes, one column, the row oracle and verify apply
-        # every form (collisions, the Kraus relaxation, the expansion terms
-        # and the generators) without its superoperator matrix
+        # on d_e = 8 and d_e = 48 sites both simulate routes, one column and
+        # the row oracle apply every form (the collisions and the Kraus
+        # relaxation) without its superoperator matrix: the relaxation's
+        # factor matrix, d_e^4 entries, would be larger than one joint
+        # matrix, D^2, so `on_factors` keeps the product route
         def refuse(form):
             raise AssertionError(f"SandwichForm.matrix called on dims {form.dims}")
 
         monkeypatch.setattr(SandwichForm, "matrix", refuse)
-        cfg = lossy_env_config((2, 2), 8, n_collisions=4)
-        rho = random_state(rng, cfg.carrier_dims)
-        assert _column_phi_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES
-        mapped = simulate(cfg, rho)
-        monkeypatch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
-        direct = simulate(cfg, rho)
-        assert np.max(np.abs(np.array(mapped.states) - np.array(direct.states))) <= 1e-12
-        joint = DensityMatrix.from_matrix(np.kron(rho.entries, cfg.eta.entries), cfg.joint_dims)
-        column = evolve_column_step(joint, cfg)
-        row = evolve_row(cfg, rho, 1)
-        assert np.max(np.abs(row.entries - column.entries)) <= 1e-12
-        assert run_verify(load_scenario("bosonic-fiber")).passed
+        for de in (8, 48):
+            cfg = lossy_env_config((2, 2), de, n_collisions=4)
+            assert de**4 > math.prod(cfg.joint_dims) ** 2
+            rho = random_state(rng, cfg.carrier_dims)
+            assert _column_phi_entries(cfg) <= COLUMN_MAP_MAX_ENTRIES
+            mapped = simulate(cfg, rho)
+            with monkeypatch.context() as patch:
+                patch.setattr(qcollide.collision, "COLUMN_MAP_MAX_ENTRIES", 0)
+                direct = simulate(cfg, rho)
+            assert np.max(np.abs(np.array(mapped.states) - np.array(direct.states))) <= 1e-12
+            joint = DensityMatrix.from_matrix(np.kron(rho.entries, cfg.eta.entries), cfg.joint_dims)
+            column = evolve_column_step(joint, cfg)
+            row = evolve_row(cfg, rho, 1)
+            assert np.max(np.abs(row.entries - column.entries)) <= 1e-12
+
+    def test_verify_builds_only_factor_matrices_within_one_state(self, monkeypatch):
+        # verify on the largest builtin joint space materializes a form only
+        # for `on_factors`' factor route, whose matrix has no more entries
+        # than one joint matrix: the Kraus relaxation on the d_e = 4 site
+        sides, matrix = [], SandwichForm.matrix
+
+        def record(form):
+            sides.append(form.side)
+            return matrix(form)
+
+        monkeypatch.setattr(SandwichForm, "matrix", record)
+        sc = load_scenario("bosonic-fiber")
+        assert run_verify(sc).passed
+        joint_side = math.prod(sc.carrier_dims) * sc.channel.side
+        assert sides and all(side**4 <= joint_side**2 for side in sides)
 
     def test_wide_environment_map_matches_direct_column(self, monkeypatch, rng):
         cfg = lossy_env_config((2, 2), 24, n_collisions=30)

@@ -33,6 +33,7 @@ from qcollide.generators import (
 from qcollide.integrator import integrate, reduced_trajectory, trace_distance
 from qcollide.ops import (
     Operator,
+    SandwichForm,
     embed,
     expm_hermitian,
     momentum_op,
@@ -416,6 +417,45 @@ class TestFullGenerator:
             out = act(gen.total, x)
             assert abs(out.trace()) <= 1e-10 * np.linalg.norm(x.entries)
             assert np.max(np.abs(out.entries - out.entries.conj().T)) <= 1e-11
+
+
+    @pytest.mark.parametrize("n_carriers, applications", [(3, 5), (6, 20), (10, 54)])
+    def test_walks_each_orbit_once(self, monkeypatch, n_carriers, applications):
+        # one walk of eta's orbit (M - 1 applications) and one of each
+        # carrier's stack B_l sigma_m to the last carrier (M(M-1)/2); each
+        # rate matrix walking its own orbit took 8, 70 and 330
+        calls, apply = [], SandwichForm.apply
+
+        def counted(form, x):
+            calls.append(form.side)
+            return apply(form, x)
+
+        monkeypatch.setattr(SandwichForm, "apply", counted)
+        spec = CouplingSpec.uniform([[SX]] * n_carriers, [SX])
+        full_generator(spec, GROUND, lossy_bosonic_channel(2, 0.5), 1.0, (2,) * n_carriers)
+        assert len(calls) == applications
+
+    def test_rates_are_those_of_each_rate_matrix_bit_for_bit(self, rng):
+        # the same channel applications in the same order as `local_rates`
+        # and `cross_rates`, which walk each orbit on their own
+        d = 3
+        b_ops = [random_hermitian(rng, (d,)) for _ in range(4)]
+        spec = CouplingSpec(
+            system_ops=((SX, SZ), (SY,), (SX,), (SZ, SY)),
+            env_ops=((b_ops[0], b_ops[1]), (b_ops[2],), (b_ops[3],), (b_ops[1], b_ops[2])),
+            env_shared=False,
+        )
+        eta, chan = random_state(rng, (d,)), random_cpt_channel(rng, d, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # nonzero means: the rates are still defined
+            gen = full_generator(spec, eta, chan, 0.7, (2,) * 4)
+            local = [local_rates(spec, eta, chan, m, 0.7) for m in range(1, 5)]
+        for got, want in zip(gen.rates.local, local):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert list(gen.rates.cross) == [(m, mp) for m in range(1, 5) for mp in range(m + 1, 5)]
+        for (m, mp), got in gen.rates.cross.items():
+            want = cross_rates(spec, eta, chan, m, mp, 0.7)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestReducedDynamics:

@@ -486,6 +486,67 @@ class TestOnFactors:
         assert np.array_equal(form.on_factors(x, (2, 3), (0, 1)), form.apply(x))
 
 
+class TestFactorRoute:
+    """`on_factors` takes its factor route, one product with the form's
+    P^2 x P^2 matrix, exactly when P <= 2 (A + 1 if K) and P^4 <= D^2, and
+    that route equals the product route, the same form with embedded
+    multipliers applied on the whole space, within 1e-14 max|x|."""
+
+    @staticmethod
+    def forms(rng, dims, kind, n_kraus):
+        if kind == "kraus":
+            side = math.prod(dims)
+            kraus = [k.entries for k in random_cpt_channel(rng, side, n_kraus).kraus]
+            return [SandwichForm(dims, kraus, [k.conj().T for k in kraus])]
+        return list(unitary_expansion_terms(random_hermitian(rng, dims)))  # U' and U''
+
+    def check(self, rng, dims, positions, kind, lead, n_kraus=2):
+        full = math.prod(dims)
+        x = rng.normal(size=lead + (full, full)) + 1j * rng.normal(size=lead + (full, full))
+        routes = []
+        for form in self.forms(rng, tuple(dims[p] for p in positions), kind, n_kraus):
+            terms = len(form.sandwich) + (form.k is not None)
+            factor = form.side <= 2 * terms and form.side**4 <= full**2
+            got = form.on_factors(x, dims, positions)
+            want = embedded_form(form, dims, positions).apply(x)
+            assert ("_factor_matrix" in vars(form)) == factor
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(x))
+            routes.append(factor)
+        return routes
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple).filter(lambda d: math.prod(d) <= 96),
+        data=st.data(),
+        kind=st.sampled_from(["kraus", "expansion"]),
+        n_kraus=st.integers(1, 4),
+        lead=st.sampled_from([(), (3,), (2, 2)]),
+    )
+    def test_equals_product_route(self, seed, dims, data, kind, n_kraus, lead):
+        order = data.draw(st.permutations(range(len(dims))))
+        positions = tuple(order[: data.draw(st.integers(1, 2))])
+        self.check(np.random.default_rng(seed), dims, positions, kind, lead, n_kraus)
+
+    @pytest.mark.parametrize(
+        "dims, positions, kind, n_kraus, routes",
+        [
+            ((3, 3, 3, 3), (3,), "kraus", 3, [True]),  # the chain's relaxation
+            ((2, 4, 2), (1,), "kraus", 2, [True]),
+            ((2, 4, 2), (1,), "kraus", 1, [False]),  # P = 4 > 2 A
+            ((2, 2, 2, 2), (3, 1), "expansion", 0, [False, True]),  # U'' on two qubits, reversed
+            ((2, 3, 2, 2), (2, 0), "expansion", 0, [False, True]),
+            ((2, 2, 3), (1,), "expansion", 0, [True, True]),  # U' on one qubit
+            ((3, 3, 3), (2, 0), "expansion", 0, [False, False]),  # P = 9 > 2 (A + 1)
+            ((2, 2, 8), (2,), "kraus", 8, [False]),  # d_e^4 > D^2
+        ],
+    )
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["matrix", "stack"])
+    def test_route_cases(self, rng, dims, positions, kind, n_kraus, routes, lead):
+        assert self.check(rng, dims, positions, kind, lead, n_kraus) == routes
+
+
 class TestSuperoperator:
     def test_vec_unvec_roundtrip(self, rng):
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
